@@ -923,7 +923,8 @@ class Config:
         return _compile_rewrite(d, self.filters)
 
     # -- execution --------------------------------------------------------
-    def _source_table(self, name: str, injected: dict) -> pa.Table:
+    def _source_table(self, name: str, injected: dict,
+                      first_id: int = 0) -> pa.Table:
         if name in injected:
             t = injected[name]
             t = pa.Table.from_pandas(t) if isinstance(t, pd.DataFrame) else t
@@ -938,7 +939,8 @@ class Config:
         else:
             t = _build_source(self.sources[name], self)
         if _ROW_ID not in t.column_names:
-            t = t.append_column(_ROW_ID, pa.array(np.arange(t.num_rows), type=pa.int64()))
+            t = t.append_column(_ROW_ID, pa.array(
+                np.arange(first_id, first_id + t.num_rows), type=pa.int64()))
         return t
 
     def _inject_through_channels(self, name: str, t: pa.Table,
@@ -987,23 +989,18 @@ class Config:
         tables: dict[str, pa.Table] = {}
         matched: dict[str, set] = {}
         consumed: dict[str, set] = {}
-        for ch in self.paths:
-            for kind, arg in ch.elements:
-                if kind == "source" and arg not in tables:
-                    tables[arg] = self._source_table(arg, injected)
-                    matched[arg] = set()
-                    consumed[arg] = set()
-        for name in injected:
-            if name not in tables:
-                tables[name] = self._source_table(name, injected)
-                matched[name] = set()
-                consumed[name] = set()
+        names = [arg for ch in self.paths for kind, arg in ch.elements
+                 if kind == "source"] + list(injected)
+        for name in dict.fromkeys(names):
+            # row ids are unique across sources: a path naming several
+            # sources (and a junction inside it) tells rows apart by id
+            first_id = sum(t.num_rows for t in tables.values())
+            tables[name] = self._source_table(name, injected, first_id)
+            matched[name] = set()
+            consumed[name] = set()
 
-        def paths_in_order():
-            return ([c for c in self.paths if not c.fallback]
-                    + [c for c in self.paths if c.fallback])
-
-        for ch in paths_in_order():
+        # fallback paths run after all the others (lib/logmpx.c:97-130)
+        for ch in sorted(self.paths, key=lambda c: c.fallback):
             src_names = [arg for kind, arg in ch.elements if kind == "source"]
             if ch.catchall:
                 # flags(catch-all) re-attaches EVERY source
@@ -1102,12 +1099,13 @@ class Config:
     def _run_junction(self, table: pa.Table, channels: list[Channel]) -> pa.Table:
         """lib/logmpx.c semantics: every channel sees the rows still
         eligible (final channels consume their matches), fallback
-        channels see only rows unmatched so far; output is the union."""
+        channels run last and see only rows no other channel matched;
+        output is the union."""
         ids = table.column(_ROW_ID).to_numpy()
         eligible = np.ones(len(ids), dtype=bool)
         matched = np.zeros(len(ids), dtype=bool)
         outs: list[pa.Table] = []
-        for ch in channels:
+        for ch in sorted(channels, key=lambda c: c.fallback):
             if ch.fallback:
                 inp = table.filter(pa.array(eligible & ~matched))
             elif ch.catchall:
@@ -1148,7 +1146,6 @@ class ConfigStage:
                 parts.append(t.append_column(
                     "dest", pa.array([name] * t.num_rows, type=pa.string())))
         if not parts:
-            first = next(iter(self.cfg.destinations), "none")
             return pa.table({"dest": pa.array([], type=pa.string())})
         return pa.concat_tables(parts, promote_options="permissive")
 
@@ -1432,7 +1429,7 @@ def _compile_parser(d: Driver):
         stage = _ExpandMap(
             KvParser(value_separator=str(d.kw1("value-separator", "=")),
                      prefix=prefix, out_col="__cfg_kv",
-                     dialect="scanner", source_col=src,
+                     source_col=src,
                      pair_separator=str(ps) if ps is not None else None,
                      stray_into=str(stray_into)
                      if stray_into is not None else None), "__cfg_kv")

@@ -30,9 +30,6 @@ from .. import fixtures
 from ..enrich.context import AddContextualData, parse_context_csv
 from ..enrich.geoip import GeoIP
 from ..route import Cmp, Match, Router, Severity, TagFilter, TRUE
-from ..stages.csv_parser import apache_parser
-from ..stages.json_parser import JsonParser
-from ..stages.kv_parser import KvParser
 from ..stages.patterndb import PatternDB
 from ..stages.syslog import parse_syslog_table
 
@@ -124,9 +121,6 @@ class LogPipelineStage:
             db=parse_context_csv(fixtures.context_db_csv()), selector="$HOST", prefix=""
         )
         self.geoip = GeoIP(ranges=fixtures.ip_ranges(), source_col="src_ip", prefix="geo_")
-        self.apache = apache_parser(source_col="text", prefix="web_", drop_invalid=False)
-        self.kv = KvParser(source_col="text", promote=["status", "src_ip"], prefix="")
-        self.json = JsonParser(source_col="text", promote=["event.type", "event.count"])
         self.router = build_router()
 
     def __call__(self, batch: pa.Table) -> pa.Table:

@@ -1,15 +1,20 @@
 """kv-parser(): scan key=value pairs into a map column (+ promoted fields).
 
-Semantics mirror the reference kv parser
-(reference modules/kvformat/kv-parser.c:104-136; scanner
-lib/scanner/kv-scanner/kv-scanner.c): configurable value-separator,
-quoted values (single or double, backslash escapes), `prefix()` on the
-emitted keys, and stray-word collection (text between pairs lands in a
-`stray_words` value instead of being lost).
+Semantics are the reference kv parser's (reference
+modules/kvformat/kv-parser.c:104-136), whose scanner
+(lib/scanner/kv-scanner/kv-scanner.c) is ported as
+stages/kv_scanner.kv_scan: configurable value-separator, quoted values
+(str-repr decoding), `prefix()` on the emitted keys, pair-separator,
+and stray-word collection.
 
-Vectorization: one compiled pair-regex via `Series.str.findall`; stray
-words via the same pass with `re.finditer` span subtraction only when
-`collect_stray` is on.
+Vectorization: rows of the plain machine-log shape — space-separated
+`key<sep>value` tokens with no quotes, backslashes, commas, control
+characters or Unicode whitespace — are split with a few Arrow compute
+calls (split on spaces, split each token once on the separator); on
+those rows the scanner's heuristics have nothing to decide, so the
+split is exact.
+Every other row runs the scalar scanner, and the two are merged back in
+row order.
 """
 
 from __future__ import annotations
@@ -17,10 +22,18 @@ from __future__ import annotations
 import re
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
+
+from .kv_scanner import _is_valid_key_character, kv_scan
 
 _KEY = r"[A-Za-z0-9][A-Za-z0-9._-]*"
+
+# Unicode whitespace keeps a row off the Arrow split; RE2 has no \uXXXX,
+# so the simple-row guard lists the characters literally
+UNICODE_WS_CHARS = ("\u0085\u00a0\u1680"
+                    + "".join(chr(c) for c in range(0x2000, 0x200B))
+                    + "\u2028\u2029\u202f\u205f\u3000")
 
 
 class KvParser:
@@ -32,81 +45,40 @@ class KvParser:
         promote: list[str] | None = None,
         source_col: str = "message",
         out_col: str = "kv",
-        greedy_values: bool = False,
-        dialect: str = "regex",
         pair_separator: str | None = None,
         stray_into: str | None = None,
     ):
-        """dialect='scanner' runs the reference-exact kv-scanner state
-        machine (stages/kv_scanner.py, pinned against the scanner's own
-        270-case corpus): space-delimiter heuristics, key-space
-        trimming, quote-error raw fallbacks, ', ' pair separator. Rows
-        provably identical under both dialects (the simple `k=v k=v`
-        machine-log shape) still take the byte-level vectorized kernel;
-        only heuristic-dependent rows run the scalar scanner.
-        dialect='regex' (default) keeps the engine's simplified
-        vectorized dialect used by the existing pipelines."""
-        if dialect not in ("regex", "scanner"):
-            raise ValueError(f"unknown kv dialect {dialect!r}")
-        self.dialect = dialect
-        vs = re.escape(value_separator)
-        if greedy_values:
-            # reference kv-scanner mode: an unquoted value runs until the
-            # next `word=` boundary (values may contain spaces) —
-            # lib/scanner/kv-scanner/kv-scanner.c value termination
-            self.pair_re = re.compile(
-                rf"({_KEY}){vs}(\"(?:[^\"\\]|\\.)*\"|'(?:[^'\\]|\\.)*'"
-                rf"|.*?(?=[,\s]\s*{_KEY}{vs}|\s*$|,\s))"
-            )
-        else:
-            self.pair_re = re.compile(
-                rf"({_KEY}){vs}(\"(?:[^\"\\]|\\.)*\"|'(?:[^'\\]|\\.)*'|[^,\s]*)"
-            )
+        """Every row parses exactly as kv_scan does (tests pin the batch
+        output against it for every input). `collect_stray` adds a
+        `stray_words` column; `stray_into` (extract-stray-words-into())
+        instead emits the str_repr-encoded stray-word list as one extra
+        pair under that key — the scl/sudo sudo-parser contract: its
+        csv-parser reads $(list-head $0) from it. `promote` copies the
+        last value of each named key into its own column."""
+        self.value_separator = value_separator
         self.prefix = prefix
-        # pair-separator(';') / extract-stray-words-into('0')
-        # (kv-parser options, modules/kvformat/kv-parser.c): a custom
-        # pair separator or stray-into routes through the scanner FSM;
-        # stray_into emits the str_repr-encoded stray-word LIST as one
-        # extra pair under that key (the scl/sudo sudo-parser contract:
-        # csv-parser reads $(list-head $0) from it)
         self.pair_separator = pair_separator
         self.stray_into = stray_into
-        if stray_into is not None:
-            collect_stray = True
-        self.collect_stray = collect_stray
+        self.collect_stray = collect_stray or stray_into is not None
         self.promote = promote or []
         self.source_col = source_col
         self.out_col = out_col
-        # byte-level kernel (stages/kv_fast.py) needs a single-ASCII-char
-        # separator and non-greedy values; everything else keeps the
-        # regex paths
-        self.value_separator = value_separator
-        self._fast_ok = (not greedy_values and len(value_separator) == 1
-                         and ord(value_separator) < 128
-                         and value_separator not in "\"'\\\n")
-        if dialect == "scanner":
-            self._fast_ok = (len(value_separator) == 1
-                             and ord(value_separator) < 128
-                             and value_separator not in "\"'\\\n "
-                             and pair_separator is None
-                             and stray_into is None)
-            # rows of this shape parse identically under the regex and
-            # scanner dialects (proof: every space-run is followed by
-            # key=, values hold none of the chars whose handling
-            # differs — quotes, backslash, comma, tab, unicode ws)
-            from .kv_fast import UNICODE_WS_CHARS
-
+        # the Arrow split needs a one-char separator that is not itself
+        # a key character — the scanner scans keys over those, so on
+        # `aa=.a` with separator `a` it skips the empty key the split
+        # takes, and with `-` it never ends `a-b c-d`'s first value —
+        # nor a char the guard excludes; a custom pair separator changes
+        # where values end, so it always runs the scanner
+        self._simple_re = None
+        if (len(value_separator) == 1 and value_separator.isascii()
+                and not _is_valid_key_character(value_separator)
+                and value_separator not in " \"'\\,\t\n"
+                and pair_separator is None):
             vs = re.escape(value_separator)
-            v_cls = (r"[^ \"'\\,\t\n\r\v\f\x1c-\x1f"
+            v_cls = (r"[^ \"'\\,\t\n\r\v\f\x00\x1c-\x1f"
                      + UNICODE_WS_CHARS + "]")
             self._simple_re = (
-                rf"[ ]*(?:{_KEY}{vs}{v_cls}*[ ]+)*{_KEY}{vs}{v_cls}*[ ]*")
-
-    @staticmethod
-    def _unquote(v: str) -> str:
-        if len(v) >= 2 and v[0] in "\"'" and v[-1] == v[0]:
-            return re.sub(r"\\(.)", r"\1", v[1:-1])
-        return v
+                rf"^[ ]*(?:{_KEY}{vs}{v_cls}*[ ]+)*{_KEY}{vs}{v_cls}*[ ]*$")
 
     def _postprocess_value(self, value: str, was_quoted: bool,
                            key: str = "") -> str:
@@ -118,230 +90,83 @@ class KvParser:
 
     def parse_line(self, line: str) -> tuple[list[tuple[str, str]], str]:
         """Scalar path: returns ([(key, value)...], stray_words)."""
-        if self.dialect == "scanner":
-            from .kv_scanner import kv_scan
+        raw_pairs, stray, quoted = kv_scan(
+            line, value_separator=self.value_separator,
+            pair_separator=self.pair_separator,
+            stray_words_mode="collect" if self.collect_stray else None)
+        out = [(self.prefix + k, self._postprocess_value(v, q, k))
+               for (k, v), q in zip(raw_pairs, quoted)]
+        if self.stray_into is not None and stray:
+            out.append((self.prefix + self.stray_into, stray))
+        return out, stray
 
-            raw_pairs, stray, quoted = kv_scan(
-                line, value_separator=self.value_separator,
-                pair_separator=self.pair_separator,
-                stray_words_mode="collect" if self.collect_stray else None)
-            out = [(self.prefix + k,
-                    self._postprocess_value(v, q, k))
-                   for (k, v), q in zip(raw_pairs, quoted)]
-            if self.stray_into is not None and stray:
-                out.append((self.prefix + self.stray_into, stray))
-            return out, stray
-        pairs, spans = [], []
-        for m in self.pair_re.finditer(line):
-            raw = m.group(2)
-            quoted = raw[:1] in ('"', "'")  # tuple: "" must NOT count as quoted
-            pairs.append((self.prefix + m.group(1),
-                          self._postprocess_value(self._unquote(raw), quoted,
-                                                  m.group(1))))
-            spans.append(m.span())
-        stray = ""
-        if self.collect_stray:
-            pos, chunks = 0, []
-            for a, b in spans:
-                chunks.append(line[pos:a])
-                pos = b
-            chunks.append(line[pos:])
-            words = " ".join(c.strip(" ,") for c in chunks).split()
-            stray = " ".join(words)
-        return pairs, stray
-
-    def _call_fast(self, table: pa.Table, s: pd.Series) -> pa.Table:
-        """Byte-level vectorized scan (stages/kv_fast.py) with scalar
-        fallback for rows the kernel can't prove safe; merged output is
-        byte-identical to the regex path (cross-diffed in tests)."""
-        import pyarrow.compute as pc
-
-        from .kv_fast import UNICODE_WS_CHARS, scan_kv
-
-        n = len(s)
-        s_np = s.to_numpy(dtype=object)
-        col = pc.fill_null(table.column(self.source_col), "")
-
-        def _has(sub):  # Arrow C substring scan, not pandas' per-row loop
-            return pc.match_substring(col, sub).to_numpy(zero_copy_only=False)
-
-        has_bs = _has("\\")
-        has_dq = _has('"')
-        has_sq = _has("'")
-        has_nl = _has("\n")
-        # RE2 has no \uXXXX — the class uses literal chars
-        has_uws = pc.match_substring_regex(
-            col, f"[{UNICODE_WS_CHARS}]").to_numpy(zero_copy_only=False)
-        fallback = has_bs | has_nl | has_uws | (has_dq & has_sq)
-        if self.dialect == "scanner":
-            # the kernel proves regex-dialect equivalence; in scanner
-            # dialect only rows where the two dialects provably agree
-            # (the simple guard) may take it — everything else runs the
-            # scalar scanner port
-            simple = pc.match_substring_regex(
-                col, "^(?:" + self._simple_re + ")$").to_numpy(
-                zero_copy_only=False)
-            fallback = fallback | ~simple
-        sub_a = np.flatnonzero(~fallback & ~has_sq)   # quote '"' (or none)
-        sub_b = np.flatnonzero(~fallback & has_sq)    # quote "'"
-
-        post_override = type(self)._postprocess_value is not KvParser._postprocess_value
-        rows_parts: list[np.ndarray] = []
-        key_parts: list[pa.Array] = []
-        val_parts: list[pa.Array] = []
-        scalar_rows = list(np.flatnonzero(fallback))
-        for idx, qc in ((sub_a, '"'), (sub_b, "'")):
-            if not len(idx):
-                continue
-            res = scan_kv(s_np[idx], qc, self.value_separator)
-            scalar_rows.extend(idx[res.reject_rows])
-            if len(res.reject_rows):
-                keep = ~np.isin(res.pair_rows, res.reject_rows)
-                rows_parts.append(idx[res.pair_rows[keep]])
-                kidx = pa.array(np.flatnonzero(keep))
-                key_parts.append(res.keys.take(kidx))
-                val_parts.append(res.values.take(kidx))
-            else:
-                rows_parts.append(idx[res.pair_rows])
-                key_parts.append(res.keys)
-                val_parts.append(res.values)
-        if post_override and val_parts:
+    def _split_simple(self, text: pa.Array, rows: np.ndarray):
+        """(row, key, value) of guarded rows via Arrow splits."""
+        tokens = pc.split_pattern(text.take(pa.array(rows)), " ")
+        tok_rows = rows[pc.list_parent_indices(tokens).to_numpy()]
+        flat = pc.list_flatten(tokens)
+        nonempty = pc.not_equal(flat, "")
+        kv = pc.split_pattern(flat.filter(nonempty), self.value_separator,
+                              max_splits=1)
+        keys, vals = pc.list_element(kv, 0), pc.list_element(kv, 1)
+        if type(self)._postprocess_value is not KvParser._postprocess_value:
             post = self._postprocess_value
-            val_parts = [
-                pa.array([post(v, False, k) for v, k in
-                          zip(vpart.to_pylist(), kpart.to_pylist())],
-                         type=pa.string())
-                for vpart, kpart in zip(val_parts, key_parts)
-            ]
+            vals = pa.array([post(v, False, k) for v, k in
+                             zip(vals.to_pylist(), keys.to_pylist())],
+                            type=pa.string())
+        return tok_rows[nonempty.to_numpy(zero_copy_only=False)], keys, vals
 
-        # scalar fallback rows (parse_line output is prefixed +
-        # postprocessed — strip the prefix so merge space is raw keys)
+    def __call__(self, table: pa.Table) -> pa.Table:
+        text = pc.fill_null(pc.cast(table.column(self.source_col),
+                                    pa.string()), "").combine_chunks()
+        n = len(text)
+        if self._simple_re is not None:
+            simple = pc.match_substring_regex(text, self._simple_re) \
+                .to_numpy(zero_copy_only=False)
+        else:
+            simple = np.zeros(n, dtype=bool)
+        fast_rows, fast_keys, fast_vals = self._split_simple(
+            text, np.flatnonzero(simple))
+
+        # scalar rows (parse_line output is prefixed — strip the prefix
+        # so the merge works on raw keys); guarded rows have no strays
+        strays = np.full(n, "", dtype=object)
         plen = len(self.prefix)
         sc_rows, sc_keys, sc_vals = [], [], []
-        for r in scalar_rows:
-            for k, v in self.parse_line(s_np[r])[0]:
+        slow = np.flatnonzero(~simple)
+        for r, line in zip(slow, text.take(pa.array(slow)).to_pylist()):
+            pairs, strays[r] = self.parse_line(line)
+            for k, v in pairs:
                 sc_rows.append(r)
-                sc_keys.append(k[plen:] if plen else k)
+                sc_keys.append(k[plen:])
                 sc_vals.append(v)
-        if sc_rows:
-            rows_parts.append(np.asarray(sc_rows, dtype=np.int64))
-            key_parts.append(pa.array(sc_keys, type=pa.string()))
-            val_parts.append(pa.array(sc_vals, type=pa.string()))
 
-        if rows_parts:
-            rows_all = np.concatenate(rows_parts)
-            # each row's pairs live in exactly ONE part and are in order
-            # there — a stable sort by row restores global row order
-            perm = np.argsort(rows_all, kind="stable")
-            rows_sorted = rows_all[perm]
-            perm_arr = pa.array(perm)
-            keys_raw = pa.chunked_array(key_parts).take(perm_arr).combine_chunks()
-            vals_sorted = pa.chunked_array(val_parts).take(perm_arr).combine_chunks()
-        else:
-            rows_sorted = np.array([], dtype=np.int64)
-            keys_raw = pa.array([], type=pa.string())
-            vals_sorted = pa.array([], type=pa.string())
-        counts = np.bincount(rows_sorted, minlength=n)
-        offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+        rows_all = np.concatenate([fast_rows, np.asarray(sc_rows, dtype=np.int64)])
+        # each row's pairs come from ONE of the two paths, in order
+        # there — a stable sort by row restores global row order
+        perm = pa.array(np.argsort(rows_all, kind="stable"))
+        rows_sorted = rows_all[perm.to_numpy()]
+        keys_raw = pa.chunked_array([fast_keys, pa.array(sc_keys, pa.string())]) \
+            .take(perm).combine_chunks()
+        vals_sorted = pa.chunked_array([fast_vals, pa.array(sc_vals, pa.string())]) \
+            .take(perm).combine_chunks()
+        offsets = np.concatenate(
+            [[0], np.cumsum(np.bincount(rows_sorted, minlength=n))])
         out_keys = keys_raw if not self.prefix else pc.binary_join_element_wise(
             pa.scalar(self.prefix), keys_raw, pa.scalar(""))
-        map_arr = pa.MapArray.from_arrays(pa.array(offsets, type=pa.int32()),
-                                          out_keys, vals_sorted)
-        out = table.append_column(self.out_col, map_arr)
+        out = table.append_column(self.out_col, pa.MapArray.from_arrays(
+            pa.array(offsets, type=pa.int32()), out_keys, vals_sorted))
+        if self.collect_stray:
+            out = out.append_column("stray_words",
+                                    pa.array(strays, type=pa.string()))
         for k in self.promote:
             sel = np.flatnonzero(pc.equal(keys_raw, pa.scalar(k)).to_numpy(
                 zero_copy_only=False))
             col = np.full(n, None, dtype=object)
-            if len(sel):
-                # dict(pairs): LAST occurrence in a row wins — duplicate
-                # fancy-assignment indices keep the final write
-                col[rows_sorted[sel]] = np.array(
-                    vals_sorted.take(pa.array(sel)).to_pylist(), dtype=object)
-            out = out.append_column(self.prefix + k, pa.array(col, type=pa.string()))
-        return out
-
-    def __call__(self, table: pa.Table) -> pa.Table:
-        s = table.column(self.source_col).to_pandas().astype("string").fillna("")
-        n = len(s)
-        maps = np.full(n, None, dtype=object)
-        strays = np.full(n, "", dtype=object)
-        promoted = {k: np.full(n, None, dtype=object) for k in self.promote}
-        if self.collect_stray or (self.dialect == "scanner"
-                                  and not self._fast_ok):
-            # stray collection needs match spans, and the scanner
-            # dialect with an exotic separator has no vectorized
-            # equivalent — scalar path
-            for i, line in enumerate(s.to_numpy()):
-                pairs, stray = self.parse_line(line)
-                maps[i] = pairs
-                strays[i] = stray
-                if self.promote and pairs:
-                    d = dict(pairs)
-                    for k in self.promote:
-                        promoted[k][i] = d.get(self.prefix + k)
-        elif self._fast_ok:
-            return self._call_fast(table, s)
-        else:
-            # fully vectorized: ONE C extractall pass gives FLAT
-            # (row, key, value) arrays; unquote/unescape are pandas str
-            # kernels on the flat value column; the map column is built
-            # directly from offsets (MapArray.from_arrays) — no per-row
-            # list-of-tuples assembly (the r2 kv bottleneck: assembly,
-            # not regex, dominated at ~1x the scalar oracle)
-            ext = s.reset_index(drop=True).str.extractall(self.pair_re)
-            if len(ext):
-                row_idx = ext.index.get_level_values(0).to_numpy()
-                raw_keys = ext[0]
-                # extractall reports an EMPTY group match as NaN; findall
-                # kept it as '' (e.g. 'c=' -> value '')
-                v = ext[1].fillna("").astype("string")
-                first = v.str[:1]
-                was_quoted = first.isin(['"', "'"]).fillna(False).to_numpy(dtype=bool)
-                strip = was_quoted & (v.str.len() >= 2).to_numpy(dtype=bool) \
-                    & (v.str[-1:] == first).fillna(False).to_numpy(dtype=bool)
-                vals = v.to_numpy(dtype=object)
-                if strip.any():
-                    vals[strip] = (
-                        v[strip].str.slice(1, -1)
-                        .str.replace(r"\\(.)", r"\1", regex=True)
-                        .to_numpy(dtype=object))
-                if type(self)._postprocess_value is not KvParser._postprocess_value:
-                    post = self._postprocess_value
-                    vals = np.array(
-                        [post(x, q, k) for x, q, k in
-                         zip(vals, was_quoted,
-                             raw_keys.to_numpy(dtype=object))],
-                        dtype=object)
-                out_keys = (self.prefix + raw_keys).to_numpy(dtype=object) \
-                    if self.prefix else raw_keys.to_numpy(dtype=object)
-            else:
-                row_idx = np.array([], dtype=np.int64)
-                raw_keys = pd.Series([], dtype=object)
-                vals = np.array([], dtype=object)
-                out_keys = np.array([], dtype=object)
-            counts = np.bincount(row_idx, minlength=n)
-            offsets = np.concatenate([[0], np.cumsum(counts)])
-            map_arr = pa.MapArray.from_arrays(
-                pa.array(offsets, type=pa.int32()),
-                pa.array(out_keys, type=pa.string()),
-                pa.array(vals, type=pa.string()),
-            )
-            for k in self.promote:
-                # dict(pairs) semantics: the LAST occurrence of a key in a
-                # row wins — numpy fancy assignment with duplicate indices
-                # keeps the last write
-                mask = (raw_keys == k).to_numpy(dtype=bool) if len(raw_keys) else \
-                    np.array([], dtype=bool)
-                promoted[k][row_idx[mask]] = vals[mask]
-            out = table.append_column(self.out_col, map_arr)
-            if self.collect_stray:
-                out = out.append_column("stray_words", pa.array(strays, type=pa.string()))
-            for k in self.promote:
-                out = out.append_column(self.prefix + k, pa.array(promoted[k], type=pa.string()))
-            return out
-        out = table.append_column(self.out_col, pa.array(maps, type=pa.map_(pa.string(), pa.string())))
-        if self.collect_stray:
-            out = out.append_column("stray_words", pa.array(strays, type=pa.string()))
-        for k in self.promote:
-            out = out.append_column(self.prefix + k, pa.array(promoted[k], type=pa.string()))
+            # dict(pairs): LAST occurrence in a row wins — duplicate
+            # fancy-assignment indices keep the final write
+            col[rows_sorted[sel]] = np.array(
+                vals_sorted.take(pa.array(sel)).to_pylist(), dtype=object)
+            out = out.append_column(self.prefix + k,
+                                    pa.array(col, type=pa.string()))
         return out

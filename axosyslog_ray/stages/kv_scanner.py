@@ -12,9 +12,9 @@ Stray-word modes: None (initial words skipped, later words glued into
 values by the delimiter heuristics), 'collect' ($(stray words) list),
 'append-to-last-value' (value runs to the next `<sep>key=`).
 
-This is the engine's conformance oracle for the kv family — the
-vectorized stages (stages/kv_parser.py regex path, stages/kv_fast.py
-byte path) are checked against it; pinned case-by-case against
+This is the engine's one kv semantics: kv-parser() (stages/kv_parser.py)
+runs it on every row its Arrow split cannot prove equivalent and is
+checked against it for every input; pinned case-by-case against
 lib/scanner/kv-scanner/tests/test_kv_scanner.c in
 tests/test_kv_scanner_conformance.py.
 """

@@ -161,6 +161,62 @@ log {
         assert r.processed("d_all") == 3
 
 
+    def test_fallback_channel_listed_first_runs_last(self):
+        cfg = compile_config("""
+source s { example-msg-generator(num(1)); };
+destination d_err { file("e.log"); };
+destination d_rest { file("r.log"); };
+filter f_err { message("err") };
+log {
+    source(s);
+    junction {
+        channel { destination(d_rest); flags(fallback); };
+        channel { filter(f_err); destination(d_err); flags(final); };
+    };
+};
+""")
+        t = pa.table({"message": ["an err line", "ok line", "more err"],
+                      "pri": [13, 13, 13]})
+        r = cfg.run(sources={"s": t})
+        assert r.processed("d_err") == 2
+        assert r.table("d_rest").column("message").to_pylist() == ["ok line"]
+
+
+_TWO_SOURCES = """
+source a { example-msg-generator(num(1)); };
+source b { example-msg-generator(num(1)); };
+destination d_err { file("e.log"); };
+destination d_rest { file("r.log"); };
+filter f_err { message("err") };
+"""
+
+
+class TestRowIdsAcrossSources:
+    """Rows of different sources in one path stay distinct: matching a
+    row of one source must not mark the same-position row of another."""
+
+    @pytest.mark.parametrize("body", ["""
+log { source(a); source(b); filter(f_err); destination(d_err); flags(final); };
+log { source(a); source(b); destination(d_rest); flags(fallback); };
+""", """
+log {
+    source(a); source(b);
+    junction {
+        channel { filter(f_err); destination(d_err); flags(final); };
+        channel { destination(d_rest); flags(fallback); };
+    };
+};
+"""], ids=["top_level_paths", "inside_one_junction"])
+    def test_fallback_gets_unmatched_rows_of_both_sources(self, body):
+        cfg = compile_config(_TWO_SOURCES + body)
+        r = cfg.run(sources={"a": pa.table({"message": ["err a0", "ok a1"]}),
+                             "b": pa.table({"message": ["ok b0", "err b1"]})})
+        err = r.table("d_err").column("message").to_pylist()
+        rest = r.table("d_rest").column("message").to_pylist()
+        assert sorted(err) == ["err a0", "err b1"]
+        assert sorted(rest) == ["ok a1", "ok b0"]
+
+
 class TestStages:
     def test_parser_rewrite_filter_chain(self):
         cfg = compile_config("""

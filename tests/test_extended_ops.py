@@ -272,7 +272,8 @@ def test_format_date_function():
 def test_kv_greedy_values_mode():
     from axosyslog_ray.stages.kv_parser import KvParser
 
-    p = KvParser(greedy_values=True)
+    # the scanner's unquoted values run to the next `key=` boundary
+    p = KvParser()
     r = p(_t(message=["key1=a b c key2=d e, key3=x"]))
     assert dict(r.to_pylist()[0]["kv"]) == {"key1": "a b c", "key2": "d e", "key3": "x"}
 

@@ -92,10 +92,12 @@ def test_kv_pairs_and_quotes():
 
 
 def test_kv_stray_words():
+    # the scanner's collect mode: only words before the first key are
+    # stray; later words join the value they follow (kv-scanner.c)
     p = KvParser(collect_stray=True)
     r = p(_t("before k1=v1 middle words k2=v2 after")).to_pylist()[0]
-    assert dict(r["kv"]) == {"k1": "v1", "k2": "v2"}
-    assert r["stray_words"] == "before middle words after"
+    assert dict(r["kv"]) == {"k1": "v1 middle words", "k2": "v2 after"}
+    assert r["stray_words"] == "before"
 
 
 def test_kv_prefix_and_promote():

@@ -73,3 +73,50 @@ def test_flagship_through_ray_with_sinks(tmp_path):
     web = rd.read_parquet(str(tmp_path / "sinks" / "route=web")).to_pandas()
     local = LogPipelineStage()(gen_pages_table(3000)).to_pandas()
     assert sorted(web["url"]) == sorted(local[local["route"] == "web"]["url"])
+
+
+def test_fast_paths_match_generic_parsers():
+    """The flagship's hot-path specializations agree with the generic
+    parsers on the candidate rows of one seeded 16,384-row batch."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from axosyslog_ray.pipelines.flagship import (
+        fast_apache, fast_json_valid, fast_kv_promote)
+    from axosyslog_ray.stages.csv_parser import apache_parser
+    from axosyslog_ray.stages.json_parser import JsonParser
+    from axosyslog_ray.stages.kv_parser import KvParser
+    from axosyslog_ray.stages.syslog import parse_syslog_table
+
+    t = parse_syslog_table(gen_pages_table(16_384, seed=42))
+    text = pc.fill_null(t.column("text"), "")
+    raw = ~t.column("syslog_parsed").to_numpy(zero_copy_only=False)
+
+    def mask(m):
+        return np.asarray(m.to_numpy(zero_copy_only=False)) & raw
+
+    def rows(m):
+        return pa.table({"text": text.take(pa.array(np.flatnonzero(m)))})
+
+    looks_apache = mask(pc.match_substring_regex(
+        text, r"^\d{1,3}\.\d{1,3}\.\d{1,3}\.\d{1,3} "))
+    looks_json = mask(pc.starts_with(text, "{"))
+    looks_kv = mask(pc.match_substring(text, "=")) & ~looks_json & ~looks_apache
+    ap, js, kv = rows(looks_apache), rows(looks_json), rows(looks_kv)
+    assert (ap.num_rows, js.num_rows, kv.num_rows) == (2731, 2730, 2731)
+
+    valid, clientip, status = fast_apache(ap.column("text"))
+    want = apache_parser(source_col="text", prefix="web_")(ap)
+    assert valid.tolist() == want.column("csv_valid").to_pylist()
+    assert clientip.tolist() == want.column("web_clientip").to_pylist()
+    assert status.tolist() == want.column("web_status").to_pylist()
+
+    text_np = np.array(js.column("text").to_pylist(), dtype=object)
+    got = fast_json_valid(text_np, np.ones(js.num_rows, dtype=bool))
+    want = JsonParser(source_col="text")(js)
+    assert got.tolist() == want.column("json_valid").to_pylist()
+
+    want = KvParser(source_col="text", promote=["status", "src_ip"])(kv)
+    for key in ("status", "src_ip"):
+        assert fast_kv_promote(kv.column("text"), key).tolist() \
+            == want.column(key).to_pylist()

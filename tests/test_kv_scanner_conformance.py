@@ -367,7 +367,7 @@ def test_scanner_dialect_batch_path_equals_scalar_scanner():
 
     from axosyslog_ray.stages.kv_parser import KvParser
 
-    p = KvParser(dialect="scanner", source_col="text", out_col="kv")
+    p = KvParser(source_col="text", out_col="kv")
     out = p(pa.table({"text": CORPUS_LINES}))
     for line, got in zip(CORPUS_LINES, out.column("kv").to_pylist()):
         assert [(k, v) for k, v in (got or [])] == kv_scan(line)[0], \
@@ -387,7 +387,7 @@ def test_scanner_dialect_batch_path_equivalence_hypothesis():
     @settings(max_examples=200, deadline=None)
     @given(st.lists(line, min_size=1, max_size=6))
     def inner(lines):
-        p = KvParser(dialect="scanner", source_col="text", out_col="kv")
+        p = KvParser(source_col="text", out_col="kv")
         out = p(pa.table({"text": lines}))
         for ln, got in zip(lines, out.column("kv").to_pylist()):
             assert [(k, v) for k, v in (got or [])] == kv_scan(ln)[0], \
