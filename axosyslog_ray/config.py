@@ -10,12 +10,14 @@ a syslog-ng user can run an existing config without rewriting it as
 Python.
 
 Execution semantics follow the reference's multiplexer
-(lib/logmpx.c:97-130): every log path sees every source message; a
-non-fallback path MATCHES a message when it survives the path to its
-end; fallback paths run only on messages no sibling matched. Inside a
-junction, a `final` channel consumes the rows it matches from later
-channels, a `fallback` channel sees only rows unmatched by earlier
-channels, and the junction's output is the union of channel outputs.
+(lib/logmpx.c:97-130), one step (`Config._multiplex`) for the top-level
+paths of each source and for every junction: a path MATCHES a message
+when the message survives the path to its end; the non-fallback paths
+run in order and a `final` match skips the later ones; fallback paths
+run, in order with the same `final` stop, only on messages no
+non-fallback path matched. A junction's output is the union of its
+channels' outputs. flags(catch-all) attaches a top-level path to every
+source.
 `if (EXPR) {A} else {B}` is the two-channel conditional junction
 (cfg-tree.h ENL_CONDITIONAL): EXPR+A as a final channel, B as its
 fallback.
@@ -987,52 +989,19 @@ class Config:
             dst.counts = 0
             dst.tables = []
         tables: dict[str, pa.Table] = {}
-        matched: dict[str, set] = {}
-        consumed: dict[str, set] = {}
         names = [arg for ch in self.paths for kind, arg in ch.elements
                  if kind == "source"] + list(injected)
         for name in dict.fromkeys(names):
-            # row ids are unique across sources: a path naming several
-            # sources (and a junction inside it) tells rows apart by id
+            # row ids are unique across sources: one multiplexer state
+            # indexed by id serves every source (and the junctions inside)
             first_id = sum(t.num_rows for t in tables.values())
             tables[name] = self._source_table(name, injected, first_id)
-            matched[name] = set()
-            consumed[name] = set()
-
-        # fallback paths run after all the others (lib/logmpx.c:97-130)
-        for ch in sorted(self.paths, key=lambda c: c.fallback):
-            src_names = [arg for kind, arg in ch.elements if kind == "source"]
-            if ch.catchall:
-                # flags(catch-all) re-attaches EVERY source
-                # (Light suite test_flags_catch_all.py)
-                src_names = list(tables)
-            parts = []
-            for sn in src_names:
-                t = tables[sn]
-                drop: set = set()
-                if ch.fallback:
-                    drop = matched[sn] | consumed[sn]
-                elif consumed[sn]:
-                    drop = consumed[sn]
-                if drop:
-                    ids = t.column(_ROW_ID).to_numpy()
-                    keep = ~np.isin(ids, np.fromiter(drop, dtype=np.int64,
-                                                     count=len(drop)))
-                    t = t.filter(pa.array(keep))
-                parts.append(t)
-            if not parts:
-                continue
-            table = pa.concat_tables(parts, promote_options="permissive")
-            out = self._run_sequence(table, [e for e in ch.elements if e[0] != "source"])
-            out_ids = out.column(_ROW_ID).to_pylist()
-            self._bump_path(ch, table.num_rows, out.num_rows)
-            if not ch.fallback:
-                for sn in src_names:
-                    matched[sn].update(out_ids)
-                    if ch.final:
-                        # flags(final): consume matched rows from
-                        # SUBSEQUENT top-level paths of the same source
-                        consumed[sn].update(out_ids)
+        # a top-level path reads its source()s; flags(catch-all) attaches
+        # it to every source (cfg-tree) and is otherwise an ordinary hop
+        self._multiplex(self.paths, [
+            list(tables.values()) if ch.catchall else
+            [tables[arg] for kind, arg in ch.elements if kind == "source"]
+            for ch in self.paths])
         return RunResult(self.destinations, self.path_stats)
 
     def _bump_path(self, ch: Channel, ingress: int, egress: int) -> None:
@@ -1096,33 +1065,47 @@ class Config:
                 raise ConfigError(f"unknown element {kind}")
         return table
 
-    def _run_junction(self, table: pa.Table, channels: list[Channel]) -> pa.Table:
-        """lib/logmpx.c semantics: every channel sees the rows still
-        eligible (final channels consume their matches), fallback
-        channels run last and see only rows no other channel matched;
-        output is the union."""
-        ids = table.column(_ROW_ID).to_numpy()
-        eligible = np.ones(len(ids), dtype=bool)
-        matched = np.zeros(len(ids), dtype=bool)
+    def _multiplex(self, channels: list[Channel],
+                   reads: list[list[pa.Table]]) -> list[pa.Table]:
+        """lib/logmpx.c:97-130 log_multiplexer_queue over row masks.
+        Channel i reads the rows of reads[i]. The first pass runs the
+        non-fallback channels in order; the second runs the fallback
+        channels on the rows nothing matched in the first. In both, a
+        `final` channel's matches skip the later channels of the pass.
+        Returns the output (the rows matched) of every channel run."""
+        size = 1 + max((pa.compute.max(t.column(_ROW_ID)).as_py()
+                        for ts in reads for t in ts if t.num_rows), default=0)
+        live = np.ones(size, dtype=bool)
+        matched = np.zeros(size, dtype=bool)
         outs: list[pa.Table] = []
-        for ch in sorted(channels, key=lambda c: c.fallback):
-            if ch.fallback:
-                inp = table.filter(pa.array(eligible & ~matched))
-            elif ch.catchall:
-                inp = table
-            else:
-                inp = table.filter(pa.array(eligible))
-            out = self._run_sequence(inp, ch.elements)
-            self._bump_path(ch, inp.num_rows, out.num_rows)
-            outs.append(out)
-            hit = np.isin(ids, out.column(_ROW_ID).to_numpy())
-            matched |= hit
-            if ch.final:
-                eligible &= ~hit
+        for fallback in (False, True):
+            if fallback:
+                live = ~matched
+            for i, ch in enumerate(channels):
+                if ch.fallback != fallback or not reads[i]:
+                    continue
+                parts = []
+                for t in reads[i]:
+                    keep = live[t.column(_ROW_ID).to_numpy()]
+                    parts.append(t if keep.all() else t.filter(keep))
+                inp = pa.concat_tables(parts, promote_options="permissive")
+                out = self._run_sequence(
+                    inp, [e for e in ch.elements if e[0] != "source"])
+                self._bump_path(ch, inp.num_rows, out.num_rows)
+                hit = out.column(_ROW_ID).to_numpy()
+                matched[hit] = True
+                if ch.final:
+                    live[hit] = False
+                outs.append(out)
+        return outs
+
+    def _run_junction(self, table: pa.Table, channels: list[Channel]) -> pa.Table:
+        """Every channel reads the junction's input; the output is the
+        union of what the channels matched, in row-id order."""
+        outs = self._multiplex(channels, [[table]] * len(channels))
         res = pa.concat_tables(outs, promote_options="permissive")
         if res.num_rows:
-            order = pa.compute.sort_indices(res.column(_ROW_ID))
-            res = res.take(order)
+            res = res.take(pa.compute.sort_indices(res.column(_ROW_ID)))
         return res
 
 

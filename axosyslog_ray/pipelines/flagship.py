@@ -29,7 +29,7 @@ import pyarrow.compute as pc
 from .. import fixtures
 from ..enrich.context import AddContextualData, parse_context_csv
 from ..enrich.geoip import GeoIP
-from ..route import Cmp, Match, Router, Severity, TagFilter, TRUE
+from ..route import Cmp, Router, Severity, TagFilter, TRUE
 from ..stages.patterndb import PatternDB
 from ..stages.syslog import parse_syslog_table
 
@@ -99,7 +99,7 @@ def _coalesce_str(*cols) -> pa.Array:
 
 def build_router() -> Router:
     """The canonical 4-sink routing config (FIXTURES.md §4): severity-based,
-    tag-based, app-based, fallback — exercising final/fallback semantics
+    tag-based, app-based, fallback — first match wins, fallback last
     (reference lib/logmpx.c:97-130)."""
     return (
         Router()

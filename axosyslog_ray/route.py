@@ -5,20 +5,17 @@ Filters mirror the reference's FilterExprNode vocabulary
 filter-cmp.c:42-210, filter-op.c, filter-tags.c, filter-netmask.c,
 filter-in-list.c:41-90) as vectorized boolean masks over Arrow batches.
 
-Routing mirrors the log-path flag semantics `final / fallback / catchall`
-(reference lib/cfg-tree.h:36-40; fallback replay loop lib/logmpx.c:97-130):
+Routing (`Router`) is the all-final case of the log-path flags
+(reference lib/cfg-tree.h:36-40; lib/logmpx.c:97-130):
 
-- every route's raw mask is evaluated;
-- a `final` route claims its rows — later routes see only unclaimed rows
+- routes are tried in declaration order and the first match claims a row
   (ordered mask subtraction `mask_i & ~claimed`);
-- a `fallback` route fires only for rows no normal route matched;
-- a `catchall` route sees ALL rows regardless of earlier claims.
+- `fallback` routes are tried last, on the rows no other route claimed.
 
-`Router.route_table` appends a `route: list<string>` column (a row can
-reach several non-final sinks — the reference's multiplexer fan-out);
-`Router.route_first` appends a scalar `route: string` when routes are
-disjoint-by-construction, which is what a partitioned Parquet fan-out
-write wants (one shuffle-free pass, partition_cols=["route"]).
+`Router.route_first` appends a scalar `route: string` label, which is
+what a partitioned Parquet fan-out write wants (one shuffle-free pass,
+partition_cols=["route"]). Non-final fan-out, catch-all and the full
+two-pass multiplexer live in the config executor (`Config._multiplex`).
 """
 
 from __future__ import annotations
@@ -486,76 +483,32 @@ TRUE = ColFilter(lambda t: np.ones(t.num_rows, dtype=bool))
 class Route:
     name: str
     expr: FilterExpr
-    final: bool = True
     fallback: bool = False
-    catchall: bool = False
 
 
 @dataclass
 class Router:
     routes: list[Route] = field(default_factory=list)
 
-    def add(self, name, expr, final=True, fallback=False, catchall=False):
-        self.routes.append(Route(name, expr, final, fallback, catchall))
+    def add(self, name, expr, fallback=False):
+        self.routes.append(Route(name, expr, fallback))
         return self
 
     def masks(self, table: pa.Table) -> dict[str, np.ndarray]:
-        """Per-sink masks with final/fallback/catchall semantics
-        (reference lib/logmpx.c:97-130, lib/cfg-tree.h:36-40)."""
-        n = table.num_rows
-        claimed = np.zeros(n, dtype=bool)
-        matched_any = np.zeros(n, dtype=bool)
+        """Disjoint per-sink masks: each route claims the rows it matches
+        that no earlier route claimed, fallback routes last (the
+        all-final case of lib/logmpx.c:97-130)."""
+        claimed = np.zeros(table.num_rows, dtype=bool)
         out: dict[str, np.ndarray] = {}
-        for r in self.routes:
-            if r.fallback or r.catchall:
-                continue
-            m = r.expr.mask(table) & ~claimed
-            out[r.name] = m
-            matched_any |= m
-            if r.final:
-                claimed |= m
-        for r in self.routes:
-            if r.fallback:
-                out[r.name] = r.expr.mask(table) & ~matched_any
-            elif r.catchall:
-                out[r.name] = r.expr.mask(table)
+        for r in sorted(self.routes, key=lambda r: r.fallback):
+            out[r.name] = r.expr.mask(table) & ~claimed
+            claimed |= out[r.name]
         return out
 
     def route_first(self, table: pa.Table, col: str = "route", unmatched: str = "_unmatched") -> pa.Table:
-        """Append a scalar route-label column (first-match-wins; requires
-        all routes final) — the shuffle-free partitioned-write fan-out."""
-        masks = self.masks(table)
-        n = table.num_rows
-        label = np.full(n, unmatched, dtype=object)
-        assigned = np.zeros(n, dtype=bool)
-        for r in self.routes:
-            m = masks[r.name] & ~assigned
-            label[m] = r.name
-            assigned |= m
+        """Append a scalar route-label column (the first route to match
+        wins) — the shuffle-free partitioned-write fan-out."""
+        label = np.full(table.num_rows, unmatched, dtype=object)
+        for name, m in self.masks(table).items():
+            label[m] = name
         return table.append_column(col, pa.array(label, type=pa.string()))
-
-    def route_table(self, table: pa.Table, col: str = "route") -> pa.Table:
-        """Append a list<string> of every sink each row reaches (full
-        multiplexer fan-out, non-final routes included). Vectorized: one
-        (row, route) pair table, stable-sorted by row (preserving route
-        declaration order within a row), assembled as an Arrow ListArray
-        from bincount offsets — no per-row Python lists."""
-        masks = self.masks(table)
-        n = table.num_rows
-        idx_parts, name_parts, counts = [], [], np.zeros(n, dtype=np.int64)
-        for r in self.routes:
-            hit = np.flatnonzero(masks[r.name])
-            idx_parts.append(hit)
-            name_parts.append(np.full(len(hit), r.name, dtype=object))
-            counts[hit] += 1
-        if idx_parts:
-            idx = np.concatenate(idx_parts)
-            names = np.concatenate(name_parts) if len(idx) else np.array([], dtype=object)
-            order = np.argsort(idx, kind="stable")
-            names = names[order]
-        else:
-            names = np.array([], dtype=object)
-        offsets = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(counts, out=offsets[1:])
-        arr = pa.ListArray.from_arrays(pa.array(offsets), pa.array(names, type=pa.string()))
-        return table.append_column(col, arr)

@@ -217,6 +217,154 @@ log {
         assert sorted(rest) == ["ok a1", "ok b0"]
 
 
+_MPX_ROWS = ["x1", "y1", "x2", "z1"]
+
+
+class TestMultiplexerShapes:
+    """lib/logmpx.c:97-130: the non-fallback hops run in order and a
+    final match stops them; only rows nothing matched take the fallback
+    hops, again in order with the same stop on a final match. catch-all
+    only attaches a top-level path to every source. Top-level paths and
+    embedded paths under one source deliver the same rows."""
+
+    SHAPES = {
+        # name: ([(filter, destination, flags)], {destination: messages})
+        "final_fallback_fallback": (
+            [("f_x", "d1", "final"), ("f_y", "d2", "fallback"),
+             (None, "d3", "fallback")],
+            {"d1": ["x1", "x2"], "d2": ["y1"], "d3": ["y1", "z1"]}),
+        "final_catchall": (
+            [("f_x", "d1", "final"), (None, "d2", "catch-all")],
+            {"d1": ["x1", "x2"], "d2": ["y1", "z1"]}),
+        "final_fallback-final_fallback": (
+            [("f_x", "d1", "final"), (None, "d2", "fallback, final"),
+             (None, "d3", "fallback")],
+            {"d1": ["x1", "x2"], "d2": ["y1", "z1"], "d3": []}),
+        "final_plain": (
+            [("f_x", "d1", "final"), (None, "d2", None)],
+            {"d1": ["x1", "x2"], "d2": ["y1", "z1"]}),
+        "plain_plain": (
+            [("f_x", "d1", None), (None, "d2", None)],
+            {"d1": ["x1", "x2"], "d2": _MPX_ROWS}),
+        "plain_fallback": (
+            [("f_x", "d1", None), (None, "d2", "fallback")],
+            {"d1": ["x1", "x2"], "d2": ["y1", "z1"]}),
+        "final_plain_fallback": (
+            [("f_x", "d1", "final"), ("f_y", "d2", None),
+             (None, "d3", "fallback")],
+            {"d1": ["x1", "x2"], "d2": ["y1"], "d3": ["z1"]}),
+    }
+
+    @staticmethod
+    def _config(paths, embedded: bool) -> str:
+        text = """
+source s { example-msg-generator(num(1)); };
+destination d1 { file("o1.log"); };
+destination d2 { file("o2.log"); };
+destination d3 { file("o3.log"); };
+filter f_x { message("x") };
+filter f_y { message("y") };
+"""
+        logs = []
+        for flt, dst, flags in paths:
+            # a top-level catch-all path names no source
+            src = "" if embedded or flags == "catch-all" else "source(s); "
+            body = src + (f"filter({flt}); " if flt else "") + \
+                f"destination({dst}); " + (f"flags({flags}); " if flags else "")
+            logs.append("log { %s};" % body)
+        if embedded:
+            return text + "log { source(s); %s };" % " ".join(logs)
+        return text + "\n".join(logs)
+
+    @pytest.mark.parametrize("embedded", [False, True],
+                             ids=["top_level", "embedded"])
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    def test_delivers_the_logmpx_result(self, shape, embedded):
+        paths, expected = self.SHAPES[shape]
+        cfg = compile_config(self._config(paths, embedded))
+        r = cfg.run(sources={"s": pa.table({"message": _MPX_ROWS})})
+        got = {d: (r.table(d).column("message").to_pylist()
+                   if r.processed(d) else [])
+               for d in ("d1", "d2", "d3")}
+        assert got == {d: expected.get(d, []) for d in got}
+
+
+class TestBatchBoundaries:
+    """ConfigStage runs Config.run once per batch: per-row path
+    semantics make the split invisible. Splitting the input into any
+    batches delivers the same rows to every destination, and the same
+    summed named-path counters, as one run over the whole table."""
+
+    CONFIG = """
+source s { example-msg-generator(num(1)); };
+destination d_errors { file("errors.log"); };
+destination d_auth { file("auth.log"); };
+destination d_kv { file("kv.log"); };
+destination d_other { file("other.log"); };
+filter f_errors { level(emerg..err) };
+filter f_auth { program("^(su|sshd)$") };
+filter f_kv { message("=") };
+parser p_syslog { syslog-parser(); };
+parser p_kv { kv-parser(prefix("kv.")); };
+filterx fx_status { isset(${kv.status}); };
+log pages {
+    source(s);
+    parser(p_syslog);
+    log errors { filter(f_errors); destination(d_errors); flags(final); };
+    log auth { filter(f_auth); destination(d_auth); flags(final); };
+    log kv { filter(f_kv); parser(p_kv); filterx(fx_status); destination(d_kv); flags(final); };
+    log other { destination(d_other); flags(fallback); };
+};
+"""
+    LINES = [
+        "<11>Aug 17 05:00:03 h3 app: oops fail",
+        "<38>Aug 17 05:00:01 h2 sshd[1]: login ok",
+        "<13>Aug 17 05:00:02 h1 app: status=200 user=bob",
+        "<13>Aug 17 05:00:04 h1 app: user=eve",
+        "<13>Aug 17 05:00:05 h2 app: id=7 status=404",
+        "<86>Aug 17 05:00:06 h4 su: session opened",
+        "<13>Aug 17 05:00:07 h1 app: hello world",
+        "plain unparsed line",
+    ]
+
+    @staticmethod
+    def _run(cfg, batches):
+        """Per-destination rows (as dicts) and named-path counters,
+        summed over one Config.run per batch."""
+        rows = {d: [] for d in cfg.destinations}
+        stats: dict = {}
+        for b in batches:
+            r = cfg.run(sources={"s": b})
+            for d in rows:
+                if r.processed(d):
+                    rows[d].extend(r.table(d).to_pylist())
+            for name, (ing, egr) in cfg.path_stats.items():
+                st = stats.setdefault(name, [0, 0])
+                st[0] += ing
+                st[1] += egr
+        # a batch lacks the columns no row of it produced (kv keys)
+        cols = {c for rs in rows.values() for row in rs for c in row}
+        rows = {d: [{c: row.get(c) for c in sorted(cols)} for row in rs]
+                for d, rs in rows.items()}
+        return rows, stats
+
+    def test_split_matches_whole_run(self):
+        from hypothesis import given, settings, strategies as st
+
+        cfg = compile_config(self.CONFIG)
+
+        @settings(max_examples=40, deadline=None)
+        @given(st.lists(st.sampled_from(self.LINES), min_size=1, max_size=40),
+               st.lists(st.integers(0, 40), max_size=6))
+        def check(lines, cuts):
+            t = pa.table({"message": lines})
+            bounds = sorted({0, len(lines), *(c for c in cuts if c < len(lines))})
+            batches = [t.slice(a, b - a) for a, b in zip(bounds, bounds[1:])]
+            assert self._run(cfg, batches) == self._run(cfg, [t])
+
+        check()
+
+
 class TestStages:
     def test_parser_rewrite_filter_chain(self):
         cfg = compile_config("""

@@ -177,11 +177,22 @@ def test_fingerprint_fast_microbench_speedup():
     texts = [" ".join(rng.choice(vocab, 80)) for _ in range(4000)]
     t = pa.table({"text": texts})
 
-    fingerprint_fast(t); rolling_fingerprints(t, method="fast")  # warm
-    t0 = time.perf_counter(); fingerprint_md5(t); slow_fp = time.perf_counter() - t0
-    t0 = time.perf_counter(); fingerprint_fast(t); fast_fp = time.perf_counter() - t0
-    t0 = time.perf_counter(); rolling_fingerprints(t, method="join"); slow_rf = time.perf_counter() - t0
-    t0 = time.perf_counter(); rolling_fingerprints(t, method="fast"); fast_rf = time.perf_counter() - t0
+    calls = {
+        "slow_fp": lambda: fingerprint_md5(t),
+        "fast_fp": lambda: fingerprint_fast(t),
+        "slow_rf": lambda: rolling_fingerprints(t, method="join"),
+        "fast_rf": lambda: rolling_fingerprints(t, method="fast"),
+    }
+    calls["fast_fp"](); calls["fast_rf"]()  # warm
+    # best of 3, slow and fast calls interleaved, so one scheduler
+    # hiccup cannot decide the ratio
+    best = dict.fromkeys(calls, float("inf"))
+    for _ in range(3):
+        for name, call in calls.items():
+            t0 = time.perf_counter()
+            call()
+            best[name] = min(best[name], time.perf_counter() - t0)
+    slow_fp, fast_fp, slow_rf, fast_rf = (best[k] for k in calls)
     # measured ~1.6x / ~4.5x on the build VM (BASELINE.md); loose bounds
     # so a noisy CI box can't flake the suite
     assert slow_fp / fast_fp > 1.1, (slow_fp, fast_fp)

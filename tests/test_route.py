@@ -1,7 +1,8 @@
 """Filter + routing tests.
 
-Routing flag semantics (final/fallback/catchall) per the reference
-(reference lib/logmpx.c:97-130, lib/cfg-tree.h:36-40; assertion style of
+Routing is first-match with fallback routes last, the all-final case of
+the reference's multiplexer (reference lib/logmpx.c:97-130,
+lib/cfg-tree.h:36-40; assertion style of
 tests/light/functional_tests/logpath/test_conditionals.py:77-101 —
 per-sink content + counts).
 """
@@ -101,26 +102,6 @@ def test_router_fallback_only_unmatched():
     r = Router().add("a", Severity("emerg")).add("rest", TRUE, fallback=True)
     masks = r.masks(T)
     assert masks["rest"].tolist() == [False, True, True, True, True]
-
-
-def test_router_catchall_sees_everything():
-    r = Router().add("a", Severity("emerg")).add("all", TRUE, catchall=True)
-    masks = r.masks(T)
-    assert masks["all"].tolist() == [True] * 5
-
-
-def test_router_non_final_fans_out():
-    r = (
-        Router()
-        .add("copies", host("^h1$"), final=False)
-        .add("sev_high", Severity(0, 3))
-        .add("other", TRUE, fallback=True)
-    )
-    t = r.route_table(T)
-    routes = t.column("route").to_pylist()
-    assert routes[0] == ["copies", "sev_high"]  # h1 + emerg, non-final lets it continue
-    assert routes[2] == ["copies"]
-    assert routes[4] == ["other"]
 
 
 def test_route_first_labels_for_partitioned_write():
