@@ -3,64 +3,83 @@
 Semantics mirror the reference's initial message parse
 (reference modules/syslogformat/syslog-format.c:1045-1239 — autodetect;
 pri at :123; RFC5424 SDATA at :562-829; hostname :483; program :348;
-RFC3164 year guessing :251-302), re-expressed as vectorized pandas/regex
-over an Arrow string column. Parse failure does NOT drop the row here —
-it yields `syslog_parsed == False` with the whole line as `message` and
-`pri == DEFAULT_PRI`, the reference's no-parse fallback; routing layers
-decide what to do with unparsed rows (the reference's parser-failure
-drop, lib/parser/parser-expr.c:46-99, is applied by the pipeline).
+RFC3164 year guessing :251-302) over an Arrow string column. Parse
+failure does NOT drop the row here — it yields `syslog_parsed == False`
+with the whole line as `message` and `pri == DEFAULT_PRI`, the
+reference's no-parse fallback; routing layers decide what to do with
+unparsed rows (the reference's parser-failure drop,
+lib/parser/parser-expr.c:46-99, is applied by the pipeline).
 
-Vectorization strategy: one compiled master regex per format applied via
-`Series.str.extract` (C-driven loop), datetimes via `pd.to_datetime`;
-only SDATA map construction touches Python per matching row (map columns
-are row-wise by nature).
+Vectorization strategy: `pyarrow.compute` and numpy only. Each branch
+(RFC5424, RFC3164 with a BSD stamp, RFC3164 with an ISO stamp, PRI with
+no stamp, unterminated PRI) runs one RE2 `extract_regex` over the rows no
+earlier branch claimed; stamps are assembled numerically from the
+captured digits by `_timestamp`; each output column is the concatenation
+of the per-branch values, put in row order by one `take`. Only SDATA map
+construction touches Python, per row with an SD block (map columns are
+row-wise by nature).
+
+Every pattern is written once and serves both engines: RE2 in the
+vectorized path, Python `re` (ASCII, `fullmatch`) in the scalar oracle
+`parse_syslog_line`.
 """
 
 from __future__ import annotations
 
 import re
+from datetime import datetime, timedelta
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..schema import DEFAULT_PRI
 
-MONTHS = "Jan|Feb|Mar|Apr|May|Jun|Jul|Aug|Sep|Oct|Nov|Dec"
-MON_NUM = {m: i + 1 for i, m in enumerate(MONTHS.split("|"))}
+MONTH_NAMES = ["Jan", "Feb", "Mar", "Apr", "May", "Jun",
+               "Jul", "Aug", "Sep", "Oct", "Nov", "Dec"]
+# re.A: \d is [0-9] as in RE2. The oracle matches with fullmatch, so `$`
+# is end-of-text as in RE2 (Python's `$` also matches before a final \n)
+_FLAGS = re.S | re.A
+_TOK = r"[^\t\n\f\r ]+"  # RE2's \S+ (Python's ASCII \S also excludes \v)
 
 RE_5424 = re.compile(
-    r"^<(?P<pri>\d{1,3})>(?P<ver>\d) (?P<ts>\S+) (?P<host>\S+) (?P<app>\S+) "
-    r"(?P<pid>\S+) (?P<msgid>\S+) (?P<rest>.*)$",
-    re.S,
+    rf"^<(?P<pri>\d{{1,3}})>(?P<ver>\d) (?P<ts>{_TOK}) (?P<host>{_TOK}) "
+    rf"(?P<app>{_TOK}) (?P<pid>{_TOK}) (?P<msgid>{_TOK}) (?P<rest>.*)$",
+    _FLAGS,
 )
 # SD block: one or more [sdid param="value"...] elements; values may contain
 # escaped chars (\" \\ \]) per RFC5424 / reference syslog-format.c:562-829.
-RE_SD_BLOCK = re.compile(r'^(?P<sd>-|(?:\[[^ \]"=]+(?: [^ \]"=]+="(?:[^"\\]|\\.)*")*\])+)(?: (?P<msg>.*))?$', re.S)
-RE_SD_ELEM = re.compile(r'\[([^ \]"=]+)((?: [^ \]"=]+="(?:[^"\\]|\\.)*")*)\]')
-RE_SD_PARAM = re.compile(r'([^ \]"=]+)="((?:[^"\\]|\\.)*)"')
+RE_SD_BLOCK = re.compile(r'^(?P<sd>-|(?:\[[^ \]"=]+(?: [^ \]"=]+="(?:[^"\\]|\\.)*")*\])+)(?: (?P<msg>.*))?$', _FLAGS)
+
+# The one ISO-8601 stamp grammar of both ISO branches (the RFC5424
+# TIMESTAMP and the RFC3164-ISO date position):
+# YYYY-MM-DDTHH:MM:SS[.frac][Z|±HH[:]MM]; anything else is a null stamp.
+ISO_STAMP = (
+    r"(?P<year>\d{4})-(?P<month>\d{2})-(?P<day>\d{2})T"
+    r"(?P<hour>\d{2}):(?P<minute>\d{2}):(?P<second>\d{2})(?:\.(?P<frac>\d+))?"
+    r"(?:Z|(?P<sign>[+-])(?P<oh>\d{2}):?(?P<om>\d{2}))?"
+)
+RE_ISO = re.compile(rf"^{ISO_STAMP}$", _FLAGS)
 
 RE_3164 = re.compile(
     # separators after the timestamp are ' '-runs (the reference skips
     # ALL spaces before the hostname and before the program name,
     # syslog-format.c:923,955 _skip_chars " " -1); a line ending right
     # after the hostname still parses (empty rest)
-    r"^(?:<(?P<pri>\d{1,3})> ?)?(?P<mon>" + MONTHS + r") (?P<day>[ \d]\d) "
-    r"(?P<time>\d{2}:\d{2}:\d{2}) +(?P<host>[^ ]+)(?: +(?P<rest>.*))?$",
-    re.S,
+    r"^(?:<(?P<pri>\d{1,3})> ?)?(?P<mon>" + "|".join(MONTH_NAMES) + r") (?P<day>[ \d]\d) "
+    r"(?P<hour>\d{2}):(?P<minute>\d{2}):(?P<second>\d{2}) +(?P<host>[^ ]+)(?: +(?P<rest>.*))?$",
+    _FLAGS,
 )
-RE_TAG = re.compile(r"^(?P<prog>[^:\[\s]+)(?:\[(?P<pid>[^\]]*)\])?: ?(?P<msg>.*)$", re.S)
 # RFC3164 with an RFC5424-style ISO timestamp in the date position —
 # accepted by the reference's legacy parser (scan-timestamp.c:213
 # __parse_iso_stamp, reached from the 3164 date scan; 'T' separator,
 # optional fraction and zone). loggen's default 3164 shape uses this.
 RE_3164_ISO = re.compile(
-    r"^(?:<(?P<pri>\d{1,3})> ?)?"
-    r"(?P<ts>\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}(?:\.\d+)?"
-    r"(?:Z|[+-]\d{2}:?\d{2})?) +(?P<host>[^ ]+)(?: +(?P<rest>.*))?$",
-    re.S,
+    rf"^(?:<(?P<pri>\d{{1,3}})> ?)?{ISO_STAMP} +(?P<host>[^ ]+)(?: +(?P<rest>.*))?$",
+    _FLAGS,
 )
+# a PRI with no stamp after it (the missing-timestamp branch)
+RE_PRI_ONLY = re.compile(r"^<(?P<pri>\d{1,3})> *(?P<rest>.*)$", _FLAGS)
 # Reference-exact legacy program-name scan (syslog-format.c:348-407
 # _syslog_format_parse_legacy_program_name): program = chars up to the
 # FIRST ' ', '[' or ':' (may be empty; no colon required — "<189>65536"
@@ -71,42 +90,32 @@ RE_3164_ISO = re.compile(
 # ("" group) is distinguishable from an empty "[]" one, and the consumed
 # header can be reassembled byte-exactly.
 RE_TAGX = re.compile(
-    r"^(?P<prog>[^:\[ ]*)(?P<pidb>\[[^\] :]*\]?)?(?P<colon>:?)(?P<sp> ?)(?P<msg>.*)$",
-    re.S,
+    r"^(?P<prog>[^:\[ ]*)(?P<pidb>\[(?P<pid>[^\] :]*)\]?)?(?P<colon>:?)(?P<sp> ?)(?P<msg>.*)$",
+    _FLAGS,
 )
+# LP_CHECK_PROGRAM: [A-Za-z0-9._-()/]+ with at least one letter
+RE_PROGRAM = re.compile(r"^[A-Za-z0-9._\-()/]*[A-Za-z][A-Za-z0-9._\-()/]*$", _FLAGS)
 
+_US = 1_000_000
+_EPOCH = datetime(1970, 1, 1)
+# the stamps Python's datetime can hold: years 1-9999
+_US_MIN = (datetime.min - _EPOCH) // timedelta(microseconds=1)
+_US_MAX = (datetime.max - _EPOCH) // timedelta(microseconds=1)
 
-def _extract_legacy_tag(rest: pd.Series) -> pd.DataFrame:
-    """Vectorized reference program-name scan over the post-header text.
-    Returns string-dtype columns prog / pid / legacy / msg; `pid` is NA
-    where no '[' was present OR the scan ran off the end of the data
-    (reference sets PID only `if (left)`, syslog-format.c:384-386)."""
-    t = _arrow_extract(rest, RE_TAGX)
-    prog = t["prog"].fillna("")
-    pidb = t["pidb"].fillna("")
-    colon = t["colon"].fillna("")
-    sp = t["sp"].fillna("")
-    msg = t["msg"].fillna("")
-    legacy = prog + pidb + colon + sp
-    has_pid = pidb != ""
-    # scan hit end-of-data inside the brackets: nothing after the pid
-    ran_off = has_pid & ~pidb.str.endswith("]") & (colon == "") & (sp == "") & (msg == "")
-    core = pidb.str.slice(1)  # pid body may itself contain '[' — slice, don't strip
-    core = core.where(~core.str.endswith("]"), core.str.slice(0, -1))
-    pid = core.where(has_pid & ~ran_off)
-    return pd.DataFrame({"prog": prog, "pid": pid, "legacy": legacy, "msg": msg})
+# msgformat and tags values, indexed by the per-row codes below
+_FORMATS = pa.array([None, "rfc5424", "rfc3164"], pa.string())
+_T_INVALID_PROGRAM, _T_MISSING_TS, _T_INVALID_PRI = 1, 2, 4
+_TAG_LISTS = pa.array(
+    [None, ["syslog.rfc3164_invalid_program"],
+     ["syslog.missing_timestamp", "syslog.rfc3164_missing_header"],
+     ["syslog.missing_timestamp", "syslog.rfc3164_missing_header",
+      "syslog.rfc3164_invalid_program"],
+     ["syslog.invalid_pri"]],
+    pa.list_(pa.string()),
+)
+_SDATA = pa.map_(pa.string(), pa.string())
+_NULL_STR = pa.scalar(None, pa.string())
 
-
-def _arrow_extract(strings: pd.Series, pattern: re.Pattern) -> pd.DataFrame:
-    """`pc.extract_regex` (RE2, one C pass) -> DataFrame of string-dtype
-    columns; non-matching rows are NA in every column. Unmatched OPTIONAL
-    groups inside a matching row come back as "" (RE2 semantics) — callers
-    normalize where that matters."""
-    arr = pa.array(strings.to_numpy(dtype=object), type=pa.string())
-    st = pc.extract_regex(arr, pattern="(?s)" + pattern.pattern)
-    return pd.DataFrame(
-        {name: pc.struct_field(st, name).to_pandas().astype("string") for name in pattern.groupindex}
-    )
 
 _SD_UNESCAPE = re.compile(r'\\([\\"\]])')
 
@@ -146,26 +155,116 @@ def parse_sdata(sd: str) -> list[tuple[str, str]] | None:
     return out
 
 
+# ---------------------------------------------------------------------------
+# Vectorized path
+# ---------------------------------------------------------------------------
+
+def _extract(strings: pa.Array, pattern: re.Pattern, cand: np.ndarray):
+    """RE2 `pattern` over the rows of `strings` flagged in `cand` ->
+    (positions of the matching rows, their groups as a StructArray).
+    Unmatched OPTIONAL groups come back as "" (RE2 semantics), not null."""
+    rows = np.flatnonzero(cand)
+    st = pc.extract_regex(strings.filter(pa.array(cand)), pattern="(?s)" + pattern.pattern)
+    ok = st.is_valid()
+    return rows[ok.to_numpy(zero_copy_only=False)], st.filter(ok)
 
 
-def guess_year(mon_num: np.ndarray, recv: pd.Series) -> np.ndarray:
+def _int(a: pa.Array) -> np.ndarray:
+    """ASCII digit strings -> int64; "" (an unmatched optional group) and a
+    null read as 0, a leading space pad is skipped."""
+    return pc.fill_null(pc.cast(pc.utf8_lpad(pc.utf8_ltrim(a, " "), 1, "0"), pa.int64()), 0).to_numpy()
+
+
+def _timestamp(year, month, day, hour, minute, second, micro=0, offset_min=0):
+    """Numeric stamp assembly over int64 arrays -> (µs since the epoch,
+    valid). A field out of range (month 13, Feb 30, hour 24, minute or
+    second 60) or a result outside years 1-9999 is invalid: a null stamp,
+    never a roll-over into the next day."""
+    ok = ((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
+          & (hour < 24) & (minute < 60) & (second < 60))
+    mstart = ((np.where(ok, year, 1970) - 1970).astype("datetime64[Y]").astype("datetime64[M]")
+              + (np.where(ok, month, 1) - 1))
+    first = mstart.astype("datetime64[D]")
+    ok &= day <= ((mstart + 1).astype("datetime64[D]") - first).astype(np.int64)
+    days = first.astype(np.int64) + day - 1
+    us = (((days * 24 + hour) * 60 + minute - offset_min) * 60 + second) * _US + micro
+    ok &= (us >= _US_MIN) & (us <= _US_MAX)
+    return us, ok
+
+
+def _iso_timestamp(st: pa.StructArray):
+    """`_timestamp` over the ISO_STAMP groups of an extract; rows where the
+    extract did not match are invalid."""
+    def f(name):
+        return pc.struct_field(st, name)
+
+    year, month, day, hour, minute, second, oh, om = (
+        _int(f(g)) for g in ("year", "month", "day", "hour", "minute", "second", "oh", "om"))
+    micro = _int(pc.utf8_rpad(pc.utf8_slice_codeunits(f("frac"), 0, 6), 6, "0"))
+    sign = np.where(pc.fill_null(pc.equal(f("sign"), "-"), False).to_numpy(zero_copy_only=False), -1, 1)
+    us, ok = _timestamp(year, month, day, hour, minute, second, micro, sign * (oh * 60 + om))
+    return us, ok & (oh < 24) & (om < 60) & st.is_valid().to_numpy(zero_copy_only=False)
+
+
+def guess_year(mon: np.ndarray, recv: np.ndarray) -> np.ndarray:
     """RFC3164 timestamps carry no year; guess the one nearest the receive
-    time (reference syslog-format.c:251-302): receive-year, minus one when
-    the stamp says December but we received in January, plus one for the
-    mirror case."""
-    year = recv.dt.year.to_numpy().copy()
-    rmon = recv.dt.month.to_numpy()
-    year[(mon_num == 12) & (rmon == 1)] -= 1
-    year[(mon_num == 1) & (rmon == 12)] += 1
-    return year
+    time `recv` (datetime64[us]; reference syslog-format.c:251-302):
+    receive-year, minus one when the stamp says December but we received
+    in January, plus one for the mirror case. A null receive time gives
+    year 0, an invalid stamp."""
+    year = recv.astype("datetime64[Y]").astype(np.int64) + 1970
+    rmon = recv.astype("datetime64[M]").astype(np.int64) % 12 + 1
+    year[(mon == 12) & (rmon == 1)] -= 1
+    year[(mon == 1) & (rmon == 12)] += 1
+    return np.where(np.isnat(recv), 0, year)
 
 
-def _obj(series: pd.Series) -> np.ndarray:
-    """pandas Series -> numpy object array with None (not pd.NA) for nulls."""
-    arr = series.to_numpy(dtype=object, copy=True)
-    na = series.isna().to_numpy()
-    arr[na] = None
-    return arr
+def _legacy_tail(rest: pa.Array, check_program: bool):
+    """The RFC3164 tail after the header: the reference legacy
+    program-name scan, then LP_CHECK_PROGRAM. -> ({program, pid,
+    legacy_msghdr, message}, bad). `pid` is null where no '[' was present
+    OR the scan ran off the end of the data (reference sets PID only
+    `if (left)`, syslog-format.c:384-386). Under check_program a `bad`
+    name leaves PROGRAM/PID unset with the whole tail as the message
+    (reference early return)."""
+    st = pc.extract_regex(rest, pattern="(?s)" + RE_TAGX.pattern)
+    prog, pidb, colon, sp, msg = (pc.struct_field(st, g) for g in ("prog", "pidb", "colon", "sp", "msg"))
+    legacy = pc.binary_join_element_wise(prog, pidb, colon, sp, "")
+    # scan hit end-of-data inside the brackets: nothing after the pid
+    ran_off = pc.and_(pc.invert(pc.ends_with(pidb, "]")),
+                      pc.equal(pc.binary_join_element_wise(prog, pidb, ""), rest))
+    has_pid = pc.and_(pc.not_equal(pidb, ""), pc.invert(ran_off))
+    cols = {
+        "program": prog,
+        "pid": pc.if_else(has_pid, pc.struct_field(st, "pid"), _NULL_STR),
+        "legacy_msghdr": pc.if_else(pc.equal(legacy, ""), _NULL_STR, legacy),
+        "message": msg,
+    }
+    bad = np.zeros(len(rest), dtype=bool)
+    if check_program:
+        ok = pc.match_substring_regex(prog, RE_PROGRAM.pattern)
+        bad = ~ok.to_numpy(zero_copy_only=False)
+        for k in ("program", "pid", "legacy_msghdr"):
+            cols[k] = pc.if_else(ok, cols[k], _NULL_STR)
+        cols["message"] = pc.if_else(ok, msg, rest)
+    return cols, bad
+
+
+def _scatter(n: int, pieces: list, default: pa.Array | None, typ: pa.DataType) -> pa.Array:
+    """One n-row column from per-branch values. `pieces` holds (row
+    positions, values) pairs; every other row takes `default` — an n-row
+    array (row i -> default[i]) — or null when it is None."""
+    base = sum(len(rows) for rows, _ in pieces)
+    if default is None:
+        default = pa.nulls(1, typ)
+        pos = np.full(n, base, dtype=np.int64)
+    else:
+        pos = np.arange(base, base + n, dtype=np.int64)
+    off = 0
+    for rows, _ in pieces:
+        pos[rows] = np.arange(off, off + len(rows))
+        off += len(rows)
+    return pa.concat_arrays([vals for _, vals in pieces] + [default]).take(pos)
 
 
 def parse_syslog_table(
@@ -181,245 +280,109 @@ def parse_syslog_table(
     the message, and the row is tagged syslog.rfc3164_invalid_program
     (pins test_syslog_format.c rfc3164_check_program_*)."""
     n = table.num_rows
-    s = table.column(col).to_pandas().astype("string").fillna("")
-    recv = table.column(recv_ts_col).to_pandas() if recv_ts_col in table.column_names else pd.Series(
-        np.full(n, np.datetime64("2026-01-01", "us"))
-    )
+    text = pc.fill_null(table.column(col).cast(pa.string()), "").combine_chunks()
+    if recv_ts_col in table.column_names:
+        recv = pc.cast(table.column(recv_ts_col), pa.timestamp("us"), safe=False).to_numpy()
+    else:
+        recv = np.full(n, np.datetime64("2026-01-01", "us"))
 
     pri = np.full(n, DEFAULT_PRI, dtype=np.int64)
-    ts = np.full(n, np.datetime64("NaT"), dtype="datetime64[us]")
-    host = np.full(n, None, dtype=object)
-    program = np.full(n, None, dtype=object)
-    pid = np.full(n, None, dtype=object)
-    msgid = np.full(n, None, dtype=object)
-    message = s.to_numpy(dtype=object).copy()
-    legacy = np.full(n, None, dtype=object)  # $LEGACY_MSGHDR raw header bytes
-    sdata = np.full(n, None, dtype=object)
-    parsed = np.zeros(n, dtype=bool)
-    fmt = np.full(n, None, dtype=object)
-    tags_col = np.full(n, None, dtype=object)
+    # unparsed rows: stamp falls back to receive time (reference no-parse path)
+    ts = recv.view(np.int64).copy()
+    ts_ok = ~np.isnat(recv)
+    fmt = np.zeros(n, dtype=np.int8)  # index into _FORMATS; 0 = not parsed
+    tags = np.zeros(n, dtype=np.int8)  # index into _TAG_LISTS
+    strs = {k: [] for k in ("host", "program", "pid", "msgid", "message", "legacy_msghdr")}
+    sdata = []
 
-    arrow_text = table.column(col) if table.column(col).null_count == 0 else pa.array(
-        s.to_numpy(dtype=object), type=pa.string()
-    )
+    def rfc3164(rows, ex, us, ok):
+        """The shared BSD/ISO-stamp tail: pri, stamp, host, legacy tag."""
+        pv = pc.struct_field(ex, "pri")
+        pri[rows] = np.where(pc.not_equal(pv, "").to_numpy(zero_copy_only=False), _int(pv), DEFAULT_PRI)
+        ts[rows], ts_ok[rows] = us, ok
+        strs["host"].append((rows, pc.struct_field(ex, "host")))
+        tail(rows, pc.struct_field(ex, "rest"), 0)
+
+    def tail(rows, rest, tag):
+        cols, bad = _legacy_tail(rest, check_program)
+        for k, v in cols.items():
+            strs[k].append((rows, v))
+        fmt[rows] = 2
+        tags[rows] = np.where(bad, tag + _T_INVALID_PROGRAM, tag)
 
     # ---------- RFC5424 ----------
-    # detection + master extraction via Arrow RE2 (2.6x pandas, no PyObject
-    # churn on the unmatched rows; measured in BASELINE.md opt log)
-    is5424 = pc.match_substring_regex(arrow_text, r"^<\d{1,3}>\d ").to_numpy(zero_copy_only=False)
-    is5424 = np.asarray(is5424, dtype=bool)
-    if is5424.any():
-        # filter BEFORE extracting: the full regex runs only on candidate
-        # rows, not the whole (mostly-3164) corpus
-        sub_text = pc.cast(arrow_text, pa.string()).filter(pa.array(is5424))
-        sub_struct = pc.extract_regex(sub_text, pattern="(?s)" + RE_5424.pattern)  # (?s): RE2 ignores Python re.S
-        ex = pd.DataFrame(
-            {name: pc.struct_field(sub_struct, name).to_pandas().astype("string") for name in RE_5424.groupindex}
-        )
-        ok = ex["pri"].notna().to_numpy()
-        rows = np.flatnonzero(is5424)[ok]
-        exo = ex[ok]
-        pri[rows] = exo["pri"].astype(int).to_numpy()
-        tss = exo["ts"].where(exo["ts"] != "-", None)
-        with np.errstate(all="ignore"):
-            tparsed = pd.to_datetime(tss, errors="coerce", utc=True, format="ISO8601")
-        ts[rows] = tparsed.dt.tz_localize(None).to_numpy(dtype="datetime64[us]", na_value=np.datetime64("NaT"))
-        # nil ('-') fields stay null, matching the reference's unset values
-        for colname, arr in (("host", host), ("app", program), ("pid", pid), ("msgid", msgid)):
-            arr[rows] = _obj(exo[colname].where(exo[colname] != "-"))
-        rest = exo["rest"].astype("string")
-        sd_ex = _arrow_extract(rest, RE_SD_BLOCK)
-        sd_ok = sd_ex["sd"].notna().to_numpy()
-        msg_vals = np.where(sd_ok, _obj(sd_ex["msg"].fillna("")), _obj(rest))
-        message[rows] = msg_vals
-        sd_strs = sd_ex["sd"].to_numpy(dtype=object)
-        sdata[rows] = [parse_sdata(x) if isinstance(x, str) else None for x in sd_strs]
-        parsed[rows] = True
-        fmt[rows] = "rfc5424"
+    # detect, then extract only over the candidate rows
+    is5424 = pc.match_substring_regex(text, r"^<\d{1,3}>\d ").to_numpy(zero_copy_only=False)
+    rows, ex = _extract(text, RE_5424, is5424)
+    pri[rows] = _int(pc.struct_field(ex, "pri"))
+    ts[rows], ts_ok[rows] = _iso_timestamp(pc.extract_regex(
+        pc.struct_field(ex, "ts"), pattern="(?s)" + RE_ISO.pattern))
+    # nil ('-') fields stay null, matching the reference's unset values
+    for name, g in (("host", "host"), ("program", "app"), ("pid", "pid"), ("msgid", "msgid")):
+        v = pc.struct_field(ex, g)
+        strs[name].append((rows, pc.if_else(pc.equal(v, "-"), _NULL_STR, v)))
+    rest = pc.struct_field(ex, "rest")
+    sd = pc.extract_regex(rest, pattern="(?s)" + RE_SD_BLOCK.pattern)
+    strs["message"].append((rows, pc.if_else(sd.is_valid(), pc.struct_field(sd, "msg"), rest)))
+    block = pc.struct_field(sd, "sd")
+    has_sd = pc.fill_null(pc.not_equal(block, "-"), False)
+    sd_rows = rows[has_sd.to_numpy(zero_copy_only=False)]
+    sdata.append((sd_rows, pa.array(
+        [parse_sdata(x) for x in block.filter(has_sd).to_pylist()], _SDATA)))
+    fmt[rows] = 1
 
     # ---------- RFC3164 ----------
-    cand = ~is5424
-    if cand.any():
-        sub_text3 = pc.cast(arrow_text, pa.string()).filter(pa.array(cand))
-        sub3 = pc.extract_regex(sub_text3, pattern="(?s)" + RE_3164.pattern)
-        ex = pd.DataFrame(
-            {name: pc.struct_field(sub3, name).to_pandas().astype("string") for name in RE_3164.groupindex}
-        )
-        # RE2 yields "" (not null) for an unmatched optional group inside a
-        # matching row — normalize the optional pri back to NA
-        ex.loc[ex["pri"] == "", "pri"] = pd.NA
-        ok = ex["mon"].notna().to_numpy()
-        rows = np.flatnonzero(cand)[ok]
-        if len(rows):
-            exo = ex[ok]
-            pv = exo["pri"]
-            has_pri = pv.notna().to_numpy()
-            pri[rows[has_pri]] = pv[pv.notna()].astype(int).to_numpy()
-            mon_num = exo["mon"].map(MON_NUM).to_numpy(dtype=np.int64)
-            day = exo["day"].str.strip().astype(int).to_numpy()
-            year = guess_year(mon_num, recv.iloc[rows].reset_index(drop=True))
-            hms = exo["time"].reset_index(drop=True).astype(str)
-            with np.errstate(all="ignore"):
-                # dict-form to_datetime: numeric assembly, no string concat
-                tparsed = pd.to_datetime(
-                    {
-                        "year": year,
-                        "month": mon_num,
-                        "day": day,
-                        "hour": hms.str.slice(0, 2).astype(int),
-                        "minute": hms.str.slice(3, 5).astype(int),
-                        "second": hms.str.slice(6, 8).astype(int),
-                    },
-                    errors="coerce",
-                )
-            ts[rows] = tparsed.to_numpy(dtype="datetime64[us]", na_value=np.datetime64("NaT"))
-            host[rows] = _obj(exo["host"])
-            rest = exo["rest"].fillna("").astype("string")
-            tag = _extract_legacy_tag(rest)
-            # the legacy scan always parses (no colon required); under
-            # check_program an invalid name leaves PROGRAM/PID unset with
-            # the full tail as the message (reference early return)
-            tag_ok = np.ones(len(rows), dtype=bool)
-            if check_program:
-                progs = tag["prog"]
-                okp = (progs.str.fullmatch(r"[A-Za-z0-9._\-()/]+").fillna(False)
-                       & progs.str.contains("[A-Za-z]", regex=True).fillna(False)
-                       ).to_numpy(dtype=bool)
-                badp = tag_ok & ~okp
-                if badp.any():
-                    # reference: invalid program -> PROGRAM/PID unset, the
-                    # full tail stays the message, tagged
-                    tag_ok = tag_ok & okp
-                    for i in rows[badp]:
-                        tags_col[i] = ["syslog.rfc3164_invalid_program"]
-            program[rows[tag_ok]] = _obj(tag["prog"])[tag_ok]
-            pid[rows[tag_ok]] = _obj(tag["pid"])[tag_ok]
-            message[rows] = np.where(tag_ok, _obj(tag["msg"]), _obj(rest))
-            leg = _obj(tag["legacy"].where(tag["legacy"] != ""))
-            legacy[rows[tag_ok]] = leg[tag_ok]
-            parsed[rows] = True
-            fmt[rows] = "rfc3164"
+    rows, ex = _extract(text, RE_3164, fmt == 0)
+    mon = pc.index_in(pc.struct_field(ex, "mon"), value_set=pa.array(MONTH_NAMES)).to_numpy() + 1
+    rfc3164(rows, ex, *_timestamp(
+        guess_year(mon, recv[rows]), mon,
+        *(_int(pc.struct_field(ex, g)) for g in ("day", "hour", "minute", "second"))))
 
     # ---------- RFC3164 with ISO timestamp ----------
     # the legacy date scan also accepts an RFC5424-style ISO stamp
     # (scan-timestamp.c:213 __parse_iso_stamp); host/tag parse continues
     # exactly like the BSD-stamp branch
-    cand_iso = ~is5424 & ~parsed
-    if cand_iso.any():
-        sub_i = pc.cast(arrow_text, pa.string()).filter(pa.array(cand_iso))
-        exi = pd.DataFrame(
-            {name: pc.struct_field(
-                pc.extract_regex(sub_i, pattern="(?s)" + RE_3164_ISO.pattern),
-                name).to_pandas().astype("string")
-             for name in RE_3164_ISO.groupindex})
-        exi.loc[exi["pri"] == "", "pri"] = pd.NA
-        ok = exi["ts"].notna().to_numpy()
-        rows = np.flatnonzero(cand_iso)[ok]
-        if len(rows):
-            exo = exi[ok]
-            pv = exo["pri"]
-            has_pri = pv.notna().to_numpy()
-            pri[rows[has_pri]] = pv[pv.notna()].astype(int).to_numpy()
-            with np.errstate(all="ignore"):
-                tparsed = pd.to_datetime(exo["ts"], errors="coerce",
-                                         utc=True, format="ISO8601")
-            ts[rows] = tparsed.dt.tz_localize(None).to_numpy(
-                dtype="datetime64[us]", na_value=np.datetime64("NaT"))
-            host[rows] = _obj(exo["host"])
-            rest = exo["rest"].fillna("").astype("string")
-            tag = _extract_legacy_tag(rest)
-            tag_ok = np.ones(len(rows), dtype=bool)
-            if check_program:
-                progs = tag["prog"]
-                okp = (progs.str.fullmatch(r"[A-Za-z0-9._\-()/]+")
-                       .fillna(False)
-                       & progs.str.contains("[A-Za-z]", regex=True)
-                       .fillna(False)).to_numpy(dtype=bool)
-                badp = tag_ok & ~okp
-                if badp.any():
-                    tag_ok = tag_ok & okp
-                    for i in rows[badp]:
-                        tags_col[i] = ["syslog.rfc3164_invalid_program"]
-            program[rows[tag_ok]] = _obj(tag["prog"])[tag_ok]
-            pid[rows[tag_ok]] = _obj(tag["pid"])[tag_ok]
-            message[rows] = np.where(tag_ok, _obj(tag["msg"]), _obj(rest))
-            leg = _obj(tag["legacy"].where(tag["legacy"] != ""))
-            legacy[rows[tag_ok]] = leg[tag_ok]
-            parsed[rows] = True
-            fmt[rows] = "rfc3164"
+    rows, ex = _extract(text, RE_3164_ISO, fmt == 0)
+    rfc3164(rows, ex, *_iso_timestamp(ex))
 
     # ---------- RFC3164 with PRI but missing timestamp ----------
     # `<189> program[pid]: message` parses TAG-only: no host, stamp=recv,
     # tags syslog.missing_timestamp + rfc3164_missing_header (reference
-    # tests/test_syslog_format.c rfc3164_error_missing_timestamp)
-    nots = ~parsed & s.str.match(r"^<\d{1,3}>", na=False).to_numpy()
-    if nots.any():
-        rest = s[nots].str.replace(r"^<\d{1,3}> *", "", regex=True).astype("string")
-        pv = s[nots].str.extract(r"^<(\d{1,3})>")[0]
-        tag = _extract_legacy_tag(rest)
-        rows = np.flatnonzero(nots)
-        # the legacy scan always runs here (reference parses the program
-        # name even in the missing-header branch: "<189>65536" yields
-        # PROGRAM="65536", syslog-format.c:978-981)
-        tag_ok = np.ones(len(rows), dtype=bool)
-        if check_program:
-            progs = tag["prog"]
-            okp = (progs.str.fullmatch(r"[A-Za-z0-9._\-()/]+").fillna(False)
-                   & progs.str.contains("[A-Za-z]", regex=True).fillna(False)
-                   ).to_numpy(dtype=bool)
-            tag_ok = okp
-        pri[rows] = pv.astype(int).to_numpy()
-        program[rows[tag_ok]] = _obj(tag["prog"])[tag_ok]
-        pid[rows[tag_ok]] = _obj(tag["pid"])[tag_ok]
-        message[rows] = np.where(tag_ok, _obj(tag["msg"]), _obj(rest))
-        leg = _obj(tag["legacy"].where(tag["legacy"] != ""))
-        legacy[rows[tag_ok]] = leg[tag_ok]
-        ts[rows] = recv.to_numpy(dtype="datetime64[us]")[rows]  # stamp = receive time
-        parsed[rows] = True
-        fmt[rows] = "rfc3164"
-        for k, i in enumerate(rows):
-            tags_col[i] = ["syslog.missing_timestamp", "syslog.rfc3164_missing_header"]
-            if not tag_ok[k]:
-                tags_col[i] = tags_col[i] + ["syslog.rfc3164_invalid_program"]
+    # tests/test_syslog_format.c rfc3164_error_missing_timestamp). The
+    # legacy scan always runs here: "<189>65536" yields PROGRAM="65536"
+    # (syslog-format.c:978-981)
+    lt = (fmt == 0) & pc.starts_with(text, "<").to_numpy(zero_copy_only=False)
+    rows, ex = _extract(text, RE_PRI_ONLY, lt)
+    pri[rows] = _int(pc.struct_field(ex, "pri"))
+    tail(rows, pc.struct_field(ex, "rest"), _T_MISSING_TS)
 
     # ---------- invalid PRI: a '<' prefix that never closes ----------
     # the reference accepts the line, shoves it whole into MSG and tags
     # syslog.invalid_pri (syslog-format.c:1076-1080,
     # test_syslog_format.c rfc3164_error_invalid_pri)
-    ipri = (~parsed & s.str.startswith("<").to_numpy(dtype=bool)
-            & ~s.str.match(r"^<\d{1,3}>", na=False).to_numpy(dtype=bool))
-    if ipri.any():
-        rows = np.flatnonzero(ipri)
-        parsed[rows] = True
-        fmt[rows] = "rfc3164"
-        ts[rows] = recv.to_numpy(dtype="datetime64[us]")[rows]
-        for i in rows:
-            tags_col[i] = ["syslog.invalid_pri"]
-
-    # unparsed rows: stamp falls back to receive time (reference no-parse path)
-    unp = ~parsed
-    ts[unp] = recv.to_numpy(dtype="datetime64[us]")[unp]
+    ipri = lt & (fmt == 0)
+    fmt[ipri] = 2
+    tags[ipri] = _T_INVALID_PRI
 
     out = table
-    for name, arr, typ in (
-        ("pri", pri, pa.uint16()),
-        ("ts_stamp", ts, pa.timestamp("us")),
-        ("host", host, pa.string()),
-        ("program", program, pa.string()),
-        ("pid", pid, pa.string()),
-        ("msgid", msgid, pa.string()),
-        ("message", message, pa.string()),
-        ("legacy_msghdr", legacy, pa.string()),
-        ("sdata", sdata, pa.map_(pa.string(), pa.string())),
-        ("syslog_parsed", parsed, pa.bool_()),
-        ("msgformat", fmt, pa.string()),
-        ("tags", tags_col, pa.list_(pa.string())),
+    for name, arr in (
+        ("pri", pa.array(pri, pa.uint16())),
+        ("ts_stamp", pa.array(ts.view("datetime64[us]"), mask=~ts_ok)),
+        ("host", _scatter(n, strs["host"], None, pa.string())),
+        ("program", _scatter(n, strs["program"], None, pa.string())),
+        ("pid", _scatter(n, strs["pid"], None, pa.string())),
+        ("msgid", _scatter(n, strs["msgid"], None, pa.string())),
+        ("message", _scatter(n, strs["message"], text, pa.string())),
+        ("legacy_msghdr", _scatter(n, strs["legacy_msghdr"], None, pa.string())),
+        ("sdata", _scatter(n, sdata, None, _SDATA)),
+        ("syslog_parsed", pa.array(fmt > 0)),
+        ("msgformat", _FORMATS.take(fmt)),
+        ("tags", _TAG_LISTS.take(tags)),
     ):
-        col = pa.array(arr, type=typ)
         if name in out.column_names:  # re-parse overwrites (syslog-parser() on a field)
-            out = out.set_column(out.column_names.index(name), name, col)
+            out = out.set_column(out.column_names.index(name), name, arr)
         else:
-            out = out.append_column(name, col)
+            out = out.append_column(name, arr)
     return out
 
 
@@ -428,42 +391,60 @@ def parse_syslog_table(
 # vectorized path; SURVEY.md §7.3). Never used in pipelines.
 # ---------------------------------------------------------------------------
 
+def _stamp(year, month, day, hour, minute, second, micro=0, offset_min=0):
+    """Scalar `_timestamp`: a naive UTC datetime, or None when invalid."""
+    try:
+        return datetime(year, month, day, hour, minute, second, micro) - timedelta(minutes=offset_min)
+    except (ValueError, OverflowError):
+        return None
+
+
+def _iso_stamp(m: re.Match):
+    """Scalar `_iso_timestamp` over the ISO_STAMP groups of a match."""
+    oh, om = int(m.group("oh") or 0), int(m.group("om") or 0)
+    if oh > 23 or om > 59:
+        return None
+    sign = -1 if m.group("sign") == "-" else 1
+    return _stamp(*(int(m.group(g)) for g in ("year", "month", "day", "hour", "minute", "second")),
+                  int((m.group("frac") or "")[:6].ljust(6, "0")), sign * (oh * 60 + om))
+
+
 def _scan_legacy_tag(rest: str) -> tuple[str, str | None, str | None, str]:
     """Scalar reference program-name scan -> (prog, pid, legacy, msg)."""
-    m = RE_TAGX.match(rest)
-    prog = m.group("prog") or ""
-    pidb = m.group("pidb") or ""
-    colon = m.group("colon") or ""
-    sp = m.group("sp") or ""
-    msg = m.group("msg") or ""
-    pid = None
-    if pidb:
-        ran_off = not pidb.endswith("]") and not colon and not sp and not msg
-        if not ran_off:
-            core = pidb[1:]
-            pid = core[:-1] if core.endswith("]") else core
-    return prog, pid, (prog + pidb + colon + sp) or None, msg
+    m = RE_TAGX.fullmatch(rest)
+    prog, pidb, colon, sp, msg = (m.group(g) or "" for g in ("prog", "pidb", "colon", "sp", "msg"))
+    legacy = prog + pidb + colon + sp
+    ran_off = not pidb.endswith("]") and prog + pidb == rest
+    pid = m.group("pid") if pidb and not ran_off else None
+    return prog, pid, legacy or None, msg
 
 
-def parse_syslog_line(line: str, recv_ts, check_program: bool = False) -> dict:
-    recv = pd.Timestamp(recv_ts)
+def parse_syslog_line(line: str, recv_ts: datetime | None, check_program: bool = False) -> dict:
     out = {
-        "pri": DEFAULT_PRI, "ts_stamp": None, "host": None, "program": None,
+        "pri": DEFAULT_PRI, "ts_stamp": recv_ts, "host": None, "program": None,
         "pid": None, "msgid": None, "message": line, "legacy_msghdr": None,
         "sdata": None, "syslog_parsed": False, "msgformat": None, "tags": None,
     }
-    m = RE_5424.match(line)
-    if m and re.match(r"^<\d{1,3}>\d ", line):
+
+    def tail(rest: str) -> None:
+        prog, pidv, legacyv, msgv = _scan_legacy_tag(rest)
+        out["syslog_parsed"], out["msgformat"] = True, "rfc3164"
+        if check_program and not RE_PROGRAM.fullmatch(prog):
+            out["message"] = rest
+            out["tags"] = (out["tags"] or []) + ["syslog.rfc3164_invalid_program"]
+        else:
+            out["program"], out["pid"], out["message"] = prog, pidv, msgv
+            out["legacy_msghdr"] = legacyv
+
+    m = RE_5424.fullmatch(line)
+    if m:
         out["pri"] = int(m.group("pri"))
-        if m.group("ts") != "-":
-            # format='ISO8601' mirrors the vectorized path: a non-RFC3339
-            # string in the TIMESTAMP slot must coerce to null on BOTH
-            t = pd.to_datetime(m.group("ts"), utc=True, errors="coerce", format="ISO8601")
-            out["ts_stamp"] = None if pd.isna(t) else t.tz_localize(None)
+        iso = RE_ISO.fullmatch(m.group("ts"))
+        out["ts_stamp"] = _iso_stamp(iso) if iso else None
         for k, g in (("host", "host"), ("program", "app"), ("pid", "pid"), ("msgid", "msgid")):
             v = m.group(g)
             out[k] = None if v == "-" else v
-        sdm = RE_SD_BLOCK.match(m.group("rest"))
+        sdm = RE_SD_BLOCK.fullmatch(m.group("rest"))
         if sdm:
             out["sdata"] = parse_sdata(sdm.group("sd"))
             out["message"] = sdm.group("msg") or ""
@@ -471,51 +452,32 @@ def parse_syslog_line(line: str, recv_ts, check_program: bool = False) -> dict:
             out["message"] = m.group("rest")
         out["syslog_parsed"], out["msgformat"] = True, "rfc5424"
         return out
-    m = RE_3164.match(line)
+    m = RE_3164.fullmatch(line) or RE_3164_ISO.fullmatch(line)
     if m:
         if m.group("pri") is not None:
             out["pri"] = int(m.group("pri"))
-        mon = MON_NUM[m.group("mon")]
-        year = recv.year
-        if mon == 12 and recv.month == 1:
-            year -= 1
-        elif mon == 1 and recv.month == 12:
-            year += 1
-        # errors='coerce' semantics like the vectorized dict-form
-        # to_datetime: a calendar-invalid date (Feb 30) -> null, not raise
-        t = pd.to_datetime(f"{year}-{mon:02d}-{int(m.group('day')):02d} {m.group('time')}",
-                           errors="coerce")
-        out["ts_stamp"] = None if pd.isna(t) else t
+        if m.re is RE_3164_ISO:
+            out["ts_stamp"] = _iso_stamp(m)
+        elif recv_ts is None:
+            out["ts_stamp"] = None
+        else:
+            mon = MONTH_NAMES.index(m.group("mon")) + 1
+            year = recv_ts.year
+            if mon == 12 and recv_ts.month == 1:
+                year -= 1
+            elif mon == 1 and recv_ts.month == 12:
+                year += 1
+            out["ts_stamp"] = _stamp(year, mon, *(int(m.group(g)) for g in ("day", "hour", "minute", "second")))
         out["host"] = m.group("host")
-        prog, pidv, legacyv, msgv = _scan_legacy_tag(m.group("rest") or "")
-        if check_program and not (
-                re.fullmatch(r"[A-Za-z0-9._\-()/]+", prog)
-                and re.search("[A-Za-z]", prog)):
-            out["message"] = m.group("rest") or ""
-            out["tags"] = ["syslog.rfc3164_invalid_program"]
-        else:
-            out["program"], out["pid"], out["message"] = prog, pidv, msgv
-            out["legacy_msghdr"] = legacyv
-        out["syslog_parsed"], out["msgformat"] = True, "rfc3164"
+        tail(m.group("rest") or "")
         return out
-    mp = re.match(r"^<(\d{1,3})> *(.*)$", line, re.S)
-    if mp:
-        out["pri"] = int(mp.group(1))
-        out["ts_stamp"] = recv
-        out["syslog_parsed"], out["msgformat"] = True, "rfc3164"
+    m = RE_PRI_ONLY.fullmatch(line)
+    if m:
+        out["pri"] = int(m.group("pri"))
         out["tags"] = ["syslog.missing_timestamp", "syslog.rfc3164_missing_header"]
-        prog, pidv, legacyv, msgv = _scan_legacy_tag(mp.group(2))
-        if check_program and not (
-                re.fullmatch(r"[A-Za-z0-9._\-()/]+", prog)
-                and re.search("[A-Za-z]", prog)):
-            out["message"] = mp.group(2)
-            out["tags"] = out["tags"] + ["syslog.rfc3164_invalid_program"]
-        else:
-            out["program"], out["pid"], out["message"] = prog, pidv, msgv
-            out["legacy_msghdr"] = legacyv
+        tail(m.group("rest"))
         return out
-    if line.startswith("<") and not re.match(r"^<\d{1,3}>", line):
+    if line.startswith("<"):
         out["syslog_parsed"], out["msgformat"] = True, "rfc3164"
         out["tags"] = ["syslog.invalid_pri"]
-    out["ts_stamp"] = recv
     return out

@@ -5,10 +5,13 @@ Golden expectations adapted from the reference's own parametrized corpus
 cases, not the code.
 """
 
+from datetime import datetime
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from axosyslog_ray.stages.syslog import parse_syslog_line, parse_syslog_table
 from axosyslog_ray.synth import gen_pages_table
@@ -108,19 +111,22 @@ def test_unterminated_pri_tagged_and_kept_whole():
     assert r["program"] is None
 
 
+COLUMNS = ("pri", "ts_stamp", "host", "program", "pid", "msgid", "message",
+           "legacy_msghdr", "sdata", "syslog_parsed", "msgformat", "tags")
+
+
+def _assert_oracle_agrees(t: pa.Table, check_program: bool = False) -> None:
+    """Every output column of every row equals the scalar oracle's."""
+    for row in parse_syslog_table(t, check_program=check_program).to_pylist():
+        want = parse_syslog_line(row["text"], row["warc_ts"], check_program=check_program)
+        for k in COLUMNS:
+            assert row[k] == want[k], (row["text"], k, row[k], want[k])
+
+
 def test_vectorized_matches_scalar_oracle_on_corpus():
     t = gen_pages_table(600)
-    df = parse_syslog_table(t).to_pandas()
-    recvs = t.column("warc_ts").to_pylist()
-    for i, row in df.iterrows():
-        o = parse_syslog_line(row["text"], recvs[i])
-        for k in ("pri", "host", "program", "pid", "msgid", "message", "syslog_parsed", "msgformat"):
-            a, b = row[k], o[k]
-            a_null = a is None or (not isinstance(a, (str, bool, np.bool_, list)) and pd.isna(a))
-            if b is None:
-                assert a_null, (i, k, a)
-            else:
-                assert not a_null and a == b, (i, k, a, b)
+    _assert_oracle_agrees(t)
+    _assert_oracle_agrees(t, check_program=True)
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -341,3 +347,79 @@ class TestRfc3164IsoTimestamp:
     def test_bsd_stamp_still_wins(self):
         r = self._parse(["<38>Jan  5 10:41:30 myhost app[1]: hello"])[0]
         assert r["host"] == "myhost" and r["program"] == "app"
+
+
+# ---------------------------------------------------------------------------
+# Differential test: vectorized path vs scalar oracle on generated lines
+# ---------------------------------------------------------------------------
+
+
+def _num(lo, hi, width):
+    return st.integers(lo, hi).map(lambda v: str(v).zfill(width))
+
+
+_iso = st.builds(
+    lambda y, mo, d, h, mi, sec, frac, zone: f"{y}-{mo}-{d}T{h}:{mi}:{sec}{frac}{zone}",
+    st.sampled_from(["0001", "1970", "2024", "2026", "9999"]) | _num(0, 9999, 4),
+    _num(0, 13, 2), _num(0, 32, 2), _num(0, 25, 2), _num(0, 61, 2), _num(0, 61, 2),
+    st.just("") | st.text("0123456789", min_size=1, max_size=9).map(lambda f: "." + f),
+    st.sampled_from(["", "Z"]) | st.builds(
+        lambda sign, hh, sep, mm: f"{sign}{hh}{sep}{mm}",
+        st.sampled_from("+-"), _num(0, 25, 2), st.sampled_from(["", ":"]), _num(0, 61, 2)),
+)
+# shapes outside the one ISO grammar: null stamps on both paths
+_not_iso = st.sampled_from(["2026", "2026-01", "20260101T000456Z", "2026-01-01 00:04:56",
+                            "2026-01-01t00:04:56z", "10/11/2003", "-"])
+_bsd = st.builds(
+    lambda mon, day, h, mi, sec: f"{mon} {day} {h}:{mi}:{sec}",
+    st.sampled_from(["Jan", "Feb", "Dec", "Aug"]),
+    st.sampled_from(["30", "29", " 7", "00", "31"]) | _num(0, 32, 2),
+    st.sampled_from(["24", "23"]) | _num(0, 25, 2), _num(0, 61, 2), _num(0, 61, 2),
+)
+_tok = st.text("ab1-.:[]=\"\\\t\x0b", min_size=1, max_size=8)
+_field = st.just("-") | _tok
+_sd_value = st.text('ab "\\]=', max_size=6).map(
+    lambda v: '"' + v.replace("\\", "\\\\").replace('"', '\\"').replace("]", "\\]") + '"')
+_sd_elem = st.builds(
+    lambda sdid, params: f"[{sdid}{params}]",
+    st.sampled_from(["ex@0", "origin", "a"]),
+    st.lists(st.builds(lambda k, v: f" {k}={v}", st.sampled_from(["k", "q", "ip"]),
+                       _sd_value | st.text("ab1", max_size=4)), max_size=3).map("".join),
+)
+_sd = st.just("-") | st.lists(_sd_elem, min_size=1, max_size=3).map("".join) \
+    | st.sampled_from(["[bad", "[a k=\"v\"", "[]"])
+_tail = st.sampled_from(["prog[pid]: message", "prog: m", "prog[12 34]: m", "prog[123",
+                         "prog[12:", "127.0.0.1[pid]: x", "[noname]: m", "65536",
+                         "prog!: m", "a(b)/c.d-e_f[1]: m", ""]) \
+    | st.text(" :[]ab1.-/!\t\n", max_size=16)
+_pri = st.sampled_from(["", "<13>", "<189> ", "<0>", "<999>"]) | _num(0, 999, 1).map(lambda p: f"<{p}>")
+
+_line = st.one_of(
+    # RFC5424: nil fields, SD blocks, trailing spaces
+    st.builds(lambda pri, ts, host, app, pid, msgid, sd, msg:
+              f"<{pri}>1 {ts} {host} {app} {pid} {msgid} {sd}{msg}",
+              _num(0, 999, 1), _iso | _not_iso | _tok, _field, _field, _field, _field, _sd,
+              st.sampled_from(["", " ", " msg", "  trailing  ", " evt count=1\n"])),
+    # RFC3164 with a BSD or an ISO stamp (or an ISO-like non-stamp)
+    st.builds(lambda pri, stamp, sp, host, tail: f"{pri}{stamp}{sp}{host}{tail}",
+              _pri, _bsd | _iso | _not_iso, st.sampled_from([" ", "  "]),
+              st.sampled_from(["host", "h2", "10.0.0.1"]),
+              st.just("") | _tail.map(lambda tl: " " + tl)),
+    # PRI with a missing timestamp
+    st.builds(lambda pri, sp, tail: f"<{pri}>{sp}{tail}",
+              _num(0, 999, 1), st.sampled_from(["", " ", "  "]), _tail),
+    # a '<' that never closes a PRI
+    st.sampled_from(["<189 Aug 17 05:02:28 h p: m", "<abc> x", "<1234>x", "<", "<13"]),
+    st.text(max_size=40),
+)
+_recv = st.none() | st.sampled_from([datetime(2026, 1, 2), datetime(2025, 12, 31, 23)]) \
+    | st.datetimes(min_value=datetime(1971, 1, 1), max_value=datetime(2100, 1, 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_line, _recv), min_size=1, max_size=20), st.booleans())
+def test_vectorized_matches_scalar_oracle_differential(rows, check_program):
+    lines, recvs = zip(*rows)
+    t = pa.table({"text": pa.array(lines, pa.string()),
+                  "warc_ts": pa.array(recvs, pa.timestamp("us"))})
+    _assert_oracle_agrees(t, check_program)
