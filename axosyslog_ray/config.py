@@ -1538,7 +1538,7 @@ def _compile_parser(d: Driver):
             if os.path.exists(cand):
                 path = cand
         rules, _ = load_ruleset(str(path))
-        pdb = PatternDB(rules, selection="radix")
+        pdb = PatternDB(rules)
         drop = str(d.kw1("drop-unmatched", "no")).lower() in ("yes", "on",
                                                               "1", "true")
 

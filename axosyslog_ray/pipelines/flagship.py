@@ -22,7 +22,6 @@ from __future__ import annotations
 import re
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -30,6 +29,9 @@ from .. import fixtures
 from ..enrich.context import AddContextualData, parse_context_csv
 from ..enrich.geoip import GeoIP
 from ..route import Cmp, Router, Severity, TagFilter, TRUE
+from ..stages.csv_parser import apache_parser
+from ..stages.json_parser import _loads
+from ..stages.kv_parser import KvParser
 from ..stages.patterndb import PatternDB
 from ..stages.syslog import parse_syslog_table
 
@@ -43,53 +45,79 @@ SINKS = ["errors", "auth", "web", "other"]
 # whole batch run through Arrow RE2 instead.
 # ---------------------------------------------------------------------------
 
+# unquoted fields must not open a quote section (the csv scanner opens
+# one on a field-initial `"` or `[`) and the bracketed stamp must not
+# hold a backslash (the scanner's escape-backslash dialect applies there)
 APACHE_RE2 = (
-    r'^(?P<clientip>\S+) (?P<ident>\S+) (?P<auth>\S+) \[(?P<ats>[^\]]*)\] '
-    r'"(?P<request>(?:[^"\\]|\\.)*)" (?P<status>\S+) (?P<bytes>\S+) '
-    r'"(?P<referrer>(?:[^"\\]|\\.)*)" "(?P<agent>(?:[^"\\]|\\.)*)" '
-    r'(?P<rt>\S+) (?P<vhost>\S+)$'
+    r'^(?P<clientip>[^\s"\[]\S*) (?P<ident>[^\s"\[]\S*) (?P<auth>[^\s"\[]\S*) '
+    r'\[(?P<ats>[^\]\\]*)\] "(?P<request>(?:[^"\\]|\\.)*)" (?P<status>[^\s"\[]\S*) '
+    r'(?P<bytes>[^\s"\[]\S*) "(?P<referrer>(?:[^"\\]|\\.)*)" '
+    r'"(?P<agent>(?:[^"\\]|\\.)*)" (?P<rt>[^\s"\[]\S*) (?P<vhost>[^\s"\[]\S*)$'
 )
 
 
 def fast_apache(text: pa.ChunkedArray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """-> (valid, clientip, status) via one RE2 pass."""
-    st = pc.extract_regex(pc.cast(text, pa.string()), pattern=APACHE_RE2)
-    clientip = pc.struct_field(st, "clientip")
-    status = pc.struct_field(st, "status")
-    valid = pc.is_valid(clientip).to_numpy(zero_copy_only=False)
-    return (
-        np.asarray(valid, dtype=bool),
-        clientip.to_pandas().astype(object).where(pd.notna(clientip.to_pandas()), None).to_numpy(dtype=object),
-        status.to_pandas().astype(object).where(pd.notna(status.to_pandas()), None).to_numpy(dtype=object),
-    )
+    """-> (valid, clientip, status) as apache_parser gives them: one RE2
+    pass, and the csv scanner on the rows the RE2 rejects (apache
+    quote pairs are optional, so those may still be valid)."""
+    text = pc.cast(text, pa.string())
+    st = pc.extract_regex(text, pattern=APACHE_RE2)
+    valid = pc.is_valid(st).to_numpy(zero_copy_only=False)
+    clientip = pc.struct_field(st, "clientip").to_numpy(zero_copy_only=False)
+    status = pc.struct_field(st, "status").to_numpy(zero_copy_only=False)
+    rest = np.flatnonzero(~valid)
+    if len(rest):
+        got = apache_parser(source_col="text", prefix="web_")(
+            pa.table({"text": text.take(pa.array(rest))}))
+        valid[rest] = got.column("csv_valid").to_numpy()
+        clientip[rest] = got.column("web_clientip").to_numpy()
+        status[rest] = got.column("web_status").to_numpy()
+    return valid, clientip, status
 
 
-_KV_FAST_RE = r'(?:^|[,\s])%s=(?P<v>"(?:[^"\\]|\\.)*"|[^,\s]*)'
+# kv rows of the shape the kv scanner has nothing to decide on, where
+# one RE2 pass gives its answer exactly: `key=value` pairs; a double-
+# quoted value holds no `"`, backslash, `=` or NUL, a bare one no
+# whitespace, comma, quote, backslash, `=` or NUL; a bare value ends at
+# ", " or at " key=", a quoted one at ", " or " "; stray words (which
+# the scanner skips) only at the start or after those separators,
+# except a bare value's " " (where the scanner would glue them in)
+_KV_KEY = r"[A-Za-z0-9._-]+"
+_KV_QUOTED = r'"[^"\\=\x00]*"'
+_KV_BARE = r'[^\s,"\'\\=\x00]*'
+_KV_STRAY = r'(?:[^\s,"\'\\=\x00]+ )*'
+_KV_SIMPLE = (rf"^{_KV_STRAY}(?:{_KV_KEY}=(?:{_KV_QUOTED}(?:,? {_KV_STRAY}|$)"
+              rf"|{_KV_BARE}(?:, {_KV_STRAY}| |$)))+$")
+# the last `key=` wins, as in KvParser(promote=...)
+_KV_LAST = rf"(?s)^(?:.* )?%s=(?P<v>{_KV_QUOTED}|{_KV_BARE})"
 
 
 def fast_kv_promote(text: pa.ChunkedArray, key: str) -> np.ndarray:
-    """First value of `key=` per row via RE2 (quoted values unescaped)."""
-    st = pc.extract_regex(pc.cast(text, pa.string()), pattern=_KV_FAST_RE % re.escape(key))
-    vals = pc.struct_field(st, "v").to_pandas()
-    out = vals.astype(object).where(vals.notna(), None).to_numpy(dtype=object)
-    for i, v in enumerate(out):
-        if v and len(v) >= 2 and v[0] == '"' and v[-1] == '"':
-            out[i] = re.sub(r"\\(.)", r"\1", v[1:-1])
+    """The value KvParser(promote=[key]) gives per row: one RE2 pass on
+    the rows of the simple shape above, the kv scanner on the rest."""
+    text = pc.cast(text, pa.string())
+    simple = pc.match_substring_regex(text, _KV_SIMPLE).to_numpy(zero_copy_only=False)
+    v = pc.struct_field(pc.extract_regex(text, _KV_LAST % re.escape(key)), "v")
+    v = pc.if_else(pc.starts_with(v, '"'), pc.utf8_slice_codeunits(v, 1, -1), v)
+    out = v.to_numpy(zero_copy_only=False)
+    rest = np.flatnonzero(~simple)
+    if len(rest):
+        got = KvParser(source_col="text", promote=[key])(
+            pa.table({"text": text.take(pa.array(rest))}))
+        out[rest] = got.column(key).to_numpy()
     return out
 
 
 def fast_json_valid(text_np: np.ndarray, cand: np.ndarray) -> np.ndarray:
-    """json_valid for candidate rows: parse without flattening."""
-    import json as _json
-
+    """json_valid for candidate rows: parse without flattening, with the
+    JSON decoder JsonParser uses."""
     out = np.zeros(len(text_np), dtype=bool)
     for i in np.flatnonzero(cand):
         try:
-            out[i] = isinstance(_json.loads(text_np[i]), dict)
+            out[i] = isinstance(_loads(text_np[i]), dict)
         except Exception:
             pass
     return out
-
 
 
 def _coalesce_str(*cols) -> pa.Array:

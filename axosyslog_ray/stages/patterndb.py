@@ -1,30 +1,28 @@
 """PatternDB: typed-wildcard pattern matching with rule metadata.
 
-Mirrors the reference's db-parser()/PatternDB match+extract semantics
+Mirrors the reference's db-parser()/PatternDB classification
 (reference modules/correlation/patterndb.c:591-623 process, :513-570
 matching-rule path; parser types modules/correlation/radix.h:33-52;
-ruleset load modules/correlation/pdb-load.c) — NOT its radix-trie
-implementation. Rules are declared with the reference's wildcard syntax
-(@ESTRING:name:term@, @NUMBER:name@, @IPv4:name@, @QSTRING:name:q@,
-@STRING:name@, @FLOAT:name@, @ANYSTRING:name@, @SET:name:chars@,
-@EMAIL:name@, @HOSTNAME:name@, @MACADDR:name@), compiled once per actor
-into anchored regexes with named groups.
+ruleset load modules/correlation/pdb-load.c). Rules are declared with
+the reference's wildcard syntax (@ESTRING:name:term@, @NUMBER:name@,
+@IPv4:name@, @QSTRING:name:q@, @STRING:name@, @FLOAT:name@,
+@ANYSTRING:name@, @SET:name:chars@, @EMAIL:name@, @HOSTNAME:name@,
+@MACADDR:name@), compiled once per actor into anchored regexes with
+named groups.
 
-Rule selection: `selection="ordered"` (default) is first-match-wins in
-declaration order; `selection="radix"` reproduces the reference's radix
-lookup (stages/radix.py models radix.c's literal-over-parser preference
-with backtracking AND the partial-prefix fallback) — the vectorized
-regex pass stays the bulk matcher, the trie resolves only ambiguous or
-prefix-only rows.
+Rule selection is the reference's radix lookup (radix.c:1482-1566), the
+only one: literal edges beat parser edges at every position, and when no
+rule matches the whole message a rule matching a PREFIX of it wins. The
+flagship, db-parser() and pdbtool all run it. The bulk matching is
+vectorized — one RE2 pass per rule over the rows its program gate
+admits — and the per-row trie walk (stages/radix.py) runs only for rows
+two or more rules match in full, or that no rule matches in full but
+some rule matches a prefix of.
 
 A matched rule writes: `pdb_rule` (rule id), `pdb_class` (rule class,
-default 'system'), extracted values into promoted string columns
-`pdb_values` map, and appends the rule's tags. Unmatched rows keep
-nulls (`pdb_rule is null` ≙ the reference's 'unknown' classification).
-
-Scale shape: stateful actor-pool stage — compile rules once per actor
-(__init__), per batch each rule's regex runs vectorized on the subset of
-rows whose `program` matches the rule's program glob.
+default 'system'), the extracted values into the `pdb_values` map, and
+merges the rule's tags into `tags`. Unmatched rows keep nulls
+(`pdb_rule is null` ≙ the reference's 'unknown' classification).
 """
 
 from __future__ import annotations
@@ -33,9 +31,11 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from .radix import RadixTree
+from .syslog import _scatter
 
 _WILDCARD = re.compile(r"@([A-Za-z0-9]+)(?::([^:@]*)(?::([^@]*))?)?@")
 
@@ -119,6 +119,15 @@ class PdbRule:
     program_pattern: str | None = None
 
 
+_VALUES = pa.map_(pa.string(), pa.string())
+_TAGS = pa.list_(pa.string())
+
+
+def _py(strings: pa.Array) -> list:
+    """Arrow strings -> Python list (via numpy: far cheaper than to_pylist)."""
+    return strings.to_numpy(zero_copy_only=False).tolist()
+
+
 # a small bundled ruleset matching the synthetic corpus (FIXTURES.md §3);
 # shapes follow the reference's own example rules (pdb-example.c corpus)
 DEFAULT_RULES = [
@@ -141,356 +150,191 @@ DEFAULT_RULES = [
 class PatternDB:
     """Actor-pool stage: `ds.map_batches(PatternDB, concurrency=N)`.
 
-    `selection="ordered"` (default) keeps declaration order —
-    first-match-wins. `selection="radix"` reproduces the reference's
-    radix-trie lookup exactly (modules/correlation/radix.c): literal
-    edges beat parser edges at every position with backtracking, and a
-    rule whose whole pattern matches a PREFIX of the message wins when
-    no complete match exists (the two-pass partial fallback,
-    radix.c:1552). The bulk matching stays vectorized — the per-row
-    trie walk (stages/radix.py) runs ONLY for rows the vectorized pass
-    flags as ambiguous (2+ full matches) or prefix-only."""
+    One batch is classified in three steps:
 
-    def __init__(self, rules: list[PdbRule] | None = None, rules_ref=None,
-                 source_col: str = "message", program_col: str = "program",
-                 selection: str = "ordered"):
-        if rules_ref is not None:
-            import ray
+    1. each rule's program gate, once per batch and per DISTINCT
+       program value; a rule's full-pattern regex then runs in one RE2
+       pass, with no short-circuit, over the non-null messages its gate
+       admits;
+    2. rows that one rule matched take it; rows that two or more rules
+       matched, and rows that no rule matched but some gated rule
+       matches a PREFIX of, go to the trie walk (stages/radix.py),
+       which picks among exactly those rules — literal edges beat
+       parser edges, and a prefix match wins only when there is no
+       complete one (the two-pass partial fallback, radix.c:1552);
+    3. `pdb_rule`/`pdb_class` are `take`s from per-rule arrays;
+       `pdb_values` and `tags` are built in Python for the winning rows
+       only and put in place with one `take` each."""
 
-            rules = ray.get(rules_ref)
-        if selection not in ("ordered", "radix"):
-            raise ValueError("selection must be ordered|radix")
-        self.selection = selection
+    def __init__(self, rules: list[PdbRule] | None = None):
         self.rules = rules if rules is not None else DEFAULT_RULES
-        self.compiled = [(r, compile_pattern(r.pattern)) for r in self.rules]
-        self.source_col = source_col
-        self.program_col = program_col
+        self.compiled = [compile_pattern(r.pattern) for r in self.rules]
+        # the same regexes without the $ anchor flag prefix matches
+        self.prefix_compiled = [re.compile(rx.pattern[:-1], re.S) for rx in self.compiled]
         self._prog_rx = {
             r.program_pattern: compile_pattern(r.program_pattern)
             for r in self.rules if r.program_pattern is not None
         }
-        self._prog_memo: dict = {}
-        self.value_names = sorted(
-            {_dec_name(n) for _, rx in self.compiled for n in rx.groupindex}
-            | {n for r in self.rules for n in r.values}
-            | {_dec_name(n) for rx in self._prog_rx.values()
-               for n in rx.groupindex}
-        )
-        if selection == "radix":
-            from .radix import RadixTree
+        # one tree per exact program: a program-bound rule shadows a
+        # match-any one, like the reference's program-level radix
+        self.trees: dict[str | None, RadixTree] = {}
+        for idx, r in enumerate(self.rules):
+            self.trees.setdefault(r.program, RadixTree()).insert(r.pattern, idx)
+        self._ids = pa.array([r.rule_id for r in self.rules], pa.string())
+        self._classes = pa.array([r.rule_class for r in self.rules], pa.string())
+        self._tags = pa.array([sorted(set(r.tags)) for r in self.rules], _TAGS)
+        self._has_tags = np.array([bool(r.tags) for r in self.rules], dtype=bool)
+        self._not_re2: set = set()
 
-            # one tree per exact program (program specificity shadows the
-            # match-any tree, like the reference's program-level radix);
-            # prefix regexes (no $ anchor) flag partial-fallback candidates
-            self.trees: dict = {}
-            for idx, (r, _rx) in enumerate(self.compiled):
-                self.trees.setdefault(r.program, RadixTree()).insert(r.pattern, idx)
-            self.prefix_compiled = [
-                re.compile(rx.pattern[: -1], re.S) if rx.pattern.endswith("$") else rx
-                for _, rx in self.compiled
-            ]
-
-
-    def _prog_gate(self, rule: PdbRule, prog: pd.Series):
-        """Per-rule program candidacy: (bool mask, program-extracted
-        pairs per row or None). Program-pattern matching is memoized per
-        DISTINCT program value in the batch (tiny cardinality)."""
-        n = len(prog)
-        if rule.program_pattern is None:
-            if rule.program is not None:
-                return (prog == rule.program).fillna(False).to_numpy(), None
-            return np.ones(n, dtype=bool), None
-        rx = self._prog_rx[rule.program_pattern]
-        key = rule.program_pattern
-        codes, uniq = pd.factorize(prog.to_numpy(dtype=object))
-        per_uniq = []
-        for u in uniq:
-            m = rx.match(u) if isinstance(u, str) else None
-            per_uniq.append(
-                [(_dec_name(k), v) for k, v in m.groupdict().items()
-                 if v is not None]
-                if m else None)
-        mask = np.array([c >= 0 and per_uniq[c] is not None for c in codes],
-                        dtype=bool)
-        return mask, (codes, per_uniq)
-
-    def _prog_pairs(self, gate_vals, i: int) -> list:
-        if gate_vals is None:
-            return []
-        codes, per_uniq = gate_vals
-        v = per_uniq[codes[int(i)]]
-        return list(v) if v else []
-
-    def _rule_extract(self, rule_idx: int, rx: re.Pattern, sub_arrow: pa.Array):
-        """Match+extract one rule over the candidate rows: Arrow RE2 (one C
-        pass, no pandas string churn) with a per-rule pandas fallback for
-        non-RE2 patterns (@PCRE@ with lookarounds etc). Returns (hit bool
-        ndarray, {group: list-of-values for hit rows})."""
-        import pyarrow.compute as pc
-
-        names = list(rx.groupindex.keys())
-        if not hasattr(self, "_re2_ok"):
-            self._re2_ok = {}
-        if self._re2_ok.get(rule_idx, True):
-            try:
-                if names:
-                    st = pc.extract_regex(sub_arrow, pattern="(?s)" + rx.pattern)
-                    hit = np.asarray(pc.is_valid(st).to_numpy(zero_copy_only=False), dtype=bool)
-                    hit_arr = pa.array(hit)
-                    cols = {nm: pc.struct_field(st, nm).filter(hit_arr).to_pylist() for nm in names}
-                else:
-                    m = pc.fill_null(pc.match_substring_regex(sub_arrow, "(?s)" + rx.pattern), False)
-                    hit = np.asarray(m.to_numpy(zero_copy_only=False), dtype=bool)
-                    cols = {}
-                self._re2_ok[rule_idx] = True
-                return hit, cols
-            except pa.ArrowInvalid:
-                self._re2_ok[rule_idx] = False
-        sub = pd.Series(sub_arrow.to_pandas()).astype("string")
-        ex = sub.str.extract(rx)
-        if ex.shape[1] == 0:
-            hit = sub.str.match(rx, na=False).to_numpy()
-            return hit, {}
-        hit = ex.notna().any(axis=1).to_numpy()
-        cols = {}
-        for nm in names:
-            sub_col = ex[nm][hit]
-            cols[nm] = sub_col.astype(object).where(sub_col.notna(), None).tolist()
-        return hit, cols
-
-    def _msg_prog_valid(self, table: pa.Table):
+    def _gates(self, table: pa.Table):
+        """-> (uniq, codes, gates): row i's program is `uniq[codes[i]]`
+        (a null or missing program is the last, None); `gates` holds per
+        rule its candidate row mask and, for a program-pattern rule, the
+        program's captures per code (None where it does not match)."""
         n = table.num_rows
-        col = table.column(self.source_col)
-        col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-        arrow_msg = pc.fill_null(pc.cast(col, pa.string()), "")
-        prog = (
-            table.column(self.program_col).to_pandas().astype("string")
-            if self.program_col in table.column_names
-            else pd.Series([None] * n, dtype="string")
-        )
-        msg_valid = ~np.asarray(col.is_null().to_numpy(zero_copy_only=False), dtype=bool)
-        return arrow_msg, prog, msg_valid
-
-    def _assemble(self, table: pa.Table, rule_col, class_col, vmaps) -> pa.Table:
-        n = table.num_rows
-        tag_lists = (
-            table.column("tags").to_pandas().map(lambda v: list(v) if v is not None else []).tolist()
-            if "tags" in table.column_names
-            else [[] for _ in range(n)]
-        )
-        by_id = {r.rule_id: r for r in self.rules}
-        for i in range(n):
-            rid = rule_col[i]
-            if rid is None:
-                continue
-            rtags = by_id[rid].tags
-            if rtags:
-                rt = sorted(set(rtags))
-                tag_lists[i] = sorted(set(tag_lists[i]) | set(rt)) if tag_lists[i] else rt
-        out = table
-        for name, arr, typ in (
-            ("pdb_rule", rule_col, pa.string()),
-            ("pdb_class", class_col, pa.string()),
-            ("pdb_values", vmaps, pa.map_(pa.string(), pa.string())),
-        ):
-            out = out.append_column(name, pa.array(arr, type=typ))
-        tags_arr = pa.array(tag_lists, type=pa.list_(pa.string()))
-        if "tags" in out.column_names:
-            out = out.set_column(out.column_names.index("tags"), "tags", tags_arr)
+        if "program" in table.column_names:
+            enc = pc.dictionary_encode(
+                pc.cast(table.column("program").combine_chunks(), pa.string()))
+            uniq = enc.dictionary.to_pylist() + [None]
+            codes = pc.fill_null(enc.indices, len(uniq) - 1).to_numpy()
         else:
-            out = out.append_column("tags", tags_arr)
-        return out
+            uniq, codes = [None], np.zeros(n, dtype=np.int32)
+        gates = []
+        for rule in self.rules:
+            if rule.program_pattern is None:
+                caps = None
+                ok = [rule.program is None or u == rule.program for u in uniq]
+            else:
+                rx = self._prog_rx[rule.program_pattern]
+                caps = []
+                for u in uniq:
+                    m = rx.match(u) if u is not None else None
+                    caps.append([(_dec_name(k), v) for k, v in m.groupdict().items()
+                                 if v is not None] if m else None)
+                ok = [c is not None for c in caps]
+            gates.append((np.array(ok, dtype=bool)[codes], caps))
+        return uniq, codes, gates
 
-    def _call_radix(self, table: pa.Table) -> pa.Table:
-        """Radix selection: one vectorized full-match pass per rule with
-        NO short-circuit, then winners resolved per row — single-hit
-        rows directly, 2+-hit rows by trie walk (literal-preference
-        shadowing), zero-hit rows with a vectorized prefix hit by the
-        trie's partial fallback. Python-loop cost is bounded by the
-        ambiguous/prefix rows, not the batch."""
-        n = table.num_rows
-        arrow_msg, prog, msg_valid = self._msg_prog_valid(table)
-        hit_count = np.zeros(n, dtype=np.int16)
-        first_hit = np.full(n, -1, dtype=np.int32)
-        infos: list = []
-        gates: list = []
-        for rule_idx, (rule, rx) in enumerate(self.compiled):
-            gate_mask, gate_vals = self._prog_gate(rule, prog)
-            gates.append(gate_vals)
-            cand = msg_valid & gate_mask
-            if not cand.any():
-                infos.append(None)
-                continue
-            cand_idx = np.flatnonzero(cand)
-            hit, cols = self._rule_extract(rule_idx, rx, arrow_msg.take(pa.array(cand_idx, type=pa.int64())))
-            rows = cand_idx[hit]
-            hit_count[rows] += 1
-            first_hit[rows[first_hit[rows] < 0]] = rule_idx
-            infos.append((rows, cols))
-        winner = np.full(n, -1, dtype=np.int32)
-        single = hit_count == 1
-        winner[single] = first_hit[single]
+    def _match(self, rx: re.Pattern, sub: pa.Array, extract: bool = True):
+        """One pass of `rx` over the candidate messages `sub` -> (hit bool
+        ndarray, {group: Arrow values of the hit rows}). Arrow RE2 runs
+        it in one C pass; a pattern RE2 rejects (@PCRE@ lookarounds,
+        backreferences) runs through Python `re` per row from then on."""
+        names = list(rx.groupindex) if extract else []
+        if rx not in self._not_re2:
+            try:
+                if not names:
+                    hit = pc.match_substring_regex(sub, "(?s)" + rx.pattern)
+                    return hit.to_numpy(zero_copy_only=False), {}
+                st = pc.extract_regex(sub, pattern="(?s)" + rx.pattern)
+                ok = pc.is_valid(st)
+                st = st.filter(ok)
+                return ok.to_numpy(zero_copy_only=False), {
+                    nm: pc.struct_field(st, nm) for nm in names}
+            except pa.ArrowInvalid:
+                self._not_re2.add(rx)
+        # rx is ^-anchored without re.M, so match() is search()
+        ms = [rx.match(s) for s in _py(sub)]
+        hit = np.array([m is not None for m in ms], dtype=bool)
+        return hit, {nm: pa.array([m.group(nm) for m in ms if m is not None], pa.string())
+                     for nm in names}
 
-        prog_arr = prog.to_numpy(dtype=object)
-
-        def _trie_lookup(i, msg, valid=None):
-            """Program-specific tree first (program specificity shadows
-            match-any, like the reference's program-level radix), then
-            the match-any tree; a `valid` rule set filters results so a
-            partial match in one tree cannot shadow a full match known
-            to exist in the other."""
-            p = prog_arr[i]
-            p = None if p is None or (np.ndim(p) == 0 and pd.isna(p)) else p
-            trees = [self.trees[p]] if p in self.trees else []
-            if None in self.trees:
-                trees.append(self.trees[None])
-            for t in trees:
-                res = t.lookup(msg)
-                if res is not None and (valid is None or res[0] in valid):
-                    return res
-            return None
-
-        walk_caps: dict[int, list] = {}
-        amb = np.flatnonzero(hit_count >= 2)
-        if len(amb):
-            amb_rules: dict[int, set] = {int(i): set() for i in amb}
-            for rule_idx, info in enumerate(infos):
-                if info is None:
-                    continue
-                for r in info[0]:
-                    ri = int(r)
-                    if ri in amb_rules:
-                        amb_rules[ri].add(rule_idx)
-            msgs = arrow_msg.take(pa.array(amb, type=pa.int64())).to_pylist()
-            for j, i in enumerate(amb):
-                res = _trie_lookup(i, msgs[j], valid=amb_rules[int(i)])
-                winner[i] = res[0] if res is not None else first_hit[i]
-        # prefix-only (partial fallback) candidates among zero-hit rows
-        zero = msg_valid & (hit_count == 0)
-        if zero.any():
-            partial_cand = np.zeros(n, dtype=bool)
-            for rule_idx, (rule, _rx) in enumerate(self.compiled):
-                gate_mask, _gv = self._prog_gate(rule, prog)
-                cand = zero & gate_mask
-                if not cand.any():
-                    continue
-                cand_idx = np.flatnonzero(cand & ~partial_cand)
-                if not len(cand_idx):
-                    continue
-                try:
-                    m = pc.fill_null(pc.match_substring_regex(
-                        arrow_msg.take(pa.array(cand_idx, type=pa.int64())),
-                        "(?s)" + self.prefix_compiled[rule_idx].pattern), False)
-                    hits = np.asarray(m.to_numpy(zero_copy_only=False), dtype=bool)
-                except pa.ArrowInvalid:
-                    sub = pd.Series(arrow_msg.take(pa.array(cand_idx, type=pa.int64())).to_pandas()).astype("string")
-                    hits = sub.str.match(self.prefix_compiled[rule_idx], na=False).to_numpy()
-                partial_cand[cand_idx[hits]] = True
-            prows = np.flatnonzero(partial_cand)
-            if len(prows):
-                msgs = arrow_msg.take(pa.array(prows, type=pa.int64())).to_pylist()
-                for j, i in enumerate(prows):
-                    res = _trie_lookup(i, msgs[j])
-                    if res is not None:
-                        winner[i] = res[0]
-                        walk_caps[i] = res[1]
-
-        rule_col = np.full(n, None, dtype=object)
-        class_col = np.full(n, None, dtype=object)
-        vmaps = np.full(n, None, dtype=object)
-        for rule_idx, info in enumerate(infos):
-            if info is None:
-                continue
-            rows, cols = info
-            rule, rx = self.compiled[rule_idx]
-            names = list(rx.groupindex.keys())
-            static_items = list(rule.values.items())
-            pos = {int(r): k for k, r in enumerate(rows)}
-            won = rows[winner[rows] == rule_idx]
-            for i in won:
-                rule_col[i] = rule.rule_id
-                class_col[i] = rule.rule_class
-                pairs = list(static_items) + self._prog_pairs(gates[rule_idx], i)
-                k = pos[int(i)]
-                for nm in names:
-                    v = cols[nm][k]
-                    if v is not None:
-                        pairs.append((_dec_name(nm), v))
-                vmaps[i] = pairs
-        # partial winners: values come from the trie walk's captures
-        for i, caps in walk_caps.items():
-            if winner[i] < 0:
-                continue
-            rule, _rx = self.compiled[winner[i]]
-            rule_col[i] = rule.rule_id
-            class_col[i] = rule.rule_class
-            vmaps[i] = list(rule.values.items()) + [(nm, v) for nm, v in caps]
-        return self._assemble(table, rule_col, class_col, vmaps)
+    def _lookup(self, program, message: str, valid: set):
+        """Trie walk: the program's own tree, then the match-any tree. A
+        winner outside `valid` (the rules the vectorized pass found for
+        this row) is skipped, so one tree cannot shadow a match the
+        other holds."""
+        for key in dict.fromkeys((program, None)):
+            tree = self.trees.get(key)
+            res = tree.lookup(message) if tree is not None else None
+            if res is not None and res[0] in valid:
+                return res
+        return None
 
     def __call__(self, table: pa.Table) -> pa.Table:
-        if self.selection == "radix":
-            return self._call_radix(table)
         n = table.num_rows
-        arrow_msg = table.column(self.source_col)
-        arrow_msg = pc.fill_null(pc.cast(
-            arrow_msg.combine_chunks() if isinstance(arrow_msg, pa.ChunkedArray) else arrow_msg,
-            pa.string()), "")
-        prog = (
-            table.column(self.program_col).to_pandas().astype("string")
-            if self.program_col in table.column_names
-            else pd.Series([None] * n, dtype="string")
-        )
-        rule_col = np.full(n, None, dtype=object)
-        class_col = np.full(n, None, dtype=object)
-        vmaps = np.full(n, None, dtype=object)
-        tag_lists = (
-            table.column("tags").to_pandas().map(lambda v: list(v) if v is not None else []).tolist()
-            if "tags" in table.column_names
-            else [[] for _ in range(n)]
-        )
-        # null messages never match (the pandas NA semantics of the old path)
-        msg_valid = ~np.asarray(
-            table.column(self.source_col).is_null().to_numpy(zero_copy_only=False)
-            if isinstance(table.column(self.source_col), pa.Array)
-            else table.column(self.source_col).combine_chunks().is_null().to_numpy(zero_copy_only=False),
-            dtype=bool,
-        )
-        unmatched = np.ones(n, dtype=bool)
-        for rule_idx, (rule, rx) in enumerate(self.compiled):
-            gate_mask, gate_vals = self._prog_gate(rule, prog)
-            cand = unmatched & msg_valid & gate_mask
-            if not cand.any():
+        col = table.column("message").combine_chunks()
+        msg = pc.fill_null(pc.cast(col, pa.string()), "")
+        msg_valid = ~col.is_null().to_numpy(zero_copy_only=False)
+        uniq, codes, gates = self._gates(table)
+
+        # 1. one full-match pass per rule, no short-circuit
+        hit_count = np.zeros(n, dtype=np.int16)
+        first_hit = np.full(n, -1, dtype=np.int32)
+        hits = []  # per rule: (hit rows, {group: values})
+        for idx, rx in enumerate(self.compiled):
+            cand = np.flatnonzero(msg_valid & gates[idx][0])
+            hit, cols = self._match(rx, msg.take(cand))
+            rows = cand[hit]
+            hit_count[rows] += 1
+            first_hit[rows[first_hit[rows] < 0]] = idx
+            hits.append((rows, cols))
+        winner = np.where(hit_count == 1, first_hit, -1)
+
+        # 2. the trie picks among the rules found for ambiguous rows and
+        # among the prefix-matching rules for rows with no full match
+        found: dict[int, set] = {}
+        for idx, (rows, _) in enumerate(hits):
+            for i in rows[hit_count[rows] >= 2].tolist():
+                found.setdefault(i, set()).add(idx)
+        zero = msg_valid & (hit_count == 0)
+        for idx, rx in enumerate(self.prefix_compiled):
+            cand = np.flatnonzero(zero & gates[idx][0])
+            if len(cand):
+                hit, _ = self._match(rx, msg.take(cand), extract=False)
+                for i in cand[hit].tolist():
+                    found.setdefault(i, set()).add(idx)
+        walk_caps: dict[int, list] = {}
+        if found:
+            rows = np.fromiter(found, dtype=np.int64, count=len(found))
+            for i, s in zip(found, _py(msg.take(rows))):
+                res = self._lookup(uniq[codes[i]], s, found[i])
+                if hit_count[i]:  # the regex pass holds the captures
+                    winner[i] = res[0] if res is not None else first_hit[i]
+                elif res is not None:  # prefix-only: the walk's captures
+                    winner[i], walk_caps[i] = res
+
+        # 3. the values and tags of the winning rows
+        won_rows, won_values = [], []
+        for idx, (rows, cols) in enumerate(hits):
+            sel = winner[rows] == idx
+            if not sel.any():
                 continue
-            cand_idx = np.flatnonzero(cand)
-            sub_arrow = arrow_msg.take(pa.array(cand_idx, type=pa.int64()))
-            hit, cols = self._rule_extract(rule_idx, rx, sub_arrow)
-            rows = cand_idx[hit]
-            if not len(rows):
-                continue
-            unmatched[rows] = False
-            rule_col[rows] = rule.rule_id
-            class_col[rows] = rule.rule_class
-            names = list(rx.groupindex.keys())
-            static_items = list(rule.values.items())
-            rule_tags = sorted(set(rule.tags)) if rule.tags else None
-            for k, i in enumerate(rows):
-                pairs = list(static_items) + self._prog_pairs(gate_vals, i)
-                for nm in names:
-                    v = cols[nm][k]
-                    if v is not None:
-                        pairs.append((_dec_name(nm), v))
-                vmaps[i] = pairs
-                if rule_tags:
-                    tag_lists[i] = sorted(set(tag_lists[i]) | set(rule_tags)) if tag_lists[i] else rule_tags
-        out = table
-        for name, arr, typ in (
-            ("pdb_rule", rule_col, pa.string()),
-            ("pdb_class", class_col, pa.string()),
-            ("pdb_values", vmaps, pa.map_(pa.string(), pa.string())),
-        ):
-            out = out.append_column(name, pa.array(arr, type=typ))
+            wrows = rows[sel]
+            keep = pa.array(sel)
+            caught = [(_dec_name(nm), _py(v.filter(keep))) for nm, v in cols.items()]
+            won_rows.append(wrows)
+            won_values += [
+                [(nm, vals[k]) for nm, vals in caught if vals[k] is not None]
+                for k in range(len(wrows))]
+        if walk_caps:
+            won_rows.append(np.fromiter(walk_caps, dtype=np.int64, count=len(walk_caps)))
+            won_values += walk_caps.values()
+        won = np.concatenate(won_rows) if won_rows else np.zeros(0, dtype=np.int64)
+        for k, i in enumerate(won.tolist()):
+            rule = self.rules[winner[i]]
+            prog_caps = gates[winner[i]][1]
+            won_values[k] = (list(rule.values.items())
+                             + (prog_caps[codes[i]] if prog_caps else []) + won_values[k])
+        values = _scatter(n, [(won, pa.array(won_values, _VALUES))], None, _VALUES)
+
+        tags = (table.column("tags").combine_chunks().cast(_TAGS)
+                if "tags" in table.column_names else pa.nulls(n, _TAGS))
+        # a winning rule's tags merge into the row's own (a row without
+        # any takes the rule's sorted tags as they are)
+        tagged = won[self._has_tags[winner[won]]]
+        has_old = pc.fill_null(pc.list_value_length(tags.take(tagged)), 0).to_numpy() > 0
+        plain, merge = tagged[~has_old], tagged[has_old]
+        merged = [sorted(set(self.rules[winner[i]].tags).union(old))
+                  for i, old in zip(merge.tolist(), tags.take(merge).to_pylist())]
+        tags = _scatter(n, [(plain, self._tags.take(winner[plain])),
+                            (merge, pa.array(merged, _TAGS))],
+                        pc.if_else(tags.is_valid(), tags, pa.scalar([], _TAGS)), _TAGS)
+
+        which = pa.array(winner, mask=winner < 0)
+        out = (table.append_column("pdb_rule", self._ids.take(which))
+               .append_column("pdb_class", self._classes.take(which))
+               .append_column("pdb_values", values))
         if "tags" in out.column_names:
-            out = out.set_column(out.column_names.index("tags"), "tags", pa.array(tag_lists, type=pa.list_(pa.string())))
-        else:
-            out = out.append_column("tags", pa.array(tag_lists, type=pa.list_(pa.string())))
-        return out
+            return out.set_column(out.column_names.index("tags"), "tags", tags)
+        return out.append_column("tags", tags)

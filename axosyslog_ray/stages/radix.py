@@ -19,9 +19,9 @@ _find_node_with_state):
 
 This trie decides WHICH rule wins for ambiguous/overlapping patterns
 and for prefix-only matches; the vectorized per-rule regexes in
-patterndb.py remain the bulk-matching fast path (the trie walks only
-the rows the vectorized pass flags as ambiguous — see
-PatternDB.__call__'s radix branch).
+patterndb.py remain the bulk-matching fast path (PatternDB.__call__
+walks the trie only for rows two or more rules match in full, and for
+rows no rule matches in full but some rule matches a prefix of).
 
 Captures are collected during the walk with the reference's span
 conventions: QSTRING strips the quotes (radix.c:54-116 match->ofs/len),

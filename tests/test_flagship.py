@@ -120,3 +120,75 @@ def test_fast_paths_match_generic_parsers():
     for key in ("status", "src_ip"):
         assert fast_kv_promote(kv.column("text"), key).tolist() \
             == want.column(key).to_pylist()
+
+
+# generated lines for the fast-path check: random joins of the atoms each
+# generic parser treats specially (quotes, escapes, separators, repeated
+# keys, stray words, optional apache quote pairs, non-standard JSON)
+_KV_ATOMS = ["status=", "src_ip=", "key1=", "200", "404", "10.1.2.3", '"a b"',
+             '"a\\nb"', "'q r'", '"x=1"', " ", ", ", ",", "=", " = ", "\t", "\n",
+             "\v", "\u00a0", "stray", "x", "\\", '"', "'", "\x00"]
+_APACHE_FIELDS = ["1.2.3.4", "-", "[x]", "x", "[a\\]b]", "[", "GET", '"GET / HTTP/1.1"',
+                  '"-"', '"ua"', '"a\\"b"', '"x', '"a b"', "200", "0.1", "vh", ""]
+_JSON_LINES = ['{"a": 1}', '{"a": NaN}', '{"a": Infinity}', "[1]", "{", "{}",
+               '{"a": "\\ud800"}', '{"a": 1}x', '{"a": {"b": [1, 2]}}', "{'a': 1}"]
+
+
+def _fast_path_lines():
+    from hypothesis import strategies as st
+
+    kv = st.lists(st.sampled_from(_KV_ATOMS), max_size=12).map("".join)
+    apache = st.lists(st.sampled_from(_APACHE_FIELDS), min_size=9, max_size=13).map(" ".join)
+    return st.lists(kv, min_size=1, max_size=8), \
+        st.lists(apache, min_size=1, max_size=8), \
+        st.lists(st.sampled_from(_JSON_LINES), min_size=1, max_size=4)
+
+
+def _check_fast_paths(kv_lines, apache_lines, json_lines):
+    import pyarrow as pa
+
+    from axosyslog_ray.pipelines.flagship import (
+        fast_apache, fast_json_valid, fast_kv_promote)
+    from axosyslog_ray.stages.csv_parser import apache_parser
+    from axosyslog_ray.stages.json_parser import JsonParser
+    from axosyslog_ray.stages.kv_parser import KvParser
+
+    ap = pa.table({"text": pa.array(apache_lines, pa.string())})
+    valid, clientip, status = fast_apache(ap.column("text"))
+    want = apache_parser(source_col="text", prefix="web_")(ap)
+    assert valid.tolist() == want.column("csv_valid").to_pylist()
+    assert clientip.tolist() == want.column("web_clientip").to_pylist()
+    assert status.tolist() == want.column("web_status").to_pylist()
+
+    kv = pa.table({"text": pa.array(kv_lines, pa.string())})
+    want = KvParser(source_col="text", promote=["status", "src_ip"])(kv)
+    for key in ("status", "src_ip"):
+        assert fast_kv_promote(kv.column("text"), key).tolist() \
+            == want.column(key).to_pylist(), key
+
+    js = pa.table({"text": pa.array(json_lines, pa.string())})
+    got = fast_json_valid(np.array(json_lines, dtype=object), np.ones(len(json_lines), dtype=bool))
+    assert got.tolist() == JsonParser(source_col="text")(js).column("json_valid").to_pylist()
+
+
+def test_fast_paths_match_generic_parsers_generated():
+    """The same agreement on generated lines, including the shapes where
+    the RE2 passes alone were wrong: a repeated key (the scanner keeps
+    the last value), escapes, a comma not followed by a space, spaces
+    around `=`, single quotes, a tab, a bare value glued to stray words,
+    and apache lines without the optional quote pairs."""
+    from hypothesis import example, given, settings
+
+    kv_s, apache_s, json_s = _fast_path_lines()
+
+    @settings(max_examples=300, deadline=None)
+    @given(kv_s, apache_s, json_s)
+    @example(["status=200 status=404 x=1", 'status="a\\nb"', "a=1,status=5",
+              "foo status = 7", "status='q r'", "status=\ttab", "status=foo bar x=1"],
+             ["1.2.3.4 - - x \"GET\" 200 1 \"-\" \"ua\" 0.1 vh",
+              "1.2.3.4 - - [x] GET 200 1 - ua 0.1 vh"],
+             ['{"a": NaN}'])
+    def check(kv_lines, apache_lines, json_lines):
+        _check_fast_paths(kv_lines, apache_lines, json_lines)
+
+    check()

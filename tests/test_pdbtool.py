@@ -138,8 +138,7 @@ def test_pdbtool_cli_missing_file_friendly():
 
 def test_radix_selection_longest_literal_prefix_wins():
     """Overlapping patterns: the radix trie picks the most specific
-    literal prefix regardless of declaration order (radix.c); ordered
-    mode keeps first-declared-wins (documented divergence default)."""
+    literal prefix regardless of declaration order (radix.c)."""
     import pyarrow as pa
 
     from axosyslog_ray.stages.patterndb import PatternDB, PdbRule
@@ -150,10 +149,24 @@ def test_radix_selection_longest_literal_prefix_wins():
     ]
     t = pa.table({"message": ["Accepted password for bob "],
                   "program": pa.array(["sshd"], type=pa.string())})
-    ordered = PatternDB(rules)(t).column("pdb_rule").to_pylist()
-    radix = PatternDB(rules, selection="radix")(t).column("pdb_rule").to_pylist()
-    assert ordered == ["generic"]       # first declared
-    assert radix == ["specific"]        # longest literal prefix
+    assert PatternDB(rules)(t).column("pdb_rule").to_pylist() == ["specific"]
+
+
+def test_pdbtool_uses_radix_selection():
+    """pdbtool match/test select rules the way db-parser() does: the
+    radix winner, not the first declared rule."""
+    rules = [
+        PdbRule("generic", "Accepted @ANYSTRING:rest@", program="sshd"),
+        PdbRule("specific", "Accepted password for @ESTRING:user: @", program="sshd"),
+    ]
+    got = match_one(PatternDB(rules), "Accepted password for bob ", "sshd")
+    assert got["rule"] == "specific" and got["values"] == {"user": "bob"}
+    ex = PdbExample("Accepted password for bob ", program="sshd",
+                    expected_rule="specific", expected={"user": "bob"})
+    assert run_conformance(rules, [ex]) == []
+    ex = PdbExample("Accepted password for bob ", program="sshd",
+                    expected_rule="generic")
+    assert len(run_conformance(rules, [ex])) == 1
 
 
 def test_radix_trie_literal_beats_parser_mid_pattern():
@@ -171,7 +184,7 @@ def test_radix_trie_literal_beats_parser_mid_pattern():
         "message": ["user admin logged in", "user bob logged in"],
         "program": pa.array(["app", "app"], type=pa.string()),
     })
-    got = PatternDB(rules, selection="radix")(t).column("pdb_rule").to_pylist()
+    got = PatternDB(rules)(t).column("pdb_rule").to_pylist()
     assert got == ["lit", "wild"]
 
 
@@ -189,13 +202,11 @@ def test_radix_partial_prefix_fallback():
                     "something else entirely"],
         "program": pa.array(["su", "su"], type=pa.string()),
     })
-    out = PatternDB(rules, selection="radix")(t)
+    out = PatternDB(rules)(t)
     assert out.column("pdb_rule").to_pylist() == ["pfx", None]
     # captures come from the trie walk for partial matches
     vals = out.column("pdb_values").to_pylist()
     assert dict(vals[0])["user"] == "root"
-    # ordered mode (anchored regex) does NOT partial-match
-    assert PatternDB(rules)(t).column("pdb_rule").to_pylist() == [None, None]
 
 
 def test_radix_backtracking_across_parser_edges():
@@ -241,7 +252,7 @@ def test_radix_program_specificity():
         "message": ["start x", "start y"],
         "program": pa.array(["svc", "other"], type=pa.string()),
     })
-    got = PatternDB(rules, selection="radix")(t).column("pdb_rule").to_pylist()
+    got = PatternDB(rules)(t).column("pdb_rule").to_pylist()
     assert got == ["mine", "any"]
 
 
@@ -249,12 +260,12 @@ class TestReferencePatternEdgeCases:
     """Pins from the reference's own corpus
     (modules/correlation/tests/test_patterndb.c:766-866 + .h fixtures)."""
 
-    def _db(self, xml, selection="ordered"):
+    def _db(self, xml):
         from axosyslog_ray.pdbtool import load_ruleset_xml
         from axosyslog_ray.stages.patterndb import PatternDB
 
         rules, _ = load_ruleset_xml(xml)
-        return PatternDB(rules, selection=selection)
+        return PatternDB(rules)
 
     def _one(self, db, message, program):
         from axosyslog_ray.pdbtool import match_one
@@ -277,13 +288,12 @@ class TestReferencePatternEdgeCases:
         # test_patterndb.c:817: OPTIONALSET as the LAST parser matches
         # zero chars at end-of-input; with a trailing space it consumes it
         uid = "dcef7d1c-6b79-48c6-a1ac-39cdc9bff966"
-        for sel in ("ordered", "radix"):
-            db = self._db(self.OPTSET_XML, selection=sel)
-            r = self._one(db, f"[{uid}] ", "prog1")
-            assert r["rule"] == "8e8384e8" and r["values"]["id"] == uid
-            assert r["values"]["s"] == " ", sel
-            r = self._one(db, f"[{uid}]", "prog1")
-            assert r["rule"] == "8e8384e8" and r["values"]["s"] == "", sel
+        db = self._db(self.OPTSET_XML)
+        r = self._one(db, f"[{uid}] ", "prog1")
+        assert r["rule"] == "8e8384e8" and r["values"]["id"] == uid
+        assert r["values"]["s"] == " "
+        r = self._one(db, f"[{uid}]", "prog1")
+        assert r["rule"] == "8e8384e8" and r["values"]["s"] == ""
 
     def test_set_at_end_of_input_does_not_match_zero_chars(self):
         # test_patterndb.c:850: @SET@ needs >= 1 char
@@ -294,11 +304,10 @@ class TestReferencePatternEdgeCases:
     <patterns><pattern>prefix@SET:s: @</pattern></patterns>
   </rule></rules>
 </ruleset></patterndb>"""
-        for sel in ("ordered", "radix"):
-            db = self._db(xml, selection=sel)
-            assert self._one(db, "prefix", "prog1")["rule"] is None, sel
-            r = self._one(db, "prefix ", "prog1")
-            assert r["rule"] == "r1" and r["values"]["s"] == " ", sel
+        db = self._db(xml)
+        assert self._one(db, "prefix", "prog1")["rule"] is None
+        r = self._one(db, "prefix ", "prog1")
+        assert r["rule"] == "r1" and r["values"]["s"] == " "
 
     def test_match_in_program(self):
         # test_patterndb.c:766: the ruleset <pattern> matches the
@@ -310,12 +319,11 @@ class TestReferencePatternEdgeCases:
     <patterns><pattern>almafa</pattern></patterns>
   </rule></rules>
 </ruleset></patterndb>"""
-        for sel in ("ordered", "radix"):
-            db = self._db(xml, selection=sel)
-            r = self._one(db, "almafa", "sshd 5")
-            assert r["rule"] == "r2" and r["values"]["num"] == "5", sel
-            # non-matching program -> no classification
-            assert self._one(db, "almafa", "crond 5")["rule"] is None, sel
+        db = self._db(xml)
+        r = self._one(db, "almafa", "sshd 5")
+        assert r["rule"] == "r2" and r["values"]["num"] == "5"
+        # non-matching program -> no classification
+        assert self._one(db, "almafa", "crond 5")["rule"] is None
 
     def test_program_template_style_extraction(self):
         # test_patterndb.c:780 test_program_template: program captures
@@ -330,6 +338,19 @@ class TestReferencePatternEdgeCases:
         db = self._db(xml)
         r = self._one(db, "almafa kortefa", "sshd 5")
         assert r["values"] == {"num": "5", "str": "kortefa"}
+
+    def test_prefix_match_keeps_program_captures(self):
+        # a rule that wins through the partial fallback carries the
+        # program's captures like a complete match does
+        xml = """
+<patterndb version='6'><ruleset name='p' id='4'>
+  <patterns><pattern>sshd @NUMBER:num@</pattern></patterns>
+  <rules><rule id='r4' provider='t' class='system'>
+    <patterns><pattern>almafa @ESTRING:str: @</pattern></patterns>
+  </rule></rules>
+</ruleset></patterndb>"""
+        r = self._one(self._db(xml), "almafa kortefa rest", "sshd 5")
+        assert r["rule"] == "r4" and r["values"] == {"num": "5", "str": "kortefa"}
 
 
 class TestDumpDictionaryMerge:
@@ -397,3 +418,57 @@ class TestDumpDictionaryMerge:
         # the merged file passes its own embedded conformance corpus
         capsys.readouterr()
         assert main(["test", str(out)]) == 0
+
+
+# a ruleset that reaches every branch of the matcher: overlapping rules
+# (trie-resolved), prefix-only matches, match-any and program-bound
+# trees, a program pattern, a non-RE2 pattern, static values and tags
+SPLIT_RULES = [
+    PdbRule("generic", "Accepted @ANYSTRING:rest@", program="sshd", tags=["auth", "b"],
+            values={"k": "v"}),
+    PdbRule("specific", "Accepted password for @ESTRING:user: @", program="sshd",
+            tags=["auth"]),
+    PdbRule("wild", "user @STRING:who@ logged in"),
+    PdbRule("lit", "user admin logged in", tags=["x"]),
+    PdbRule("pfx", "session opened for @ESTRING:user: @", program="su", tags=["s", "a"]),
+    PdbRule("num", "id @NUMBER:n@ end", program="app", values={"z": "1"}),
+    PdbRule("est", "id @ESTRING:e:;@ end", program="app", tags=["t"]),
+    PdbRule("prog", "almafa @ESTRING:str:@", program_pattern="sshd @NUMBER:num@",
+            tags=["p"]),
+    PdbRule("pcre", "look @PCRE:x:(?=a)\\w+@ here", tags=["pc"]),
+]
+SPLIT_MESSAGES = [
+    "Accepted password for bob ", "Accepted publickey x", "user admin logged in",
+    "user bob logged in", "session opened for root by (uid=0)", "id 123 end",
+    "id 123x7; end", "almafa kortefa", "look abc here", "look xbc here", "nothing",
+    "", "session opened for ", "Accepted password for bob extra",
+]
+
+
+def test_patterndb_batch_split_invariance():
+    """Classifying a batch in one call or in consecutive slices gives
+    the same rows: per-batch state (program gates, the trie-walk row
+    sets, the scatter of values and tags) must not leak across rows."""
+    import pyarrow as pa
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    db = PatternDB(SPLIT_RULES)
+    row = st.tuples(
+        st.none() | st.sampled_from(SPLIT_MESSAGES) | st.text("abdnor :;!", max_size=10),
+        st.sampled_from(["sshd", "su", "app", "sshd 5", "crond 5", "", None]),
+        st.none() | st.lists(st.sampled_from(["auth", "x", "zz", "a"]), max_size=3))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(row, max_size=16), st.lists(st.integers(0, 16), max_size=4))
+    def check(rows, cuts):
+        t = pa.table({"message": pa.array([r[0] for r in rows], pa.string()),
+                      "program": pa.array([r[1] for r in rows], pa.string()),
+                      "tags": pa.array([r[2] for r in rows], pa.list_(pa.string()))})
+        whole = db(t)
+        bounds = sorted({0, len(rows), *(min(c, len(rows)) for c in cuts)})
+        parts = [db(t.slice(a, b - a)) for a, b in zip(bounds, bounds[1:])]
+        assert pa.concat_tables(parts or [whole]).to_pylist() == whole.to_pylist()
+        assert whole.schema == db(t.slice(0, 0)).schema
+
+    check()
