@@ -49,6 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from .config_prep import preprocess_config
 from .config_prep import unquote as _prep_unquote
@@ -1138,8 +1139,11 @@ def run_config_on_dataset(cfg: "Config", ds, source_name: str):
     (the Ray-native path: the in-memory `run()` is the Light-test
     shape). Returns the delivered-rows Dataset (`dest`-labelled); get
     per-sink counts with `.groupby("dest").count()` or write with a
-    partitioned sink on `dest`."""
-    return ds.map_batches(ConfigStage(cfg, source_name), batch_format="pyarrow")
+    partitioned sink on `dest`. Batches are the flagship's 16,384 rows:
+    a call's fixed cost (the Arrow kernel dispatch of every path
+    element) is paid per batch, not per read block."""
+    return ds.map_batches(ConfigStage(cfg, source_name), batch_format="pyarrow",
+                          batch_size=16384)
 
 
 class RunResult:
@@ -1171,7 +1175,9 @@ class _ExpandMap:
     """Expand a map column's pairs into table columns so config filters
     and templates can address $key like the reference's name-value pairs
     (a kv/json pair IS a message field there). Last occurrence of a key
-    in a row wins, like dict(pairs)."""
+    in a row wins, like dict(pairs). A parser sets only the pairs it
+    found (kv-parser.c:104-136): where this parse gives a key no value,
+    an existing column of that name keeps its value."""
 
     def __init__(self, stage, out_col: str, field_map: dict | None = None,
                  types_col: str | None = None):
@@ -1182,53 +1188,63 @@ class _ExpandMap:
 
     def __call__(self, table: pa.Table) -> pa.Table:
         out = self.stage(table)
-        col = out.column(self.out_col)
-        rows = col.to_pylist()
-        trows = out.column(self.types_col).to_pylist() \
+        pairs = _map_pairs(out.column(self.out_col))
+        # the types map holds a type for each pair, in the same places
+        types = pc.struct_field(pc.list_flatten(_map_pairs(
+            out.column(self.types_col))), "value") \
             if self.types_col and self.types_col in out.column_names else None
-        keys: list[str] = []
-        seen = set()
-        for row in rows:
-            for k, _v in (row or []):
-                if k not in seen:
-                    seen.add(k)
-                    keys.append(k)
-        for k in keys:
-            vals = [dict(row or {}).get(k) for row in rows]
+        parents = pc.list_parent_indices(pairs).to_numpy()
+        flat = pc.list_flatten(pairs)
+        enc = pc.dictionary_encode(pc.struct_field(flat, "key"))
+        vals = pc.struct_field(flat, "value")
+        codes = enc.indices.to_numpy(zero_copy_only=False)
+        # pairs grouped by key (dictionary order = first appearance),
+        # each group in row order
+        order = np.argsort(codes, kind="stable")
+        bounds = np.searchsorted(codes[order], np.arange(len(enc.dictionary) + 1))
+        for j, k in enumerate(enc.dictionary.to_pylist()):
+            sel = order[bounds[j]:bounds[j + 1]]
+            # the pair each row takes: duplicate fancy-assignment
+            # indices keep the final write, so the last occurrence wins
+            pick = np.full(out.num_rows, -1, dtype=np.int64)
+            pick[parents[sel]] = sel
+            idx = pa.array(pick, mask=pick < 0)
+            col = vals.take(idx)
             cn = self.field_map.get(k, k)
             if cn in out.column_names:
-                if cn != k:
-                    # builtin overwrite: rows whose parse produced no
-                    # value for this key keep their existing builtin
-                    old = out.column(cn).to_pylist()
-                    vals = [o if v is None else v for v, o in zip(vals, old)]
-                out = out.set_column(out.column_names.index(cn), cn,
-                                     pa.array(vals, type=pa.string()))
+                try:
+                    col = pc.coalesce(col, pc.cast(out.column(cn), pa.string()))
+                except pa.ArrowNotImplementedError:
+                    pass  # a list or map column (tags, sdata) is replaced
+                out = out.set_column(out.column_names.index(cn), cn, col)
                 continue
             # typed nv pairs (json-parser.c stores LM_VT_* value types;
             # format-json auto-cast renders them typed): a key whose
             # values are uniformly boolean/integer/double becomes a
             # TYPED column; mixed-type keys stay strings (per-value
             # types need row-level hints — disclosed narrowing)
-            atype = pa.string()
-            if trows is not None:
-                tset = {dict(tr or {}).get(k) for tr, row in zip(trows, rows)
-                        if dict(row or {}).get(k) is not None}
-                tset.discard(None)
+            if types is not None:
+                tset = set(pc.unique(types.take(idx).filter(
+                    pc.is_valid(col))).drop_null().to_pylist())
                 if tset == {"boolean"}:
-                    vals = [None if v is None else v == "true" for v in vals]
-                    atype = pa.bool_()
+                    col = pc.equal(col, "true")
                 elif tset == {"integer"}:
-                    vals = [None if v is None else int(v) for v in vals]
-                    atype = pa.int64()
+                    col = pc.cast(col, pa.int64())
                 elif tset == {"double"}:
-                    vals = [None if v is None else float(v) for v in vals]
-                    atype = pa.float64()
-            out = out.append_column(cn, pa.array(vals, type=atype))
+                    col = pc.cast(col, pa.float64())
+            out = out.append_column(cn, col)
         drop = [self.out_col]
-        if self.types_col and self.types_col in out.column_names:
+        if types is not None:
             drop.append(self.types_col)
         return out.drop_columns(drop)
+
+
+def _map_pairs(col: pa.ChunkedArray) -> pa.Array:
+    """A map column as list<struct<key, value>>: Arrow's list kernels
+    take no map type (list_parent_indices aborts the process on one)."""
+    col = col.combine_chunks()
+    return col.cast(pa.list_(pa.struct([("key", col.type.key_type),
+                                        ("value", col.type.item_type)])))
 
 
 class _ChannelStage:

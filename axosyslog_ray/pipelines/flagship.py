@@ -31,7 +31,7 @@ from ..enrich.geoip import GeoIP
 from ..route import Cmp, Router, Severity, TagFilter, TRUE
 from ..stages.csv_parser import apache_parser
 from ..stages.json_parser import _loads
-from ..stages.kv_parser import KvParser
+from ..stages.kv_parser import _KV_BARE, _KV_QUOTED, _KV_SIMPLE, KvParser
 from ..stages.patterndb import PatternDB
 from ..stages.syslog import parse_syslog_table
 
@@ -75,26 +75,14 @@ def fast_apache(text: pa.ChunkedArray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return valid, clientip, status
 
 
-# kv rows of the shape the kv scanner has nothing to decide on, where
-# one RE2 pass gives its answer exactly: `key=value` pairs; a double-
-# quoted value holds no `"`, backslash, `=` or NUL, a bare one no
-# whitespace, comma, quote, backslash, `=` or NUL; a bare value ends at
-# ", " or at " key=", a quoted one at ", " or " "; stray words (which
-# the scanner skips) only at the start or after those separators,
-# except a bare value's " " (where the scanner would glue them in)
-_KV_KEY = r"[A-Za-z0-9._-]+"
-_KV_QUOTED = r'"[^"\\=\x00]*"'
-_KV_BARE = r'[^\s,"\'\\=\x00]*'
-_KV_STRAY = r'(?:[^\s,"\'\\=\x00]+ )*'
-_KV_SIMPLE = (rf"^{_KV_STRAY}(?:{_KV_KEY}=(?:{_KV_QUOTED}(?:,? {_KV_STRAY}|$)"
-              rf"|{_KV_BARE}(?:, {_KV_STRAY}| |$)))+$")
 # the last `key=` wins, as in KvParser(promote=...)
 _KV_LAST = rf"(?s)^(?:.* )?%s=(?P<v>{_KV_QUOTED}|{_KV_BARE})"
 
 
 def fast_kv_promote(text: pa.ChunkedArray, key: str) -> np.ndarray:
     """The value KvParser(promote=[key]) gives per row: one RE2 pass on
-    the rows of the simple shape above, the kv scanner on the rest."""
+    the rows of kv-parser's whitelist shape (stages/kv_parser.py), where
+    the scanner has nothing to decide, the kv scanner on the rest."""
     text = pc.cast(text, pa.string())
     simple = pc.match_substring_regex(text, _KV_SIMPLE).to_numpy(zero_copy_only=False)
     v = pc.struct_field(pc.extract_regex(text, _KV_LAST % re.escape(key)), "v")

@@ -7,14 +7,24 @@ stages/kv_scanner.kv_scan: configurable value-separator, quoted values
 (str-repr decoding), `prefix()` on the emitted keys, pair-separator,
 and stray-word collection.
 
-Vectorization: rows of the plain machine-log shape — space-separated
-`key<sep>value` tokens with no quotes, backslashes, commas, control
-characters or Unicode whitespace — are split with a few Arrow compute
-calls (split on spaces, split each token once on the separator); on
-those rows the scanner's heuristics have nothing to decide, so the
-split is exact.
-Every other row runs the scalar scanner, and the two are merged back in
-row order.
+Vectorization: rows of the whitelist shape below are split with Arrow
+compute calls. There the scanner's heuristics have nothing to decide,
+so the split is exact:
+- `key<sep>value` pairs joined by `, ` or spaces;
+- a bare value holds no ASCII whitespace, comma, quote, backslash or NUL; it
+  ends at `, `, at spaces before the next `key<sep>`, or at the end;
+- a double-quoted value holds no `"`, backslash, separator or NUL; it
+  ends at `, `, ` ` or the end;
+- stray words (no separator, comma, quote, backslash) stand only at the
+  start, after a quoted value or after a `, `, where the scanner skips
+  them; with stray-word collection on, the shape has none;
+- a row without a separator (no pairs) is of the shape too, unless
+  stray words are collected.
+One `replace_substring_regex` rewrites each pair of a guarded row as
+`\x1ekey\x1fvalue\x1e` (no row of the shape holds those two characters),
+and two `split_pattern`s give keys and values; a quoted value loses its
+quotes there. Every other row runs the scalar scanner, and the two are
+merged back in row order.
 """
 
 from __future__ import annotations
@@ -27,13 +37,37 @@ import pyarrow.compute as pc
 
 from .kv_scanner import _is_valid_key_character, kv_scan
 
-_KEY = r"[A-Za-z0-9][A-Za-z0-9._-]*"
+# the whitelist shape (module docstring) as RE2 pieces, for a re-escaped
+# one-char separator `sep`; `fast_kv_promote` (pipelines/flagship.py)
+# reads a key's last value with the `=` ones
+_KV_KEY = r"[A-Za-z0-9._-]+"
+_KV_BARE = r'[^\s,"\'\\\x00\x1c-\x1f]*'
 
-# Unicode whitespace keeps a row off the Arrow split; RE2 has no \uXXXX,
-# so the simple-row guard lists the characters literally
-UNICODE_WS_CHARS = ("\u0085\u00a0\u1680"
-                    + "".join(chr(c) for c in range(0x2000, 0x200B))
-                    + "\u2028\u2029\u202f\u205f\u3000")
+
+def _kv_quoted(sep: str) -> str:
+    return rf'"[^"\\{sep}\x00\x1c-\x1f]*"'
+
+
+def _kv_simple(sep: str, strays: bool = True) -> str:
+    """The guard: a whole row of the shape; without `strays`, a row
+    holds no stray word."""
+    # spaces and stray words, each stray word followed by spaces
+    free = rf'[ ]*(?:[^\s,"\'\\{sep}\x00\x1c-\x1f]+[ ]+)*' if strays else "[ ]*"
+    pair = (rf"{_KV_KEY}{sep}(?:{_kv_quoted(sep)}(?:,? {free}|$)"
+            rf"|{_KV_BARE}(?:, {free}|[ ]+|$))")
+    no_pairs = rf"|[^{sep}\x1c-\x1f]*" if strays else ""
+    return rf"^(?:{free}(?:{pair})+{no_pairs})$"
+
+
+def _kv_pair(sep: str) -> str:
+    """One pair of a guarded row: groups (key, value), the value still
+    quoted. Its leftmost match is always the next key — stray words
+    hold no separator and a quoted value is consumed whole."""
+    return rf"({_KV_KEY}){sep}({_kv_quoted(sep)}|{_KV_BARE})"
+
+
+_KV_QUOTED = _kv_quoted("=")
+_KV_SIMPLE = _kv_simple("=")
 
 
 class KvParser:
@@ -63,22 +97,22 @@ class KvParser:
         self.promote = promote or []
         self.source_col = source_col
         self.out_col = out_col
-        # the Arrow split needs a one-char separator that is not itself
-        # a key character — the scanner scans keys over those, so on
-        # `aa=.a` with separator `a` it skips the empty key the split
-        # takes, and with `-` it never ends `a-b c-d`'s first value —
-        # nor a char the guard excludes; a custom pair separator changes
-        # where values end, so it always runs the scanner
-        self._simple_re = None
+        # the Arrow split needs a one-char printable separator that is
+        # not itself a key character — the scanner scans keys over
+        # those, so on `aa=.a` with separator `a` it skips the empty key
+        # the split takes, and with `-` it never ends `a-b c-d`'s first
+        # value — nor a char the shape gives a meaning; a custom pair
+        # separator changes where values end, so it always runs the
+        # scanner
+        self._simple_re = self._pair_re = None
         if (len(value_separator) == 1 and value_separator.isascii()
+                and value_separator.isprintable()
                 and not _is_valid_key_character(value_separator)
-                and value_separator not in " \"'\\,\t\n"
+                and value_separator not in " \"'\\,"
                 and pair_separator is None):
-            vs = re.escape(value_separator)
-            v_cls = (r"[^ \"'\\,\t\n\r\v\f\x00\x1c-\x1f"
-                     + UNICODE_WS_CHARS + "]")
-            self._simple_re = (
-                rf"^[ ]*(?:{_KEY}{vs}{v_cls}*[ ]+)*{_KEY}{vs}{v_cls}*[ ]*$")
+            sep = re.escape(value_separator)
+            self._simple_re = _kv_simple(sep, strays=not self.collect_stray)
+            self._pair_re = _kv_pair(sep)
 
     def _postprocess_value(self, value: str, was_quoted: bool,
                            key: str = "") -> str:
@@ -101,20 +135,28 @@ class KvParser:
         return out, stray
 
     def _split_simple(self, text: pa.Array, rows: np.ndarray):
-        """(row, key, value) of guarded rows via Arrow splits."""
-        tokens = pc.split_pattern(text.take(pa.array(rows)), " ")
-        tok_rows = rows[pc.list_parent_indices(tokens).to_numpy()]
-        flat = pc.list_flatten(tokens)
-        nonempty = pc.not_equal(flat, "")
-        kv = pc.split_pattern(flat.filter(nonempty), self.value_separator,
-                              max_splits=1)
+        """(row, key, value) of guarded rows via Arrow: each pair
+        rewritten as `\x1ekey\x1fvalue\x1e`, then split twice."""
+        if not len(rows):
+            empty = pa.array([], type=pa.string())
+            return rows, empty, empty
+        marked = pc.replace_substring_regex(
+            text.take(pa.array(rows)), self._pair_re, "\x1e\\1\x1f\\2\x1e")
+        pieces = pc.split_pattern(marked, "\x1e")
+        # the pieces between pairs hold separators and stray words
+        flat = pc.list_flatten(pieces)
+        is_pair = pc.match_substring(flat, "\x1f")
+        kv = pc.split_pattern(flat.filter(is_pair), "\x1f", max_splits=1)
         keys, vals = pc.list_element(kv, 0), pc.list_element(kv, 1)
+        quoted = pc.starts_with(vals, '"')
+        vals = pc.if_else(quoted, pc.utf8_slice_codeunits(vals, 1, -1), vals)
         if type(self)._postprocess_value is not KvParser._postprocess_value:
             post = self._postprocess_value
-            vals = pa.array([post(v, False, k) for v, k in
-                             zip(vals.to_pylist(), keys.to_pylist())],
-                            type=pa.string())
-        return tok_rows[nonempty.to_numpy(zero_copy_only=False)], keys, vals
+            vals = pa.array([post(v, q, k) for v, q, k in zip(
+                vals.to_pylist(), quoted.to_pylist(), keys.to_pylist())],
+                type=pa.string())
+        tok_rows = rows[pc.list_parent_indices(pieces).to_numpy()]
+        return tok_rows[is_pair.to_numpy(zero_copy_only=False)], keys, vals
 
     def __call__(self, table: pa.Table) -> pa.Table:
         text = pc.fill_null(pc.cast(table.column(self.source_col),
@@ -129,7 +171,8 @@ class KvParser:
             text, np.flatnonzero(simple))
 
         # scalar rows (parse_line output is prefixed — strip the prefix
-        # so the merge works on raw keys); guarded rows have no strays
+        # so the merge works on raw keys); with strays collected, guarded
+        # rows have none
         strays = np.full(n, "", dtype=object)
         plen = len(self.prefix)
         sc_rows, sc_keys, sc_vals = [], [], []

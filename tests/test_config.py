@@ -3569,3 +3569,100 @@ class TestAxoRouterConfigCompiles:
         assert "axorouter-syslog-tcp-514" in cfg.sources
         assert "filedest-dd4560bf" in cfg.destinations
         assert [c.name for c in cfg.paths] == ["axorouter-minio-axorouter"]
+
+
+def _expand_oracle(table, rows, trows, field_map):
+    """_ExpandMap's contract, one dict per row: a key's value is the
+    row's last pair of that key; an existing column keeps its (string-
+    rendered) value where the parse gave none; a new column is typed
+    when every value's json type is one scalar type."""
+    cols = {c: table.column(c).to_pylist() for c in table.column_names}
+    strs = {c: [None if v is None else str(v).lower()
+                if isinstance(v, bool) else str(v) for v in vals]
+            for c, vals in cols.items()}
+    dicts = [dict(row or []) for row in rows]
+    tdicts = [dict(tr or []) for tr in trows] if trows is not None else None
+    keys = list(dict.fromkeys(k for row in rows for k, _ in (row or [])))
+    for k in keys:
+        vals = [d.get(k) for d in dicts]
+        cn = field_map.get(k, k)
+        if cn in cols:
+            cols[cn] = strs[cn] = [o if v is None else v
+                                   for v, o in zip(vals, strs[cn])]
+            continue
+        if tdicts is not None:
+            tset = {td.get(k) for td, d in zip(tdicts, dicts)
+                    if d.get(k) is not None} - {None}
+            conv = {"boolean": lambda v: v == "true", "integer": int,
+                    "double": float}.get(tset.pop() if len(tset) == 1 else "")
+            if conv:
+                vals = [None if v is None else conv(v) for v in vals]
+        cols[cn] = vals
+        strs[cn] = [None if v is None else str(v) for v in vals]
+    return cols
+
+
+class TestExpandMap:
+    """_ExpandMap (a parser's map column -> message columns)."""
+
+    def test_later_parser_keeps_key_an_earlier_one_set(self):
+        # the reference sets only the pairs a parser found: p2 finds no
+        # `k` in "k=1", so p1's value stays
+        cfg = compile_config("""
+source s { example-msg-generator(num(1)); };
+destination d { file("o.log"); };
+parser p1 { kv-parser(); };
+parser p2 { kv-parser(value-separator(":")); };
+log { source(s); parser(p1); parser(p2); destination(d); };
+""")
+        r = cfg.run(sources={"s": pa.table({"message": ["k=1", "k:2"]})})
+        assert r.table("d").column("k").to_pylist() == ["1", "2"]
+
+    def test_matches_dict_per_row_oracle(self):
+        """Property: duplicate keys, null maps and null values, keys that
+        hit existing columns (a string and an int64 one, and `MESSAGE`
+        through the builtin field map), and typed json keys expand as
+        the dict-per-row oracle says."""
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        from axosyslog_ray.config import _ExpandMap
+
+        mtype = pa.map_(pa.string(), pa.string())
+        typed = st.sampled_from([
+            ("integer", "7"), ("integer", "-12"), ("boolean", "true"),
+            ("boolean", "false"), ("double", "1.5"), ("double", "1e+20"),
+            ("string", "x y"), ("string", ""), (None, None)])
+        pair = st.tuples(st.sampled_from(["a", "b", "MESSAGE", "x", "n", "c.d"]),
+                         typed)
+        row = st.one_of(st.none(), st.lists(pair, max_size=5))
+        old = st.one_of(st.none(), st.sampled_from(["o1", "o2"]))
+
+        @settings(max_examples=200, deadline=None)
+        @given(st.lists(st.tuples(row, old, st.one_of(st.none(), st.integers(-5, 5))),
+                        min_size=1, max_size=12),
+               st.booleans(), st.integers(0, 3))
+        def prop(drawn, with_types, cut):
+            rows = [None if r is None else [(k, v) for k, (_, v) in r]
+                    for r, _, _ in drawn]
+            trows = [None if r is None else [(k, t) for k, (t, _) in r]
+                     for r, _, _ in drawn]
+            base = pa.table({
+                "message": pa.array([f"m{i}" for i in range(len(drawn))]),
+                "x": pa.array([o for _, o, _ in drawn], pa.string()),
+                "n": pa.array([i for _, _, i in drawn], pa.int64())})
+            t = base.append_column("__m", pa.array(rows, mtype))
+            if with_types:
+                t = t.append_column("__m_types", pa.array(trows, mtype))
+            # a sliced batch: the map column's offsets do not start at 0
+            t, base = t.slice(cut), base.slice(cut)
+            rows = rows[cut:]
+            trows = trows[cut:] if with_types else None
+            fmap = {"MESSAGE": "message"}
+            got = _ExpandMap(lambda x: x, "__m", field_map=fmap,
+                             types_col="__m_types" if with_types else None)(t)
+            want = _expand_oracle(base, rows, trows, fmap)
+            assert got.column_names == list(want)
+            assert got.to_pydict() == want
+
+        prop()
