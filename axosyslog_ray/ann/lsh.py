@@ -35,39 +35,6 @@ def _make_planes(dim: int, n_bits: int, n_tables: int, seed: int) -> list[np.nda
     return [rng.normal(size=(n_bits, dim)) for _ in range(n_tables)]
 
 
-class LshBucketer:
-    """Corpus -> (table_id, bucket, id) rows ONLY — vectors are NOT carried
-    through the exchange (join them back by id when a bucketed layout is
-    materialized, e.g. for a bucket-partitioned index write)."""
-
-    def __init__(self, dim: int, n_bits: int = 8, n_tables: int = 4, seed: int = 11,
-                 vec_col: str = "embedding", id_col: str = "vec_id"):
-        self.planes = _make_planes(dim, n_bits, n_tables, seed)
-        self.vec_col = vec_col
-        self.id_col = id_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table({"table_id": pa.array([], type=pa.int32()),
-                             "bucket": pa.array([], type=pa.int64()),
-                             self.id_col: pa.array([], type=pa.int64())})
-        m = _norm(_to_matrix(batch.column(self.vec_col)))
-        ids = batch.column(self.id_col).to_numpy()
-        out_t, out_b, out_i = [], [], []
-        for t, planes in enumerate(self.planes):
-            keys = _bucket_keys(m, planes)
-            out_t.append(np.full(len(ids), t, dtype=np.int32))
-            out_b.append(keys)
-            out_i.append(ids)
-        return pa.table(
-            {
-                "table_id": pa.array(np.concatenate(out_t), type=pa.int32()),
-                "bucket": pa.array(np.concatenate(out_b), type=pa.int64()),
-                self.id_col: pa.array(np.concatenate(out_i)),
-            }
-        )
-
-
 class LshScanner:
     """Fused per-batch stage: bucket the batch's rows per table, match
     against the (broadcast-tiny) query keys with a vectorized equality,

@@ -42,6 +42,7 @@ reference's Light suite asserts on (file destination stats counters).
 
 from __future__ import annotations
 
+import copy
 import os
 import re
 from dataclasses import dataclass, field
@@ -1149,7 +1150,12 @@ def run_config_on_dataset(cfg: "Config", ds, source_name: str):
 class RunResult:
     def __init__(self, destinations: dict[str, _Destination],
                  path_stats: dict[str, list[int]] | None = None):
-        self.destinations = destinations
+        # a snapshot of each destination's tables and count: the next
+        # run() resets the live destinations
+        self.destinations = {name: copy.copy(dst)
+                             for name, dst in destinations.items()}
+        for dst in self.destinations.values():
+            dst.tables = list(dst.tables)
         self._path_stats = path_stats or {}
 
     def path_stats(self, name: str) -> tuple[int, int]:
@@ -1310,6 +1316,9 @@ class _DropUnparsed:
         return out
 
 
+_TPL_SRC = "__tpl_src"  # a template()-fed parser's input column
+
+
 class _PriOnlyParser:
     """syslog-parser(flags(no-header)): take the <PRI> prefix off the
     rendered input, set $PRI, and leave EVERYTHING after it in $MESSAGE
@@ -1320,7 +1329,7 @@ class _PriOnlyParser:
     def __call__(self, table: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        src = pc.cast(table.column("__tpl_src"), pa.string())
+        src = table.column(_TPL_SRC)
         ext = pc.extract_regex(src, r"^<(?P<pri>\d{1,3})>(?P<rest>[\s\S]*)$")
         pri_s = pc.struct_field(ext, "pri")
         rest = pc.struct_field(ext, "rest")
@@ -1339,24 +1348,29 @@ class _PriOnlyParser:
 
 
 class _TemplateSourced:
-    """Run a stage over a template-rendered scratch column (parser
-    template() inputs that aren't plain field references — e.g.
-    scl/sudo's csv-parser(template("$(list-head $0)"))). The scratch
-    column is dropped afterwards."""
+    """Run a parser over its template() input: the rendered value
+    (`Template.eval_arrow`) goes into the scratch column `_TPL_SRC`,
+    the stage reads it, and the column is dropped afterwards. Every
+    parser driver that takes template() reads its input this way."""
 
-    def __init__(self, stage, tpl: str, col: str):
+    def __init__(self, stage, tpl: str):
         from .functions.templates import Template
 
         self.stage = stage
         self.tpl = Template(tpl)
-        self.col = col
 
     def __call__(self, table: pa.Table) -> pa.Table:
-        table = table.append_column(self.col, self.tpl.eval_arrow(table))
-        out = self.stage(table)
-        if self.col in out.column_names:
-            out = out.drop_columns([self.col])
+        out = self.stage(table.append_column(_TPL_SRC,
+                                             self.tpl.eval_arrow(table)))
+        if _TPL_SRC in out.column_names:
+            out = out.drop_columns([_TPL_SRC])
         return out
+
+
+def _sourced(d: Driver, stage) -> _TemplateSourced:
+    """`stage` (reading `_TPL_SRC`) fed by the driver's template(), by
+    default $MESSAGE (log_parser_process)."""
+    return _TemplateSourced(stage, str(d.kw1("template", "$MESSAGE")))
 
 
 def _compile_parser(d: Driver):
@@ -1372,40 +1386,19 @@ def _compile_parser(d: Driver):
         # columns("...","HOST","PROGRAM","MSG") re-writing the header)
         cols = [str(c) if pfx else _field(str(c))
                 for c in d.kwargs.get("columns", [])]
-        tpl = str(d.kw1("template", "$MESSAGE"))
-        if re.fullmatch(r"\$\{?[A-Za-z0-9_.]*[A-Za-z_.][A-Za-z0-9_.]*\}?", tpl):
-            src = _field(tpl.lstrip("$").strip("{}"))
-        elif tpl == "$MESSAGE":
-            src = "message"
-        else:
-            # arbitrary template input (e.g. the sudo-parser's
-            # $(list-head $0)): render it into a scratch column first
-            src = "__csv_tpl_src"
-            nul = d.kw1("null")
-            inner = CsvParser(columns=cols,
-                              delimiters=str(d.kw1("delimiters", ",")),
-                              quotes=str(quotes),
-                              dialect=str(d.kw1("dialect", "escape-none")),
-                              null_value=str(nul) if nul is not None else None,
-                              strip_whitespace="strip-whitespace" in flags,
-                              greedy="greedy" in flags,
-                              prefix=str(d.kw1("prefix", "")),
-                              source_col=src,
-                              drop_invalid=str(d.kw1("drop-invalid", "no"))
-                              in ("yes", "on", "1") or "drop-invalid" in flags)
-            return _TemplateSourced(inner, tpl, src)
         nul = d.kw1("null")
-        return CsvParser(columns=cols,
-                         delimiters=str(d.kw1("delimiters", ",")),
-                         quotes=str(quotes),
-                         dialect=str(d.kw1("dialect", "escape-none")),
-                         null_value=str(nul) if nul is not None else None,
-                         strip_whitespace="strip-whitespace" in flags,
-                         greedy="greedy" in flags,
-                         prefix=str(d.kw1("prefix", "")),
-                         source_col=src,
-                         drop_invalid=str(d.kw1("drop-invalid", "no"))
-                         in ("yes", "on", "1") or "drop-invalid" in flags)
+        return _sourced(d, CsvParser(
+            columns=cols,
+            delimiters=str(d.kw1("delimiters", ",")),
+            quotes=str(quotes),
+            dialect=str(d.kw1("dialect", "escape-none")),
+            null_value=str(nul) if nul is not None else None,
+            strip_whitespace="strip-whitespace" in flags,
+            greedy="greedy" in flags,
+            prefix=pfx,
+            source_col=_TPL_SRC,
+            drop_invalid=str(d.kw1("drop-invalid", "no"))
+            in ("yes", "on", "1") or "drop-invalid" in flags))
     if d.name in ("kv-parser", "linux-audit-parser"):
         if d.name == "linux-audit-parser":
             # kv variant with the audit hexdump value transform
@@ -1414,25 +1407,15 @@ def _compile_parser(d: Driver):
         else:
             from .stages.kv_parser import KvParser
 
-        prefix = str(d.kw1("prefix", ""))
         ps = d.kw1("pair-separator")
         stray_into = d.kw1("extract-stray-words-into")
-        tpl = str(d.kw1("template", "$MESSAGE"))
-        if re.fullmatch(r"\$\{?[A-Za-z0-9_.]*[A-Za-z_.][A-Za-z0-9_.]*\}?", tpl):
-            src = _field(tpl.lstrip("$").strip("{}"))
-            wrap = None
-        elif tpl == "$MESSAGE":
-            src, wrap = "message", None
-        else:
-            src, wrap = "__tpl_src", tpl
-        stage = _ExpandMap(
+        return _sourced(d, _ExpandMap(
             KvParser(value_separator=str(d.kw1("value-separator", "=")),
-                     prefix=prefix, out_col="__cfg_kv",
-                     source_col=src,
+                     prefix=str(d.kw1("prefix", "")), out_col="__cfg_kv",
+                     source_col=_TPL_SRC,
                      pair_separator=str(ps) if ps is not None else None,
                      stray_into=str(stray_into)
-                     if stray_into is not None else None), "__cfg_kv")
-        return _TemplateSourced(stage, wrap, src) if wrap else stage
+                     if stray_into is not None else None), "__cfg_kv"))
     if d.name == "regexp-parser":
         from .stages.regexp_parser import RegexpParser
 
@@ -1440,12 +1423,9 @@ def _compile_parser(d: Driver):
         if not pats:
             raise ConfigError("regexp-parser() needs patterns(...)")
         pfx = str(d.kw1("prefix", ""))
-        tpl = str(d.kw1("template", "$MESSAGE"))
-        src = "message" if tpl == "$MESSAGE" else \
-            _field(tpl.lstrip("$").strip("{}"))
         stages = []
         for p in pats:
-            st = RegexpParser(p, prefix=pfx, source_col=src,
+            st = RegexpParser(p, prefix=pfx, source_col=_TPL_SRC,
                               emit_matches=True)
             if not pfx:
                 st.name_map = dict(_FIELD_MAP)
@@ -1453,26 +1433,15 @@ def _compile_parser(d: Driver):
         alt = stages[0] if len(stages) == 1 else _RegexpAlternatives(stages)
         # a non-matching regexp-parser drops the message from the path
         # (modules/regexp-parser process FALSE)
-        return _DropUnparsed(alt, "re_matched")
+        return _sourced(d, _DropUnparsed(alt, "re_matched"))
     if d.name == "json-parser":
         from .stages.json_parser import JsonParser
 
-        tpl = str(d.kw1("template", "$MESSAGE"))
-        m_simple = re.fullmatch(r"\$\{?([\w.-]+)\}?", tpl)
-        if m_simple:
-            src = "message" if m_simple.group(1) in ("MSG", "MESSAGE") \
-                else _field(m_simple.group(1))
-            render_tpl = None
-        else:
-            # general template() input (json-parser.c evaluates a full
-            # LogTemplate): render per row into a scratch column
-            src = "__cfg_json_src"
-            render_tpl = tpl
         ep = d.kw1("extract-prefix")
         mk = d.kw1("marker")
         pfx = str(d.kw1("prefix", ""))
         stage = _ExpandMap(
-            JsonParser(prefix=pfx, source_col=src,
+            JsonParser(prefix=pfx, source_col=_TPL_SRC,
                        extract_prefix=str(ep) if ep is not None else None,
                        key_delimiter=str(d.kw1("key-delimiter", ".")),
                        marker=str(mk) if mk is not None else None,
@@ -1484,39 +1453,21 @@ def _compile_parser(d: Driver):
             types_col="__cfg_jv_types")
         # an unparsable payload drops the message (json-parser.c
         # process FALSE)
-        inner = _DropUnparsed(stage, "json_valid")
-        if render_tpl is None:
-            return inner
-        from .functions.templates import Template as _Tpl
-
-        _ct = _Tpl(render_tpl)
-
-        def _render_then_parse(table: pa.Table) -> pa.Table:
-            t = table.append_column(
-                "__cfg_json_src", pa.array(_ct.eval(table), type=pa.string()))
-            out = inner(t)
-            if "__cfg_json_src" in out.column_names:
-                out = out.drop_columns(["__cfg_json_src"])
-            return out
-
-        return _render_then_parse
+        return _sourced(d, _DropUnparsed(stage, "json_valid"))
     if d.name == "sdata-parser":
         # sdata-parser(): run the RFC5424 STRUCTURED-DATA parse over a
         # rendered input (default $MESSAGE) into the sdata pairs
         # (modules/syslogformat/sdata-parser.c -> _syslog_format_parse_sd;
         # unparsable input drops the message). prefix() other than
         # .SDATA. creates one column per pair under that prefix.
-        from .functions.templates import Template as _Tpl
         from .stages.syslog import parse_sdata
 
-        tpl = _Tpl(str(d.kw1("template", "${MESSAGE}")))
         prefix = str(d.kw1("prefix", ".SDATA."))
 
         def _sdata_stage(table: pa.Table) -> pa.Table:
-            vals = tpl.eval(table)
             parsed = [parse_sdata(v) if isinstance(v, str)
                       and v.startswith("[") else None
-                      for v in vals.tolist()]
+                      for v in table.column(_TPL_SRC).to_pylist()]
             keep = pa.array([p is not None for p in parsed])
             table = table.filter(keep)
             parsed = [p for p in parsed if p is not None]
@@ -1537,7 +1488,7 @@ def _compile_parser(d: Driver):
                     key, pa.array(col, type=pa.string()))
             return table
 
-        return _sdata_stage
+        return _sourced(d, _sdata_stage)
     if d.name == "db-parser":
         from .pdbtool import load_ruleset
         from .stages.patterndb import PatternDB
@@ -1580,35 +1531,20 @@ def _compile_parser(d: Driver):
         from .stages.date_parser import DateParser
 
         fmts = d.kwargs.get("format") or ["%Y-%m-%dT%H:%M:%S%z"]
-        tpl = str(d.kw1("template", "$MESSAGE"))
-        if re.fullmatch(r"\$\{?[A-Za-z0-9_.]*[A-Za-z_.][A-Za-z0-9_.]*\}?", tpl) or not tpl.startswith("$"):
-            stage = DateParser([str(f) for f in fmts],
-                               source_col=_field(tpl.lstrip("$").strip("{}")),
-                               time_zone=d.kw1("time-zone"))
-        else:
-            # composite template input, e.g. the fortigate-parser's
-            # "${.fortigate.date} ${.fortigate.time}"
-            inner = DateParser([str(f) for f in fmts], source_col="__tpl_src",
-                               time_zone=d.kw1("time-zone"))
-            stage = _TemplateSourced(inner, tpl, "__tpl_src")
         # a failed date parse DROPS the message from the path
         # (date-parser.c process returns FALSE) — the if/else junction
         # then routes the row to the else branch (scl/checkpoint)
-        return _DropUnparsed(stage, "date_parsed")
+        return _sourced(d, _DropUnparsed(
+            DateParser([str(f) for f in fmts], source_col=_TPL_SRC,
+                       time_zone=d.kw1("time-zone")), "date_parsed"))
     if d.name == "tags-parser":
         from .stages.tags_parser import TagsParser
 
-        tpl = str(d.kw1("template", "$MESSAGE"))
-        src = "message" if tpl == "$MESSAGE" else \
-            _field(tpl.lstrip("$").strip("{}"))
-        return TagsParser(source_col=src)
+        return _sourced(d, TagsParser(source_col=_TPL_SRC))
     if d.name == "syslog-parser":
         flags = [str(f) for f in d.kwargs.get("flags", [])]
-        # parser input defaults to $MESSAGE (log_parser_process uses the
-        # MESSAGE value when no template() is set)
-        tpl = str(d.kw1("template", "$MESSAGE"))
         if "no-header" in flags:
-            return _TemplateSourced(_PriOnlyParser(), tpl, "__tpl_src")
+            return _sourced(d, _PriOnlyParser())
         # full re-parse: render the template and run the format()
         # autodetect header parse over it, overwriting the message
         # columns (modules/syslogformat via parser: syslog-parser())
@@ -1618,52 +1554,45 @@ def _compile_parser(d: Driver):
 
         class _SyslogReparse:
             def __call__(self, table: pa.Table) -> pa.Table:
-                out = parse_syslog_table(table, col="__tpl_src",
-                                         recv_ts_col="recv_ts",
-                                         check_program=check)
-                return out.drop_columns(["__tpl_src"])
+                return parse_syslog_table(table, col=_TPL_SRC,
+                                          recv_ts_col="recv_ts",
+                                          check_program=check)
 
-        return _TemplateSourced(_SyslogReparse(), tpl, "__tpl_src")
+        return _sourced(d, _SyslogReparse())
     if d.name == "cisco-parser":
         from .stages.app_parsers import CiscoParser
 
-        tpl = str(d.kw1("template", "$MSG"))
-        return CiscoParser(source_col=_field(tpl.lstrip("$").strip("{}")),
-                           prefix=str(d.kw1("prefix", ".cisco.")))
+        return _sourced(d, CiscoParser(source_col=_TPL_SRC,
+                                       prefix=str(d.kw1("prefix", ".cisco."))))
     if d.name == "snmptrapd-parser":
         from .stages.app_parsers import SnmptrapdParser
 
-        tpl = str(d.kw1("template", "$MESSAGE"))
         setmsg = str(d.kw1("set-message-macro", "yes")).lower() \
             not in ("no", "off", "0", "false")
-        stage = SnmptrapdParser(
-            source_col=_field(tpl.lstrip("$").strip("{}")),
-            prefix=str(d.kw1("prefix", ".snmp.")),
-            set_message_macro=setmsg, set_program=True)
         # failed header parse drops the row (snmptrapd_parser_process
         # returns FALSE, modules/afsnmp/snmptrapd-parser.c:205)
-        return _DropUnparsed(stage, "snmp_valid")
+        return _sourced(d, _DropUnparsed(SnmptrapdParser(
+            source_col=_TPL_SRC, prefix=str(d.kw1("prefix", ".snmp.")),
+            set_message_macro=setmsg, set_program=True), "snmp_valid"))
     if d.name == "mariadb-audit-parser":
         from .stages.app_parsers import MariadbAuditParser
 
-        tpl = str(d.kw1("template", "$MESSAGE"))
-        return MariadbAuditParser(
-            source_col=_field(tpl.lstrip("$").strip("{}")),
-            prefix=str(d.kw1("prefix", ".mariadb.audit.")))
+        return _sourced(d, MariadbAuditParser(
+            source_col=_TPL_SRC,
+            prefix=str(d.kw1("prefix", ".mariadb.audit."))))
     if d.name == "postgresql-csvlog-parser":
         from .stages.app_parsers import PostgresqlCsvlogParser
 
-        tpl = str(d.kw1("template", "$MESSAGE"))
-        return PostgresqlCsvlogParser(
-            source_col=_field(tpl.lstrip("$").strip("{}")),
-            prefix=str(d.kw1("prefix", ".pgsql.")))
+        return _sourced(d, PostgresqlCsvlogParser(
+            source_col=_TPL_SRC, prefix=str(d.kw1("prefix", ".pgsql."))))
     if d.name == "geoip2":
         from .enrich.geoip import GeoIP
 
-        src_tpl = d.args[0] if d.args else "$src_ip"
-        return GeoIP(mmdb_path=str(d.kw1("database")) if d.kw1("database") else None,
-                     source_col=_field(str(src_tpl).lstrip("$").strip("{}")),
-                     prefix=str(d.kw1("prefix", "geoip_")).lstrip(".").replace(".", "_") or "geoip_")
+        return _TemplateSourced(GeoIP(
+            mmdb_path=str(d.kw1("database")) if d.kw1("database") else None,
+            source_col=_TPL_SRC,
+            prefix=str(d.kw1("prefix", "geoip_")).lstrip(".").replace(".", "_") or "geoip_"),
+            str(d.args[0]) if d.args else "$src_ip")
     raise ConfigError(f"unsupported parser driver {d.name}()")
 
 

@@ -76,11 +76,6 @@ def _enc_value(v) -> bytes:
     raise TypeError(f"cannot encode {type(v)}")
 
 
-def _enc_bool(v: bool) -> bytes:
-    # boolean is extended type 14: size field IS the value
-    return bytes([(0 << 5) | (1 if v else 0), 14 - 7])
-
-
 class _Node:
     __slots__ = ("left", "right")
 

@@ -35,8 +35,3 @@ def ip_ranges(n: int = 64) -> list[tuple[str, dict[str, str]]]:
         cidr = f"10.{(i * 4) % 256}.0.0/18"
         out.append((cidr, {"country": COUNTRIES[i % len(COUNTRIES)], "city": f"city{i:02d}"}))
     return out
-
-
-def denylist_hosts(n: int = 50) -> list[str]:
-    """Newline-file analogue of in-list() (reference lib/filter/filter-in-list.c)."""
-    return [f"host{(7 * i + 3) % 1000:03d}.example.com" for i in range(n)]

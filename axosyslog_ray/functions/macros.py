@@ -175,7 +175,13 @@ def _sd_fmt(v) -> str:
 
 
 def _passthrough(col: str):
-    return lambda t: _str(_col(t, col)) if col in t.column_names else pd.Series([""] * t.num_rows, dtype=object)
+    def fn(t: pa.Table) -> pd.Series:
+        if col not in t.column_names:
+            return pd.Series([""] * t.num_rows, dtype=object)
+        return _str(_col(t, col))
+
+    fn.column = col  # the column the template engine may read directly
+    return fn
 
 
 MACROS: dict = {

@@ -22,9 +22,10 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..hashutil import hash_str_array
-from .macros import eval_macro
+from .macros import MACROS, eval_macro
 from .strings import TEMPLATE_FUNCS, lookup_template_func  # noqa: F401
 
 class TemplateCompileError(ValueError):
@@ -366,6 +367,27 @@ class Template:
         return out.astype(object)
 
     def eval_arrow(self, table: pa.Table) -> pa.Array:
+        """The rendered value as an Arrow string array: how config parser
+        inputs and filter values are read. Trivial templates skip pandas
+        (log_template_is_trivial, lib/template/templates.c): one
+        `$NAME` / `${NAME}` with no default and no `@N`, naming a string
+        column or a passthrough macro of one ($MESSAGE, $HOST, ...), is
+        that column with nulls as ""; a literal is repeated. Every other
+        template renders through `eval`."""
+        if not self.elems:
+            return pa.repeat("", table.num_rows)
+        if len(self.elems) == 1:
+            e = self.elems[0]
+            if isinstance(e, Literal):
+                return pa.repeat(e.text, table.num_rows)
+            if isinstance(e, ValueRef) and e.default is None \
+                    and not e.msg_ref:
+                name = e.name if e.name in table.column_names \
+                    else getattr(MACROS.get(e.name), "column", None)
+                if name in table.column_names \
+                        and table.schema.field(name).type == pa.string():
+                    return pc.fill_null(table.column(name).combine_chunks(),
+                                        "")
         return pa.array(self.eval(table).to_numpy(dtype=object), type=pa.string())
 
 

@@ -8,10 +8,12 @@ reference modules/appmodel/app-parser-generator.c) -> db-parser
 filterx-style predicate routing into four sinks with final/fallback
 semantics -> per-sink aggregate counts.
 
-Physical shape: ONE fused actor-pool map_batches stage
-(`LogPipelineStage`) does everything row-parallel — all compiled state
-(patterndb rules, context db, geoip ranges, regexes) is built once per
-actor in __init__; per batch everything is vectorized. Routing needs no
+Physical shape: ONE fused map_batches stage of stateless tasks
+(`flagship_routed` -> `_apply_stage`) does everything row-parallel. Each
+worker process builds one `LogPipelineStage` on its first batch and
+keeps it in `_STAGE_CACHE`, so all compiled state (patterndb rules,
+context db, geoip ranges, regexes) is built once per process; per batch
+everything is vectorized. Routing needs no
 shuffle (a route label column + partitioned write); only the final
 aggregates shuffle, and those are two-phase pre-aggregated
 (axosyslog_ray.aggregate).
@@ -127,9 +129,9 @@ def build_router() -> Router:
 
 
 class LogPipelineStage:
-    """Fused per-batch stage; use as
-    `ds.map_batches(LogPipelineStage, concurrency=N, batch_size=B,
-    batch_format="pyarrow")`."""
+    """Fused per-batch stage. `flagship_routed` runs it as stateless
+    map_batches tasks through `_apply_stage`, one instance per worker
+    process (`_STAGE_CACHE`), not as an actor pool."""
 
     def __init__(self):
         self.patterndb = PatternDB()

@@ -74,10 +74,28 @@ class Severity(FilterExpr):
         return (sev >= self.lo) & (sev <= self.hi)
 
 
+def _np_mask(m) -> np.ndarray:
+    """Arrow boolean result -> numpy bool mask, null as False."""
+    return np.asarray(pc.fill_null(m, False).to_numpy(zero_copy_only=False),
+                      dtype=bool)
+
+
+# string-matcher flag -> (Arrow kernel, the same test on one Python str)
+_STRING_OPS = {
+    "prefix": (pc.starts_with, str.startswith),
+    "substring": (pc.match_substring, lambda v, p: p in v),
+    None: (pc.equal, str.__eq__),
+}
+
+
 class Match(FilterExpr):
     """match()/host()/program()/message() — regex | literal | glob matcher
     on a field/template (reference lib/filter/filter-re.c:39-52,
-    lib/logmatcher.c matchers pcre/string/glob lib/logmatcher.h:115-117)."""
+    lib/logmatcher.c matchers pcre/string/glob lib/logmatcher.h:115-117).
+    The value is `Template.eval_arrow`; Arrow kernels (RE2, equal,
+    starts_with, match_substring) test it. Python `re` runs per row only
+    for patterns RE2 rejects (lookaround, backrefs), and `str.lower` only
+    for the non-ASCII rows of an ignore-case string match."""
 
     def __init__(self, pattern: str, value: str = "MESSAGE", kind: str = "pcre",
                  flags: tuple = ()):
@@ -94,42 +112,42 @@ class Match(FilterExpr):
         self.icase = bool({"icase", "ignore-case"} & self.flags)
         self.pattern = pattern
         rx_flags = re.IGNORECASE if self.icase else 0
-        self.re = re.compile(pattern, rx_flags) if kind == "pcre" else None
-        # Arrow RE2 fast path (C pass, no PyObject churn); patterns RE2
-        # can't express (lookaround, backrefs) fall back to pandas re
-        self._re2_pattern = None
         _ci = "(?i)" if self.icase else ""
+        self.re = None
         if kind == "pcre":
+            self.re = re.compile(pattern, rx_flags)
             self._re2_pattern = _ci + pattern
         elif kind == "glob":
-            glob_re = fnmatch.translate(pattern).replace(r"\Z", "$")
-            self._re2_pattern = _ci + "^(?:" + glob_re + ")"
+            glob_re = fnmatch.translate(pattern)
+            self.re = re.compile(glob_re, rx_flags)
+            self._re2_pattern = _ci + "^(?:" + glob_re.replace(r"\Z", "$") + ")"
         self._re2_ok: bool | None = None
 
     def mask(self, table):
-        vals = self.tmpl.eval(table)
+        vals = self.tmpl.eval_arrow(table)
         if self.kind == "string":
-            v = vals.astype("string")
-            p = self.pattern
-            if self.icase:
-                v, p = v.str.lower(), p.lower()
-            if "prefix" in self.flags:
-                return v.str.startswith(p).fillna(False).to_numpy(dtype=bool)
-            if "substring" in self.flags:
-                return v.str.contains(p, regex=False, na=False).to_numpy(dtype=bool)
-            return (v == p).fillna(False).to_numpy(dtype=bool)
+            op, py_op = _STRING_OPS[
+                "prefix" if "prefix" in self.flags
+                else "substring" if "substring" in self.flags else None]
+            if not self.icase:
+                return _np_mask(op(vals, self.pattern))
+            # ASCII rows fold with ascii_lower exactly as str.lower does
+            p = self.pattern.lower()
+            out = _np_mask(op(pc.ascii_lower(vals), p))
+            rest = np.flatnonzero(~_np_mask(pc.string_is_ascii(vals)))
+            for i, v in zip(rest, vals.take(rest).to_pylist()):
+                out[i] = v is not None and py_op(v.lower(), p)
+            return out
         if self._re2_ok is not False:
             try:
-                arr = pa.array(vals.to_numpy(dtype=object), type=pa.string())
-                m = pc.fill_null(pc.match_substring_regex(arr, self._re2_pattern), False)
+                m = _np_mask(pc.match_substring_regex(vals, self._re2_pattern))
                 self._re2_ok = True
-                return np.asarray(m.to_numpy(zero_copy_only=False), dtype=bool)
+                return m
             except pa.ArrowInvalid:
-                self._re2_ok = False  # non-RE2 pattern: pandas fallback below
-        if self.kind == "pcre":
-            return vals.astype("string").str.contains(self.re, regex=True, na=False).to_numpy()
-        rx = re.compile(fnmatch.translate(self.pattern))
-        return vals.astype("string").str.match(rx, na=False).to_numpy()
+                self._re2_ok = False  # non-RE2 pattern: Python re below
+        find = self.re.search if self.kind == "pcre" else self.re.match
+        return np.array([v is not None and find(v) is not None
+                         for v in vals.to_pylist()], dtype=bool)
 
 
 def host(pattern, kind="pcre"):
@@ -200,6 +218,10 @@ def _to_number(vals: pd.Series, vt: str) -> np.ndarray:
     return np.full(n, np.nan)
 
 
+_ARROW_CMP = {"eq": pc.equal, "ne": pc.not_equal, "lt": pc.less,
+              "le": pc.less_equal, "gt": pc.greater, "ge": pc.greater_equal}
+
+
 class Cmp(FilterExpr):
     """Template-vs-template comparison — a faithful port of the
     reference's decision procedure (lib/filter/filter-cmp.c:42-235):
@@ -262,22 +284,25 @@ class Cmp(FilterExpr):
             return vals, "string", np.zeros(n, dtype=bool)
         return vals, "null", np.ones(n, dtype=bool)
 
-    def _cmp(self, a: pd.Series, b: pd.Series) -> np.ndarray:
+    def _numeric(self, a: pd.Series, b: pd.Series) -> np.ndarray:
         import operator
 
         opf = getattr(operator, self.OPS[self.op])
-        if self.mode == "numeric":
-            an, bn = pd.to_numeric(a, errors="coerce"), pd.to_numeric(b, errors="coerce")
-            num_ok = an.notna() & bn.notna()
-            num_res = pd.Series(np.zeros(len(a), dtype=bool))
-            with np.errstate(invalid="ignore"):
-                num_res[num_ok] = opf(an[num_ok], bn[num_ok])
-            return (num_res & num_ok).to_numpy()
-        return opf(a.astype(str), b.astype(str)).to_numpy()
+        an, bn = pd.to_numeric(a, errors="coerce"), pd.to_numeric(b, errors="coerce")
+        num_ok = an.notna() & bn.notna()
+        num_res = pd.Series(np.zeros(len(a), dtype=bool))
+        with np.errstate(invalid="ignore"):
+            num_res[num_ok] = opf(an[num_ok], bn[num_ok])
+        return (num_res & num_ok).to_numpy()
 
     def mask(self, table):
+        if self.mode == "numeric":
+            return self._numeric(self.l.eval(table), self.r.eval(table))
         if self.mode != "type-aware":
-            return self._cmp(self.l.eval(table), self.r.eval(table))
+            # UTF-8 byte order is code point order: Arrow's comparison
+            # kernels order strings as Python does
+            return _np_mask(_ARROW_CMP[self.OPS[self.op]](
+                self.l.eval_arrow(table), self.r.eval_arrow(table)))
         import operator
 
         opf = getattr(operator, self.OPS[self.op])
@@ -441,8 +466,8 @@ class InList(FilterExpr):
         self.tmpl = Template("$" + field if not field.startswith("$") else field)
 
     def mask(self, table):
-        vals = pa.array(self.tmpl.eval(table).to_numpy(dtype=object), type=pa.string())
-        return pc.is_in(vals, value_set=self.values).to_numpy(zero_copy_only=False)
+        return _np_mask(pc.is_in(self.tmpl.eval_arrow(table),
+                                 value_set=self.values))
 
 
 class Netmask(FilterExpr):

@@ -208,7 +208,7 @@ class CiscoParser:
             else:
                 out = out.append_column(name, arr)
 
-        _set(self.source_col, msg.astype(object).where(msg.notna()))
+        _set("message", msg.astype(object).where(msg.notna()))
         _set(p + "facility", trip["fac"].astype(object).where(trip["fac"].notna()))
         _set(p + "severity", trip["sev"].astype(object).where(trip["sev"].notna()))
         _set(p + "mnemonic", trip["mn"].astype(object).where(trip["mn"].notna()))
@@ -273,12 +273,15 @@ class MariadbAuditParser:
         col = self.prefix + "serverhost"
         s = out.column(col).to_pandas()
         ext = s.str.extract(self.head_re)
-        info = ext["syslog_info"].where(s.notna())
-        server = ext["serverhost"].where(s.notna(), s)
+        # a first field the split does not match (e.g. empty) stays whole
+        info = ext["syslog_info"]
+        server = ext["serverhost"].fillna(s)
         idx = out.column_names.index(col)
-        out = out.set_column(idx, col, pa.array(server.to_numpy(dtype=object), type=pa.string()))
+        out = out.set_column(idx, col, pa.array(server.to_numpy(dtype=object),
+                                                type=pa.string(), from_pandas=True))
         out = out.append_column(self.prefix + "syslog_info",
-                                pa.array(info.to_numpy(dtype=object), type=pa.string()))
+                                pa.array(info.to_numpy(dtype=object),
+                                         type=pa.string(), from_pandas=True))
         names = out.column_names
         return out.rename_columns([("mariadb_valid" if c == "csv_valid" else c) for c in names])
 

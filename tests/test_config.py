@@ -394,6 +394,20 @@ log {
         assert out.column("status").to_pylist() == ["seen"]
         assert r.rendered("d") == ["admin"]
 
+    def test_run_result_survives_next_run(self):
+        # a RunResult is a snapshot: the next run() on the same compiled
+        # config must not rewrite what an earlier result reports
+        cfg = compile_config("""
+source s { example-msg-generator(num(1)); };
+destination d { file("o.log"); };
+log { source(s); destination(d); };
+""")
+        r1 = cfg.run(sources={"s": pa.table({"message": ["a", "b", "c"]})})
+        cfg.run(sources={"s": pa.table({"message": ["z"]})})
+        assert r1.processed("d") == 3
+        assert r1.table("d").column("message").to_pylist() == ["a", "b", "c"]
+        assert r1.rendered("d") == ["a\n", "b\n", "c\n"]
+
     def test_csv_parser_inline_in_path(self):
         cfg = compile_config("""
 source s { example-msg-generator(num(1)); };
@@ -431,6 +445,123 @@ log { source(g); destination(d); };
 """).run()
         assert r.processed("d") == 3
         assert r.rendered("d") == ["hi!"] * 3
+
+
+_PG_ROW = ",".join([
+    "2023-08-08 12:05:52.805 UTC", "$PROGRAM", "mydb", "22113", "", "s1", "1",
+    "", "2023-08-08 12:05:20 UTC", "6/117", "0", "LOG", "00000",
+    "hello $HOST", "", "", "", "", "", "", "", "", "psql", "client backend",
+    "", "0"])
+
+# driver -> (driver text around {tpl}, three `payload` values, a composite
+# template). Every driver that takes template() is here.
+_PARSER_INPUTS = {
+    "csv-parser": (
+        "csv-parser(columns(\"c1\", \"c2\") prefix(\"csv.\") template('{tpl}'))",
+        ["a,b", "x", None], "${payload},$PROGRAM"),
+    "kv-parser": (
+        "kv-parser(prefix(\"kv.\") template('{tpl}'))",
+        ["a=1 b=2", 'k="v w"', None], "h=$HOST ${payload}"),
+    "linux-audit-parser": (
+        "linux-audit-parser(prefix(\"au.\") template('{tpl}'))",
+        ['type=SYSCALL msg=audit(1.0:2): a0=2f746d70 comm="ls"', "a=1", None],
+        "${payload} prog=$PROGRAM"),
+    "regexp-parser": (
+        "regexp-parser(patterns(\"^(?<w1>[a-z0-9]+) (?<w2>[a-z0-9]+)\")"
+        " prefix(\"re.\") template('{tpl}'))",
+        ["ab cd", "one", None], "$HOST $PROGRAM"),
+    "json-parser": (
+        "json-parser(prefix(\"j.\") template('{tpl}'))",
+        ['{"a": 1, "b": "x"}', "not json", None],
+        '{"h": "$HOST", "p": "$PROGRAM"}'),
+    "sdata-parser": (
+        "sdata-parser(prefix(\".sd.\") template('{tpl}'))",
+        ['[ex@1 a="1" b="2"]', "plain", None],
+        '[meta host="$HOST" p="$PROGRAM"]'),
+    "date-parser": (
+        "date-parser(format(\"%Y-%m-%d\") template('{tpl}'))",
+        ["2024-01-02", "junk", None], "2024-01-0$n"),
+    "tags-parser": (
+        "tags-parser(template('{tpl}'))", ["a,b", "", None], "${HOST},x"),
+    "syslog-parser": (
+        "syslog-parser(template('{tpl}'))",
+        ["<13>Jan  1 00:00:00 h1 prog[1]: hello",
+         "<165>1 2003-10-11T22:14:15.003Z box evnt - ID47 - msg", None],
+        "<$PRI>Jan  1 00:00:00 $HOST $PROGRAM: x"),
+    "syslog-parser no-header": (
+        "syslog-parser(flags(no-header) template('{tpl}'))",
+        ["<13>rest of it", "no pri", None], "<$PRI>$PROGRAM says"),
+    "cisco-parser": (
+        "cisco-parser(template('{tpl}'))",
+        ["<189>29: foo: *Apr 29 13:58:40.411: %SYS-5-CONFIG_I: Configured",
+         "junk", None], "<189>$PROGRAM: %SYS-5-CONFIG_I: by $HOST"),
+    "snmptrapd-parser": (
+        "snmptrapd-parser(template('{tpl}'))",
+        ["2017-05-10 12:46:14 web2 [UDP: [127.0.0.1]:34257->[127.0.0.1]:162]:"
+         " iso.3.6.1.2.1.1.3.0 = Timeticks: (875496867) 101 days", "junk",
+         None],
+        "2017-05-10 12:46:14 $PROGRAM [UDP: [127.0.0.1]:1->[127.0.0.1]:162]:"
+        " iso.3.6 = STRING: $HOST"),
+    "mariadb-audit-parser": (
+        "mariadb-audit-parser(template('{tpl}'))",
+        ["columnstore-1 eff8,user1,172.18.0.1,32,394,QUERY,db,x,0", "junk",
+         None], "$PROGRAM ${HOST},u,1.2.3.4,32,394,QUERY,db,,0"),
+    "postgresql-csvlog-parser": (
+        "postgresql-csvlog-parser(template('{tpl}'))",
+        [_PG_ROW.replace("$PROGRAM", "app").replace("$HOST", "h"), "junk",
+         None], _PG_ROW),
+    "geoip2": (
+        "geoip2('{tpl}' database(\"{db}\") prefix(\"geo_\"))",
+        ["10.1.2.3", "8.8.8.8", None], "10.$n.0.1"),
+}
+# drivers that set $MESSAGE themselves: their message column is output
+_WRITES_MESSAGE = {"syslog-parser", "syslog-parser no-header",
+                   "cisco-parser", "snmptrapd-parser"}
+
+
+class TestParserTemplateInputs:
+    """Every parser driver that takes template() reads it through one
+    path: a plain column reference, a macro that is no column
+    ($FACILITY) and a composite template each parse exactly as the same
+    driver fed the rendered value as $MESSAGE."""
+
+    @staticmethod
+    def _run(driver: str, table: pa.Table) -> pa.Table:
+        cfg = compile_config(f"""
+source s {{ example-msg-generator(num(1)); }};
+destination d {{ file("o.log"); }};
+parser p {{ {driver}; }};
+log {{ source(s); parser(p); destination(d); }};
+""")
+        return cfg.run(sources={"s": table}).table("d")
+
+    @pytest.mark.parametrize("shape", ["column", "macro", "composite"])
+    @pytest.mark.parametrize("name", list(_PARSER_INPUTS))
+    def test_input_matches_rendered_message(self, name, shape, tmp_path):
+        from axosyslog_ray.enrich.mmdb_write import write_mmdb
+        from axosyslog_ray.functions.templates import Template
+
+        db = str(tmp_path / "geo.mmdb")
+        write_mmdb(db, [("10.0.0.0/8", {"country": {"iso_code": "US"}})])
+        driver, payload, composite = _PARSER_INPUTS[name]
+        tpl = {"column": "$payload", "macro": "$FACILITY",
+               "composite": composite}[shape]
+        t = pa.table({"message": ["unrelated", "text", "here"],
+                      "host": ["h1", None, "h3"],
+                      "program": ["sshd", "cron", "su"],
+                      "pri": [13, 34, 190],
+                      "n": [1, 2, None],
+                      "payload": payload,
+                      "recv_ts": pa.array([0, 0, 0], pa.timestamp("us"))})
+        got = self._run(driver.format(tpl=tpl, db=db), t)
+        rendered = Template(tpl).eval(t).tolist()
+        want = self._run(driver.format(tpl="$MESSAGE", db=db),
+                         t.set_column(0, "message", pa.array(rendered)))
+        if name not in _WRITES_MESSAGE and got.num_rows:
+            got, want = got.drop_columns(["message"]), \
+                want.drop_columns(["message"])
+        assert got.column_names == want.column_names
+        assert got.to_pylist() == want.to_pylist()
 
 
 class TestErrors:

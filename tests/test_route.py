@@ -7,10 +7,17 @@ tests/light/functional_tests/logpath/test_conditionals.py:77-101 —
 per-sink content + counts).
 """
 
+import fnmatch
+import re
+import warnings
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
+from hypothesis import given, settings, strategies as st
 
+from axosyslog_ray.functions.templates import Template
 from axosyslog_ray.route import (
     Cmp, Facility, InList, Match, Netmask, Router, Severity, TagFilter, TRUE,
     host, program,
@@ -139,3 +146,108 @@ def test_match_string_flags_reference_pins():
     # pcre searches anywhere; icase flag
     assert m("tűrő", kind="pcre") == [False, True, False, False]
     assert m("BCD", kind="pcre", flags=("icase",)) == [False, False, True, False]
+
+
+# ---- template values through Template.eval_arrow, tested with Arrow ----
+
+# ASCII letters in both cases, case-fold oddities (dotted I, sharp s,
+# Kelvin sign, final sigma), accents, a space and regex/glob specials
+_ALPHABET = "aAbB İıßẞKkσςΣéÉ.*?"
+_VALUES = st.lists(st.one_of(st.none(), st.text(_ALPHABET, max_size=6)),
+                   min_size=0, max_size=12)
+_TEMPLATES = ["$c", "${c}", "$MESSAGE", "${MSG}", "$HOST", "$missing",
+              "${c:-d}", "${missing:-d}", "${HOST:-d}", "x$c", "$c$HOST",
+              "lit", "", "$n", "${c}@1"]
+
+
+def _value_table(c, message, host):
+    n = min(len(c), len(message), len(host))
+    return pa.table({"c": pa.array(c[:n], pa.string()),
+                     "message": pa.array(message[:n], pa.string()),
+                     "host": pa.array(host[:n], pa.string()),
+                     "n": pa.array(range(n), pa.int64())})
+
+
+def _parent_match(m: Match, table) -> np.ndarray:
+    """Match.mask as it was before values came from eval_arrow: pandas
+    string ops, RE2 when it takes the pattern, else pandas `re` (glob's
+    `re` fallback now honours ignore-case, as the RE2 path always did)."""
+    vals = m.tmpl.eval(table)
+    if m.kind == "string":
+        v, p = vals.astype("string"), m.pattern
+        if m.icase:
+            v, p = v.str.lower(), p.lower()
+        if "prefix" in m.flags:
+            return v.str.startswith(p).fillna(False).to_numpy(dtype=bool)
+        if "substring" in m.flags:
+            return v.str.contains(p, regex=False, na=False).to_numpy(dtype=bool)
+        return (v == p).fillna(False).to_numpy(dtype=bool)
+    try:
+        arr = pa.array(vals.to_numpy(dtype=object), type=pa.string())
+        return np.asarray(pc.fill_null(pc.match_substring_regex(
+            arr, m._re2_pattern), False).to_numpy(zero_copy_only=False),
+            dtype=bool)
+    except pa.ArrowInvalid:
+        pass
+    flags = re.IGNORECASE if m.icase else 0
+    if m.kind == "pcre":
+        with warnings.catch_warnings():  # "has match groups"
+            warnings.simplefilter("ignore", UserWarning)
+            return vals.astype("string").str.contains(
+                re.compile(m.pattern, flags), regex=True, na=False).to_numpy()
+    return vals.astype("string").str.match(
+        re.compile(fnmatch.translate(m.pattern), flags), na=False).to_numpy()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_VALUES, _VALUES, _VALUES, st.sampled_from(_TEMPLATES))
+def test_eval_arrow_equals_rendered_eval(c, message, host, spec):
+    t = _value_table(c, message, host)
+    tpl = Template(spec)
+    want = pa.array(tpl.eval(t).to_numpy(dtype=object), type=pa.string())
+    assert tpl.eval_arrow(t).equals(want)
+
+
+_MATCHERS = (
+    [("pcre", p, ()) for p in ["a", "^a", "b$", "A.b", "é", "[ab]+$",
+                               "(?<=a)b", "(a)\\1", "ß"]]
+    + [("pcre", p, ("ignore-case",)) for p in ["a", "(?<=a)B", "É", "k"]]
+    + [("glob", p, f) for p in ["a*", "*b", "*a*b*", "a*b*", "a?", "[ab]*",
+                               "*é*"]
+       for f in [(), ("ignore-case",)]]
+    + [("string", p, f) for p in ["a", "ab", "", "A", "İ", "ß", "k", "σ"]
+       for f in [(), ("prefix",), ("substring",), ("ignore-case",),
+                 ("prefix", "ignore-case"), ("substring", "ignore-case")]]
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_VALUES, _VALUES, _VALUES, st.sampled_from(_TEMPLATES))
+def test_match_mask_equals_parent(c, message, host, spec):
+    t = _value_table(c, message, host)
+    for kind, pattern, flags in _MATCHERS:
+        m = Match(pattern, spec, kind, flags)
+        assert np.array_equal(m.mask(t), _parent_match(m, t)), \
+            (kind, pattern, flags)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_VALUES, _VALUES, _VALUES, st.sampled_from(_TEMPLATES),
+       st.lists(st.text(_ALPHABET, max_size=3), max_size=4),
+       st.sampled_from(["==", "!=", "<", "<=", ">", ">=", "===", "!=="]),
+       st.sampled_from(["$c", "$HOST", "a", "", "é", "${missing:-a}"]))
+def test_in_list_and_string_cmp_equal_parent(c, message, host, spec, values,
+                                             op, right):
+    import operator
+
+    t = _value_table(c, message, host)
+    in_list = InList(values, spec)
+    vals = in_list.tmpl.eval(t)
+    want = pc.is_in(pa.array(vals.to_numpy(dtype=object), type=pa.string()),
+                    value_set=pa.array(sorted(set(values)), pa.string()))
+    assert np.array_equal(in_list.mask(t), want.to_numpy(zero_copy_only=False))
+    vals = Template(spec).eval(t)
+    opf = getattr(operator, Cmp.OPS[op])
+    want = opf(vals.astype(str), Template(right).eval(t).astype(str))
+    assert np.array_equal(Cmp(spec, op, right, mode="string").mask(t),
+                          want.to_numpy())
