@@ -1373,6 +1373,29 @@ def _sourced(d: Driver, stage) -> _TemplateSourced:
     return _TemplateSourced(stage, str(d.kw1("template", "$MESSAGE")))
 
 
+class _PdbStage:
+    """db-parser(): classify with PatternDB, then give the config the
+    reference's nv names. Extracted values become message columns and
+    the classifier pair is also set as .classifier.class /
+    .classifier.rule_id (pdb-ruleset.c). With drop-unmatched(yes),
+    unclassified messages drop (modules/correlation/db-parser.c
+    drop_unmatched)."""
+
+    def __init__(self, pdb, drop: bool):
+        self.pdb = pdb
+        self.drop = drop
+
+    def __call__(self, table: pa.Table) -> pa.Table:
+        out = self.pdb(table)
+        if self.drop:
+            out = out.filter(pc.is_valid(out.column("pdb_rule")))
+        vm = out.column("pdb_values")
+        out = _ExpandMap(lambda t: t, "pdb_values")(out)
+        out = out.append_column("pdb_values", vm)
+        out = out.append_column(".classifier.rule_id", out.column("pdb_rule"))
+        return out.append_column(".classifier.class", out.column("pdb_class"))
+
+
 def _compile_parser(d: Driver):
     if d.name == "csv-parser":
         from .stages.csv_parser import CsvParser
@@ -1505,28 +1528,9 @@ def _compile_parser(d: Driver):
             if os.path.exists(cand):
                 path = cand
         rules, _ = load_ruleset(str(path))
-        pdb = PatternDB(rules)
         drop = str(d.kw1("drop-unmatched", "no")).lower() in ("yes", "on",
                                                               "1", "true")
-
-        def _pdb_stage(table: pa.Table) -> pa.Table:
-            out = pdb(table)
-            if drop:
-                # db-parser(drop-unmatched(yes)): unclassified messages
-                # drop (modules/correlation/db-parser.c drop_unmatched)
-                out = out.filter(pa.compute.is_valid(out.column("pdb_rule")))
-            # config-level nv names: extracted values become message
-            # columns and the classifier pair gets its reference names
-            # (.classifier.class / .classifier.rule_id — pdb-ruleset.c)
-            vm = out.column("pdb_values")
-            out = _ExpandMap(lambda t: t, "pdb_values")(out)
-            out = out.append_column("pdb_values", vm)
-            out = out.append_column(".classifier.rule_id",
-                                    out.column("pdb_rule"))
-            return out.append_column(".classifier.class",
-                                     out.column("pdb_class"))
-
-        return _pdb_stage
+        return _PdbStage(PatternDB(rules), drop)
     if d.name == "date-parser":
         from .stages.date_parser import DateParser
 

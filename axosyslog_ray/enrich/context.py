@@ -10,8 +10,11 @@ written onto the row, values themselves template-evaluated against the
 row (so a db value like "$HOST-suffix" works).
 
 Scale shape: the db is SMALL-side — broadcast once (`ray.put` on the
-driver or a path loaded once per actor in __init__), looked up per batch
-with a vectorized pandas merge. No shuffle.
+driver or a path loaded once per actor in __init__). When every db value
+is a literal, a batch is one `pc.index_in` of the selector against the
+db keys and one `take` per field (the reference's one hash lookup per
+message). Template-valued dbs render each selector group's values. No
+shuffle.
 """
 
 from __future__ import annotations
@@ -22,8 +25,9 @@ import io
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from ..functions.templates import Template
+from ..functions.templates import Literal, Template
 
 
 def parse_context_csv(text: str,
@@ -89,40 +93,37 @@ class AddContextualData:
             sel: [(n, Template(v)) for n, v in recs] for sel, recs in db.items()
         }
         self.default_compiled = [(n, Template(v)) for n, v in self.default]
-        # fast path: when every value in the db is a pure literal (no $refs),
-        # the whole lookup is one vectorized pandas map per field instead of
-        # a per-selector-group template eval (1000s of tiny takes otherwise)
+        # literal db (no $refs; the default records are db records too):
+        # per field, the value each db key sets (its last record of that
+        # name) or null, in db key order
         self.all_literal = all(
-            len(t.elems) == 0 or (len(t.elems) == 1 and type(t.elems[0]).__name__ == "Literal")
+            len(t.elems) == 0 or (len(t.elems) == 1 and isinstance(t.elems[0], Literal))
             for recs in self.compiled.values() for _, t in recs
-        ) and all(
-            len(t.elems) == 0 or (len(t.elems) == 1 and type(t.elems[0]).__name__ == "Literal")
-            for _, t in self.default_compiled
         )
         if self.all_literal:
-            self.literal_maps = {f: {} for f in self.fields}
-            for sel, recs in db.items():
-                for name, value in recs:
-                    self.literal_maps[name][sel] = value
+            self.keys = pa.array(list(db), pa.string())
+            self.literal_cols = {
+                f: pa.array([dict(recs).get(f) for recs in db.values()], pa.string())
+                for f in self.fields
+            }
             self.literal_defaults = dict(self.default)
 
     def __call__(self, table: pa.Table) -> pa.Table:
-        sel = self.selector.eval(table)
+        sel = self.selector.eval_arrow(table)
         if self.ignore_case:
-            sel = sel.astype(str).str.lower()
-        n = table.num_rows
+            sel = pa.array([s.lower() for s in sel.to_pylist()], pa.string())
         out = table
         if self.all_literal:
-            is_known = sel.isin(set(self.compiled.keys())).to_numpy()
+            idx = pc.index_in(sel, value_set=self.keys)
+            known = pc.is_valid(idx)
             for f in self.fields:
-                mapped = sel.map(self.literal_maps[f])
-                dflt = self.literal_defaults.get(f)
-                vals = mapped.where(is_known, dflt)
-                arr = vals.astype(object).where(vals.notna(), None).to_numpy(dtype=object)
-                out = out.append_column(self.prefix + f, pa.array(arr, type=pa.string()))
+                dflt = pa.scalar(self.literal_defaults.get(f), pa.string())
+                vals = pc.if_else(known, self.literal_cols[f].take(idx), dflt)
+                out = out.append_column(self.prefix + f, vals)
             return out
+        n = table.num_rows
         cols = {f: np.full(n, None, dtype=object) for f in self.fields}
-        sel_np = sel.to_numpy(dtype=object)
+        sel_np = sel.to_numpy(zero_copy_only=False)
         order = pd.Series(sel_np).groupby(sel_np, sort=False).groups  # value -> row idx
         for value, idx in order.items():
             recs = self.compiled.get(value, self.default_compiled)

@@ -3,9 +3,10 @@
 Mirrors the reference geoip parser shape (reference
 modules/geoip2/geoip-parser.c:90-110,195-199 — mmdb opened once, an IP
 template resolved per message, results under `prefix()`): here the
-database is a list of (cidr, attrs...) ranges; lookup is a vectorized
-`np.searchsorted` over the sorted range starts — O(log n) per row, one
-numpy pass per batch. The db is built once per actor (__init__), the
+database is a list of (cidr, attrs...) ranges; lookup is one RE2 pass
+that packs the dotted quads into int64 and one `np.searchsorted` over
+the sorted range starts — O(log n) per row, no pandas. Each attribute
+is then one Arrow `take`. The db is built once per actor (__init__), the
 broadcast-small-side pattern.
 """
 
@@ -14,10 +15,10 @@ from __future__ import annotations
 import ipaddress
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from ..functions.strings import tf_ipv4_to_int
+_IPV4 = r"^(?P<a>\d{1,3})\.(?P<b>\d{1,3})\.(?P<c>\d{1,3})\.(?P<d>\d{1,3})$"
 
 
 class GeoIP:
@@ -70,29 +71,24 @@ class GeoIP:
         self.ends = np.array([r[1] for r in rows], dtype=np.int64)
         self.attr_names = sorted({k for _, _, a in rows for k in a})
         self.attrs = {
-            name: np.array([a.get(name) for _, _, a in rows], dtype=object) for name in self.attr_names
+            name: pa.array([a.get(name) for _, _, a in rows], pa.string()) for name in self.attr_names
         }
         self.source_col = source_col
         self.prefix = prefix
 
     @staticmethod
-    def pack_ipv4(ips: pd.Series) -> pd.Series:
-        """Vectorized dotted-quad -> int (NaN for non-IPv4), via Arrow RE2."""
-        import pyarrow as _pa
-        import pyarrow.compute as _pc
-
-        arr = _pa.array(ips.astype(object).where(ips.notna(), None), type=_pa.string())
-        st = _pc.extract_regex(arr, pattern=r"^(?P<a>\d{1,3})\.(?P<b>\d{1,3})\.(?P<c>\d{1,3})\.(?P<d>\d{1,3})$")
-        octs = [
-            _pc.cast(_pc.struct_field(st, f), _pa.int64()).to_pandas() for f in ("a", "b", "c", "d")
-        ]
-        ok = octs[0].notna()
-        for o in octs[1:]:
-            ok &= o.notna()
-        for o in octs:
-            ok &= o <= 255
-        val = octs[0] * 16777216 + octs[1] * 65536 + octs[2] * 256 + octs[3]
-        return val.where(ok.fillna(False))
+    def pack_ipv4(ips) -> np.ndarray:
+        """Dotted quads -> int64, via one Arrow RE2 extract: -1 where the
+        value is null, is not four 1-3 digit decimal octets, or has an
+        octet above 255."""
+        st = pc.extract_regex(pc.cast(ips, pa.string()), pattern=_IPV4)
+        val = np.zeros(len(ips), dtype=np.int64)
+        ok = np.ones(len(ips), dtype=bool)
+        for f in "abcd":
+            octet = pc.fill_null(pc.cast(pc.struct_field(st, f), pa.int64()), 256).to_numpy()
+            ok &= octet <= 255
+            val = (val << 8) | octet
+        return np.where(ok, val, -1)
 
     def __call__(self, table: pa.Table) -> pa.Table:
         n = table.num_rows
@@ -101,16 +97,12 @@ class GeoIP:
             for name in self.attr_names:
                 out = out.append_column(self.prefix + name, pa.nulls(n, pa.string()))
             return out
-        ips = table.column(self.source_col).to_pandas()
-        ints = self.pack_ipv4(ips)
-        valid = ints.notna().to_numpy()
-        iv = ints.fillna(-1).astype(np.int64).to_numpy()
-        pos = np.searchsorted(self.starts, iv, side="right") - 1
-        in_range = valid & (pos >= 0)
-        pos_c = np.clip(pos, 0, len(self.starts) - 1)
-        in_range &= iv <= self.ends[pos_c]
+        ips = self.pack_ipv4(table.column(self.source_col))
+        # a miss (-1 included: every start is >= 0) lands before the
+        # first start or past its range's end; its index is masked null
+        pos = np.searchsorted(self.starts, ips, side="right") - 1
+        hit = (pos >= 0) & (ips <= self.ends[pos])
+        idx = pa.array(pos, mask=~hit)
         for name in self.attr_names:
-            vals = np.full(n, None, dtype=object)
-            vals[in_range] = self.attrs[name][pos_c[in_range]]
-            out = out.append_column(self.prefix + name, pa.array(vals, type=pa.string()))
+            out = out.append_column(self.prefix + name, self.attrs[name].take(idx))
         return out

@@ -12,16 +12,20 @@ Physical shape: ONE fused map_batches stage of stateless tasks
 (`flagship_routed` -> `_apply_stage`) does everything row-parallel. Each
 worker process builds one `LogPipelineStage` on its first batch and
 keeps it in `_STAGE_CACHE`, so all compiled state (patterndb rules,
-context db, geoip ranges, regexes) is built once per process; per batch
-everything is vectorized. Routing needs no
+context db, geoip ranges, regexes) is built once per process. Per batch,
+everything between the syslog parse and the router runs on Arrow kernels
+and numpy, with no pandas: each app parser runs on its candidate rows
+only and its values are scattered back (`stages.syslog._scatter`);
+contextual data is one `index_in` + one `take` per field, and GeoIP one
+RE2 pass + `searchsorted` + one `take` per attribute. Per-row Python is
+left only in the JSON decode of the json candidates and in the generic
+parsers on the rows the RE2 passes cannot decide. Routing needs no
 shuffle (a route label column + partitioned write); only the final
 aggregates shuffle, and those are two-phase pre-aggregated
 (axosyslog_ray.aggregate).
 """
 
 from __future__ import annotations
-
-import re
 
 import numpy as np
 import pyarrow as pa
@@ -35,9 +39,12 @@ from ..stages.csv_parser import apache_parser
 from ..stages.json_parser import _loads
 from ..stages.kv_parser import _KV_BARE, _KV_QUOTED, _KV_SIMPLE, KvParser
 from ..stages.patterndb import PatternDB
-from ..stages.syslog import parse_syslog_table
+from ..stages.syslog import _scatter, parse_syslog_table
 
 SINKS = ["errors", "auth", "web", "other"]
+# the `app` column's values; a row's code is the last chain stage that
+# claimed it
+_APPS = pa.array(["raw", "kv", "apache", "json", "syslog"])
 
 
 # ---------------------------------------------------------------------------
@@ -47,14 +54,17 @@ SINKS = ["errors", "auth", "web", "other"]
 # whole batch run through Arrow RE2 instead.
 # ---------------------------------------------------------------------------
 
-# unquoted fields must not open a quote section (the csv scanner opens
-# one on a field-initial `"` or `[`) and the bracketed stamp must not
-# hold a backslash (the scanner's escape-backslash dialect applies there)
+# the fields: clientip ident auth [stamp] "request" status bytes
+# "referrer" "agent" rt vhost. Only the two the flagship reads capture:
+# RE2 pays for every capture group. Unquoted fields must not open a quote
+# section (the csv scanner opens one on a field-initial `"` or `[`) and
+# the bracketed stamp must not hold a backslash (the scanner's
+# escape-backslash dialect applies there)
 APACHE_RE2 = (
-    r'^(?P<clientip>[^\s"\[]\S*) (?P<ident>[^\s"\[]\S*) (?P<auth>[^\s"\[]\S*) '
-    r'\[(?P<ats>[^\]\\]*)\] "(?P<request>(?:[^"\\]|\\.)*)" (?P<status>[^\s"\[]\S*) '
-    r'(?P<bytes>[^\s"\[]\S*) "(?P<referrer>(?:[^"\\]|\\.)*)" '
-    r'"(?P<agent>(?:[^"\\]|\\.)*)" (?P<rt>[^\s"\[]\S*) (?P<vhost>[^\s"\[]\S*)$'
+    r'^(?P<clientip>[^\s"\[]\S*) [^\s"\[]\S* [^\s"\[]\S* '
+    r'\[[^\]\\]*\] "(?:[^"\\]|\\.)*" (?P<status>[^\s"\[]\S*) '
+    r'[^\s"\[]\S* "(?:[^"\\]|\\.)*" '
+    r'"(?:[^"\\]|\\.)*" [^\s"\[]\S* [^\s"\[]\S*$'
 )
 
 
@@ -77,17 +87,24 @@ def fast_apache(text: pa.ChunkedArray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return valid, clientip, status
 
 
-# the last `key=` wins, as in KvParser(promote=...)
-_KV_LAST = rf"(?s)^(?:.* )?%s=(?P<v>{_KV_QUOTED}|{_KV_BARE})"
+# a pair's value, still quoted
+_KV_VALUE = rf"^(?P<v>{_KV_QUOTED}|{_KV_BARE})"
 
 
 def fast_kv_promote(text: pa.ChunkedArray, key: str) -> np.ndarray:
-    """The value KvParser(promote=[key]) gives per row: one RE2 pass on
+    """The value KvParser(promote=[key]) gives per row: Arrow kernels on
     the rows of kv-parser's whitelist shape (stages/kv_parser.py), where
-    the scanner has nothing to decide, the kv scanner on the rest."""
+    the scanner has nothing to decide, the kv scanner on the rest. In that
+    shape every key starts the row or follows a space, and no value or
+    stray word holds ` <key>=`, so the last value of `key` (the last one
+    wins, as in the scanner) follows the last ` <key>=` of " " + row."""
     text = pc.cast(text, pa.string())
     simple = pc.match_substring_regex(text, _KV_SIMPLE).to_numpy(zero_copy_only=False)
-    v = pc.struct_field(pc.extract_regex(text, _KV_LAST % re.escape(key)), "v")
+    parts = pc.split_pattern(pc.binary_join_element_wise(" ", text, ""), f" {key}=",
+                             max_splits=1, reverse=True)
+    after = pc.list_element(pc.if_else(pc.equal(pc.list_value_length(parts), 2),
+                                       parts, pa.scalar(None, parts.type)), 1)
+    v = pc.struct_field(pc.extract_regex(after, _KV_VALUE), "v")
     v = pc.if_else(pc.starts_with(v, '"'), pc.utf8_slice_codeunits(v, 1, -1), v)
     out = v.to_numpy(zero_copy_only=False)
     rest = np.flatnonzero(~simple)
@@ -98,21 +115,16 @@ def fast_kv_promote(text: pa.ChunkedArray, key: str) -> np.ndarray:
     return out
 
 
-def fast_json_valid(text_np: np.ndarray, cand: np.ndarray) -> np.ndarray:
-    """json_valid for candidate rows: parse without flattening, with the
-    JSON decoder JsonParser uses."""
-    out = np.zeros(len(text_np), dtype=bool)
-    for i in np.flatnonzero(cand):
+def fast_json_valid(text: pa.ChunkedArray) -> np.ndarray:
+    """json_valid per row of `text` (the candidate rows): parse without
+    flattening, with the JSON decoder JsonParser uses."""
+    out = np.zeros(len(text), dtype=bool)
+    for i, s in enumerate(text.to_numpy(zero_copy_only=False)):
         try:
-            out[i] = isinstance(_loads(text_np[i]), dict)
+            out[i] = isinstance(_loads(s), dict)
         except Exception:
             pass
     return out
-
-
-def _coalesce_str(*cols) -> pa.Array:
-    arrs = [c if isinstance(c, (pa.Array, pa.ChunkedArray)) else pa.array(c, type=pa.string()) for c in cols]
-    return pc.coalesce(*arrs)
 
 
 def build_router() -> Router:
@@ -143,70 +155,57 @@ class LogPipelineStage:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         t = parse_syslog_table(batch)
+        n = t.num_rows
 
         # ---- app-parser classification chain (first-match-wins) ----
-        text = t.column("text").to_pandas().astype("string").fillna("")
-        syslog_ok = t.column("syslog_parsed").to_numpy(zero_copy_only=False)
-        arrow_text = t.column("text")
-        _af = pc.fill_null(pc.cast(arrow_text, pa.string()), "")
-        looks_json = np.asarray(
-            pc.starts_with(_af, "{").to_numpy(zero_copy_only=False), dtype=bool) & ~syslog_ok
-        looks_apache = np.asarray(
-            pc.match_substring_regex(_af, r"^\d{1,3}\.\d{1,3}\.\d{1,3}\.\d{1,3} ").to_numpy(zero_copy_only=False),
-            dtype=bool) & ~syslog_ok
-        looks_kv = np.asarray(
-            pc.match_substring(_af, "=").to_numpy(zero_copy_only=False), dtype=bool
-        ) & ~syslog_ok & ~looks_json & ~looks_apache
-        text_np = text.to_numpy(dtype=object)
-        json_ok = fast_json_valid(text_np, looks_json)
         # fast parsers run on CANDIDATE subsets only (taking the slim text
-        # column, then numpy scatter-back) — extracting over every row and
+        # column, then scattering back) — extracting over every row and
         # masking afterwards ran the RE2 passes over the whole corpus
-        n_rows = t.num_rows
-        apache_ok = np.zeros(n_rows, dtype=bool)
-        aip = np.full(n_rows, None, dtype=object)
-        ast = np.full(n_rows, None, dtype=object)
-        ap_idx = np.flatnonzero(looks_apache)
-        if len(ap_idx):
-            av_s, aip_s, ast_s = fast_apache(arrow_text.take(pa.array(ap_idx, type=pa.int64())))
-            apache_ok[ap_idx] = av_s
-            aip[ap_idx] = aip_s
-            ast[ap_idx] = ast_s
-        kv_ip = np.full(n_rows, None, dtype=object)
-        kv_status = np.full(n_rows, None, dtype=object)
-        kv_idx = np.flatnonzero(looks_kv)
-        if len(kv_idx):
-            sub_kv = arrow_text.take(pa.array(kv_idx, type=pa.int64()))
-            kv_ip[kv_idx] = fast_kv_promote(sub_kv, "src_ip")
-            kv_status[kv_idx] = fast_kv_promote(sub_kv, "status")
+        text = pc.fill_null(pc.cast(t.column("text"), pa.string()), "")
+        syslog_ok = t.column("syslog_parsed").to_numpy(zero_copy_only=False)
+        raw = np.flatnonzero(~syslog_ok)
+        raw_text = text.take(raw)
+        looks_json = pc.starts_with(raw_text, "{").to_numpy(zero_copy_only=False)
+        looks_apache = pc.match_substring_regex(
+            raw_text, r"^\d{1,3}\.\d{1,3}\.\d{1,3}\.\d{1,3} ").to_numpy(zero_copy_only=False)
+        looks_kv = pc.match_substring(raw_text, "=").to_numpy(zero_copy_only=False) \
+            & ~looks_json & ~looks_apache
+        js_idx, ap_idx, kv_idx = (raw[m] for m in (looks_json, looks_apache, looks_kv))
+
+        json_ok = np.zeros(n, dtype=bool)
+        json_ok[js_idx] = fast_json_valid(text.take(js_idx))
+        apache_ok = np.zeros(n, dtype=bool)
+        av, aip, ast = fast_apache(text.take(ap_idx))
+        apache_ok[ap_idx] = av
+        kv_text = text.take(kv_idx)
+
+        def scatter(rows, vals) -> pa.Array:
+            return _scatter(n, [(rows, pa.array(vals, pa.string()))], None, pa.string())
+
+        web_clientip = scatter(ap_idx, aip)
+        kv_ip = scatter(kv_idx, fast_kv_promote(kv_text, "src_ip"))
         t = t.append_column("json_valid", pa.array(json_ok))
         t = t.append_column("csv_valid", pa.array(apache_ok))
-        t = t.append_column("web_clientip", pa.array(aip, type=pa.string()))
-        t = t.append_column("web_status", pa.array(ast, type=pa.string()))
-        t = t.append_column("src_ip", pa.array(kv_ip, type=pa.string()))
-        t = t.append_column("status", pa.array(kv_status, type=pa.string()))
+        t = t.append_column("web_clientip", web_clientip)
+        t = t.append_column("web_status", scatter(ap_idx, ast))
+        t = t.append_column("status", scatter(kv_idx, fast_kv_promote(kv_text, "status")))
 
-        app = np.full(t.num_rows, "raw", dtype=object)
-        app[looks_kv] = "kv"
-        app[apache_ok] = "apache"
-        app[json_ok] = "json"
-        app[syslog_ok] = "syslog"
-        t = t.append_column("app", pa.array(app, type=pa.string()))
+        app = np.zeros(n, dtype=np.int8)
+        app[kv_idx] = 1
+        app[apache_ok] = 2
+        app[json_ok] = 3
+        app[syslog_ok] = 4
+        t = t.append_column("app", _APPS.take(pa.array(app)))
 
         # ---- db-parser (patterndb) over syslog messages ----
         t = self.patterndb(t)
 
         # ---- derived src_ip: apache clientip | kv src_ip | pdb client_ip ----
-        # Arrow-native map key extraction — no per-row dict() materialization
         pdb_ip = pc.map_lookup(
             t.column("pdb_values").combine_chunks(), query_key="client_ip", occurrence="first"
         )
-        web_ip_arr = t.column("web_clientip")
-        web_ip = pc.if_else(pa.array(apache_ok), web_ip_arr, pa.nulls(t.num_rows, pa.string()))
-        kv_ip = t.column("src_ip")
-        t = t.drop_columns(["src_ip"])
-        src_ip = _coalesce_str(web_ip, kv_ip, pdb_ip)
-        t = t.append_column("src_ip", src_ip)
+        web_ip = pc.if_else(pa.array(apache_ok), web_clientip, pa.scalar(None, pa.string()))
+        t = t.append_column("src_ip", pc.coalesce(web_ip, kv_ip, pdb_ip))
 
         # ---- enrich: context db (host -> tier/dc), geoip (src_ip) ----
         t = self.context(t)

@@ -563,6 +563,34 @@ log {{ source(s); parser(p); destination(d); }};
         assert got.column_names == want.column_names
         assert got.to_pylist() == want.to_pylist()
 
+    @pytest.mark.parametrize("name", [*_PARSER_INPUTS, "db-parser"])
+    def test_compiled_stage_is_class_instance(self, name, tmp_path):
+        """Every compiled parser stage is a class instance, never a plain
+        function: tracing patches `type(stage).__call__` of each."""
+        import types
+
+        from axosyslog_ray.enrich.mmdb_write import write_mmdb
+
+        db = str(tmp_path / "geo.mmdb")
+        write_mmdb(db, [("10.0.0.0/8", {"country": {"iso_code": "US"}})])
+        pdb = tmp_path / "rules.pdb"
+        pdb.write_text(
+            "<patterndb version='6'><ruleset name='s' id='1'><rules>"
+            "<rule id='r1' provider='t' class='system'><patterns>"
+            "<pattern>login @ESTRING:user: @</pattern></patterns></rule>"
+            "</rules></ruleset></patterndb>")
+        driver = f'db-parser(file("{pdb}"))' if name == "db-parser" \
+            else _PARSER_INPUTS[name][0].format(tpl="$MESSAGE", db=db)
+        cfg = compile_config(f"""
+source s {{ example-msg-generator(num(1)); }};
+destination d {{ file("o.log"); }};
+parser p {{ {driver}; }};
+log {{ source(s); parser(p); destination(d); }};
+""")
+        stages = [st for sts in cfg.parsers.values() for st in sts]
+        assert stages
+        assert not any(isinstance(st, types.FunctionType) for st in stages)
+
 
 class TestErrors:
     def test_unknown_statement_raises(self):

@@ -1,0 +1,121 @@
+"""Parity of the two enrichment lookups with per-row oracles: a
+dict-per-row add-contextual-data and an `ipaddress` longest-prefix GeoIP,
+on generated databases and inputs (the reference's context-info-db.c
+lookup and geoip2's mmdb lookup, message by message)."""
+
+import ipaddress
+import re
+
+import pyarrow as pa
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from axosyslog_ray.enrich.context import AddContextualData
+from axosyslog_ray.enrich.geoip import GeoIP
+
+# selector keys include "" , a key that prefixes another, and case twins
+_KEYS = ["a", "ab", "b", "", "default", "A"]
+_SELECTORS = _KEYS + ["zz", "a ", "abc"]
+# "${HOST}!" makes a template-valued db (rendered per row)
+_VALUES = ["p", "q", "pq", "", "${HOST}!"]
+
+
+def _context_oracle(db, hosts, default_selector, prefix):
+    """Per row: the selector's records, or the default records for an
+    unknown selector; the last record of a name wins."""
+    fields = sorted({n for recs in db.values() for n, _ in recs})
+    dflt = db.get(default_selector, []) if default_selector else []
+    out = {prefix + f: [] for f in fields}
+    for h in hosts:
+        host = "" if h is None else h
+        recs = dict(db.get(host, dflt))
+        for f in fields:
+            v = recs.get(f)
+            out[prefix + f].append(None if v is None else v.replace("${HOST}", host))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    db=st.dictionaries(
+        st.sampled_from(_KEYS),
+        st.lists(st.tuples(st.sampled_from(["x", "y", "z"]),
+                           st.sampled_from(_VALUES)), min_size=1, max_size=4),
+        max_size=6),
+    hosts=st.lists(st.one_of(st.none(), st.sampled_from(_SELECTORS)), max_size=12),
+    default_selector=st.sampled_from(["default", None, "zz"]),
+    prefix=st.sampled_from(["", "ctx."]),
+)
+@example(db={"a": [("x", "p"), ("x", "q")], "default": [("y", "d")]},
+         hosts=["a", None, "", "b", "ab"], default_selector="default", prefix="")
+def test_context_matches_dict_per_row(db, hosts, default_selector, prefix):
+    stage = AddContextualData(db=db, selector="$HOST",
+                              default_selector=default_selector, prefix=prefix)
+    t = pa.table({"host": pa.array(hosts, pa.string())})
+    out = stage(t)
+    want = _context_oracle(db, hosts, default_selector, prefix)
+    assert out.column_names == ["host", *want]
+    for name, vals in want.items():
+        assert out.column(name).to_pylist() == vals, name
+
+
+_OCTETS = re.compile(r"([0-9]{1,3})\.([0-9]{1,3})\.([0-9]{1,3})\.([0-9]{1,3})")
+# odd texts: leading zeros (read as decimal), spaces, IPv6, and octets
+# past 255 that would wrap into 10.0.0.0/8 if they were accepted
+_ODD_IPS = [None, "", "1.2.3", "256.0.0.1", "9.256.0.1", "10.0.0.256",
+            "01.2.3.4", "010.000.1.2", " 10.0.0.1", "10.0.0.1 ", "10.0.0.1\n",
+            "::1", "fe80::a00:1", "::ffff:10.0.0.1", "1.2.3.4.5", "1..2.3",
+            "a.b.c.d", "1234.1.1.1"]
+
+
+def _geoip_oracle(ranges, ips, names):
+    """Per row: four 1-3 digit decimal octets, each <= 255, else a miss;
+    the longest containing prefix wins, the first listed on a tie."""
+    nets = [(ipaddress.ip_network(c, strict=False), a) for c, a in ranges]
+    out = {n: [] for n in names}
+    for ip in ips:
+        m = _OCTETS.fullmatch(ip or "")
+        hit = None
+        if m and all(int(o) <= 255 for o in m.groups()):
+            addr = ipaddress.IPv4Address(".".join(str(int(o)) for o in m.groups()))
+            inside = [(net.prefixlen, a) for net, a in nets if addr in net]
+            if inside:
+                hit = max(inside, key=lambda h: h[0])[1]
+        for n in names:
+            out[n].append(None if hit is None else hit.get(n))
+    return out
+
+
+_cidr = st.builds(
+    lambda host, plen: str(ipaddress.ip_network(((10 << 24) | host, plen), strict=False)),
+    st.integers(0, (1 << 24) - 1), st.sampled_from([8, 12, 16, 20, 24, 30, 32]))
+_attrs = st.dictionaries(st.sampled_from(["country", "city"]),
+                         st.sampled_from(["US", "CA", "c1", ""]), max_size=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ranges=st.lists(st.tuples(_cidr, _attrs), max_size=6), data=st.data())
+@example(ranges=[("10.0.0.0/8", {"country": "US"}), ("10.5.0.0/16", {"country": "CA"}),
+                 ("10.7.0.0/16", {"city": "c1"})],
+         data=None)
+def test_geoip_matches_ipaddress(ranges, data):
+    # the edges of every range, one step outside each, and odd texts
+    nets = [ipaddress.ip_network(c) for c, _ in ranges]
+    edges = [int(a) + d for net in nets
+             for a in (net.network_address, net.broadcast_address) for d in (-1, 0, 1)]
+    ips = [str(ipaddress.IPv4Address(e)) for e in edges] + _ODD_IPS
+    if data is not None:
+        ips += data.draw(st.lists(st.builds(
+            lambda v: str(ipaddress.IPv4Address((10 << 24) | v)),
+            st.integers(0, (1 << 24) - 1)), max_size=8))
+        ips = data.draw(st.permutations(ips))
+    g = GeoIP(ranges=ranges, source_col="ip", prefix="geo_")
+    out = g(pa.table({"ip": pa.array(ips, pa.string())}))
+    names = sorted({n for _, a in ranges for n in a})
+    want = _geoip_oracle(ranges, ips, names)
+    # an attribute only a shadowed range sets has no column: it never wins
+    assert set(g.attr_names) <= set(names)
+    for n in names:
+        got = out.column("geo_" + n).to_pylist() if n in g.attr_names \
+            else [None] * len(ips)
+        assert got == want[n], n

@@ -75,6 +75,56 @@ def test_flagship_through_ray_with_sinks(tmp_path):
     assert sorted(web["url"]) == sorted(local[local["route"] == "web"]["url"])
 
 
+# sha256 of repr((str(field), column.to_pylist())) per output column, in
+# schema order, of LogPipelineStage()(gen_pages_table(16_384, seed=42))
+_STAGE_DIGESTS = [
+    ("url", "6b7321d984de58943b67c8e26d3bec467908ceb50514fb5845c81735eb370622"),
+    ("warc_ts", "6359fa8d49e4b0296087e406e6516b146ebea66df369402ade2324ddfcd97a8c"),
+    ("html", "7eb103c9ea56d3dd3f2b20b7cd43f6e9f3944a7cf73a58381c3d40a9660194b9"),
+    ("text", "817ce8e496c3ad5634591d52380c115d592d95d88b0dc4bb4d511ce99a194c80"),
+    ("lang", "52281d1738e7eac0f8e10310c70b4708e7905fd29502a32871c5251c317b7754"),
+    ("pri", "c6f2f8a3f514823a7a9179ad748b2788293df77b37d3300e427febff6f80895b"),
+    ("ts_stamp", "bc500dfdd3613a2a4c88e969a70abc9718b8dd3e96059c989e0c721f173c99dd"),
+    ("host", "b303591a7b4d6f4335815be133041980d7676338ecf229d02310bbf2e582dd28"),
+    ("program", "553fa29832380e39e627090994abe4649406fcc0fbd5fd52abfbc1e82f1bb6f6"),
+    ("pid", "b38b2b7077508208fd47a94cb949c39569fd82daa31a24ee865c361158d72f2f"),
+    ("msgid", "a9d6bd1ae53a9b4e43c5216cbe950999d4ac6493b53129ac5c54f890f6bb499c"),
+    ("message", "1fffd22df003acfe8977a04d89d4ae63729243ca7209fd7d925511783baaf63e"),
+    ("legacy_msghdr", "822fbdfd3f94d7bd20c83f4007b5990b706be4d6580e886aa743102b5bdc1a36"),
+    ("sdata", "272825b7ccb5e8402ca8644efa7dd2d5283ac480cc09bdd8cfc555f3eddc5680"),
+    ("syslog_parsed", "0d68962fb16c0aa7e87010da2d19623240a5ddf83e91cb57d74e89916f8bfd70"),
+    ("msgformat", "a24d9c328a7982afac0cb0ca86bec920412edc76ebafc9040dbd27925b2d4a47"),
+    ("tags", "edd558dc9f30a9506828842a548503f64d705ea45b3a7346e31ed6cc92ee1b4b"),
+    ("json_valid", "ca9e8e20cb024f5d4af98d553336ceac5dd268394c5a82594d88576eb1e5c9b4"),
+    ("csv_valid", "8a6e5fde334d75ed75b8e80848dfc552dca0391f6abaf8e81a9c6ca638a769d2"),
+    ("web_clientip", "cb78b858c7a709e99e59e004b60fa4e44c461422fc90437fffd348da8cdf0498"),
+    ("web_status", "04039f625ffadf8d74c1c89431850d0e0b4f344965e0e7e961fb03e0b74cf26f"),
+    ("status", "d485a7a8254a5d8d8cffae0e1f81337fa141a404126514ec68b5f8da0794d35d"),
+    ("app", "e28bce149a3cf42dffa8aacd9748eea84ee486d8f95fa2f1bc96d5ea6e2c31bb"),
+    ("pdb_rule", "7a4f56704dce02a8faf79e928a305c04ebcdab8ccd563765ddc94fbf82bd3ee8"),
+    ("pdb_class", "86687d8575164585493e7d2d6a20f569762a656d580da409fa2ce997dd25312f"),
+    ("pdb_values", "c3e2b8a3f245291dd5116d437debdb838f6eec79c04006b05d8931e6e3b94ace"),
+    ("src_ip", "96836e2dc0b3de260da48b544b7e3bdc3e481bb5647c0008d352afc8cef304a8"),
+    ("host_dc", "252f93115ba67b2332c18f5b4e66753bdc10a791761ee27fcb8e2bc11cc662ba"),
+    ("host_tier", "69d741b5e55016c0bcaf045050d6cab83eb3405e35893b2ea4cf6745dac6e6ed"),
+    ("geo_city", "1c1d4124f6c317a9967a99516ee95293f75a9f56463d9706ad1a698b3009cfe2"),
+    ("geo_country", "b37ba99bbc603c11f102869fb6f81b3fd6f2782de5f72448ca8790a0c0888b9c"),
+    ("route", "5d59f48d8edd1da7f4b4a87aa39ee84c83e8e975f20e331df2700315d61af2f7"),
+]
+
+
+def test_stage_output_digest():
+    """The whole fused-stage output is pinned: every column's name, type,
+    nullability, position and values (the golden-route tests pin only
+    route URL sets and sink counts, not the enrichment columns)."""
+    import hashlib
+
+    t = LogPipelineStage()(gen_pages_table(16_384, seed=42))
+    got = [(f.name, hashlib.sha256(repr((str(f), t.column(f.name).to_pylist()))
+                                   .encode()).hexdigest()) for f in t.schema]
+    assert got == _STAGE_DIGESTS
+
+
 def test_fast_paths_match_generic_parsers():
     """The flagship's hot-path specializations agree with the generic
     parsers on the candidate rows of one seeded 16,384-row batch."""
@@ -111,8 +161,7 @@ def test_fast_paths_match_generic_parsers():
     assert clientip.tolist() == want.column("web_clientip").to_pylist()
     assert status.tolist() == want.column("web_status").to_pylist()
 
-    text_np = np.array(js.column("text").to_pylist(), dtype=object)
-    got = fast_json_valid(text_np, np.ones(js.num_rows, dtype=bool))
+    got = fast_json_valid(js.column("text"))
     want = JsonParser(source_col="text")(js)
     assert got.tolist() == want.column("json_valid").to_pylist()
 
@@ -167,7 +216,7 @@ def _check_fast_paths(kv_lines, apache_lines, json_lines):
             == want.column(key).to_pylist(), key
 
     js = pa.table({"text": pa.array(json_lines, pa.string())})
-    got = fast_json_valid(np.array(json_lines, dtype=object), np.ones(len(json_lines), dtype=bool))
+    got = fast_json_valid(js.column("text"))
     assert got.tolist() == JsonParser(source_col="text")(js).column("json_valid").to_pylist()
 
 
