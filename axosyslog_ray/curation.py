@@ -299,14 +299,13 @@ class Decontaminator:
 
 
 def decontaminate(ds, eval_ds, n: int = 5, text_col: str = "text",
-                  id_col: str = "doc_id", concurrency: int = 4):
+                  id_col: str = "doc_id"):
     """(id, contaminated) flags for every row of `ds` vs `eval_ds` grams.
 
     Runs as plain tasks (not a fixed actor pool): the only state is the
     broadcast gram array, and ray.get on a node-local object is a
     zero-copy plasma view — tasks scale elastically with the cluster,
-    never deadlock a small one, and skip the pool spin-up cost. The
-    `concurrency` arg is kept for API compatibility and ignored."""
+    never deadlock a small one, and skip the pool spin-up cost."""
     import ray
 
     ref = ray.put(build_eval_gram_set(eval_ds, n, text_col))

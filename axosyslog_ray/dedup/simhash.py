@@ -101,7 +101,7 @@ def simhash_bands(batch: pa.Table, bands: int = 4, id_col: str = "doc_id") -> pa
 
 
 def simhash_candidates(ds, bands: int = 4, max_hamming: int = 3,
-                       text_col: str = "text", id_col: str = "doc_id", concurrency=None,
+                       text_col: str = "text", id_col: str = "doc_id",
                        final: str = "shuffle", num_shards: int | None = None):
     """(doc_id, cluster_id): min doc sharing a band AND within max_hamming
     (verified exactly per bucket). final="driver" reduces the small label

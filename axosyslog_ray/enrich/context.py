@@ -9,12 +9,12 @@ row the selector template is evaluated and looked up; on miss the
 written onto the row, values themselves template-evaluated against the
 row (so a db value like "$HOST-suffix" works).
 
-Scale shape: the db is SMALL-side — broadcast once (`ray.put` on the
-driver or a path loaded once per actor in __init__). When every db value
-is a literal, a batch is one `pc.index_in` of the selector against the
-db keys and one `take` per field (the reference's one hash lookup per
-message). Template-valued dbs render each selector group's values. No
-shuffle.
+Scale shape: the db is SMALL-side, built once per worker in __init__.
+Every batch takes one path, literal and template-valued dbs alike: one
+`pc.index_in` of the selector against the db keys (the reference's one
+hash lookup per message), then per field one `take` of its template ids
+and one `take` of the rendered literals. Only rows whose value is a
+template with references render it, over those rows alone. No shuffle.
 """
 
 from __future__ import annotations
@@ -23,11 +23,11 @@ import csv
 import io
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.templates import Literal, Template
+from ..stages.syslog import _scatter
 
 
 def parse_context_csv(text: str,
@@ -51,13 +51,12 @@ def parse_context_csv(text: str,
 
 class AddContextualData:
     """Usable directly as `ds.map_batches(AddContextualData, fn_constructor_kwargs=...,
-    concurrency=N)` — db built once per actor."""
+    concurrency=N)` — db built once per actor; pass
+    `db=parse_context_csv(text)`."""
 
     def __init__(
         self,
-        db: dict[str, list[tuple[str, str]]] | None = None,
-        csv_text: str | None = None,
-        db_ref=None,  # ray.put ObjectRef for broadcast
+        db: dict[str, list[tuple[str, str]]],
         selector: str = "$HOST",
         default_selector: str | None = "default",
         prefix: str = "",
@@ -67,13 +66,6 @@ class AddContextualData:
         (context_info_db_new(ignore_case), reference
         test_ignore_case_on); `prefix` is prepended verbatim to every
         emitted name (contextual_data_record_scanner_new prefix)."""
-        if db_ref is not None:
-            import ray
-
-            db = ray.get(db_ref)
-        if db is None:
-            db = parse_context_csv(csv_text or "")
-        self.ignore_case = ignore_case
         if ignore_case:
             folded: dict[str, list[tuple[str, str]]] = {}
             for k, recs in db.items():
@@ -81,58 +73,51 @@ class AddContextualData:
             db = folded
             if default_selector:
                 default_selector = default_selector.lower()
-        self.db = db
+        self.ignore_case = ignore_case
         self.selector = Template(selector)
-        self.default = db.get(default_selector, []) if default_selector else []
         self.prefix = prefix
+        self.keys = pa.array(list(db), pa.string())
+        default = db.get(default_selector, []) if default_selector else []
         # all field names any selector can set -> stable output schema
-        names = {n for recs in db.values() for n, _ in recs}
-        self.fields = sorted(names)
-        # pre-compile value templates (values are templates per the reference)
-        self.compiled = {
-            sel: [(n, Template(v)) for n, v in recs] for sel, recs in db.items()
-        }
-        self.default_compiled = [(n, Template(v)) for n, v in self.default]
-        # literal db (no $refs; the default records are db records too):
-        # per field, the value each db key sets (its last record of that
-        # name) or null, in db key order
-        self.all_literal = all(
-            len(t.elems) == 0 or (len(t.elems) == 1 and isinstance(t.elems[0], Literal))
-            for recs in self.compiled.values() for _, t in recs
-        )
-        if self.all_literal:
-            self.keys = pa.array(list(db), pa.string())
-            self.literal_cols = {
-                f: pa.array([dict(recs).get(f) for recs in db.values()], pa.string())
-                for f in self.fields
-            }
-            self.literal_defaults = dict(self.default)
+        self.fields = sorted({n for recs in db.values() for n, _ in recs})
+        # per field, the template id each db key sets (the last record of
+        # that name wins) or None, with the default records in the last slot
+        specs: dict[str, int] = {}
+        ids = {f: [None] * (len(db) + 1) for f in self.fields}
+        for slot, recs in enumerate([*db.values(), default]):
+            for name, value in recs:
+                ids[name][slot] = specs.setdefault(value, len(specs))
+        self.ids = {f: pa.array(v, pa.int32()) for f, v in ids.items()}
+        # values are templates (the reference renders each one); one with
+        # no references renders once, here, to its text
+        self.templates = [Template(s) for s in specs]
+        literal = [all(isinstance(e, Literal) for e in t.elems) for t in self.templates]
+        self.rendered = pa.array(
+            ["".join(e.text for e in t.elems) if lit else None
+             for t, lit in zip(self.templates, literal)], pa.string())
+        # per field, the template ids with references it can take
+        self.dynamic = {f: sorted({i for i in v if i is not None and not literal[i]})
+                        for f, v in ids.items()}
 
     def __call__(self, table: pa.Table) -> pa.Table:
         sel = self.selector.eval_arrow(table)
         if self.ignore_case:
-            sel = pa.array([s.lower() for s in sel.to_pylist()], pa.string())
+            enc = sel.dictionary_encode()
+            sel = pa.array([s.lower() for s in enc.dictionary.to_pylist()],
+                           pa.string()).take(enc.indices)
+        slot = pc.fill_null(pc.index_in(sel, value_set=self.keys), len(self.keys))
         out = table
-        if self.all_literal:
-            idx = pc.index_in(sel, value_set=self.keys)
-            known = pc.is_valid(idx)
-            for f in self.fields:
-                dflt = pa.scalar(self.literal_defaults.get(f), pa.string())
-                vals = pc.if_else(known, self.literal_cols[f].take(idx), dflt)
-                out = out.append_column(self.prefix + f, vals)
-            return out
-        n = table.num_rows
-        cols = {f: np.full(n, None, dtype=object) for f in self.fields}
-        sel_np = sel.to_numpy(zero_copy_only=False)
-        order = pd.Series(sel_np).groupby(sel_np, sort=False).groups  # value -> row idx
-        for value, idx in order.items():
-            recs = self.compiled.get(value, self.default_compiled)
-            if not recs:
-                continue
-            sub = table.take(pa.array(np.asarray(idx, dtype=np.int64)))
-            for name, tmpl in recs:
-                vals = tmpl.eval(sub).to_numpy(dtype=object)
-                cols[name][np.asarray(idx, dtype=np.int64)] = vals
         for f in self.fields:
-            out = out.append_column(self.prefix + f, pa.array(cols[f], type=pa.string()))
+            tid = self.ids[f].take(slot)
+            vals = self.rendered.take(tid)
+            if self.dynamic[f]:
+                tid_np = pc.fill_null(tid, -1).to_numpy()
+                pieces = []
+                for i in self.dynamic[f]:
+                    rows = np.flatnonzero(tid_np == i)
+                    if len(rows):
+                        pieces.append((rows, self.templates[i].eval_arrow(table.take(rows))))
+                if pieces:
+                    vals = _scatter(table.num_rows, pieces, vals, pa.string())
+            out = out.append_column(self.prefix + f, vals)
         return out

@@ -22,18 +22,19 @@ _IPV4 = r"^(?P<a>\d{1,3})\.(?P<b>\d{1,3})\.(?P<c>\d{1,3})\.(?P<d>\d{1,3})$"
 
 
 class GeoIP:
+    """Pass the database as `ranges=` — (cidr, {name: value}) pairs —
+    and/or `mmdb_path=`; both are merged. Every output column is
+    `prefix` + an attribute name some declared range sets, so the schema
+    does not depend on how the ranges overlap."""
+
     def __init__(
         self,
         ranges: list[tuple[str, dict[str, str]]] | None = None,
-        db_ref=None,
         source_col: str = "src_ip",
         prefix: str = "geoip_",
         mmdb_path: str | None = None,
     ):
-        if db_ref is not None:
-            import ray
-
-            ranges = ray.get(db_ref)
+        ranges = list(ranges or [])
         if mmdb_path is not None:
             # real MaxMind database: the reference's geoip2(database(..))
             # shape (modules/geoip2/geoip-parser.c) — the mmdb tree is
@@ -41,9 +42,9 @@ class GeoIP:
             # the vectorized searchsorted path below
             from .mmdb import mmdb_to_ranges
 
-            ranges = list(ranges or []) + mmdb_to_ranges(mmdb_path)
+            ranges += mmdb_to_ranges(mmdb_path)
         raw = []
-        for cidr, attrs in ranges or []:
+        for cidr, attrs in ranges:
             net = ipaddress.ip_network(cidr, strict=False)
             raw.append((int(net.network_address), int(net.broadcast_address), net.prefixlen, attrs))
         # Flatten nested/overlapping CIDRs into DISJOINT intervals with
@@ -69,7 +70,9 @@ class GeoIP:
         rows.sort(key=lambda r: r[0])
         self.starts = np.array([r[0] for r in rows], dtype=np.int64)
         self.ends = np.array([r[1] for r in rows], dtype=np.int64)
-        self.attr_names = sorted({k for _, _, a in rows for k in a})
+        # the declared names, not the winners': an attribute that only a
+        # shadowed range sets still gets its (all-null) column
+        self.attr_names = sorted({k for _, a in ranges for k in a})
         self.attrs = {
             name: pa.array([a.get(name) for _, _, a in rows], pa.string()) for name in self.attr_names
         }

@@ -70,7 +70,8 @@ class ValueRef:
                 return lst.map(
                     lambda v: _ser_list([str(x) for x in v])
                     if v is not None else fill).astype(object)
-            col = table.column(self.name).to_pandas()
+            # an int column with a null stays int (not float64: "1.0")
+            col = table.column(self.name).to_pandas(integer_object_nulls=True)
             if pd.api.types.is_bool_dtype(col):
                 # LM_VT_BOOLEAN marshals lowercase (lib/logmsg type
                 # hints; Light suites assert 'true'/'false')

@@ -199,7 +199,7 @@ def assign_files(files: list[tuple[str, int]], num_parts: int) -> list[list[str]
     return parts
 
 
-def curate_to_parquet(docs_path: str, out_dir: str, sf_dir_tables: dict | None = None,
+def curate_to_parquet(docs_path: str, out_dir: str,
                       num_parts: int = 8, **kwargs):
     """Resumable driver: shard the INPUT FILE LIST across partitions
     (size-balanced, deterministic) and run `curate` per partition through

@@ -16,13 +16,12 @@ context db, geoip ranges, regexes) is built once per process. Per batch,
 everything between the syslog parse and the router runs on Arrow kernels
 and numpy, with no pandas: each app parser runs on its candidate rows
 only and its values are scattered back (`stages.syslog._scatter`);
-contextual data is one `index_in` + one `take` per field, and GeoIP one
+contextual data is one `index_in` + two `take`s per field, and GeoIP one
 RE2 pass + `searchsorted` + one `take` per attribute. Per-row Python is
 left only in the JSON decode of the json candidates and in the generic
 parsers on the rows the RE2 passes cannot decide. Routing needs no
-shuffle (a route label column + partitioned write); only the final
-aggregates shuffle, and those are two-phase pre-aggregated
-(axosyslog_ray.aggregate).
+shuffle (a route label column + partitioned write), and neither do the
+per-sink counts (`run_flagship`): the sink counts what it writes.
 """
 
 from __future__ import annotations
@@ -240,50 +239,31 @@ def _apply_stage(batch: pa.Table) -> pa.Table:
     return stage(batch)
 
 
-def flagship_routed(ds, concurrency=None, batch_size: int = 16384):
-    """pages Dataset -> routed message Dataset (lazy)."""
-    kwargs = {"concurrency": concurrency} if concurrency is not None else {}
-    routed = ds.map_batches(
-        _apply_stage, batch_format="pyarrow", batch_size=batch_size, **kwargs
-    )
+def flagship_routed(ds, batch_size: int = 16384):
+    """pages Dataset -> routed message Dataset (lazy): `_apply_stage` as
+    stateless map_batches tasks of `batch_size` rows, projected to
+    SINK_COLUMNS."""
+    routed = ds.map_batches(_apply_stage, batch_format="pyarrow", batch_size=batch_size)
     return routed.select_columns(SINK_COLUMNS)
 
 
-def flagship_aggregates(routed):
-    """Per-sink aggregate counts: (route, host) and (route, lang) — the
-    metrics the reference's per-sink stats counters expose
-    (lib/logwriter.c:74-95), two-phase pre-aggregated."""
-    from ..aggregate import pre_aggregated_count
-
-    by_host = pre_aggregated_count(routed.select_columns(["route", "host"]), ["route", "host"], alias="n")
-    by_lang = pre_aggregated_count(routed.select_columns(["route", "lang"]), ["route", "lang"], alias="n")
-    return by_host, by_lang
-
-
-def run_flagship(n_rows: int = 6000, out_dir: str | None = None, concurrency=None, seed: int = 42):
-    """End-to-end: synthesize -> parse/enrich/route -> write sinks -> aggregate.
-    Returns (per-sink counts DataFrame, by_lang DataFrame)."""
+def run_flagship(n_rows: int = 6000, *, out_dir: str, seed: int = 42):
+    """End-to-end: synthesize -> parse/enrich/route -> write the sinks
+    under `out_dir`. Returns the (per-sink counts, by_lang) DataFrames,
+    rolled up from the (route, host, lang) partials the count-on-write
+    sink returns: one streaming execution, no read-back
+    (sinks.RoutedParquetDatasink)."""
+    from ..sinks import RoutedParquetDatasink
     from ..synth import pages_dataset
 
-    ds = pages_dataset(n_rows, seed=seed)
-    routed = flagship_routed(ds, concurrency=concurrency)
-    if out_dir:
-        # fused count-on-write sink: ONE streaming execution writes the
-        # hive-partitioned sinks AND returns (route, host, lang) partials
-        # — both aggregates roll up from the returned partials, no
-        # read-back pipeline (sinks.RoutedParquetDatasink docstring)
-        from ..sinks import RoutedParquetDatasink
-
-        sink = RoutedParquetDatasink(out_dir, partition_col="route",
-                                     count_cols=("route", "host", "lang"),
-                                     min_rows_per_file=150_000)
-        routed.write_datasink(sink)
-        parts = sink.counts
-        by_host = parts.groupby(["route", "host"], as_index=False, dropna=False)["n"].sum()
-        by_lang = parts.groupby(["route", "lang"], as_index=False, dropna=False)["n"].sum()
-    else:
-        by_host, by_lang = flagship_aggregates(routed)
-        by_host, by_lang = by_host.to_pandas(), by_lang.to_pandas()
+    routed = flagship_routed(pages_dataset(n_rows, seed=seed))
+    sink = RoutedParquetDatasink(out_dir, partition_col="route",
+                                 count_cols=("route", "host", "lang"),
+                                 min_rows_per_file=150_000)
+    routed.write_datasink(sink)
+    parts = sink.counts
+    by_host = parts.groupby(["route", "host"], as_index=False, dropna=False)["n"].sum()
+    by_lang = parts.groupby(["route", "lang"], as_index=False, dropna=False)["n"].sum()
     sink_counts = (
         by_host.groupby("route", as_index=False)["n"].sum().sort_values("route").reset_index(drop=True)
     )

@@ -16,22 +16,35 @@ from axosyslog_ray.enrich.geoip import GeoIP
 # selector keys include "" , a key that prefixes another, and case twins
 _KEYS = ["a", "ab", "b", "", "default", "A"]
 _SELECTORS = _KEYS + ["zz", "a ", "abc"]
-# "${HOST}!" makes a template-valued db (rendered per row)
-_VALUES = ["p", "q", "pq", "", "${HOST}!"]
+# "${HOST}!" and "$PROGRAM" make a template-valued db (rendered per row);
+# "a$$b" is a literal with an escaped "$"
+_VALUES = ["p", "q", "pq", "", "${HOST}!", "a$$b", "$PROGRAM"]
 
 
-def _context_oracle(db, hosts, default_selector, prefix):
+def _render(value, host, program):
+    """A db value rendered against one row: `$$` is a literal `$`, an
+    unset `$PROGRAM` is empty."""
+    return {"${HOST}!": host + "!", "a$$b": "a$b",
+            "$PROGRAM": program or ""}.get(value, value)
+
+
+def _context_oracle(db, hosts, programs, default_selector, prefix, ignore_case):
     """Per row: the selector's records, or the default records for an
-    unknown selector; the last record of a name wins."""
+    unknown selector; the last record of a name wins. `ignore_case`
+    folds keys and selectors with str.lower."""
     fields = sorted({n for recs in db.values() for n, _ in recs})
-    dflt = db.get(default_selector, []) if default_selector else []
+    fold = str.lower if ignore_case else (lambda k: k)
+    folded = {}
+    for k, recs in db.items():
+        folded.setdefault(fold(k), []).extend(recs)
+    dflt = folded.get(fold(default_selector), []) if default_selector else []
     out = {prefix + f: [] for f in fields}
-    for h in hosts:
+    for h, program in zip(hosts, programs):
         host = "" if h is None else h
-        recs = dict(db.get(host, dflt))
+        recs = dict(folded.get(fold(host), dflt))
         for f in fields:
             v = recs.get(f)
-            out[prefix + f].append(None if v is None else v.replace("${HOST}", host))
+            out[prefix + f].append(None if v is None else _render(v, host, program))
     return out
 
 
@@ -42,21 +55,42 @@ def _context_oracle(db, hosts, default_selector, prefix):
         st.lists(st.tuples(st.sampled_from(["x", "y", "z"]),
                            st.sampled_from(_VALUES)), min_size=1, max_size=4),
         max_size=6),
-    hosts=st.lists(st.one_of(st.none(), st.sampled_from(_SELECTORS)), max_size=12),
+    rows=st.lists(st.tuples(st.one_of(st.none(), st.sampled_from(_SELECTORS)),
+                            st.sampled_from([None, "sshd", "cron"])), max_size=12),
     default_selector=st.sampled_from(["default", None, "zz"]),
     prefix=st.sampled_from(["", "ctx."]),
+    ignore_case=st.booleans(),
 )
 @example(db={"a": [("x", "p"), ("x", "q")], "default": [("y", "d")]},
-         hosts=["a", None, "", "b", "ab"], default_selector="default", prefix="")
-def test_context_matches_dict_per_row(db, hosts, default_selector, prefix):
-    stage = AddContextualData(db=db, selector="$HOST",
-                              default_selector=default_selector, prefix=prefix)
-    t = pa.table({"host": pa.array(hosts, pa.string())})
+         rows=[("a", None), (None, None), ("", None), ("b", None), ("ab", None)],
+         default_selector="default", prefix="", ignore_case=False)
+@example(db={"a": [("x", "a$$b")]}, rows=[("a", None), ("A", None)],
+         default_selector=None, prefix="", ignore_case=True)
+@example(db={"A": [("x", "$PROGRAM")], "a": [("y", "a$$b")], "default": [("x", "${HOST}!")]},
+         rows=[("a", "sshd"), ("A", None), ("b", None), ("B", "cron")],
+         default_selector="default", prefix="", ignore_case=True)
+def test_context_matches_dict_per_row(db, rows, default_selector, prefix, ignore_case):
+    hosts = [h for h, _ in rows]
+    programs = [p for _, p in rows]
+    stage = AddContextualData(db=db, selector="$HOST", default_selector=default_selector,
+                              prefix=prefix, ignore_case=ignore_case)
+    t = pa.table({"host": pa.array(hosts, pa.string()),
+                  "program": pa.array(programs, pa.string())})
     out = stage(t)
-    want = _context_oracle(db, hosts, default_selector, prefix)
-    assert out.column_names == ["host", *want]
+    want = _context_oracle(db, hosts, programs, default_selector, prefix, ignore_case)
+    assert out.column_names == ["host", "program", *want]
     for name, vals in want.items():
         assert out.column(name).to_pylist() == vals, name
+
+
+def test_context_escaped_dollar_renders_the_same_in_any_db():
+    """`a$$b` is the literal `a$b`, whether or not another record of the
+    db holds a template with references."""
+    t = pa.table({"host": ["h1", "h2"]})
+    literal = AddContextualData(db={"h1": [("x", "a$$b")]})(t)
+    templated = AddContextualData(db={"h1": [("x", "a$$b")], "h2": [("x", "$HOST")]})(t)
+    assert literal.column("x").to_pylist() == ["a$b", None]
+    assert templated.column("x").to_pylist() == ["a$b", "h2"]
 
 
 _OCTETS = re.compile(r"([0-9]{1,3})\.([0-9]{1,3})\.([0-9]{1,3})\.([0-9]{1,3})")
@@ -98,6 +132,9 @@ _attrs = st.dictionaries(st.sampled_from(["country", "city"]),
 @example(ranges=[("10.0.0.0/8", {"country": "US"}), ("10.5.0.0/16", {"country": "CA"}),
                  ("10.7.0.0/16", {"city": "c1"})],
          data=None)
+@example(ranges=[("10.0.0.0/8", {"country": "US", "city": "c1"}),
+                 ("10.0.0.0/9", {"country": "CA"}), ("10.128.0.0/9", {"country": "US"})],
+         data=None)
 def test_geoip_matches_ipaddress(ranges, data):
     # the edges of every range, one step outside each, and odd texts
     nets = [ipaddress.ip_network(c) for c, _ in ranges]
@@ -113,9 +150,8 @@ def test_geoip_matches_ipaddress(ranges, data):
     out = g(pa.table({"ip": pa.array(ips, pa.string())}))
     names = sorted({n for _, a in ranges for n in a})
     want = _geoip_oracle(ranges, ips, names)
-    # an attribute only a shadowed range sets has no column: it never wins
-    assert set(g.attr_names) <= set(names)
+    # every declared attribute has a column, even one only a shadowed
+    # range sets (it never wins, so the column is all null)
+    assert g.attr_names == names
     for n in names:
-        got = out.column("geo_" + n).to_pylist() if n in g.attr_names \
-            else [None] * len(ips)
-        assert got == want[n], n
+        assert out.column("geo_" + n).to_pylist() == want[n], n

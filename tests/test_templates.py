@@ -57,6 +57,15 @@ def test_dollar_escape():
     assert Template("$$HOST").eval(t).tolist() == ["$HOST", "$HOST"]
 
 
+def test_int_column_with_null_renders_as_int():
+    """A null in an int64 column must not turn the others into floats
+    ("1.0"): the value renders as the integer, the null as unset."""
+    t = pa.table({"n": pa.array([1, None, 3], pa.int64())})
+    for spec, want in (("$n", ["1", "", "3"]), ("${n}x", ["1x", "x", "3x"])):
+        assert Template(spec).eval(t).tolist() == want, spec
+        assert Template(spec).eval_arrow(t).to_pylist() == want, spec
+
+
 def test_function_calls_nested():
     t = _msg_table()
     assert Template("$(uppercase $PROGRAM)").eval(t).tolist() == ["SSHD", "NGINX"]
