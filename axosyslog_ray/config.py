@@ -1482,7 +1482,8 @@ def _compile_parser(d: Driver):
         # rendered input (default $MESSAGE) into the sdata pairs
         # (modules/syslogformat/sdata-parser.c -> _syslog_format_parse_sd;
         # unparsable input drops the message). prefix() other than
-        # .SDATA. creates one column per pair under that prefix.
+        # .SDATA. sets one column per pair under that prefix, expanded
+        # like kv-parser's pairs (_ExpandMap).
         from .stages.syslog import parse_sdata
 
         prefix = str(d.kw1("prefix", ".SDATA."))
@@ -1494,24 +1495,18 @@ def _compile_parser(d: Driver):
             keep = pa.array([p is not None for p in parsed])
             table = table.filter(keep)
             parsed = [p for p in parsed if p is not None]
-            if prefix == ".SDATA.":
-                arr = pa.array(parsed, type=pa.map_(pa.string(), pa.string()))
-                if "sdata" in table.column_names:
-                    return table.set_column(
-                        table.column_names.index("sdata"), "sdata", arr)
-                return table.append_column("sdata", arr)
-            keys: list[str] = []
-            for p in parsed:
-                for k, _v in p:
-                    if prefix + k not in keys:
-                        keys.append(prefix + k)
-            for key in keys:
-                col = [dict(p).get(key[len(prefix):]) for p in parsed]
-                table = table.append_column(
-                    key, pa.array(col, type=pa.string()))
-            return table
+            col = "sdata"
+            if prefix != ".SDATA.":
+                col = "__cfg_sd"
+                parsed = [[(prefix + k, v) for k, v in p] for p in parsed]
+            arr = pa.array(parsed, type=pa.map_(pa.string(), pa.string()))
+            if col in table.column_names:
+                return table.set_column(table.column_names.index(col), col, arr)
+            return table.append_column(col, arr)
 
-        return _sourced(d, _sdata_stage)
+        if prefix == ".SDATA.":
+            return _sourced(d, _sdata_stage)
+        return _sourced(d, _ExpandMap(_sdata_stage, "__cfg_sd"))
     if d.name == "db-parser":
         from .pdbtool import load_ruleset
         from .stages.patterndb import PatternDB

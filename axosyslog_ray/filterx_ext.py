@@ -209,11 +209,37 @@ def _leef_decode_delim(raw: str) -> str | None:
     return None
 
 
+def split_escaped_fields(line: str, nfields: int, sep: str = "|") -> tuple[list[str], str] | None:
+    """Split the first `nfields` header fields on UNESCAPED separators (a
+    single-char lookbehind would treat '\\\\|' — escaped backslash then
+    pipe — as escaped); returns (fields, rest-of-line) or None when fewer
+    than `nfields` delimited fields exist (reference
+    modules/cef/event-format-parser.c)."""
+    parts: list[str] = []
+    buf: list[str] = []
+    i = 0
+    while i < len(line):
+        c = line[i]
+        if c == "\\" and i + 1 < len(line):
+            buf.append(c)
+            buf.append(line[i + 1])
+            i += 2
+            continue
+        if c == sep:
+            parts.append("".join(buf))
+            buf = []
+            i += 1
+            if len(parts) == nfields:
+                return parts, line[i:]
+            continue
+        buf.append(c)
+        i += 1
+    return None
+
+
 def _parse_event_format(line: str, marker: str, head_names: list[str],
                         pair_sep: str, value_sep: str, separate: bool,
                         ps_forced: bool):
-    from .functions.valuepairs import split_escaped_fields
-
     if not line.startswith(marker + ":"):
         return None
     if marker == "CEF":

@@ -70,18 +70,16 @@ class ValueRef:
                 return lst.map(
                     lambda v: _ser_list([str(x) for x in v])
                     if v is not None else fill).astype(object)
+            fill = self.default if self.default is not None else ""
+            if pa.types.is_boolean(field.type):
+                # LM_VT_BOOLEAN marshals lowercase (lib/logmsg type
+                # hints; Light suites assert 'true'/'false'), null or not
+                out = pc.if_else(table.column(self.name), "true",
+                                 "false").to_pandas()
+                return out.where(out.notna(), fill)
             # an int column with a null stays int (not float64: "1.0")
             col = table.column(self.name).to_pandas(integer_object_nulls=True)
-            if pd.api.types.is_bool_dtype(col):
-                # LM_VT_BOOLEAN marshals lowercase (lib/logmsg type
-                # hints; Light suites assert 'true'/'false')
-                out = pd.Series(
-                    np.where(col.fillna(False).to_numpy(dtype=bool),
-                             "true", "false"),
-                    dtype=object, index=col.index)
-            else:
-                out = col.astype("string").astype(object)
-            fill = self.default if self.default is not None else ""
+            out = col.astype("string").astype(object)
             return out.where(col.notna(), fill)
         if self.name.startswith(".SDATA.") and "sdata" in table.column_names:
             # dynamic SDATA nv lookup (lib/logmsg sdata handles):

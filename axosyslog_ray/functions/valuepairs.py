@@ -1,12 +1,15 @@
-"""value-pairs() projection + format-json / format-flat-json / format-welf /
-format-cef / format-leef serializers.
+"""value-pairs() and the structured template functions it feeds:
+$(format-json), $(format-flat-json), $(format-welf),
+$(format-cef-extension) and $(graphite-output).
 
-Mirrors the reference's declarative column-set selection
-(reference lib/value-pairs/value-pairs.c:71-129 scopes; transforms.c
-rekey add-prefix/replace-prefix/shift) feeding the structured formatters
-(modules/json/format-json.c, modules/kvformat/format-welf.c,
-modules/cef/). Scopes here select over the promoted Arrow columns plus
-an optional map column of dynamic NVs.
+One scope model, the reference's (lib/value-pairs/value-pairs.c):
+scopes are a bitfield, macro sets merge by scope, nv pairs classify as
+plain / dotted / SDATA, empty values are skipped, glob patterns include
+macros or exclude scope members, and explicitly added pairs bypass the
+excludes; --rekey chains follow transforms.c. Pinned by
+tests/test_value_pairs_conformance.py and
+tests/test_format_json_conformance.py. The FilterX parse_cef /
+parse_leef / format_cef / format_leef functions live in filterx_ext.py.
 """
 
 from __future__ import annotations
@@ -18,77 +21,6 @@ import re
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-
-SCOPES = {
-    # builtin promoted columns per scope (subset of the reference's table)
-    "core": ["host", "program", "pid", "msgid", "message", "pri", "ts_stamp"],
-    "rfc3164": ["host", "program", "pid", "message", "pri", "ts_stamp"],
-    "rfc5424": ["host", "program", "pid", "msgid", "message", "pri", "ts_stamp", "sdata"],
-    "nv-pairs": None,  # -> every non-builtin column
-    "everything": None,
-}
-
-# the engine's builtin column set (the reference's LM_V_* handles) — what
-# 'nv-pairs' excludes
-BUILTIN_COLS = {
-    "host", "program", "pid", "msgid", "message", "pri", "ts_stamp", "warc_ts",
-    "sdata", "tags", "syslog_parsed", "msgformat", "url",
-}
-
-
-class ValuePairs:
-    """Column-set selection: scope + glob include/exclude + rekey."""
-
-    def __init__(
-        self,
-        scope: str = "core",
-        include: list[str] | None = None,
-        exclude: list[str] | None = None,
-        add_prefix: str = "",
-        replace_prefix: tuple[str, str] | None = None,
-        shift: int = 0,
-    ):
-        if scope not in SCOPES:
-            raise ValueError(f"unknown value-pairs scope {scope!r}; one of {sorted(SCOPES)}")
-        self.scope = scope
-        self.include = [re.compile(fnmatch.translate(g)) for g in (include or [])]
-        self.exclude = [re.compile(fnmatch.translate(g)) for g in (exclude or [])]
-        self.add_prefix = add_prefix
-        self.replace_prefix = replace_prefix
-        self.shift = shift
-
-    def select(self, table: pa.Table) -> list[str]:
-        if SCOPES.get(self.scope) is not None:
-            cols = [c for c in SCOPES[self.scope] if c in table.column_names]
-        elif self.scope == "nv-pairs":
-            cols = [c for c in table.column_names if c not in BUILTIN_COLS]
-        else:  # everything
-            cols = list(table.column_names)
-        for rx in self.include:
-            cols += [c for c in table.column_names if rx.match(c) and c not in cols]
-        cols = [c for c in cols if not any(rx.match(c) for rx in self.exclude)]
-        # engine-internal carrier columns (declared filterx variables)
-        # are not name-value pairs in any scope
-        return [c for c in cols if not c.startswith("__fxdecl_")]
-
-    def rekey(self, name: str) -> str:
-        out = name
-        if self.replace_prefix and out.startswith(self.replace_prefix[0]):
-            out = self.replace_prefix[1] + out[len(self.replace_prefix[0]) :]
-        if self.shift:
-            out = out[self.shift :]
-        return self.add_prefix + out
-
-
-# ------------------------------------------------- reference scope model
-#
-# The ValuePairs class above is the engine's Ray-native projection
-# (columns ARE the value set). value_pairs_foreach below is the
-# reference-faithful model (lib/value-pairs/value-pairs.c): scopes are a
-# bitfield, macro sets merge by scope, nv pairs classify as plain /
-# dotted / SDATA, empty values are skipped, glob patterns include
-# macros or exclude scope members, and explicitly added pairs bypass
-# the excludes. Pinned by tests/test_value_pairs_conformance.py.
 
 _VPS_NV_PAIRS = 0x01
 _VPS_DOT_NV_PAIRS = 0x02
@@ -287,51 +219,7 @@ def _cell_to_str(v) -> str | None:
         return None
     if isinstance(v, (list, np.ndarray)):
         return ",".join(str(x) for x in v)
-    return str(v)
-
-
-def _rows(table: pa.Table, vp: ValuePairs) -> tuple[list[str], list[dict]]:
-    cols = vp.select(table)
-    data = {c: table.column(c).to_pylist() for c in cols}
-    keys = {c: vp.rekey(c) for c in cols}
-    rows = []
-    for i in range(table.num_rows):
-        row = {}
-        for c in cols:
-            v = data[c][i]
-            if isinstance(v, list) and v and isinstance(v[0], tuple):  # map column
-                for mk, mv in v:
-                    row[f"{keys[c]}.{mk}"] = mv
-            else:
-                sv = _cell_to_str(v)
-                if sv is not None:
-                    row[keys[c]] = sv
-        rows.append(row)
-    return cols, rows
-
-
-def format_json(table: pa.Table, vp: ValuePairs | None = None, out_col: str = "json_out") -> pa.Table:
-    """$(format-json): nested dotted keys -> JSON objects
-    (reference modules/json/format-json.c)."""
-    vp = vp or ValuePairs("everything")
-    _, rows = _rows(table, vp)
-    out = []
-    for row in rows:
-        nested: dict = {}
-        for k, v in sorted(row.items()):
-            parts = k.split(".")
-            d = nested
-            ok = True
-            for p in parts[:-1]:
-                nxt = d.setdefault(p, {})
-                if not isinstance(nxt, dict):  # leaf/branch conflict: keep leaf
-                    ok = False
-                    break
-                d = nxt
-            if ok:
-                d[parts[-1]] = v
-        out.append(json.dumps(nested, separators=(",", ":"), sort_keys=True))
-    return table.append_column(out_col, pa.array(out, type=pa.string()))
+    return _typed_to_str(v)
 
 
 def _typed_to_str(v) -> str:
@@ -416,8 +304,6 @@ def _parse_vp_args(t: pa.Table, args):
     functions: key=TEMPLATE pairs, --key/--exclude/--scope selection,
     --omit-empty-values/--leave-initial-dot flags, --rekey transform
     chains, type hints. Returns (n_rows, iter_row_pairs(r))."""
-    import fnmatch as _fn
-
     from .templates import Template
 
     pairs: list[tuple[str, object]] = []  # (key, rendered Series | hint tuple)
@@ -505,19 +391,20 @@ def _parse_vp_args(t: pa.Table, args):
                 cur_rekey = _new_rekey(name)
                 rekeys.append(cur_rekey)
                 for col in sorted(t.column_names):
-                    if _fn.fnmatchcase(col, name):
+                    if fnmatch.fnmatchcase(col, name):
                         pairs.append((col, _key_series(col)))
             else:
                 pairs.append((name, _key_series(name)))
         elif flag == "--scope" and i + 1 < len(arglist):
             i += 1
             # reference scope semantics: macro sets + nv classification
-            # (value_pairs_foreach); keys arrive pre-stringified per row
+            # (value_pairs_foreach); keys arrive pre-stringified per row,
+            # and a row without a value for a name skips that pair
             scope_rows = value_pairs_foreach(t, arglist[i])
             names = sorted({k for r in scope_rows for k in r})
             for name in names:
-                pairs.append((name, pd.Series(
-                    [r.get(name, "") for r in scope_rows], dtype=object)))
+                pairs.append((name, ("__typed__",
+                                     [r.get(name) for r in scope_rows])))
         elif "=" in flag:
             key, _, vspec = flag.partition("=")
             m = _TYPE_HINT.match(vspec)
@@ -531,7 +418,7 @@ def _parse_vp_args(t: pa.Table, args):
             name = flag
             if any(ch in name for ch in "*?["):
                 for col in sorted(t.column_names):
-                    if _fn.fnmatchcase(col, name):
+                    if fnmatch.fnmatchcase(col, name):
                         pairs.append((col, _key_series(col)))
             else:
                 pairs.append((name, _key_series(name)))
@@ -539,7 +426,7 @@ def _parse_vp_args(t: pa.Table, args):
 
     def xform_key(k: str) -> str:
         for rk in rekeys:
-            if _fn.fnmatchcase(k, rk["glob"]):
+            if fnmatch.fnmatchcase(k, rk["glob"]):
                 if rk["shift"]:
                     k = k[rk["shift"]:]
                 if rk["shift_levels"]:
@@ -561,7 +448,7 @@ def _parse_vp_args(t: pa.Table, args):
 
     def iter_row_pairs(r: int):
         for key, val in pairs:
-            if any(_fn.fnmatchcase(key, g) for g in excludes):
+            if any(fnmatch.fnmatchcase(key, g) for g in excludes):
                 continue
             if isinstance(val, tuple) and val[0] == "__hint__":
                 v = _apply_hint(val[1], str(val[2].iloc[r]))
@@ -668,211 +555,6 @@ def tf_graphite_output(t: pa.Table, *args):
                  for k, v in sorted(iter_row_pairs(r))]
         out.append("\n".join(lines))
     return pd.Series(out, dtype=object)
-
-
-def format_flat_json(table: pa.Table, vp: ValuePairs | None = None, out_col: str = "json_out") -> pa.Table:
-    """$(format-flat-json): dotted keys stay flat."""
-    vp = vp or ValuePairs("everything")
-    _, rows = _rows(table, vp)
-    out = [json.dumps(dict(sorted(r.items())), separators=(",", ":"), sort_keys=True) for r in rows]
-    return table.append_column(out_col, pa.array(out, type=pa.string()))
-
-
-def format_welf(table: pa.Table, vp: ValuePairs | None = None, out_col: str = "welf_out") -> pa.Table:
-    """$(format-welf): key=value space-joined, values with spaces quoted
-    (reference modules/kvformat/format-welf.c)."""
-    vp = vp or ValuePairs("everything")
-    _, rows = _rows(table, vp)
-
-    def quote(v: str) -> str:
-        # quote anything the kv grammar would mis-tokenize: separators,
-        # quotes, and ANY unicode whitespace (\s in the kv scanner)
-        # single quote included: the kv scanner treats a LEADING ' as a
-        # quote-open, so a bare ' value would swallow following pairs
-        needs = any(c.isspace() or c in "\"'=," for c in v) or v == ""
-        return '"' + v.replace("\\", "\\\\").replace('"', '\\"') + '"' if needs else v
-
-    out = [" ".join(f"{k}={quote(v)}" for k, v in sorted(r.items())) for r in rows]
-    return table.append_column(out_col, pa.array(out, type=pa.string()))
-
-
-_CEF_ESC = {"\\": "\\\\", "|": "\\|"}
-_CEF_EXT_ESC = {"\\": "\\\\", "=": "\\=", "\n": "\\n"}
-
-
-def _esc(v: str, table_: dict) -> str:
-    for a, b in table_.items():
-        v = v.replace(a, b)
-    return v
-
-
-def format_cef(
-    table: pa.Table,
-    device_vendor: str = "axosyslog-ray",
-    device_product: str = "engine",
-    device_version: str = "1.0",
-    event_class: str = "$pdb_rule",
-    name: str = "$message",
-    severity_col: str = "pri",
-    extensions: dict[str, str] | None = None,
-    out_col: str = "cef_out",
-) -> pa.Table:
-    """$(format-cef-extension)-style serializer (reference modules/cef/):
-    CEF:0|vendor|product|version|class|name|severity|k=v k=v."""
-    from .templates import Template
-
-    cls = Template(event_class).eval(table)
-    nm = Template(name).eval(table)
-    sev = (table.column(severity_col).to_numpy().astype(np.int64) % 8) if severity_col in table.column_names else np.zeros(table.num_rows, dtype=np.int64)
-    ext_t = {k: Template(v).eval(table) for k, v in (extensions or {}).items()}
-    out = []
-    for i in range(table.num_rows):
-        ext = " ".join(f"{k}={_esc(str(v[i]), _CEF_EXT_ESC)}" for k, v in sorted(ext_t.items()))
-        head = "|".join(
-            _esc(x, _CEF_ESC)
-            for x in ("CEF:0", device_vendor, device_product, device_version, str(cls[i] or "unknown"), str(nm[i]), str(10 - sev[i]))
-        )
-        out.append(head + "|" + ext)
-    return table.append_column(out_col, pa.array(out, type=pa.string()))
-
-
-def format_cef_extension(table: pa.Table, vp: ValuePairs | None = None,
-                         out_col: str = "cef_ext_out") -> pa.Table:
-    """$(format-cef-extension): extension-only CEF serialization of the
-    value-pairs selection (reference modules/cef/format-cef-extension.c):
-    keys must be fully alphanumeric (others dropped — the walker's
-    strspn key check), values escape \\ = \\n \\r literally and other
-    control chars < 32 as \\uXXXX, pairs space-joined in sorted key order
-    (tf_cef_walk_cmp strcmp)."""
-    vp = vp or ValuePairs("everything")
-    _, rows = _rows(table, vp)
-
-    def esc(v: str) -> str:
-        out = []
-        for ch in v:
-            if ch == "\\":
-                out.append("\\\\")
-            elif ch == "=":
-                out.append("\\=")
-            elif ch == "\n":
-                out.append("\\n")
-            elif ch == "\r":
-                out.append("\\r")
-            elif ord(ch) < 32:
-                out.append(f"\\u{ord(ch):04x}")
-            else:
-                out.append(ch)
-        return "".join(out)
-
-    out = [
-        " ".join(f"{k}={esc(str(v))}" for k, v in sorted(r.items()) if k.isalnum() and k.isascii())
-        for r in rows
-    ]
-    return table.append_column(out_col, pa.array(out, type=pa.string()))
-
-
-def format_graphite(table: pa.Table, vp: ValuePairs | None = None,
-                    timestamp: str = "$R_UNIXTIME",
-                    out_col: str = "graphite_out") -> pa.Table:
-    """$(graphite-output [--timestamp tmpl] --key glob): graphite plaintext
-    protocol, one 'name value unixtime\\n' line per selected pair
-    (reference modules/graphite/graphite-output.c). A leading '.' in a key
-    is replaced with '_' (the module's hardwired replace-prefix transform)."""
-    from .templates import Template
-
-    vp = vp or ValuePairs("everything")
-    _, rows = _rows(table, vp)
-    ts = Template(timestamp).eval(table)
-    out = []
-    for i, r in enumerate(rows):
-        t = str(ts[i])
-        out.append("".join(
-            f"{('_' + k[1:]) if k.startswith('.') else k} {v} {t}\n"
-            for k, v in sorted(r.items())
-        ))
-    return table.append_column(out_col, pa.array(out, type=pa.string()))
-
-
-def format_leef(
-    table: pa.Table,
-    vendor: str = "axosyslog-ray",
-    product: str = "engine",
-    version: str = "1.0",
-    event_id: str = "$pdb_rule",
-    attrs: dict[str, str] | None = None,
-    out_col: str = "leef_out",
-) -> pa.Table:
-    """LEEF:1.0|vendor|product|version|eventid|k=v<tab>k=v (modules/cef/)."""
-    from .templates import Template
-
-    eid = Template(event_id).eval(table)
-    attr_t = {k: Template(v).eval(table) for k, v in (attrs or {}).items()}
-    # delimiter escaping (a tab/pipe/newline in a value must not shift
-    # fields for a LEEF consumer): header gets CEF-style pipe escaping,
-    # attribute values escape the tab/equals/newline delimiters
-    leef_val = {"\\": "\\\\", "=": "\\=", "\t": "\\t", "\n": "\\n"}
-    out = []
-    for i in range(table.num_rows):
-        body = "\t".join(f"{k}={_esc(str(v[i]), leef_val)}" for k, v in sorted(attr_t.items()))
-        out.append(f"LEEF:1.0|{vendor}|{product}|{version}|{_esc(eid[i] or 'unknown', _CEF_ESC)}|" + body)
-    return table.append_column(out_col, pa.array(out, type=pa.string()))
-
-
-def split_escaped_fields(line: str, nfields: int, sep: str = "|") -> tuple[list[str], str] | None:
-    """Split the first `nfields` header fields on UNESCAPED separators (a
-    single-char lookbehind would treat '\\\\|' — escaped backslash then
-    pipe — as escaped); returns (fields, rest-of-line) or None when fewer
-    than `nfields` delimited fields exist. Shared by the CEF/LEEF table
-    parsers here and the FilterX parse_cef/parse_leef functions
-    (reference modules/cef/event-format-parser.c)."""
-    parts: list[str] = []
-    buf: list[str] = []
-    i = 0
-    while i < len(line):
-        c = line[i]
-        if c == "\\" and i + 1 < len(line):
-            buf.append(c)
-            buf.append(line[i + 1])
-            i += 2
-            continue
-        if c == sep:
-            parts.append("".join(buf))
-            buf = []
-            i += 1
-            if len(parts) == nfields:
-                return parts, line[i:]
-            continue
-        buf.append(c)
-        i += 1
-    return None
-
-
-def parse_cef(table: pa.Table, source_col: str = "message", out_col: str = "cef") -> pa.Table:
-    """parse_cef() (reference modules/cef/filterx-func-parse-cef.c shape):
-    header fields + extension k=v pairs into a map column."""
-    s = table.column(source_col).to_pandas().astype("string").fillna("")
-    n = len(s)
-    maps = np.full(n, None, dtype=object)
-    valid = np.zeros(n, dtype=bool)
-    head_names = ["version", "device_vendor", "device_product", "device_version",
-                  "device_event_class_id", "name", "agent_severity"]
-    ext_re = re.compile(r"([\w.]+)=((?:[^=\\]|\\.)*?)(?=\s+[\w.]+=|$)")
-    split_header = lambda line: split_escaped_fields(line, 7)  # noqa: E731
-
-    for i, line in enumerate(s.to_numpy()):
-        if not line.startswith("CEF:"):
-            continue
-        split = split_header(line)
-        if split is None:
-            continue
-        parts, ext = split
-        pairs = [(head_names[0], parts[0][4:])]
-        pairs += list(zip(head_names[1:], (p.replace("\\|", "|").replace("\\\\", "\\") for p in parts[1:7])))
-        for m in ext_re.finditer(ext):
-            pairs.append((m.group(1), m.group(2).replace("\\=", "=").replace("\\\\", "\\")))
-        maps[i], valid[i] = pairs, True
-    out = table.append_column(out_col, pa.array(maps, type=pa.map_(pa.string(), pa.string())))
-    return out.append_column("cef_valid", pa.array(valid))
 
 
 def tf_format_cef_extension(t: pa.Table, *args):

@@ -1696,15 +1696,15 @@ GROUP BY 1, 2, 3, 4, 5, 6, 7 ORDER BY 1, 2, 3, 4, 5, 6, 7
 
 
 def events_format_json(sf_dir: str):
-    """$(format-json) serializer (reference modules/json/format-json.c) over
-    selected event columns."""
-    from ..functions.valuepairs import ValuePairs, format_flat_json
+    """$(format-flat-json) serializer (reference modules/json/format-json.c)
+    over selected event columns."""
+    from ..functions.templates import Template
 
-    vp = ValuePairs(scope="everything", exclude=["event_id"])
+    tpl = Template("$(format-flat-json event_type=${event_type} user_id=${user_id})")
 
     def fmt(b: pa.Table) -> pa.Table:
-        t = format_flat_json(b, vp)
-        return t.select(["event_id", "json_out"])
+        return pa.table({"event_id": b.column("event_id"),
+                         "json_out": tpl.eval_arrow(b)})
 
     return _read(sf_dir, "events", ["event_id", "event_type", "user_id"]).map_batches(
         fmt, batch_format="pyarrow"

@@ -1,9 +1,12 @@
-"""Application-specific parsers: compositions of csv/kv/regex/date.
+"""Application-specific parser drivers of the config executor:
+cisco-parser(), snmptrapd-parser(), mariadb-audit-parser() and
+postgresql-csvlog-parser().
 
-Mirrors the reference's SCL app parsers (reference scl/cisco/,
-scl/panos/, scl/checkpoint/ — each a generated combo of the base
-parsers, selected by the app-parser() first-match chain,
-modules/appmodel/app-parser-generator.c).
+Each re-expresses a reference parser (scl/cisco/, modules/afsnmp/,
+scl/mariadb/, scl/pgsql/) as one vectorized stage. The SCL
+panos-parser block and the app-parser() first-match chain
+(modules/appmodel/app-parser-generator.c) are compiled by the config
+front end itself.
 """
 
 from __future__ import annotations
@@ -11,67 +14,6 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-
-from .regexp_parser import RegexpParser
-
-# Cisco IOS: "%FACILITY-SEVERITY-MNEMONIC: message", optional seq/ts heads
-# (reference scl/cisco/plugin.conf shape)
-CISCO_RE = (
-    r"^(?:(?P<cisco_seq>\d+): )?"
-    r"(?:[.*]?(?P<cisco_ts>\w{3} +\d+ \d{2}:\d{2}:\d{2}(?:\.\d+)?)(?: \w+)?: )?"
-    r"%(?P<cisco_facility>[A-Z0-9_]+)-(?P<cisco_severity>\d)-(?P<cisco_mnemonic>[A-Z0-9_]+): "
-    r"(?P<cisco_message>.*)$"
-)
-
-
-def cisco_parser(source_col: str = "message") -> RegexpParser:
-    return RegexpParser(CISCO_RE, source_col=source_col)
-
-
-class PanosParser:
-    """Palo Alto PAN-OS: CSV payload after the syslog header; first fields
-    identify the log type, remaining are positional per type (reference
-    scl/panos/). Covers the shared leading columns."""
-
-    COMMON = ["panos_future_use", "panos_receive_time", "panos_serial", "panos_type", "panos_subtype"]
-
-    def __init__(self, source_col: str = "message"):
-        from .csv_parser import CsvParser
-
-        self.csv = CsvParser(
-            columns=self.COMMON, delimiters=",", quotes='""',
-            dialect="escape-double-char", greedy=True, source_col=source_col,
-        )
-        # greedy tail lands in the last column; keep it as the type-specific rest
-        self.csv.columns = self.COMMON[:-1] + ["panos_rest"]
-
-    def __call__(self, table: pa.Table) -> pa.Table:
-        out = self.csv(table)
-        names = out.column_names
-        return out.rename_columns([("panos_valid" if c == "csv_valid" else c) for c in names])
-
-
-class AppParserChain:
-    """app-parser(): ordered try-parse chain, first match wins; sets
-    `app_name` (the reference's $.app.name,
-    modules/appmodel/app-parser-generator.c)."""
-
-    def __init__(self, parsers: list[tuple[str, object, str]]):
-        # (name, parser, valid_col) — parser appends valid_col boolean
-        self.parsers = parsers
-
-    def __call__(self, table: pa.Table) -> pa.Table:
-        n = table.num_rows
-        app = np.full(n, None, dtype=object)
-        out = table
-        claimed = np.zeros(n, dtype=bool)
-        for name, parser, valid_col in self.parsers:
-            out = parser(out)
-            ok = np.asarray(out.column(valid_col).to_pylist(), dtype=bool) & ~claimed
-            app[ok] = name
-            claimed |= ok
-        return out.append_column("app_name", pa.array(app, type=pa.string()))
-
 
 # cisco-parser() timestamp patterns (reference scl/cisco/plugin.conf
 # @define cisco-parser-*-timestamp-pattern)

@@ -3291,6 +3291,23 @@ log { source(s); parser(p); destination(d); };
         r = cfg.run()
         assert r.rendered("d")[0].strip() == "1|2"
 
+    def test_prefix_pair_named_like_an_existing_column(self):
+        # a pair named like an existing column replaces it (last
+        # occurrence wins) and the column keeps its value in a row whose
+        # sdata gives no such pair; no duplicate field either way
+        cfg = compile_config("""
+source s { example-msg-generator(num(1)); };
+rewrite r { set("old" value(".x.a@1.b")); };
+parser p { sdata-parser(prefix(".x.")); };
+destination d { file("/dev/null" template("${.x.a@1.b}|${.x.a@1.c}")); };
+log { source(s); rewrite(r); parser(p); destination(d); };
+""")
+        t = pa.table({"message": ['[a@1 b="new" b="last"]', '[a@1 c="z"]'],
+                      "pri": [13, 13]})
+        r = cfg.run(sources={"s": t})
+        assert r.rendered("d") == ["last|", "old|z"]
+        assert r.table("d").column_names.count(".x.a@1.b") == 1
+
 
 class TestSclArrSolarisJunos:
     """scl/arr, scl/solaris, scl/junos ports."""

@@ -6,10 +6,9 @@ import pandas as pd
 import pyarrow as pa
 import pytest
 
-from axosyslog_ray.functions.valuepairs import (
-    ValuePairs, format_cef, format_flat_json, format_json, format_leef, format_welf, parse_cef,
-)
-from axosyslog_ray.stages.app_parsers import AppParserChain, PanosParser, cisco_parser
+from axosyslog_ray.config import compile_config
+from axosyslog_ray.filterx import FilterX
+from axosyslog_ray.functions.templates import Template
 from axosyslog_ray.stages.audit_parser import LinuxAuditParser
 from axosyslog_ray.stages.xml_parser import XmlParser
 from axosyslog_ray.state.correlate import CorrelationConfig, PdbAction, PdbCorrelator, group_lines
@@ -45,43 +44,57 @@ def test_xml_windows_eventlog_data_names():
 MSG = _t(host=["h1"], program=["app"], message=["hello world"], pri=pa.array([38], type=pa.uint16()),
          extra=["e1"], dot_field=["d"])
 
+# the core scope without the two pri-derived macros
+CORE = "--scope core --exclude PRIORITY --exclude FACILITY"
+
+
+def _render(spec, t=MSG):
+    return Template(spec).eval(t).tolist()
+
 
 def test_value_pairs_scope_and_rekey():
-    vp = ValuePairs(scope="core", exclude=["pri"], add_prefix="log.")
-    cols = vp.select(MSG)
-    assert "pri" not in cols and "host" in cols
-    assert vp.rekey("host") == "log.host"
+    out = _render(f"$(format-flat-json {CORE} --rekey H* --add-prefix log.)")[0]
+    assert out == '{"log.HOST":"h1","MESSAGE":"hello world","PROGRAM":"app"}'
 
 
 def test_format_json_nested():
     import json
 
-    vp = ValuePairs(scope="core", exclude=["pri", "ts_stamp"], add_prefix="log.")
-    out = format_json(MSG, vp).column("json_out").to_pylist()[0]
-    assert json.loads(out) == {"log": {"host": "h1", "program": "app", "message": "hello world"}}
+    out = _render(f"$(format-json {CORE} --rekey * --add-prefix log.)")[0]
+    assert json.loads(out) == {"log": {"HOST": "h1", "PROGRAM": "app", "MESSAGE": "hello world"}}
 
 
 def test_format_flat_and_welf():
-    vp = ValuePairs(scope="core", exclude=["pri", "ts_stamp", "msgid", "pid"])
-    flat = format_flat_json(MSG, vp).column("json_out").to_pylist()[0]
-    assert '"host":"h1"' in flat
-    welf = format_welf(MSG, vp).column("welf_out").to_pylist()[0]
-    assert 'message="hello world"' in welf and "host=h1" in welf
+    flat = _render(f"$(format-flat-json {CORE})")[0]
+    assert '"HOST":"h1"' in flat
+    welf = _render(f"$(format-welf {CORE})")[0]
+    assert 'MESSAGE="hello world"' in welf and "HOST=h1" in welf
+
+
+def _fx(src, t):
+    return FilterX(src)(t)
 
 
 def test_format_cef_and_parse_cef_roundtrip():
-    t = _t(message=["something bad"], pri=pa.array([11], type=pa.uint16()), pdb_rule=["rule-x"], host=["h1"])
-    out = format_cef(t, extensions={"src": "$host"}).column("cef_out").to_pylist()[0]
-    assert out.startswith("CEF:0|axosyslog-ray|engine|1.0|rule-x|something bad|7|src=h1")
-    back = parse_cef(_t(message=[out])).to_pylist()[0]
-    d = dict(back["cef"])
-    assert d["device_event_class_id"] == "rule-x" and d["src"] == "h1"
+    t = _t(message=["something bad"], pdb_rule=["rule-x"], host=["h1"])
+    out = _fx('$cef = format_cef({"cef_version": "0", "device_vendor": "axosyslog-ray",'
+              ' "device_product": "engine", "device_version": "1.0",'
+              ' "device_event_class_id": $pdb_rule, "event_name": $message,'
+              ' "agent_severity": "7", "src": $host});'
+              '$back = parse_cef($cef); $cls = $back.device_event_class_id;'
+              '$src = $back.src;', t)
+    assert out.column("cef").to_pylist() == [
+        "CEF:0|axosyslog-ray|engine|1.0|rule-x|something bad|7|src=h1"]
+    assert out.column("cls").to_pylist() == ["rule-x"]
+    assert out.column("src").to_pylist() == ["h1"]
 
 
 def test_format_leef():
     t = _t(pdb_rule=["r1"], host=["h"])
-    out = format_leef(t, attrs={"srcHost": "$host"}).column("leef_out").to_pylist()[0]
-    assert out == "LEEF:1.0|axosyslog-ray|engine|1.0|r1|srcHost=h"
+    out = _fx('$leef = format_leef({"leef_version": "1.0", "vendor_name": "axosyslog-ray",'
+              ' "product_name": "engine", "product_version": "1.0",'
+              ' "event_id": $pdb_rule, "srcHost": $host});', t)
+    assert out.column("leef").to_pylist() == ["LEEF:1.0|axosyslog-ray|engine|1.0|r1|srcHost=h"]
 
 
 # ---------------- audit hex decode ----------------
@@ -177,29 +190,52 @@ def test_group_lines_through_ray():
 
 # ---------------- app parsers ----------------
 
+def _config_run(decls, template, messages):
+    cfg = compile_config("""
+source s { example-msg-generator(num(1)); };
+%s
+destination d { file("o.log" template("%s")); };
+log { source(s); parser(p); destination(d); };
+""" % (decls, template))
+    return cfg.run(sources={"s": pa.table({"message": messages, "pri": [13] * len(messages)})})
+
+
 def test_cisco_parser():
-    p = cisco_parser()
-    r = p(_t(message=["%SYS-5-CONFIG_I: Configured from console", "plain"])).to_pylist()
-    assert r[0]["cisco_facility"] == "SYS" and r[0]["cisco_severity"] == "5"
-    assert r[0]["cisco_mnemonic"] == "CONFIG_I"
-    assert r[0]["cisco_message"] == "Configured from console"
-    assert not r[1]["re_matched"]
+    r = _config_run("parser p { cisco-parser(); };",
+                    "${.cisco.facility}|${.cisco.severity}|${.cisco.mnemonic}|$MSG",
+                    ["foo: %SYS-5-CONFIG_I: Configured from console", "plain"])
+    assert r.processed("d") == 1  # a line that is no cisco message drops
+    assert r.rendered("d") == ["SYS|5|CONFIG_I|%SYS-5-CONFIG_I: Configured from console"]
+
+
+PANOS_CONFIG = ("<14>Apr 14 16:54:18 paloalto.test.net 1,2020/04/14 16:54:18,"
+                "unknown,CONFIG,0,0,2020/04/14 16:54:18,10.0.10.55,,set,admin,"
+                "Web,Succeeded, deviceconfig system,127,0x0,0,0,0,0,,paloalto")
 
 
 def test_panos_parser_common_fields():
-    p = PanosParser()
-    r = p(_t(message=["1,2026/01/01 00:00:00,0123,TRAFFIC,end,rest,of,fields"])).to_pylist()[0]
-    assert r["panos_type"] == "TRAFFIC"
-    assert r["panos_rest"].startswith("end,rest")
+    r = _config_run("parser p { syslog-parser(); panos-parser(); };",
+                    "${.panos.receive_time}|${.panos.serial}|${.panos.type}|${.panos.subtype}",
+                    [PANOS_CONFIG])
+    assert r.rendered("d") == ["2020/04/14 16:54:18|unknown|CONFIG|0"]
 
 
 def test_app_parser_chain_first_match_wins():
-    chain = AppParserChain([
-        ("cisco", cisco_parser(), "re_matched"),
-        ("panos", PanosParser(), "panos_valid"),
-    ])
-    r = chain(_t(message=["%SYS-5-X: m", "1,t,s,TRAFFIC,end,x", "neither at all"])).to_pylist()
-    assert [x["app_name"] for x in r] == ["cisco", "panos", None]
+    # app-parser(): an application takes a message when its filter and
+    # parser accept it; one that no application takes drops
+    r = _config_run("""
+application cisco[syslog] {
+    filter { message(": %"); };
+    parser { cisco-parser(); };
+};
+application paloalto[syslog] {
+    filter { message(",TRAFFIC,"); };
+    parser { csv-parser(columns(".pa.future_use", ".pa.receive_time", ".pa.serial",
+                                ".pa.type", ".pa.rest") flags(greedy)); };
+};
+parser p { app-parser(topic(syslog)); };
+""", "${.app.name}|${.pa.type}", ["foo: %SYS-5-X: m", "1,t,s,TRAFFIC,end,x", "neither at all"])
+    assert r.rendered("d") == ["cisco|", "paloalto|TRAFFIC"]
 
 
 # ---------------- big-big hash join ----------------
@@ -378,38 +414,26 @@ def test_valuepairs_scopes_and_validation():
     import pyarrow as pa
     import pytest as _pytest
 
-    from axosyslog_ray.functions.valuepairs import ValuePairs
+    from axosyslog_ray.functions.valuepairs import value_pairs_foreach
 
     t = pa.table({"host": ["h"], "message": ["m"], "custom_nv": ["x"], "pri": [13]})
-    assert ValuePairs("nv-pairs").select(t) == ["custom_nv"]  # builtins excluded
-    assert set(ValuePairs("everything").select(t)) == set(t.column_names)
+    # builtin nv pairs go by their macro names; pri is no nv pair
+    assert value_pairs_foreach(t, "nv-pairs") == [{"HOST": "h", "MESSAGE": "m", "custom_nv": "x"}]
+    assert {"custom_nv", "HOST", "PRIORITY"} <= set(value_pairs_foreach(t, "everything")[0])
     with _pytest.raises(ValueError, match="scope"):
-        ValuePairs("no-such-scope")
+        value_pairs_foreach(t, "no-such-scope")
 
 
 def test_format_leef_escapes_delimiters():
     import pyarrow as pa
 
-    from axosyslog_ray.functions.valuepairs import format_leef
-
     t = pa.table({"host": ["a\tb|c"], "z": ["x"]})
-    out = format_leef(t, event_id="evt", attrs={"h": "$host", "z": "$z"}).column("leef_out").to_pylist()[0]
+    out = _fx('$leef = format_leef({"event_id": "evt", "h": $host, "z": $z});',
+              t).column("leef").to_pylist()[0]
     # attr value's TAB is escaped to literal \t, so the only real tab is
     # the attr separator — tokenizing on tab yields exactly 2 attrs
     assert out.endswith("|h=a\\tb|c\tz=x")
     assert out.split("|evt|")[1].count("\t") == 1
-
-
-def test_parse_cef_escaped_backslash_before_pipe():
-    import pyarrow as pa
-
-    from axosyslog_ray.functions.valuepairs import parse_cef
-
-    # device_product 'C:\' is CEF-encoded as 'C:\\' — must still split
-    line = "CEF:0|vendor|C:\\\\|1.0|cls|name|5|src=1.2.3.4"
-    r = parse_cef(pa.table({"message": [line]})).to_pylist()[0]
-    d = dict(r["cef"])
-    assert r["cef_valid"] and d["device_product"] == "C:\\" and d["src"] == "1.2.3.4"
 
 
 def test_correlate_stable_schema_across_groups(ray_session):

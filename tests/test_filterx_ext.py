@@ -116,6 +116,15 @@ def test_parse_cef_separate_extensions():
     assert out.column("top").to_pylist() == [None]
 
 
+def test_parse_cef_escaped_backslash_before_pipe():
+    # device_product 'C:\' is CEF-encoded as 'C:\\' — must still split
+    line = "CEF:0|vendor|C:\\\\|1.0|cls|name|5|src=1.2.3.4"
+    out = _run("$d = parse_cef($m); $prod = $d.device_product; $src = $d.src;",
+               _t(m=[line]))
+    assert out.column("prod").to_pylist() == ["C:\\"]
+    assert out.column("src").to_pylist() == ["1.2.3.4"]
+
+
 LEEF1 = "LEEF:1.0|IBM|QRadar|8.7|12345|src=10.0.0.5\tdst=2.1.2.2\tspt=1232"
 LEEF2 = "LEEF:2.0|IBM|QRadar|8.7|12345|^|src=10.0.0.5^dst=2.1.2.2"
 LEEF2HEX = "LEEF:2.0|IBM|QRadar|8.7|12345|x09|src=10.0.0.5\tdst=2.1.2.2"

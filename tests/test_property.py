@@ -7,7 +7,8 @@ import pandas as pd
 import pyarrow as pa
 from hypothesis import given, settings
 
-from axosyslog_ray.functions.valuepairs import format_welf, parse_cef
+from axosyslog_ray.filterx_ext import parse_cef
+from axosyslog_ray.functions.templates import Template
 from axosyslog_ray.stages.csv_parser import CsvParser
 from axosyslog_ray.stages.json_parser import JsonParser
 from axosyslog_ray.stages.kv_parser import KvParser
@@ -44,10 +45,10 @@ def test_csv_kv_json_xml_parsers_total(lines):
         KvParser(collect_stray=True),
         JsonParser(with_types=True),
         XmlParser(),
-        lambda x: parse_cef(x),
     ):
         out = parser(t)
         assert out.num_rows == len(lines)
+    assert len(parse_cef(t.column("message").to_pandas())) == len(lines)
 
 
 KEY = st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,10}", fullmatch=True)
@@ -59,7 +60,7 @@ VAL = st.text(alphabet=st.characters(blacklist_characters='\\"', blacklist_categ
 def test_welf_format_then_kv_parse_roundtrip(d):
     # format-welf emits k=v with quoting; kv-parser must recover the pairs
     t = pa.table({k: pa.array([v], type=pa.string()) for k, v in d.items()})
-    welf = format_welf(t).column("welf_out").to_pylist()[0]
+    welf = Template("$(format-welf --key *)").eval(t).tolist()[0]
     parsed = KvParser(source_col="m")(pa.table({"m": [welf]})).to_pylist()[0]
     got = dict(parsed["kv"])
     for k, v in d.items():

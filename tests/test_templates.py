@@ -367,18 +367,35 @@ def test_stardate():
 
 
 def test_format_cef_extension_and_graphite():
-    from axosyslog_ray.functions.valuepairs import ValuePairs, format_cef_extension, format_graphite
-
     t = pa.table({
         "act": ["blocked a=b", "ok"],
         "bad.key": ["x", "y"],          # non-alnum key -> dropped by cef-ext
         "recvd_unixtime": ["100", "200"],
     })
-    vp = ValuePairs(include=["act", "bad.key"])
-    out = format_cef_extension(t, vp).column("cef_ext_out").to_pylist()
+    out = Template("$(format-cef-extension --key act --key bad.key)").eval(t).tolist()
     assert out == ["act=blocked a\\=b", "act=ok"]
-    g = format_graphite(t, ValuePairs(include=["act"]), timestamp="$recvd_unixtime")
-    assert g.column("graphite_out").to_pylist() == ["act blocked a=b 100\n", "act ok 200\n"]
+    g = Template("$(graphite-output --timestamp $recvd_unixtime --key act)").eval(t)
+    assert g.tolist() == ["act blocked a=b 100", "act ok 200"]
+
+
+def test_scope_skips_pairs_a_row_does_not_set():
+    # value_pairs_foreach skips an unset value, so --scope gives the row
+    # no pair rather than an empty one
+    t = pa.table({"act": ["allow x", "deny"], "n": [1, None]})
+    assert Template("$(format-json --scope nv-pairs)").eval(t).tolist() == [
+        '{"act":"allow x","n":"1"}', '{"act":"deny"}']
+
+
+def test_bool_value_with_null_renders_lowercase():
+    t = pa.table({"b": [True, None, False]})
+    assert Template("$b").eval(t).tolist() == ["true", "", "false"]
+    assert Template("${b:-unset}").eval(t).tolist() == ["true", "unset", "false"]
+
+
+def test_scope_stringifies_booleans_lowercase():
+    t = pa.table({"ok": [True, False]})
+    assert Template("$(format-json --scope nv-pairs)").eval(t).tolist() == [
+        '{"ok":"true"}', '{"ok":"false"}']
 
 
 def test_default_value_and_syntax_errors_reference_pins():
