@@ -321,12 +321,18 @@ def _parse_vp_args(t: pa.Table, args):
         # NV selection by name: a TYPED column (bool/int/float — e.g.
         # json-parser output, the reference's LM_VT_* typed nv pairs)
         # passes its values through for auto-cast typed rendering;
-        # string columns render through the template engine as before
+        # other columns render through the template engine. A null skips
+        # the pair in that row, as value_pairs_foreach does. A name that
+        # is no column renders as ${NAME}: a macro, or ""
         if col_name in t.column_names:
-            typ = t.column(col_name).type
+            col = t.column(col_name)
+            typ = col.type
             if (pa.types.is_boolean(typ) or pa.types.is_integer(typ)
                     or pa.types.is_floating(typ)):
-                return ("__typed__", t.column(col_name).to_pylist())
+                return ("__typed__", col.to_pylist())
+            rendered = _tpl_series("${" + col_name + "}")
+            return ("__typed__", [s if ok else None for s, ok in
+                                  zip(rendered, col.is_valid().to_pylist())])
         return _tpl_series("${" + col_name + "}")
 
     cur_rekey: dict | None = None

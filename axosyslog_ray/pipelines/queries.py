@@ -47,9 +47,10 @@ def _query_vec(sf_dir: str, vec_id: int = 0) -> np.ndarray:
 def _read(sf_dir: str, table: str, columns=None):
     import ray.data as rd
 
-    # central read hook: floor read splitting at 2 blocks/CPU (Ray's
-    # default minimum of 200 shreds small test tables into ~kB blocks and
-    # per-block driver scheduling dominates; inert at scale — context.py)
+    # central read hook: split reads into at least 2 blocks/CPU and no
+    # more (Ray's default minimum of 200 shreds small test tables into
+    # ~kB blocks and per-block driver scheduling dominates; inert at
+    # scale — context.py)
     global _BLOCKS_TUNED
     if not _BLOCKS_TUNED:
         from ..context import tune_read_blocks

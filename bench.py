@@ -136,8 +136,9 @@ def main() -> None:
     # Small-scale block sizing: Ray's default read_op_min_num_blocks=200
     # shreds the bench corpora into ~2.7k-row blocks and the driver's
     # per-block scheduling dominates wall time (measured 2-5x on the
-    # headline). 2 blocks/CPU keeps all cores busy with far fewer driver
-    # round-trips; inert at 100-TB scale (see axosyslog_ray/context.py).
+    # headline). 2 blocks/CPU, with no floor, keeps all cores busy with
+    # far fewer driver round-trips; inert at 100-TB scale (see
+    # axosyslog_ray/context.py).
     from axosyslog_ray.context import tune_read_blocks
 
     tune_read_blocks(NUM_CPUS)

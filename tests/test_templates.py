@@ -386,6 +386,16 @@ def test_scope_skips_pairs_a_row_does_not_set():
         '{"act":"allow x","n":"1"}', '{"act":"deny"}']
 
 
+def test_key_skips_a_null_value_of_any_type():
+    # --key NAME and a bare NAME skip a null as --scope does, for a
+    # string column as for a typed one
+    t = pa.table({"s": ["a", None], "n": [1, None]})
+    for spec in ("$(format-json --key s --key n)", "$(format-json s n)"):
+        assert Template(spec).eval(t).tolist() == ['{"s":"a","n":1}', "{}"]
+    assert Template("$(graphite-output --timestamp 1 --key s)").eval(t).tolist() == [
+        "s a 1", ""]
+
+
 def test_bool_value_with_null_renders_lowercase():
     t = pa.table({"b": [True, None, False]})
     assert Template("$b").eval(t).tolist() == ["true", "", "false"]
