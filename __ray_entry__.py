@@ -22,8 +22,10 @@ from typing import Any
 
 def entry() -> Any:
     """Flagship pipeline: synthesize pages (rows = 12x sf0.001 documents),
-    parse/classify/patterndb/enrich/route in one fused actor-pool stage,
-    aggregate per-sink counts. Returns the (route, host) count table."""
+    parse/classify/patterndb/enrich/route in one fused map_batches stage
+    of stateless tasks (one stage instance per worker process,
+    pipelines/flagship.py `_STAGE_CACHE`), aggregate per-sink counts.
+    Returns the (route, host) count table."""
     import pyarrow.parquet as pq
 
     from axosyslog_ray.aggregate import pre_aggregated_count

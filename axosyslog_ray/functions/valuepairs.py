@@ -304,7 +304,8 @@ def _parse_vp_args(t: pa.Table, args):
     functions: key=TEMPLATE pairs, --key/--exclude/--scope selection,
     --omit-empty-values/--leave-initial-dot flags, --rekey transform
     chains, type hints. Returns (n_rows, iter_row_pairs(r))."""
-    from .templates import Template
+    from .macros import eval_macro
+    from .templates import Template, ValueRef
 
     pairs: list[tuple[str, object]] = []  # (key, rendered Series | hint tuple)
     omit_empty = leave_dot = False
@@ -323,7 +324,9 @@ def _parse_vp_args(t: pa.Table, args):
         # passes its values through for auto-cast typed rendering;
         # other columns render through the template engine. A null skips
         # the pair in that row, as value_pairs_foreach does. A name that
-        # is no column renders as ${NAME}: a macro, or ""
+        # is no column renders as ${NAME} when it is a macro; otherwise it
+        # is a dynamic value (.SDATA.*, a match group) or unset, and a row
+        # that does not set it skips the pair, as in the reference
         if col_name in t.column_names:
             col = t.column(col_name)
             typ = col.type
@@ -333,7 +336,11 @@ def _parse_vp_args(t: pa.Table, args):
             rendered = _tpl_series("${" + col_name + "}")
             return ("__typed__", [s if ok else None for s, ok in
                                   zip(rendered, col.is_valid().to_pylist())])
-        return _tpl_series("${" + col_name + "}")
+        if eval_macro(col_name, t) is not None:
+            return _tpl_series("${" + col_name + "}")
+        unset = "\x00unset"
+        return ("__typed__", [None if v == unset else v
+                              for v in ValueRef(col_name, unset).eval(t)])
 
     cur_rekey: dict | None = None
     while i < len(arglist):

@@ -1,23 +1,66 @@
 """Driver-contract query registry: one entry per implemented operator.
 
-Each query has a Ray Data implementation (callable taking `sf_dir`) and,
-where SQL-expressible, a DuckDB oracle producing the SAME column names
-and value types — the driver hash-compares them at sf=0.01
+Each query has a Ray Data implementation (callable taking `sf_dir`) and
+a DuckDB oracle producing the SAME column names and value types (SQL, or
+a committed golden parquet for seeded queries SQL cannot express) — the
+driver hash-compares them at sf=0.01
 (CORRECTNESS_r{N}.json). Floating-point aggregates are rounded on BOTH
 sides so distributed summation order can't flip the hash.
 
 Operator -> reference mapping is in each function's docstring; SURVEY.md
-§2 is the inventory these keys tick off.
+§2 is the inventory these keys tick off. Each query is declared once:
+`@_query(oracle=SQL)` on its function registers both sides.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Callable
+from typing import Any
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from ..ann.kmeans import cluster_balanced_sql, kmeans_sql, semdedup_sql
+
+RAY_QUERIES: dict[str, Callable[[str], Any]] = {}
+ORACLE_SQLS: dict[str, str] = {}
+
+
+def _query(oracle: str):
+    """Register the decorated function as the registry query of its name,
+    hash-checked against the DuckDB `oracle` SQL."""
+
+    def register(fn):
+        if fn.__name__ in RAY_QUERIES:
+            raise ValueError(f"registry query {fn.__name__!r} is declared twice")
+        RAY_QUERIES[fn.__name__] = fn
+        ORACLE_SQLS[fn.__name__] = oracle
+        return fn
+
+    return register
+
+
+_GOLDEN_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))), "tests", "golden")
+
+
+def _golden(file: str, select: str, order: str, lines: bool = False) -> str:
+    """Oracle of a seeded query that SQL cannot express: the committed
+    golden parquet in tests/golden/ (a regression pin generated at sf0.01
+    by scripts/gen_golden_oracles.py, disclosed as weaker than an
+    independent computation in each query's docstring). perfbench/mix.py
+    rewrites the read_parquet('.../tests/golden/...') path to its own
+    checkout, so the path keeps that form."""
+    parts = (f"SELECT {select} FROM", f"read_parquet('{_GOLDEN_DIR}/{file}')", f"ORDER BY {order}")
+    return "\n" + "\n".join(parts) + "\n" if lines else " ".join(parts)
+
+
+def _sorted(out: pd.DataFrame, by, ascending=True) -> pd.DataFrame:
+    """Result epilogue: `out` sorted by `by`, with a fresh index."""
+    return out.sort_values(by, ascending=ascending).reset_index(drop=True)
 
 
 def round_half_away(s: pd.Series, digits: int = 2) -> pd.Series:
@@ -26,6 +69,13 @@ def round_half_away(s: pd.Series, digits: int = 2) -> pd.Series:
     f = 10.0 ** digits
     v = s.astype(float)
     return np.sign(v) * np.floor(np.abs(v) * f + 0.5) / f
+
+
+def _int_half_away(v: np.ndarray, scale: float) -> np.ndarray:
+    """v * scale rounded half away from zero to int64 (DuckDB
+    CAST(round(v * scale) AS BIGINT)): integer cents / micro-units, so
+    sums are order-independent and drift-free across engines."""
+    return (np.sign(v) * np.floor(np.abs(v) * scale + 0.5)).astype(np.int64)
 
 
 _BLOCKS_TUNED = False
@@ -64,6 +114,16 @@ def _read(sf_dir: str, table: str, columns=None):
 # relational / aggregate machinery
 # ---------------------------------------------------------------------------
 
+
+@_query(oracle="""
+SELECT l_returnflag, l_linestatus,
+       ROUND(SUM(l_quantity), 2) AS sum_qty,
+       ROUND(SUM(l_extendedprice), 2) AS sum_base_price,
+       ROUND(SUM(l_extendedprice * (1 - l_discount)), 2) AS sum_disc_price,
+       ROUND(AVG(l_quantity), 2) AS avg_qty,
+       CAST(COUNT(*) AS BIGINT) AS count_order
+FROM lineitem GROUP BY l_returnflag, l_linestatus
+""")
 def q1_pricing(sf_dir: str):
     """TPC-H-Q1-shaped grouped aggregate — exercises the native two-phase
     groupby path (reference analogue: stats aggregators, lib/stats/aggregator/)."""
@@ -89,21 +149,17 @@ def q1_pricing(sf_dir: str):
     )
     for c in ("sum_qty", "sum_base_price", "sum_disc_price", "avg_qty"):
         out[c] = round_half_away(out[c], 2)
-    out["count_order"] = out["count_order"].astype("int64")
     return out
 
 
-Q1_SQL = """
-SELECT l_returnflag, l_linestatus,
-       ROUND(SUM(l_quantity), 2) AS sum_qty,
-       ROUND(SUM(l_extendedprice), 2) AS sum_base_price,
-       ROUND(SUM(l_extendedprice * (1 - l_discount)), 2) AS sum_disc_price,
-       ROUND(AVG(l_quantity), 2) AS avg_qty,
-       CAST(COUNT(*) AS BIGINT) AS count_order
-FROM lineitem GROUP BY l_returnflag, l_linestatus
-"""
-
-
+@_query(oracle="""
+SELECT r.r_name, n.n_name,
+       CAST(COUNT(*) AS BIGINT) AS n_customers,
+       ROUND(AVG(c.c_acctbal), 2) AS avg_acctbal
+FROM customer c JOIN nation n ON c.c_nationkey = n.n_nationkey
+JOIN region r ON n.n_regionkey = r.r_regionkey
+GROUP BY r.r_name, n.n_name
+""")
 def customer_nation_join(sf_dir: str):
     """Broadcast small-side join (the reference's add-contextual-data shape,
     modules/add-contextual-data/): customer -> nation -> region dicts held
@@ -129,20 +185,10 @@ def customer_nation_join(sf_dir: str):
         .to_pandas()
     )
     out["avg_acctbal"] = round_half_away(out["avg_acctbal"], 2)
-    out["n_customers"] = out["n_customers"].astype("int64")
     return out
 
 
-CUSTOMER_NATION_SQL = """
-SELECT r.r_name, n.n_name,
-       CAST(COUNT(*) AS BIGINT) AS n_customers,
-       ROUND(AVG(c.c_acctbal), 2) AS avg_acctbal
-FROM customer c JOIN nation n ON c.c_nationkey = n.n_nationkey
-JOIN region r ON n.n_regionkey = r.r_regionkey
-GROUP BY r.r_name, n.n_name
-"""
-
-
+@_query(oracle="SELECT doc_id, n_chars FROM documents ORDER BY n_chars DESC, doc_id ASC LIMIT 10")
 def docs_topk(sf_dir: str):
     """Global top-k via the tree aggregate (window.global_topk: per-block
     local top-k combiner + driver merge of num_blocks x k rows — no
@@ -156,13 +202,19 @@ def docs_topk(sf_dir: str):
     return out[["doc_id", "n_chars"]]
 
 
-DOCS_TOPK_SQL = "SELECT doc_id, n_chars FROM documents ORDER BY n_chars DESC, doc_id ASC LIMIT 10"
-
-
 # ---------------------------------------------------------------------------
 # routing / filters
 # ---------------------------------------------------------------------------
 
+
+@_query(oracle="""
+SELECT CASE WHEN event_type = 'error' THEN 'errors'
+            WHEN event_type = 'purchase' AND value > 100 THEN 'big_purchases'
+            WHEN user_id < 5 THEN 'active_users'
+            ELSE 'other' END AS route,
+       CAST(COUNT(*) AS BIGINT) AS n
+FROM events GROUP BY 1
+""")
 def events_route_counts(sf_dir: str):
     """Predicate routing with final/fallback semantics
     (reference lib/logmpx.c:97-130) over the events stream; per-sink counts
@@ -180,21 +232,13 @@ def events_route_counts(sf_dir: str):
     ds = _read(sf_dir, "events", ["event_type", "value", "user_id"]).map_batches(
         lambda b: router.route_first(b).select(["route"]), batch_format="pyarrow"
     )
-    out = pre_aggregated_count(ds, ["route"], alias="n").to_pandas()
-    out["n"] = out["n"].astype("int64")
-    return out
+    return pre_aggregated_count(ds, ["route"], alias="n").to_pandas()
 
 
-EVENTS_ROUTE_SQL = """
-SELECT CASE WHEN event_type = 'error' THEN 'errors'
-            WHEN event_type = 'purchase' AND value > 100 THEN 'big_purchases'
-            WHEN user_id < 5 THEN 'active_users'
-            ELSE 'other' END AS route,
-       CAST(COUNT(*) AS BIGINT) AS n
-FROM events GROUP BY 1
-"""
-
-
+@_query(oracle="""
+SELECT user_id, CAST(COUNT(*) AS BIGINT) AS n FROM events
+WHERE user_id IN (1, 3, 5, 7) GROUP BY user_id
+""")
 def events_in_list(sf_dir: str):
     """in-list() semi-join filter (reference lib/filter/filter-in-list.c:41-90)."""
     from ..aggregate import pre_aggregated_count
@@ -205,17 +249,23 @@ def events_in_list(sf_dir: str):
         return b.filter(pc.is_in(b.column("user_id"), value_set=allow))
 
     ds = _read(sf_dir, "events", ["user_id"]).map_batches(filt, batch_format="pyarrow")
-    out = pre_aggregated_count(ds, ["user_id"], alias="n").to_pandas()
-    out["n"] = out["n"].astype("int64")
-    return out
+    return pre_aggregated_count(ds, ["user_id"], alias="n").to_pandas()
 
 
-EVENTS_IN_LIST_SQL = """
-SELECT user_id, CAST(COUNT(*) AS BIGINT) AS n FROM events
-WHERE user_id IN (1, 3, 5, 7) GROUP BY user_id
-"""
+_FACILITIES_SQL = (
+    "['kern','user','mail','daemon','auth','syslog','lpr','news','uucp','cron',"
+    "'authpriv','ftp','ntp','security','console','solaris-cron','local0','local1',"
+    "'local2','local3','local4','local5','local6','local7']"
+)
+_SEVERITIES_SQL = "['emerg','alert','crit','err','warning','notice','info','debug']"
 
 
+@_query(oracle=f"""
+SELECT ({_FACILITIES_SQL})[CAST((event_id % 192) // 8 AS INT) + 1] AS facility,
+       ({_SEVERITIES_SQL})[CAST((event_id % 192) % 8 AS INT) + 1] AS severity,
+       CAST(COUNT(*) AS BIGINT) AS n
+FROM events GROUP BY 1, 2
+""")
 def events_severity_stats(sf_dir: str):
     """facility()/severity() derivation from pri (reference
     lib/filter/filter-pri.c; macros lib/template/macros.c): synthetic
@@ -231,34 +281,23 @@ def events_severity_stats(sf_dir: str):
         return pa.table({"facility": fac, "severity": sev})
 
     ds = _read(sf_dir, "events", ["event_id"]).map_batches(derive, batch_format="pyarrow")
-    out = pre_aggregated_count(ds, ["facility", "severity"], alias="n").to_pandas()
-    out["n"] = out["n"].astype("int64")
-    return out
-
-
-_FACILITIES_SQL = (
-    "['kern','user','mail','daemon','auth','syslog','lpr','news','uucp','cron',"
-    "'authpriv','ftp','ntp','security','console','solaris-cron','local0','local1',"
-    "'local2','local3','local4','local5','local6','local7']"
-)
-_SEVERITIES_SQL = "['emerg','alert','crit','err','warning','notice','info','debug']"
-
-EVENTS_SEVERITY_SQL = f"""
-SELECT ({_FACILITIES_SQL})[CAST((event_id % 192) // 8 AS INT) + 1] AS facility,
-       ({_SEVERITIES_SQL})[CAST((event_id % 192) % 8 AS INT) + 1] AS severity,
-       CAST(COUNT(*) AS BIGINT) AS n
-FROM events GROUP BY 1, 2
-"""
+    return pre_aggregated_count(ds, ["facility", "severity"], alias="n").to_pandas()
 
 
 # ---------------------------------------------------------------------------
 # parsers / rewrites / templates
 # ---------------------------------------------------------------------------
 
+
+@_query(oracle="""
+SELECT event_type,
+       CAST(SUM(CAST(json_extract_string(props, '$.k') AS BIGINT)) AS BIGINT) AS sum_k,
+       CAST(COUNT(*) AS BIGINT) AS n
+FROM events GROUP BY event_type
+""")
 def events_json_extract(sf_dir: str):
     """json-parser() flatten + typed extraction (reference
     modules/json/json-parser.c:85-180,329) over events.props."""
-    from ..aggregate import partial_counts
     from ..stages.json_parser import JsonParser
     from ray.data.aggregate import Sum
 
@@ -276,30 +315,23 @@ def events_json_extract(sf_dir: str):
         return pa.table(
             {
                 "event_type": pa.array(df["event_type"], type=pa.string()),
-                "sum_k": pa.array(df["sum_k"].astype("int64")),
-                "n": pa.array(df["n"].astype("int64")),
+                "sum_k": pa.array(df["sum_k"]),
+                "n": pa.array(df["n"]),
             }
         )
 
-    out = (
+    return (
         ds.map_batches(partial, batch_format="pyarrow")
         .groupby("event_type")
         .aggregate(Sum("sum_k", alias_name="sum_k"), Sum("n", alias_name="n"))
         .to_pandas()
     )
-    out["sum_k"] = out["sum_k"].astype("int64")
-    out["n"] = out["n"].astype("int64")
-    return out
 
 
-EVENTS_JSON_SQL = """
-SELECT event_type,
-       CAST(SUM(CAST(json_extract_string(props, '$.k') AS BIGINT)) AS BIGINT) AS sum_k,
-       CAST(COUNT(*) AS BIGINT) AS n
-FROM events GROUP BY event_type
-"""
-
-
+@_query(oracle="""
+SELECT regexp_extract(text, '^(\\w+)', 1) AS first_word, CAST(COUNT(*) AS BIGINT) AS n
+FROM documents GROUP BY 1
+""")
 def docs_regex_first_word(sf_dir: str):
     """regexp-parser() named-group extraction (reference
     modules/regexp-parser/regexp-parser.c) — first word of documents.text."""
@@ -312,17 +344,10 @@ def docs_regex_first_word(sf_dir: str):
         return rp(b).select(["first_word"])
 
     ds = _read(sf_dir, "documents", ["text"]).map_batches(parse, batch_format="pyarrow")
-    out = pre_aggregated_count(ds, ["first_word"], alias="n").to_pandas()
-    out["n"] = out["n"].astype("int64")
-    return out
+    return pre_aggregated_count(ds, ["first_word"], alias="n").to_pandas()
 
 
-DOCS_REGEX_SQL = """
-SELECT regexp_extract(text, '^(\\w+)', 1) AS first_word, CAST(COUNT(*) AS BIGINT) AS n
-FROM documents GROUP BY 1
-"""
-
-
+@_query(oracle="SELECT doc_id, replace(text, 'spark', 'SPARK') AS text_rw FROM documents")
 def docs_subst(sf_dir: str):
     """subst() rewrite (reference lib/rewrite/rewrite-subst.c:49-78):
     global regex substitution, byte-compared per doc."""
@@ -335,9 +360,7 @@ def docs_subst(sf_dir: str):
     return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(rw, batch_format="pyarrow").to_pandas()
 
 
-DOCS_SUBST_SQL = "SELECT doc_id, replace(text, 'spark', 'SPARK') AS text_rw FROM documents"
-
-
+@_query(oracle="SELECT doc_id, upper(lang) || ':' || source || ':' || CAST(length(text) AS VARCHAR) AS fmt FROM documents")
 def docs_template_format(sf_dir: str):
     """Template projection + $() functions (reference lib/template/,
     modules/basicfuncs/): '$(uppercase $lang):$source:$(length $text)'."""
@@ -351,51 +374,25 @@ def docs_template_format(sf_dir: str):
     return _read(sf_dir, "documents", ["doc_id", "lang", "source", "text"]).map_batches(fmt, batch_format="pyarrow").to_pandas()
 
 
-DOCS_TEMPLATE_SQL = (
-    "SELECT doc_id, upper(lang) || ':' || source || ':' || CAST(length(text) AS VARCHAR) AS fmt FROM documents"
-)
-
-
+@_query(oracle="""
+SELECT l_returnflag AS flag, l_linestatus AS status, CAST(COUNT(*) AS BIGINT) AS n
+FROM lineitem GROUP BY 1, 2
+""")
 def lineitem_metrics_probe(sf_dir: str):
     """metrics-probe(): counters keyed by template labels (reference
     modules/metrics-probe/metrics-probe.c:93-110)."""
     from ..aggregate import metrics_probe
 
     ds = _read(sf_dir, "lineitem", ["l_returnflag", "l_linestatus"])
-    out = metrics_probe(ds, {"flag": "$l_returnflag", "status": "$l_linestatus"}, alias="n").to_pandas()
-    out["n"] = out["n"].astype("int64")
-    return out
-
-
-LINEITEM_METRICS_SQL = """
-SELECT l_returnflag AS flag, l_linestatus AS status, CAST(COUNT(*) AS BIGINT) AS n
-FROM lineitem GROUP BY 1, 2
-"""
+    return metrics_probe(ds, {"flag": "$l_returnflag", "status": "$l_linestatus"}, alias="n").to_pandas()
 
 
 # ---------------------------------------------------------------------------
 # sessions (grouping-by)
 # ---------------------------------------------------------------------------
 
-def events_sessions(sf_dir: str):
-    """grouping-by() session windows (reference
-    modules/correlation/groupingby.c:94-132, grouping-parser.c:233-290):
-    key=user_id, timeout=1800s on ts, count + value sum per session."""
-    from ..state.sessions import sessionize
 
-    ds = _read(sf_dir, "events", ["user_id", "ts", "value"])
-    out = sessionize(
-        ds, "user_id", timeout=1800, ts_col="ts",
-        aggregates={"n_events": "count", "sum_value": "sum:value"},
-    ).to_pandas()
-    out["session_id"] = out["session_id"].astype("int64")
-    out["n_events"] = out["n_events"].astype("int64")
-    out["sum_value"] = round_half_away(out["sum_value"].astype(float), 2)
-    out["user_id"] = out["user_id"].astype("int64")
-    return out[["user_id", "session_id", "session_start", "session_end", "n_events", "sum_value"]]
-
-
-EVENTS_SESSIONS_SQL = """
+@_query(oracle="""
 WITH marked AS (
   SELECT user_id, ts, value,
          CASE WHEN ts - lag(ts) OVER w > INTERVAL 1800 SECOND THEN 1 ELSE 0 END AS brk
@@ -411,35 +408,40 @@ SELECT user_id, CAST(sid AS BIGINT) AS session_id,
        CAST(COUNT(*) AS BIGINT) AS n_events,
        ROUND(SUM(value), 2) AS sum_value
 FROM numbered GROUP BY user_id, sid
-"""
+""")
+def events_sessions(sf_dir: str):
+    """grouping-by() session windows (reference
+    modules/correlation/groupingby.c:94-132, grouping-parser.c:233-290):
+    key=user_id, timeout=1800s on ts, count + value sum per session."""
+    from ..state.sessions import sessionize
 
-
-# ---------------------------------------------------------------------------
-# registry
-# ---------------------------------------------------------------------------
-
+    ds = _read(sf_dir, "events", ["user_id", "ts", "value"])
+    out = sessionize(
+        ds, "user_id", timeout=1800, ts_col="ts",
+        aggregates={"n_events": "count", "sum_value": "sum:value"},
+    ).to_pandas()
+    out["sum_value"] = round_half_away(out["sum_value"], 2)
+    return out[["user_id", "session_id", "session_start", "session_end", "n_events", "sum_value"]]
 
 
 # ---------------------------------------------------------------------------
 # training-data ops: dedup, fingerprint, text analysis, ANN
 # ---------------------------------------------------------------------------
 
+
+@_query(oracle="""
+SELECT CAST(MIN(doc_id) AS BIGINT) AS rep_id, CAST(COUNT(*) AS BIGINT) AS n_copies
+FROM documents GROUP BY text
+""")
 def docs_exact_dedup(sf_dir: str):
     """Exact dedup: hash-partition + per-group first (SURVEY.md training-data
     ops; reference analogue suppress(), lib/logwriter.c:575-660)."""
     from ..dedup.exact import dedup_stats
 
-    out = dedup_stats(_read(sf_dir, "documents", ["doc_id", "text"])).to_pandas()
-    out = out[["rep_id", "n_copies"]].astype("int64")
-    return out
+    return dedup_stats(_read(sf_dir, "documents", ["doc_id", "text"])).to_pandas()[["rep_id", "n_copies"]]
 
 
-DOCS_EXACT_DEDUP_SQL = """
-SELECT CAST(MIN(doc_id) AS BIGINT) AS rep_id, CAST(COUNT(*) AS BIGINT) AS n_copies
-FROM documents GROUP BY text
-"""
-
-
+@_query(oracle="SELECT doc_id, md5(lower(trim(text))) AS fingerprint FROM documents")
 def docs_fingerprint(sf_dir: str):
     """Document fingerprinting: md5 of normalized text (crypto template
     functions analogue, reference modules/cryptofuncs/)."""
@@ -452,9 +454,13 @@ def docs_fingerprint(sf_dir: str):
     return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(fp, batch_format="pyarrow").to_pandas()
 
 
-DOCS_FINGERPRINT_SQL = "SELECT doc_id, md5(lower(trim(text))) AS fingerprint FROM documents"
-
-
+@_query(oracle="""
+SELECT doc_id,
+       trim(regexp_replace(lower(nfc_normalize(
+            replace(upper(text), ' ', '  ') || ' A' || chr(778))),
+            '\\s+', ' ', 'g')) AS text_norm
+FROM documents ORDER BY doc_id
+""")
 def docs_normalize(sf_dir: str):
     """Canonical text normalization (textstats.normalize_text): NFC +
     lowercase + whitespace collapse + trim. The query derives messy
@@ -473,19 +479,11 @@ def docs_normalize(sf_dir: str):
 
     out = _read(sf_dir, "documents", ["doc_id", "text"]) \
         .map_batches(mk, batch_format="pyarrow").to_pandas()
-    out["doc_id"] = out["doc_id"].astype("int64")
-    return out.sort_values("doc_id").reset_index(drop=True)
+    return _sorted(out, "doc_id")
 
 
-DOCS_NORMALIZE_SQL = """
-SELECT doc_id,
-       trim(regexp_replace(lower(nfc_normalize(
-            replace(upper(text), ' ', '  ') || ' A' || chr(778))),
-            '\\s+', ' ', 'g')) AS text_norm
-FROM documents ORDER BY doc_id
-"""
-
-
+@_query(oracle=_golden("docs_fingerprint_fast_sf001.parquet", "doc_id, fingerprint64, n_prints, min_print",
+                       "doc_id", lines=True))
 def docs_fingerprint_fast(sf_dir: str):
     """Vectorized fingerprint family (VERDICT r3 #2): siphash64 document
     fingerprint + winnowing rolling shingle prints, both the no-per-row
@@ -516,16 +514,16 @@ def docs_fingerprint_fast(sf_dir: str):
 
     out = _read(sf_dir, "documents", ["doc_id", "text"]) \
         .map_batches(fp, batch_format="pyarrow").to_pandas()
-    return out.sort_values("doc_id").reset_index(drop=True)
+    return _sorted(out, "doc_id")
 
 
-DOCS_FINGERPRINT_FAST_SQL = """
-SELECT doc_id, fingerprint64, n_prints, min_print FROM
-read_parquet('/root/repo/tests/golden/docs_fingerprint_fast_sf001.parquet')
-ORDER BY doc_id
-"""
-
-
+@_query(oracle=r"""
+SELECT doc_id,
+       CAST(array_length(regexp_extract_all(text, '\S+')) AS BIGINT) AS n_ws_tokens,
+       CAST(array_length(regexp_extract_all(text, '\w+|[^\w\s]')) AS BIGINT) AS n_bpe_tokens,
+       CAST(length(text) AS BIGINT) AS n_chars_calc
+FROM documents
+""")
 def docs_token_stats(sf_dir: str):
     """Token counting: whitespace + BPE-ish regex tokens per doc."""
     from ..textstats import token_counts
@@ -536,15 +534,18 @@ def docs_token_stats(sf_dir: str):
     return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(tc, batch_format="pyarrow").to_pandas()
 
 
-DOCS_TOKEN_SQL = r"""
+_STOP_EN_SQL = "('the','a','an','and','of','to','in','is','it','that','for','on','with','as')"
+
+
+@_query(oracle=rf"""
 SELECT doc_id,
-       CAST(array_length(regexp_extract_all(text, '\S+')) AS BIGINT) AS n_ws_tokens,
-       CAST(array_length(regexp_extract_all(text, '\w+|[^\w\s]')) AS BIGINT) AS n_bpe_tokens,
-       CAST(length(text) AS BIGINT) AS n_chars_calc
+       ROUND(list_avg(list_transform(str_split(text, ' '), x -> length(x))), 6) AS mean_word_len,
+       ROUND(len(list_filter(str_split(text, ' '), x -> lower(x) IN {_STOP_EN_SQL}))
+             / GREATEST(1, len(str_split(text, ' '))), 6) AS stop_ratio,
+       ROUND(length(regexp_replace(text, '[\w\s]', '', 'g')) / GREATEST(1, length(text)), 6) AS punct_ratio,
+       ROUND(length(regexp_replace(text, '[^A-Z]', '', 'g')) / GREATEST(1, length(text)), 6) AS upper_ratio
 FROM documents
-"""
-
-
+""")
 def docs_quality(sf_dir: str):
     """Quality scoring: mean word length, stopword/punct/upper ratios
     (C4/Gopher-style web-corpus heuristics)."""
@@ -559,33 +560,13 @@ def docs_quality(sf_dir: str):
     return out
 
 
-_STOP_EN_SQL = "('the','a','an','and','of','to','in','is','it','that','for','on','with','as')"
-
-DOCS_QUALITY_SQL = rf"""
-SELECT doc_id,
-       ROUND(list_avg(list_transform(str_split(text, ' '), x -> length(x))), 6) AS mean_word_len,
-       ROUND(len(list_filter(str_split(text, ' '), x -> lower(x) IN {_STOP_EN_SQL}))
-             / GREATEST(1, len(str_split(text, ' '))), 6) AS stop_ratio,
-       ROUND(length(regexp_replace(text, '[\w\s]', '', 'g')) / GREATEST(1, length(text)), 6) AS punct_ratio,
-       ROUND(length(regexp_replace(text, '[^A-Z]', '', 'g')) / GREATEST(1, length(text)), 6) AS upper_ratio
-FROM documents
-"""
-
-
-def emb_ann_topk(sf_dir: str):
-    """Exact brute-force cosine top-10 vs the vec_id=0 embedding
-    (similarity-search baseline; numpy matmul per batch, broadcast query)."""
-    from ..ann import ann_topk
-
+def _ann_top10(sf_dir: str, topk, **kw) -> pd.DataFrame:
+    """The 10 nearest embeddings to vec_id=0 by `topk`. sim keeps 4
+    decimals: DuckDB computes cosine in float32, we compute in float64;
+    differences are ~1e-7, so 6-decimal rounding could flip the last digit."""
     emb = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    q = _query_vec(sf_dir)
-    out = ann_topk(emb, np.asarray([q]), k=10)
-    out = out.drop(columns=["query_id"])
-    # 4 decimals: DuckDB computes cosine in float32, we compute in float64;
-    # differences are ~1e-7, so 6-decimal rounding could flip the last digit
+    out = topk(emb, np.asarray([_query_vec(sf_dir)]), k=10, **kw).drop(columns=["query_id"])
     out["sim"] = round_half_away(out["sim"], 4)
-    out["rank"] = out["rank"].astype("int64")
-    out["vec_id"] = out["vec_id"].astype("int64")
     return out
 
 
@@ -598,6 +579,20 @@ ORDER BY sim DESC, e.vec_id LIMIT 10
 """
 
 
+@_query(oracle=EMB_ANN_SQL)
+def emb_ann_topk(sf_dir: str):
+    """Exact brute-force cosine top-10 vs the vec_id=0 embedding
+    (similarity-search baseline; numpy matmul per batch, broadcast query)."""
+    from ..ann import ann_topk
+
+    return _ann_top10(sf_dir, ann_topk)
+
+
+@_query(oracle="""
+SELECT a.vec_id AS id_a, b.vec_id AS id_b
+FROM embeddings a JOIN embeddings b ON a.vec_id < b.vec_id
+WHERE list_cosine_similarity(CAST(a.embedding AS DOUBLE[]), CAST(b.embedding AS DOUBLE[])) >= 0.3
+""")
 def emb_near_dup(sf_dir: str):
     """Embedding-cosine near-dup pairs (a < b over threshold). Threshold 0.3
     so the random-embedding fixture actually produces pairs."""
@@ -606,23 +601,17 @@ def emb_near_dup(sf_dir: str):
     emb = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
     out = near_dup_pairs(emb, threshold=0.3).to_pandas()
     if out.empty:
-        out = pd.DataFrame({"id_a": pd.Series([], dtype="int64"), "id_b": pd.Series([], dtype="int64")})
-    else:
-        out = out[["id_a", "id_b"]].astype("int64").sort_values(["id_a", "id_b"]).reset_index(drop=True)
-    return out
-
-
-EMB_NEAR_DUP_SQL = """
-SELECT a.vec_id AS id_a, b.vec_id AS id_b
-FROM embeddings a JOIN embeddings b ON a.vec_id < b.vec_id
-WHERE list_cosine_similarity(CAST(a.embedding AS DOUBLE[]), CAST(b.embedding AS DOUBLE[])) >= 0.3
-"""
+        return pd.DataFrame({"id_a": pd.Series([], dtype="int64"), "id_b": pd.Series([], dtype="int64")})
+    return _sorted(out[["id_a", "id_b"]], ["id_a", "id_b"])
 
 
 # ---------------------------------------------------------------------------
-# non-SQL-expressible ops (driver records rows-only checks)
+# near-dup, web-text and curation ops
 # ---------------------------------------------------------------------------
 
+
+@_query(oracle=_golden("docs_minhash_dedup_sf001.parquet",
+                       "CAST(doc_id AS BIGINT) AS doc_id, CAST(cluster_id AS BIGINT) AS cluster_id", "doc_id"))
 def docs_minhash_dedup(sf_dir: str):
     """MinHash+LSH near-dup clusters (shingle->minhash->band->bucket
     groupby). Returns (doc_id, cluster_id). Non-SQL-expressible; the
@@ -637,11 +626,10 @@ def docs_minhash_dedup(sf_dir: str):
     # final="shuffle" (the default): the per-doc min reduce is a
     # distributed groupby aggregate — no per-doc rows stream to the
     # driver; only this bounded sf-test result is collected
-    out = minhash_clusters(_read(sf_dir, "documents", ["doc_id", "text"])).to_pandas()
-    out = out.astype("int64").sort_values("doc_id").reset_index(drop=True)
-    return out
+    return _sorted(minhash_clusters(_read(sf_dir, "documents", ["doc_id", "text"])).to_pandas(), "doc_id")
 
 
+@_query(oracle=_golden("docs_fuzzy_dedup_sf001.parquet", "CAST(doc_id AS BIGINT) AS doc_id", "doc_id"))
 def docs_fuzzy_dedup(sf_dir: str):
     """Fuzzy dedup purge (dedup/fuzzy.py): MinHash LSH star edges ->
     fixpoint connected components -> keep one representative per
@@ -652,11 +640,11 @@ def docs_fuzzy_dedup(sf_dir: str):
     from ..dedup.fuzzy import fuzzy_dedup
 
     out = fuzzy_dedup(_read(sf_dir, "documents", ["doc_id", "text"]))
-    kept = out.select_columns(["doc_id"]).to_pandas()
-    kept["doc_id"] = kept["doc_id"].astype("int64")
-    return kept.sort_values("doc_id").reset_index(drop=True)
+    return _sorted(out.select_columns(["doc_id"]).to_pandas(), "doc_id")
 
 
+@_query(oracle=_golden("docs_simhash_clusters_sf001.parquet",
+                       "CAST(doc_id AS BIGINT) AS doc_id, CAST(cluster_id AS BIGINT) AS cluster_id", "doc_id"))
 def docs_simhash_clusters(sf_dir: str):
     """SimHash banded near-dup clusters. Non-SQL-expressible; seeded and
     deterministic, oracled by a committed golden parquet at sf0.01
@@ -666,27 +654,10 @@ def docs_simhash_clusters(sf_dir: str):
     # final="shuffle" (the operator default): the per-doc min reduce runs
     # as a distributed coarse-bucket groupby — no per-doc rows stream to
     # the driver; only this bounded sf-test result is collected
-    out = simhash_candidates(_read(sf_dir, "documents", ["doc_id", "text"])).to_pandas()
-    return out.astype("int64").sort_values("doc_id").reset_index(drop=True)
+    return _sorted(simhash_candidates(_read(sf_dir, "documents", ["doc_id", "text"])).to_pandas(), "doc_id")
 
 
-def docs_jaccard_pairs(sf_dir: str):
-    """Exact n-gram Jaccard near-dup pairs (distributed inverted-index
-    set-similarity join, dedup/ngram.py) — the brief's fourth dedup
-    family, independently oracled by an equivalent SQL formulation
-    (UNNEST shingles -> self-join intersection counts)."""
-    from ..dedup.ngram import ngram_jaccard_pairs
-
-    out = ngram_jaccard_pairs(
-        _read(sf_dir, "documents", ["doc_id", "text"]), threshold=0.5, shingle=3
-    ).to_pandas()
-    out["id_a"] = out["id_a"].astype("int64")
-    out["id_b"] = out["id_b"].astype("int64")
-    out["jaccard"] = round_half_away(out["jaccard"], 4)
-    return out.sort_values(["id_a", "id_b"]).reset_index(drop=True)
-
-
-DOCS_JACCARD_SQL = r"""
+@_query(oracle=r"""
 WITH t AS (SELECT doc_id, regexp_split_to_array(trim(text), '\s+') AS w FROM documents),
 idx AS (SELECT doc_id, w, UNNEST(range(1, GREATEST(len(w) - 2, 1) + 1)) AS i FROM t),
 sh AS (SELECT DISTINCT doc_id, CASE WHEN len(w) < 3 THEN array_to_string(w, ' ')
@@ -699,28 +670,24 @@ SELECT CAST(id_a AS BIGINT) AS id_a, CAST(id_b AS BIGINT) AS id_b,
 FROM inter JOIN sz sa ON sa.doc_id = id_a JOIN sz sb ON sb.doc_id = id_b
 WHERE n * 1.0 / (sa.size + sb.size - n) >= 0.5
 ORDER BY id_a, id_b
-"""
-
-
-def docs_dup_components(sf_dir: str):
-    """True near-dup clusters: n-gram Jaccard candidate pairs ->
-    distributed connected components (hash-min label propagation to the
-    FIXPOINT, dedup/components.py) — chains A~B~C collapse to one
-    cluster even when A!~C. Oracled by a recursive-CTE transitive
-    closure over the identical SQL-derived pair set."""
-    from ..dedup.components import connected_components
+""")
+def docs_jaccard_pairs(sf_dir: str):
+    """Exact n-gram Jaccard near-dup pairs (distributed inverted-index
+    set-similarity join, dedup/ngram.py) — the brief's fourth dedup
+    family, independently oracled by an equivalent SQL formulation
+    (UNNEST shingles -> self-join intersection counts)."""
     from ..dedup.ngram import ngram_jaccard_pairs
 
-    pairs = ngram_jaccard_pairs(
+    out = ngram_jaccard_pairs(
         _read(sf_dir, "documents", ["doc_id", "text"]), threshold=0.5, shingle=3
-    )
-    out = connected_components(pairs, src="id_a", dst="id_b").to_pandas()
-    out["node"] = out["node"].astype("int64")
-    out["component"] = out["component"].astype("int64")
-    return out.sort_values("node").reset_index(drop=True)
+    ).to_pandas()
+    out["jaccard"] = round_half_away(out["jaccard"], 4)
+    return _sorted(out, ["id_a", "id_b"])
 
 
-DOCS_DUP_COMPONENTS_SQL = r"""
+# word-3-gram Jaccard pairs (>= 0.5) and their transitive closure, shared
+# by the connected-components oracles
+_COMPONENTS_CTES = r"""
 WITH RECURSIVE
 t AS (SELECT doc_id, regexp_split_to_array(trim(text), '\s+') AS w FROM documents),
 idx AS (SELECT doc_id, w, UNNEST(range(1, GREATEST(len(w) - 2, 1) + 1)) AS i FROM t),
@@ -737,47 +704,27 @@ und AS (SELECT id_a AS node, id_b AS nbr FROM pairs
 reach AS (
   SELECT node, node AS r FROM (SELECT DISTINCT node FROM und)
   UNION
-  SELECT u.node, reach.r FROM und u JOIN reach ON u.nbr = reach.node
+  SELECT u.node, reach.r FROM und u JOIN reach ON u.nbr = reach.node"""
+
+
+@_query(oracle=_COMPONENTS_CTES + r"""
 )
 SELECT CAST(node AS BIGINT) AS node, CAST(MIN(r) AS BIGINT) AS component
 FROM reach GROUP BY node ORDER BY node
-"""
+""")
+def docs_dup_components(sf_dir: str):
+    """True near-dup clusters: n-gram Jaccard candidate pairs ->
+    distributed connected components (hash-min label propagation to the
+    FIXPOINT, dedup/components.py) — chains A~B~C collapse to one
+    cluster even when A!~C. Oracled by a recursive-CTE transitive
+    closure over the identical SQL-derived pair set."""
+    from ..dedup.components import connected_components
+    from ..dedup.ngram import ngram_jaccard_pairs
 
-
-def docs_url_normalize(sf_dir: str):
-    """Web-corpus URL hygiene (webtext.py): parse + canonicalize +
-    registrable domain over deterministically constructed CC-style URLs
-    (mixed-case hosts, default/explicit ports, tracking params at every
-    position, fragments, empty paths). The SQL oracle constructs the
-    SAME input and normalizes it independently with DuckDB regexps
-    (RE2-safe patterns shared with the engine — webtext.py docstring)."""
-    from ..webtext import add_url_columns
-
-    ds = _read(sf_dir, "documents", ["doc_id", "source"])
-
-    def mk(b: pa.Table) -> pa.Table:
-        d = b.column("doc_id").to_pandas()
-        s = b.column("source").to_pandas().astype(str)
-        m = (d % 3).to_numpy()
-        ids = d.astype(str)
-        url = np.where(
-            m == 0,
-            "HTTPS://WWW." + s + ".CO.UK:443/docs/" + ids + "?utm_source=feed&ref="
-            + (d % 7).astype(str) + "#sec",
-            np.where(
-                m == 1,
-                "http://cdn." + s + ".com:8080/p/" + ids + "?utm_medium=x",
-                "https://" + s + ".org",
-            ),
-        )
-        return pa.table({"doc_id": b.column("doc_id"),
-                         "url": pa.array(url, type=pa.string())})
-
-    out = ds.map_batches(mk, batch_format="pyarrow").map_batches(
-        add_url_columns, batch_format="pyarrow"
+    pairs = ngram_jaccard_pairs(
+        _read(sf_dir, "documents", ["doc_id", "text"]), threshold=0.5, shingle=3
     )
-    df = out.select_columns(["doc_id", "url_norm", "url_host", "url_domain"]).to_pandas()
-    return df.sort_values("doc_id").reset_index(drop=True)
+    return _sorted(connected_components(pairs, src="id_a", dst="id_b").to_pandas(), "node")
 
 
 DOCS_URL_NORMALIZE_SQL = r"""
@@ -831,6 +778,59 @@ FROM dom ORDER BY doc_id
 """
 
 
+@_query(oracle=DOCS_URL_NORMALIZE_SQL)
+def docs_url_normalize(sf_dir: str):
+    """Web-corpus URL hygiene (webtext.py): parse + canonicalize +
+    registrable domain over deterministically constructed CC-style URLs
+    (mixed-case hosts, default/explicit ports, tracking params at every
+    position, fragments, empty paths). The SQL oracle constructs the
+    SAME input and normalizes it independently with DuckDB regexps
+    (RE2-safe patterns shared with the engine — webtext.py docstring)."""
+    from ..webtext import add_url_columns
+
+    ds = _read(sf_dir, "documents", ["doc_id", "source"])
+
+    def mk(b: pa.Table) -> pa.Table:
+        d = b.column("doc_id").to_pandas()
+        s = b.column("source").to_pandas().astype(str)
+        m = (d % 3).to_numpy()
+        ids = d.astype(str)
+        url = np.where(
+            m == 0,
+            "HTTPS://WWW." + s + ".CO.UK:443/docs/" + ids + "?utm_source=feed&ref="
+            + (d % 7).astype(str) + "#sec",
+            np.where(
+                m == 1,
+                "http://cdn." + s + ".com:8080/p/" + ids + "?utm_medium=x",
+                "https://" + s + ".org",
+            ),
+        )
+        return pa.table({"doc_id": b.column("doc_id"),
+                         "url": pa.array(url, type=pa.string())})
+
+    out = ds.map_batches(mk, batch_format="pyarrow").map_batches(
+        add_url_columns, batch_format="pyarrow"
+    )
+    return _sorted(out.select_columns(["doc_id", "url_norm", "url_host", "url_domain"]).to_pandas(), "doc_id")
+
+
+@_query(oracle=r"""
+WITH u AS (
+  SELECT doc_id, source,
+    'https://www.' || source || '.co.uk/p/' || (doc_id % 150)
+      || '?k=' || (doc_id % 150) AS url_norm,
+    source || '.co.uk' AS url_domain
+  FROM documents),
+dedup AS (
+  SELECT doc_id, url_norm, url_domain,
+         row_number() OVER (PARTITION BY url_norm ORDER BY doc_id) AS rn
+  FROM u),
+capped AS (
+  SELECT doc_id, url_norm, url_domain,
+         row_number() OVER (PARTITION BY url_domain ORDER BY doc_id) AS qn
+  FROM dedup WHERE rn = 1)
+SELECT doc_id, url_norm, url_domain FROM capped WHERE qn <= 5 ORDER BY doc_id
+""")
 def docs_web_curation(sf_dir: str):
     """End-to-end web curation composite over the URL layer: construct
     CC-style URLs with planted collisions (doc_id % 150 path key),
@@ -859,30 +859,27 @@ def docs_web_curation(sf_dir: str):
     deduped = dedup_rows(with_urls, col="url_norm", id_col="doc_id")
     capped = quota_head(deduped.select_columns(["doc_id", "url_norm", "url_domain"]),
                         "url_domain", "doc_id", k=5)
-    out = capped.select_columns(["doc_id", "url_norm", "url_domain"]).to_pandas()
-    out["doc_id"] = out["doc_id"].astype("int64")
-    return out.sort_values("doc_id").reset_index(drop=True)
+    return _sorted(capped.select_columns(["doc_id", "url_norm", "url_domain"]).to_pandas(), "doc_id")
 
 
-DOCS_WEB_CURATION_SQL = r"""
+def _redact_sql() -> str:
+    from ..textstats.redact import pii_sql_replacements
+
+    return f"""
 WITH u AS (
-  SELECT doc_id, source,
-    'https://www.' || source || '.co.uk/p/' || (doc_id % 150)
-      || '?k=' || (doc_id % 150) AS url_norm,
-    source || '.co.uk' AS url_domain
-  FROM documents),
-dedup AS (
-  SELECT doc_id, url_norm, url_domain,
-         row_number() OVER (PARTITION BY url_norm ORDER BY doc_id) AS rn
-  FROM u),
-capped AS (
-  SELECT doc_id, url_norm, url_domain,
-         row_number() OVER (PARTITION BY url_domain ORDER BY doc_id) AS qn
-  FROM dedup WHERE rn = 1)
-SELECT doc_id, url_norm, url_domain FROM capped WHERE qn <= 5 ORDER BY doc_id
+  SELECT doc_id,
+    'reach user' || doc_id || '@' || source || '.example.com or call 555-123-'
+      || lpad(CAST(doc_id % 10000 AS VARCHAR), 4, '0') || ' from host 10.0.'
+      || (doc_id % 256) || '.' || ((doc_id * 7) % 256)
+      || ' ssn 123-45-' || lpad(CAST(doc_id % 10000 AS VARCHAR), 4, '0')
+      || ' plain trailing words' AS text
+  FROM documents)
+SELECT doc_id, {pii_sql_replacements('text')} AS text
+FROM u ORDER BY doc_id
 """
 
 
+@_query(oracle=_redact_sql())
 def docs_redact_pii(sf_dir: str):
     """PII scrub (textstats/redact.py): emails/IPs/phones/SSNs ->
     typed placeholders over deterministically constructed pii-laced
@@ -908,61 +905,10 @@ def docs_redact_pii(sf_dir: str):
     out = ds.map_batches(mk, batch_format="pyarrow").map_batches(
         redact_pii, batch_format="pyarrow"
     ).to_pandas()
-    out["doc_id"] = out["doc_id"].astype("int64")
-    return out.sort_values("doc_id").reset_index(drop=True)
+    return _sorted(out, "doc_id")
 
 
-def _redact_sql() -> str:
-    from ..textstats.redact import pii_sql_replacements
-
-    return f"""
-WITH u AS (
-  SELECT doc_id,
-    'reach user' || doc_id || '@' || source || '.example.com or call 555-123-'
-      || lpad(CAST(doc_id % 10000 AS VARCHAR), 4, '0') || ' from host 10.0.'
-      || (doc_id % 256) || '.' || ((doc_id * 7) % 256)
-      || ' ssn 123-45-' || lpad(CAST(doc_id % 10000 AS VARCHAR), 4, '0')
-      || ' plain trailing words' AS text
-  FROM documents)
-SELECT doc_id, {pii_sql_replacements('text')} AS text
-FROM u ORDER BY doc_id
-"""
-
-
-def docs_dedup_lines(sf_dir: str):
-    """C4-style within-document repetition removal (curation.dedup_lines):
-    keep the first occurrence of each exact line, order preserved.
-    Oracle: row_number over (doc, line) = 1 re-aggregated by position."""
-    from ..curation import dedup_lines
-
-    ds = _read(sf_dir, "documents", ["doc_id", "source"])
-
-    def mk(b: pa.Table) -> pa.Table:
-        d = b.column("doc_id").to_pandas()
-        s = b.column("source").to_pandas().astype(str)
-        text = ("header " + s + "\nbody " + (d % 50).astype(str)
-                + "\nheader " + s + "\nunique " + d.astype(str)
-                + "\nbody " + (d % 50).astype(str))
-        return pa.table({"doc_id": b.column("doc_id"),
-                         "text": pa.array(text, type=pa.string())})
-
-    out = dedup_lines(ds.map_batches(mk, batch_format="pyarrow")).to_pandas()
-    out["doc_id"] = out["doc_id"].astype("int64")
-    return out.sort_values("doc_id").reset_index(drop=True)
-
-
-def docs_corpus_report(sf_dir: str):
-    """One-call corpus profile (report.corpus_report — the dataset-card
-    summary): doc/token counts, token quantiles, language mix,
-    exact-dup estimate from ONE narrow projection pass; document text
-    never shuffles. SQL-oracled end-to-end."""
-    from ..report import corpus_report
-
-    out = corpus_report(_read(sf_dir, "documents", ["doc_id", "text", "lang"]))
-    return out
-
-
-DOCS_CORPUS_REPORT_SQL = """
+@_query(oracle="""
 WITH t AS (
   SELECT lang, text,
          len(regexp_extract_all(lower(text), '[a-z0-9]+')) AS n_tok
@@ -980,9 +926,36 @@ SELECT metric, value FROM (
   UNION ALL
   SELECT 'lang:' || lang, CAST(count(*) AS DOUBLE) FROM t GROUP BY lang
 ) ORDER BY metric
-"""
+""")
+def docs_corpus_report(sf_dir: str):
+    """One-call corpus profile (report.corpus_report — the dataset-card
+    summary): doc/token counts, token quantiles, language mix,
+    exact-dup estimate from ONE narrow projection pass; document text
+    never shuffles. SQL-oracled end-to-end."""
+    from ..report import corpus_report
+
+    return corpus_report(_read(sf_dir, "documents", ["doc_id", "text", "lang"]))
 
 
+@_query(oracle="""
+WITH docl AS (
+  SELECT doc_id, string_split(replace(text, ' ', chr(10)), chr(10)) AS lines
+  FROM documents
+), lines AS (
+  SELECT doc_id, unnest(lines) AS line FROM docl
+), freq AS (
+  SELECT list(line) AS fl FROM (
+    SELECT line FROM lines GROUP BY line HAVING count(DISTINCT doc_id) >= 400)
+)
+SELECT d.doc_id,
+       array_to_string(list_filter(d.lines, x -> NOT array_contains(f.fl, x)),
+                       chr(10)) AS text_clean,
+       CAST(len(d.lines) -
+            len(list_filter(d.lines, x -> NOT array_contains(f.fl, x)))
+            AS BIGINT) AS n_removed
+FROM docl d, freq f
+ORDER BY doc_id
+""")
 def docs_boilerplate_lines(sf_dir: str):
     """CROSS-document boilerplate line removal
     (curation.remove_boilerplate_lines): drop lines appearing in >= 400
@@ -1002,34 +975,10 @@ def docs_boilerplate_lines(sf_dir: str):
         batch_format="pyarrow")
     out = remove_boilerplate_lines(ds, min_docs=400).to_pandas()
     out = out.rename(columns={"text": "text_clean"})
-    out["doc_id"] = out["doc_id"].astype("int64")
-    out["n_removed"] = out["n_removed"].astype("int64")
-    return out[["doc_id", "text_clean", "n_removed"]] \
-        .sort_values("doc_id").reset_index(drop=True)
+    return _sorted(out[["doc_id", "text_clean", "n_removed"]], "doc_id")
 
 
-DOCS_BOILERPLATE_LINES_SQL = """
-WITH docl AS (
-  SELECT doc_id, string_split(replace(text, ' ', chr(10)), chr(10)) AS lines
-  FROM documents
-), lines AS (
-  SELECT doc_id, unnest(lines) AS line FROM docl
-), freq AS (
-  SELECT list(line) AS fl FROM (
-    SELECT line FROM lines GROUP BY line HAVING count(DISTINCT doc_id) >= 400)
-)
-SELECT d.doc_id,
-       array_to_string(list_filter(d.lines, x -> NOT array_contains(f.fl, x)),
-                       chr(10)) AS text_clean,
-       CAST(len(d.lines) -
-            len(list_filter(d.lines, x -> NOT array_contains(f.fl, x)))
-            AS BIGINT) AS n_removed
-FROM docl d, freq f
-ORDER BY doc_id
-"""
-
-
-DOCS_DEDUP_LINES_SQL = r"""
+@_query(oracle=r"""
 WITH u AS (
   SELECT doc_id,
     'header ' || source || chr(10) || 'body ' || (doc_id % 50) || chr(10)
@@ -1047,24 +996,28 @@ firsts AS (
   FROM lines)
 SELECT doc_id, string_agg(line, chr(10) ORDER BY pos) AS text
 FROM firsts WHERE rn = 1 GROUP BY doc_id ORDER BY doc_id
-"""
+""")
+def docs_dedup_lines(sf_dir: str):
+    """C4-style within-document repetition removal (curation.dedup_lines):
+    keep the first occurrence of each exact line, order preserved.
+    Oracle: row_number over (doc, line) = 1 re-aggregated by position."""
+    from ..curation import dedup_lines
+
+    ds = _read(sf_dir, "documents", ["doc_id", "source"])
+
+    def mk(b: pa.Table) -> pa.Table:
+        d = b.column("doc_id").to_pandas()
+        s = b.column("source").to_pandas().astype(str)
+        text = ("header " + s + "\nbody " + (d % 50).astype(str)
+                + "\nheader " + s + "\nunique " + d.astype(str)
+                + "\nbody " + (d % 50).astype(str))
+        return pa.table({"doc_id": b.column("doc_id"),
+                         "text": pa.array(text, type=pa.string())})
+
+    return _sorted(dedup_lines(ds.map_batches(mk, batch_format="pyarrow")).to_pandas(), "doc_id")
 
 
-def docs_chunked(sf_dir: str):
-    """Context-window chunking (curation.chunk_documents): 40-token
-    windows, 10-token overlap. Oracle: generate_series over the token
-    count with 1-based list slicing."""
-    from ..curation import chunk_documents
-
-    ds = chunk_documents(
-        _read(sf_dir, "documents", ["doc_id", "text"]), max_tokens=40, overlap=10
-    )
-    out = ds.to_pandas()
-    out["doc_id"] = out["doc_id"].astype("int64")
-    return out.sort_values(["doc_id", "chunk_id"]).reset_index(drop=True)
-
-
-DOCS_CHUNKED_SQL = r"""
+@_query(oracle=r"""
 WITH t AS (
   SELECT doc_id, regexp_split_to_array(trim(text), '\s+') AS w,
          len(regexp_split_to_array(trim(text), '\s+')) AS n
@@ -1078,22 +1031,17 @@ SELECT doc_id, CAST(chunk_id AS BIGINT) AS chunk_id,
        array_to_string(w[chunk_id * 30 + 1 : least(chunk_id * 30 + 40, n)], ' ') AS text,
        CAST(least(chunk_id * 30 + 40, n) - chunk_id * 30 AS BIGINT) AS n_tokens
 FROM c ORDER BY doc_id, chunk_id
-"""
+""")
+def docs_chunked(sf_dir: str):
+    """Context-window chunking (curation.chunk_documents): 40-token
+    windows, 10-token overlap. Oracle: generate_series over the token
+    count with 1-based list slicing."""
+    from ..curation import chunk_documents
 
-
-def docs_langid(sf_dir: str):
-    """Language-ID heuristic (stopword profiles, actor-pool stage).
-    Oracled by an equivalent SQL formulation (list_filter membership
-    scores + GREATEST argmax) generated from the same STOPWORDS table."""
-    # plain function, not an actor pool: LangId state is a static dict
-    # (<1ms build) — actor spawn costs ~5s at 32 CPUs (BASELINE.md note);
-    # the worker-process singleton gives the same build-once behavior
-    from ..textstats.analysis import langid_fn
-
-    ds = _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
-        langid_fn, batch_format="pyarrow"
+    ds = chunk_documents(
+        _read(sf_dir, "documents", ["doc_id", "text"]), max_tokens=40, overlap=10
     )
-    return ds.select_columns(["doc_id", "lang_pred"]).to_pandas()
+    return _sorted(ds.to_pandas(), ["doc_id", "chunk_id"])
 
 
 def _sql_stopword_scores(toks_expr: str = "toks", n_expr: str = "n_tok") -> str:
@@ -1137,17 +1085,26 @@ tokked AS (
 )"""
 
 
-def _docs_langid_sql() -> str:
-    return f"""
+@_query(oracle=f"""
 WITH deduped AS (SELECT doc_id, text FROM documents),
 {_langid_scored_cte()}
 SELECT CAST(doc_id AS BIGINT) AS doc_id,
        {_sql_langid_case()} AS lang_pred
 FROM scored ORDER BY doc_id
-"""
+""")
+def docs_langid(sf_dir: str):
+    """Language-ID heuristic (stopword profiles, actor-pool stage).
+    Oracled by an equivalent SQL formulation (list_filter membership
+    scores + GREATEST argmax) generated from the same STOPWORDS table."""
+    # plain function, not an actor pool: LangId state is a static dict
+    # (<1ms build) — actor spawn costs ~5s at 32 CPUs (BASELINE.md note);
+    # the worker-process singleton gives the same build-once behavior
+    from ..textstats.analysis import langid_fn
 
-
-DOCS_LANGID_SQL = _docs_langid_sql()
+    ds = _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
+        langid_fn, batch_format="pyarrow"
+    )
+    return ds.select_columns(["doc_id", "lang_pred"]).to_pandas()
 
 
 def _docs_curation_sql() -> str:
@@ -1179,10 +1136,35 @@ FROM scored GROUP BY 1, 2 ORDER BY 1, 2
 """
 
 
-DOCS_CURATION_SQL = _docs_curation_sql()
+@_query(oracle=_docs_curation_sql())
+def docs_curation_pipeline(sf_dir: str):
+    """End-to-end training-data curation (the composite the engine exists
+    for): quality scoring -> heuristic quality filter -> exact dedup
+    (min doc wins) -> language ID -> per (lang_pred, source) counts.
+    The SQL mirror is _docs_curation_sql."""
+    from ..aggregate import pre_aggregated_count
+    from ..dedup.exact import dedup_rows
+    from ..textstats import quality_features, token_counts
+    from ..textstats.analysis import langid_fn
+
+    def score_and_filter(b: pa.Table) -> pa.Table:
+        t = token_counts(quality_features(b))
+        # Gopher-style length + stopword gates, tuned to actually prune
+        # this corpus: >= 30 whitespace tokens and a nonzero stopword ratio
+        ok = pc.and_(
+            pc.greater_equal(t.column("n_ws_tokens"), pa.scalar(30)),
+            pc.greater(t.column("stop_ratio"), pa.scalar(0.02)),
+        )
+        return t.filter(ok)
+
+    scored = _read(sf_dir, "documents", ["doc_id", "text", "source"]).map_batches(
+        score_and_filter, batch_format="pyarrow")
+    labeled = dedup_rows(scored).map_batches(langid_fn, batch_format="pyarrow")
+    out = pre_aggregated_count(labeled, ["lang_pred", "source"], alias="n", final="driver")
+    return _sorted(out, ["lang_pred", "source"])
 
 
-EMB_KNN_LABEL_SQL = """
+@_query(oracle="""
 WITH q AS (SELECT vec_id AS qid, embedding AS qe FROM embeddings WHERE vec_id < 20),
 sims AS (
   SELECT q.qid, e.vec_id, e.label,
@@ -1202,829 +1184,11 @@ sims AS (
 SELECT CAST(p.qid AS BIGINT) AS vec_id, CAST(p.pred_label AS BIGINT) AS pred_label,
        CAST(t.label AS BIGINT) AS true_label
 FROM pred p JOIN embeddings t ON t.vec_id = p.qid ORDER BY vec_id
-"""
-
-
-def emb_lsh_ann(sf_dir: str):
-    """LSH-bucketed approximate ANN (random hyperplanes, bucket-scan).
-    Approximate by construction (no SQL equivalent), but fully seeded —
-    oracled by a committed golden parquet at sf0.01
-    (scripts/gen_golden_oracles.py — disclosed regression pin); recall
-    vs brute force is checked independently in tests/test_dedup_ann.py."""
-    from ..ann import lsh_ann_topk
-
-    emb = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    q = _query_vec(sf_dir)
-    out = lsh_ann_topk(emb, np.asarray([q]), k=10)
-    out = out.drop(columns=["query_id"])
-    out["sim"] = round_half_away(out["sim"], 4)
-    return out
-
-
-def events_asof_join(sf_dir: str):
-    """As-of join (axosyslog_ray.join.asof_join — brief's custom-operator
-    list): each 'error' event matched to the SAME USER's latest preceding
-    'click' (backward inclusive). Oracled by DuckDB's native ASOF JOIN."""
-    from ..join import asof_join
-
-    ev = _read(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"])
-    left = ev.filter(expr="event_type == 'error'").select_columns(["user_id", "ts", "event_id"])
-    right = ev.filter(expr="event_type == 'click'").select_columns(["user_id", "ts"]).map_batches(
-        lambda b: b.append_column("click_ts", b.column("ts")), batch_format="pyarrow")
-    # statically-known projected schemas: skips the batch-peek probe that
-    # would partially execute both filtered upstreams a second time
-    ts_t = pa.timestamp("us")
-    lsch = pa.schema([("user_id", pa.int64()), ("ts", ts_t), ("event_id", pa.int64())])
-    rsch = pa.schema([("user_id", pa.int64()), ("ts", ts_t), ("click_ts", ts_t)])
-    # 64 buckets: the events table at bench scale holds ~10^4-10^5
-    # error/click rows, so the default cluster-scaled bucket count
-    # (8 x CPUs) would pay ~4x its useful work in per-partition shuffle
-    # fixed cost; at production scale pass a larger num_buckets so two
-    # buckets fit a worker's heap (see join.py docstring)
-    out = asof_join(left, right, on="ts", by="user_id", num_buckets=64,
-                    left_schema=lsch, right_schema=rsch).to_pandas()
-    out = out[["event_id", "click_ts"]].sort_values("event_id").reset_index(drop=True)
-    out["event_id"] = out["event_id"].astype("int64")
-    return out
-
-
-EVENTS_ASOF_SQL = """
-SELECT CAST(e.event_id AS BIGINT) AS event_id, c.ts AS click_ts
-FROM (SELECT user_id, ts, event_id FROM events WHERE event_type = 'error') e
-ASOF LEFT JOIN (SELECT user_id, ts FROM events WHERE event_type = 'click') c
-  ON e.user_id = c.user_id AND e.ts >= c.ts
-ORDER BY event_id
-"""
-
-
-def events_hopping_windows(sf_dir: str):
-    """Hopping event-time windows (size 2h, hop 1h — every event in 2
-    overlapping windows): per-window counts. window_start = epoch secs."""
-    from ..aggregate import hopping_window_counts
-
-    out = hopping_window_counts(_read(sf_dir, "events", ["ts"]), ts_col="ts",
-                                size_s=7200, hop_s=3600, final="driver")
-    out["n"] = out["n"].astype("int64")
-    out["window_start"] = out["window_start"].astype("int64")
-    return out.sort_values("window_start").reset_index(drop=True)
-
-
-EVENTS_HOPPING_SQL = """
-SELECT (CAST(floor(epoch(ts) / 3600) AS BIGINT) - off.o) * 3600 AS window_start,
-       CAST(COUNT(*) AS BIGINT) AS n
-FROM events, (SELECT UNNEST(range(0, 2)) AS o) off
-GROUP BY 1 ORDER BY 1
-"""
-
-
-def lineitem_range_join(sf_dir: str):
-    """Keyed range join (axosyslog_ray.join.range_join): lineitems shipped
-    within 90 days of their order's date — per-orderkey counts by status."""
-    from ..join import range_join
-    from ..aggregate import pre_aggregated_count
-
-    li = _read(sf_dir, "lineitem", ["l_orderkey", "l_shipdate", "l_linestatus"]).map_batches(
-        lambda b: b.rename_columns(["o_orderkey", "l_shipdate", "l_linestatus"]), batch_format="pyarrow")
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderdate"]).map_batches(
-        lambda b: b.append_column(
-            "o_deadline", pc.add(b.column("o_orderdate"), pa.scalar(7776000000000, pa.duration("us")))),
-        batch_format="pyarrow")
-    # 64 buckets: bench-scale tables pay ~4x their useful work in
-    # per-partition shuffle fixed cost at the 8xCPU default (see the
-    # asof-join sizing note); raise for production-scale inputs
-    joined = range_join(li, orders, key="o_orderkey", on="l_shipdate",
-                        lo="o_orderdate", hi="o_deadline", num_buckets=64)
-    out = pre_aggregated_count(joined, ["l_linestatus"], alias="n", final="driver")
-    out["n"] = out["n"].astype("int64")
-    return out.sort_values("l_linestatus").reset_index(drop=True)
-
-
-LINEITEM_RANGE_SQL = """
-SELECT l.l_linestatus, CAST(COUNT(*) AS BIGINT) AS n
-FROM lineitem l JOIN orders o ON l.l_orderkey = o.o_orderkey
-WHERE l.l_shipdate BETWEEN o.o_orderdate AND o.o_orderdate + INTERVAL 90 DAY
-GROUP BY 1 ORDER BY 1
-"""
-
-
-def emb_ivf_ann(sf_dir: str):
-    """IVF ANN (k-means coarse quantizer, nprobe cell scan — the FAISS-
-    style scale path). Run here with nprobe=nlist (every cell probed),
-    which is provably exhaustive: the full train/assign/scan machinery
-    executes, and the result must equal brute-force cosine top-k — so
-    the INDEPENDENT SQL oracle (EMB_ANN_SQL) applies. The approximate
-    nprobe<nlist recall path is exercised in tests/test_dedup_ann.py."""
-    from ..ann import ivf_ann_topk
-
-    emb = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    q = _query_vec(sf_dir)
-    out = ivf_ann_topk(emb, np.asarray([q]), k=10, nlist=16, nprobe=16)
-    out = out.drop(columns=["query_id"])
-    out["sim"] = round_half_away(out["sim"], 4)
-    return out
-
-
-def emb_pq_ann(sf_dir: str):
-    """Product-quantization ANN (ann/pq.py — Jegou et al. 2011): bounded
-    driver-side codebook training, one streamed encode+ADC-scan pass,
-    driver merge of tiny candidates. Seeded + deterministic; the ADC
-    distances are approximations by construction, so the oracle is a
-    committed golden parquet (scripts/gen_golden_oracles.py — disclosed
-    regression pin); recall + exactness properties are independently
-    tested in tests/test_dedup_ann.py::TestPqAnn."""
-    from ..ann import pq_ann_topk
-
-    emb = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    q = _query_vec(sf_dir)
-    out = pq_ann_topk(emb, np.asarray([q]), k=10, m=8, train_sample=2048)
-    out = out.drop(columns=["query_id"])
-    out["sim"] = round_half_away(out["sim"], 4)
-    return out
-
-
-def media_decode_stats(sf_dir: str):
-    """Multimodal plumbing: synthetic media corpus -> actor-pool decode
-    (stubbed kernel) -> per-type size stats. The corpus and the fake
-    decode kernel are fully deterministic and sf-independent, so the
-    oracle is a committed golden parquet (tests/golden/) — weaker than an
-    independent SQL computation, disclosed as such."""
-    import ray.data as rd
-    from ray.data.aggregate import Count, Sum
-
-    from ..multimodal import decode_images, gen_media_table
-
-    ds = rd.from_arrow(gen_media_table(600))
-    decoded = decode_images(ds)
-    out = (
-        decoded.groupby("media_type")
-        .aggregate(Count(alias_name="n"), Sum("n_pixels", alias_name="total_pixels"))
-        .to_pandas()
-    )
-    out["n"] = out["n"].astype("int64")
-    out["total_pixels"] = out["total_pixels"].astype("int64")
-    return out
-
-
-def flagship_routes(sf_dir: str):
-    """Flagship parse->enrich->route->aggregate over synthesized pages
-    (BASELINE input_hint shape). The full pipeline is non-SQL, but the
-    synthesizer is seeded — oracled by a committed golden parquet at
-    sf0.01 (scripts/gen_golden_oracles.py — disclosed regression pin);
-    the route/aggregate logic itself is independently golden-tested in
-    tests/test_golden_routes.py."""
-    import pyarrow.parquet as pq
-
-    from ..aggregate import pre_aggregated_count
-    from ..pipelines.flagship import flagship_routed
-    from ..synth import pages_dataset
-
-    n_docs = pq.read_metadata(os.path.join(sf_dir, "documents.parquet")).num_rows
-    routed = flagship_routed(pages_dataset(n_docs * 12))
-    out = pre_aggregated_count(routed.select_columns(["route", "lang"]), ["route", "lang"], alias="n").to_pandas()
-    out["n"] = out["n"].astype("int64")
-    return out.sort_values(["route", "lang"]).reset_index(drop=True)
-
-
-
-
-# ---------------------------------------------------------------------------
-# extended ops: xml, formatters, group-lines, suppress/rate-limit
-# ---------------------------------------------------------------------------
-
-def events_xml_roundtrip(sf_dir: str):
-    """xml-parser() (reference modules/xml/xml.c): build an XML doc from
-    each event, parse it back, return the extracted fields."""
-    from ..stages.xml_parser import XmlParser
-
-    xp = XmlParser(source_col="xml_doc")
-
-    def rt(b: pa.Table) -> pa.Table:
-        df = b.to_pandas()
-        df["xml_doc"] = (
-            '<event type="' + df["event_type"] + '"><user>' + df["user_id"].astype(str)
-            + "</user><value>" + df["value"].astype(str) + "</value></event>"
-        )
-        t = xp(pa.Table.from_pandas(df[["event_id", "xml_doc"]], preserve_index=False))
-        xv = t.column("xv").combine_chunks()  # map<string,string>: Arrow-native key extraction
-        return pa.table({
-            "event_id": t.column("event_id"),
-            "xml_type": pc.map_lookup(xv, query_key="event._type", occurrence="first"),
-            "xml_user": pc.map_lookup(xv, query_key="event.user", occurrence="first"),
-            "xml_value": pc.map_lookup(xv, query_key="event.value", occurrence="first"),
-        })
-
-    return _read(sf_dir, "events", ["event_id", "event_type", "user_id", "value"]).map_batches(
-        rt, batch_format="pyarrow"
-    ).to_pandas()
-
-
-EVENTS_XML_SQL = """
-SELECT event_id, event_type AS xml_type,
-       CAST(user_id AS VARCHAR) AS xml_user,
-       CAST(value AS VARCHAR) AS xml_value
-FROM events
-"""
-
-
-def events_filterx(sf_dir: str):
-    """FilterX block (axosyslog_ray.filterx — reference lib/filterx/
-    semantics: if/elif/else, ??, drop, string concat) over events:
-    classify value bands, tag each row, drop 'error' events, count per
-    (class, event_type)."""
-    from ..aggregate import pre_aggregated_count
-    from ..filterx import FilterX
-
-    fx = FilterX("""
-        if ($value >= 200) { $class = "high"; }
-        elif ($value >= 100) { $class = "mid"; }
-        else { $class = "low"; };
-        if ($event_type == "error") { drop; };
-        $bucket = $class + "/" + $event_type;
-    """)
-    ds = _read(sf_dir, "events", ["event_type", "value"]).map_batches(fx, batch_format="pyarrow")
-    out = pre_aggregated_count(ds, ["bucket"], alias="n", final="driver")
-    out["n"] = out["n"].astype("int64")
-    return out.sort_values("bucket").reset_index(drop=True)
-
-
-EVENTS_FILTERX_SQL = """
-SELECT (CASE WHEN value >= 200 THEN 'high' WHEN value >= 100 THEN 'mid' ELSE 'low' END)
-       || '/' || event_type AS bucket,
-       CAST(COUNT(*) AS BIGINT) AS n
-FROM events WHERE event_type <> 'error'
-GROUP BY 1 ORDER BY 1
-"""
-
-
-def events_filterx_regex(sf_dir: str):
-    """FilterX round-2 surface (=~ regex match, `in` membership, +=,
-    unset) over events: tag single-digit prop payloads via regex, group
-    conversion-ish types via membership, suffix the label, null out props
-    for errors — per-label counts + surviving props count."""
-    from ..aggregate import pre_aggregated_count
-    from ..filterx import FilterX
-
-    fx = FilterX("""
-        if ($props =~ "\\\\{\\"k\\": [0-9]\\\\}") { $label = "tiny"; }
-        else { $label = "big"; };
-        if ($event_type in ["signup", "purchase"]) { $label = "conv"; };
-        $label += "/" + $event_type;
-        if ($event_type == "error") { unset($props); };
-        $has_props = isset($props) ? 1 : 0;
-    """)
-    ds = _read(sf_dir, "events", ["event_type", "props"]).map_batches(fx, batch_format="pyarrow")
-    out = pre_aggregated_count(ds, ["label", "has_props"], alias="n", final="driver")
-    out["n"] = out["n"].astype("int64")
-    out["has_props"] = out["has_props"].astype("int64")
-    return out.sort_values(["label", "has_props"]).reset_index(drop=True)
-
-
-EVENTS_FILTERX_REGEX_SQL = r"""
-SELECT (CASE WHEN event_type IN ('signup', 'purchase') THEN 'conv'
-             WHEN regexp_matches(props, '\{"k": [0-9]\}') THEN 'tiny'
-             ELSE 'big' END) || '/' || event_type AS label,
-       CAST(CASE WHEN event_type = 'error' THEN 0 ELSE 1 END AS BIGINT) AS has_props,
-       CAST(COUNT(*) AS BIGINT) AS n
-FROM events
-GROUP BY 1, 2 ORDER BY 1, 2
-"""
-
-
-def docs_filterx_strfns(sf_dir: str):
-    """FilterX string/regex/digest/codec functions (reference
-    lib/filterx/expr-regexp-subst.c first-vs-global, func-str-transform.c
-    str_replace, func-digest.c, func-encode.c, func-glob.c) applied over
-    the documents corpus — each one vectorized per batch (pandas
-    str.replace compiled-regex C loop; hashlib C digests)."""
-    from ..filterx import FilterX
-
-    fx = FilterX("""
-        $t1 = regexp_subst($text, "data", "DATA");
-        $t2 = regexp_subst($text, "[aeiou]", "_", true);
-        $sig = md5($lang);
-        $b64 = base64_encode($lang);
-        $hx = hex_encode($lang);
-        $is_src = glob_match($source, "src*") ? 1 : 0;
-        $src2 = str_replace($source, "src", "S");
-    """)
-    ds = _read(sf_dir, "documents", ["doc_id", "text", "lang", "source"]).map_batches(
-        fx, batch_format="pyarrow"
-    )
-    out = ds.to_pandas()[["doc_id", "t1", "t2", "sig", "b64", "hx", "is_src", "src2"]]
-    out["doc_id"] = out["doc_id"].astype("int64")
-    out["is_src"] = out["is_src"].astype("int64")
-    return out.sort_values("doc_id").reset_index(drop=True)
-
-
-DOCS_FILTERX_STRFNS_SQL = """
-SELECT doc_id,
-       regexp_replace(text, 'data', 'DATA') AS t1,
-       regexp_replace(text, '[aeiou]', '_', 'g') AS t2,
-       md5(lang) AS sig,
-       to_base64(encode(lang)) AS b64,
-       lower(hex(encode(lang))) AS hx,
-       CAST(CASE WHEN source LIKE 'src%' THEN 1 ELSE 0 END AS BIGINT) AS is_src,
-       replace(source, 'src', 'S') AS src2
-FROM documents
-ORDER BY doc_id
-"""
-
-
-def events_filterx_json(sf_dir: str):
-    """FilterX object model (reference lib/filterx/: parse_json,
-    expr-get-subscript.c / expr-getattr.c reads, expr-set-subscript.c
-    masked writes, format_json) over events.props: parse the JSON
-    payload, read k, enrich the dict with the event type for high-k rows
-    only, re-serialize."""
-    from ..filterx import FilterX
-
-    fx = FilterX("""
-        $p = parse_json($props);
-        $k = $p["k"];
-        if ($k >= 50) { $p["evt"] = $event_type; };
-        $j = format_json($p);
-    """)
-    ds = _read(sf_dir, "events", ["event_id", "event_type", "props"]).map_batches(
-        fx, batch_format="pyarrow"
-    )
-    out = ds.to_pandas()[["event_id", "k", "j"]]
-    out["event_id"] = out["event_id"].astype("int64")
-    out["k"] = out["k"].astype("int64")
-    return out.sort_values("event_id").reset_index(drop=True)
-
-
-EVENTS_FILTERX_JSON_SQL = """
-SELECT event_id,
-       CAST(json_extract(props, '$.k') AS BIGINT) AS k,
-       CASE WHEN CAST(json_extract(props, '$.k') AS BIGINT) >= 50
-            THEN '{"k":' || json_extract(props, '$.k') || ',"evt":"' || event_type || '"}'
-            ELSE '{"k":' || json_extract(props, '$.k') || '}' END AS j
-FROM events
-ORDER BY event_id
-"""
-
-
-def events_filterx_datetime(sf_dir: str):
-    """FilterX datetime functions (reference lib/filterx/func-timestamp.c
-    strptime/strftime/format_isodate; fix_timezone registered in
-    filterx-globals.c with the two-pass DST re-lookup of
-    modules/timestamp/rewrite-fix-timezone.c) over events.ts: format ->
-    reparse roundtrip (second precision), ISO normalization, and a
-    wall-clock-in-Budapest -> UTC reinterpretation."""
-    from ..filterx import FilterX
-
-    fx = FilterX("""
-        $local = strftime($ts, "%Y-%m-%d %H:%M:%S");
-        $rt = strptime($local, "%Y-%m-%d %H:%M:%S");
-        $iso = format_isodate($rt);
-        $uiso = format_isodate(fix_timezone($rt, "Europe/Budapest"));
-        $hour = strftime($ts, "%H");
-    """)
-    ds = _read(sf_dir, "events", ["event_id", "ts"]).map_batches(fx, batch_format="pyarrow")
-    out = ds.to_pandas()[["event_id", "iso", "uiso", "hour"]]
-    out["event_id"] = out["event_id"].astype("int64")
-    return out.sort_values("event_id").reset_index(drop=True)
-
-
-EVENTS_FILTERX_DATETIME_SQL = """
-SELECT event_id,
-       strftime(date_trunc('second', ts), '%Y-%m-%dT%H:%M:%S') || '+00:00' AS iso,
-       strftime(CAST(timezone('Europe/Budapest', date_trunc('second', ts)) AS TIMESTAMP),
-                '%Y-%m-%dT%H:%M:%S') || '+00:00' AS uiso,
-       strftime(ts, '%H') AS hour
-FROM events
-ORDER BY event_id
-"""
-
-
-def events_filterx_parse_fns(sf_dir: str):
-    """FilterX parse_*/format_* function family (reference
-    modules/kvformat/filterx-func-{parse,format}-kv.c,
-    modules/cef/filterx-func-{parse,format}-cef.c,
-    modules/csvparser/filterx-func-{parse,format}-csv.c) over
-    events.props: JSON -> kv string, a CEF envelope built from a dict
-    literal and round-tripped through parse_cef, and a CSV
-    format/parse roundtrip — all per-batch inside map_batches."""
-    from ..filterx import FilterX
-
-    fx = FilterX("""
-        $d = parse_json($props);
-        $kvs = format_kv($d);
-        $cef = format_cef({"cef_version": "0", "device_vendor": "ax",
-                           "device_product": "engine", "device_version": "1",
-                           "device_event_class_id": $event_type,
-                           "event_name": $event_type, "agent_severity": "5",
-                           "k": string($d.k)});
-        $back = parse_cef($cef);
-        $k2 = int($back["k"]);
-        $vendor = $back.device_vendor;
-        $csv = format_csv([$event_type, string($d.k)], delimiter="|");
-        $et2 = parse_csv($csv, delimiter="|")[0];
-    """)
-    ds = _read(sf_dir, "events", ["event_id", "event_type", "props"]).map_batches(
-        fx, batch_format="pyarrow"
-    )
-    out = ds.to_pandas()[["event_id", "kvs", "cef", "k2", "vendor", "csv", "et2"]]
-    out["event_id"] = out["event_id"].astype("int64")
-    out["k2"] = out["k2"].astype("int64")
-    return out.sort_values("event_id").reset_index(drop=True)
-
-
-EVENTS_FILTERX_PARSE_FNS_SQL = """
-SELECT event_id,
-       'k=' || CAST(json_extract(props, '$.k') AS VARCHAR) AS kvs,
-       'CEF:0|ax|engine|1|' || event_type || '|' || event_type || '|5|k='
-           || CAST(json_extract(props, '$.k') AS VARCHAR) AS cef,
-       CAST(json_extract(props, '$.k') AS BIGINT) AS k2,
-       'ax' AS vendor,
-       event_type || '|' || CAST(json_extract(props, '$.k') AS VARCHAR) AS csv,
-       event_type AS et2
-FROM events
-ORDER BY event_id
-"""
-
-
-def events_filterx_grammar2(sf_dir: str):
-    """FilterX grammar completion surface in one oracled pipeline:
-    switch with numeric `case lo..hi:` ranges, C-style FALLTHROUGH and
-    `break;` (expr-switch.c _eval_body + the reference's own
-    test_switch_fallthrough pins), string slicing with negative indices
-    (LL_DOTDOT), `eq`/`lt` string comparisons (KW_STR_*), `===`
-    type-and-value equality (KW_TAV_EQ), `not in` membership and the
-    `=??` null-safe assign (expr-assign.c nullv)."""
-    from ..aggregate import pre_aggregated_count
-    from ..filterx import FilterX
-
-    fx = FilterX("""
-        switch ($value) {
-          case 0..50: $band = "low"; break;
-          case 50..200: $band = "mid";
-          default: $band = $band eq "mid" ? "mid+" : "other";
-        };
-        $head = $event_type[..4];
-        $tail = $event_type[-2..];
-        $early = $event_type lt "login" ? 1 : 0;
-        $ptag = "none";
-        $ptag =?? $props[..1];
-        $rare = $event_type not in ["click", "view"] ? 1 : 0;
-        $exact_v = $value === 100.0 ? 1 : 0;
-    """)
-    ds = _read(sf_dir, "events", ["event_type", "value", "props"]).map_batches(
-        fx, batch_format="pyarrow")
-    cols = ["band", "head", "tail", "early", "ptag", "rare", "exact_v"]
-    out = pre_aggregated_count(ds, cols, alias="n", final="driver")
-    out["n"] = out["n"].astype("int64")
-    for c in ("early", "rare", "exact_v"):
-        out[c] = out[c].astype("int64")
-    return out.sort_values(cols).reset_index(drop=True)
-
-
-EVENTS_FILTERX_GRAMMAR2_SQL = """
-SELECT CASE WHEN value >= 0 AND value < 50 THEN 'low'
-            WHEN value >= 50 AND value < 200 THEN 'mid+'
-            ELSE 'other' END AS band,
-       substr(event_type, 1, 4) AS head,
-       CASE WHEN length(event_type) <= 2 THEN event_type
-            ELSE substr(event_type, length(event_type) - 1, 2) END AS tail,
-       CAST(CASE WHEN event_type < 'login' THEN 1 ELSE 0 END AS BIGINT) AS early,
-       CASE WHEN props IS NULL THEN 'none' ELSE substr(props, 1, 1) END AS ptag,
-       CAST(CASE WHEN event_type NOT IN ('click', 'view') THEN 1 ELSE 0 END AS BIGINT) AS rare,
-       CAST(CASE WHEN value = 100.0 THEN 1 ELSE 0 END AS BIGINT) AS exact_v,
-       CAST(COUNT(*) AS BIGINT) AS n
-FROM events
-GROUP BY 1, 2, 3, 4, 5, 6, 7 ORDER BY 1, 2, 3, 4, 5, 6, 7
-"""
-
-
-def events_format_json(sf_dir: str):
-    """$(format-flat-json) serializer (reference modules/json/format-json.c)
-    over selected event columns."""
-    from ..functions.templates import Template
-
-    tpl = Template("$(format-flat-json event_type=${event_type} user_id=${user_id})")
-
-    def fmt(b: pa.Table) -> pa.Table:
-        return pa.table({"event_id": b.column("event_id"),
-                         "json_out": tpl.eval_arrow(b)})
-
-    return _read(sf_dir, "events", ["event_id", "event_type", "user_id"]).map_batches(
-        fmt, batch_format="pyarrow"
-    ).to_pandas()
-
-
-EVENTS_FORMAT_JSON_SQL = """
-SELECT event_id,
-       '{"event_type":"' || event_type || '","user_id":"' || CAST(user_id AS VARCHAR) || '"}' AS json_out
-FROM events
-"""
-
-
-def events_group_lines(sf_dir: str):
-    """group-lines() multi-line reassembly (reference
-    modules/correlation/group-lines.c): per user session (timeout 1800s),
-    event_types joined in event-time order."""
-    from ..state.correlate import group_lines
-
-    ds = _read(sf_dir, "events", ["user_id", "ts", "event_type"])
-    out = group_lines(ds, "user_id", timeout=1800, ts_col="ts", message_col="event_type", separator=" ").to_pandas()
-    out = out.rename(columns={"message": "joined", "n_lines": "n_events"})
-    out = out[["user_id", "context_id", "joined", "n_events"]]
-    out["user_id"] = out["user_id"].astype("int64")
-    out["context_id"] = out["context_id"].astype("int64")
-    out["n_events"] = out["n_events"].astype("int64")
-    return out
-
-
-EVENTS_GROUP_LINES_SQL = """
-WITH marked AS (
-  SELECT user_id, ts, event_type,
-         CASE WHEN ts - lag(ts) OVER w > INTERVAL 1800 SECOND THEN 1 ELSE 0 END AS brk
-  FROM events WINDOW w AS (PARTITION BY user_id ORDER BY ts)
-), numbered AS (
-  SELECT user_id, ts, event_type,
-         SUM(brk) OVER (PARTITION BY user_id ORDER BY ts ROWS UNBOUNDED PRECEDING) AS sid
-  FROM marked
-)
-SELECT user_id, CAST(sid AS BIGINT) AS context_id,
-       string_agg(event_type, ' ' ORDER BY ts) AS joined,
-       CAST(COUNT(*) AS BIGINT) AS n_events
-FROM numbered GROUP BY user_id, sid
-"""
-
-
-def events_suppress(sf_dir: str):
-    """suppress(): drop duplicate messages per (user, type) within 3600s,
-    count suppressed (reference lib/logwriter.c:575-660). Oracled by a
-    recursive-CTE greedy chain in DuckDB."""
-    from ..state.suppress import suppress
-
-    ds = _read(sf_dir, "events", ["user_id", "event_type", "ts", "event_id"])
-    out = suppress(ds, 3600, keys=("user_id", "event_type"), ts_col="ts", tie_break="event_id").to_pandas()
-    out = out[["event_id", "repeat_count"]].astype("int64").sort_values("event_id").reset_index(drop=True)
-    return out
-
-
-def events_rate_limit(sf_dir: str):
-    """rate-limit(): per-user token bucket, 2 events per hour window
-    (reference modules/rate-limit-filter/rate-limit.c). Oracled by a
-    recursive-CTE ring-state simulation in DuckDB."""
-    from ..state.suppress import rate_limit
-
-    ds = _read(sf_dir, "events", ["user_id", "ts", "event_id"])
-    out = rate_limit(ds, "user_id", rate=2, per_seconds=3600, ts_col="ts", tie_break="event_id").to_pandas()
-    out = out[["event_id"]].astype("int64").sort_values("event_id").reset_index(drop=True)
-    return out
-
-
-EVENTS_SUPPRESS_SQL = """
-WITH RECURSIVE ordered AS (
-  SELECT user_id, event_type, ts, event_id,
-         ROW_NUMBER() OVER (PARTITION BY user_id, event_type ORDER BY ts, event_id) AS rn,
-         COUNT(*) OVER (PARTITION BY user_id, event_type) AS cnt
-  FROM events
-), kept AS (
-  SELECT user_id, event_type, ts, event_id, rn, cnt FROM ordered WHERE rn = 1
-  UNION ALL
-  SELECT nxt.user_id, nxt.event_type, nxt.ts, nxt.event_id, nxt.rn, nxt.cnt
-  FROM kept k, LATERAL (
-    SELECT o.user_id, o.event_type, o.ts, o.event_id, o.rn, o.cnt
-    FROM ordered o
-    WHERE o.user_id = k.user_id AND o.event_type = k.event_type
-      AND o.rn > k.rn AND o.ts > k.ts + INTERVAL 3600 SECOND
-    ORDER BY o.rn LIMIT 1
-  ) nxt
-)
-SELECT CAST(event_id AS BIGINT) AS event_id,
-       CAST(COALESCE(LEAD(rn) OVER (PARTITION BY user_id, event_type ORDER BY rn), cnt + 1)
-            - rn - 1 AS BIGINT) AS repeat_count
-FROM kept ORDER BY event_id
-"""
-
-
-EVENTS_RATE_LIMIT_SQL = """
-WITH RECURSIVE ordered AS (
-  SELECT user_id, ts, event_id,
-         ROW_NUMBER() OVER (PARTITION BY user_id ORDER BY ts, event_id) AS rn
-  FROM events
-), sim AS (
-  SELECT o.user_id, o.rn, o.ts, o.event_id, TRUE AS admitted,
-         CAST(NULL AS TIMESTAMP) AS p1, o.ts AS p2
-  FROM ordered o WHERE o.rn = 1
-  UNION ALL
-  SELECT o.user_id, o.rn, o.ts, o.event_id,
-         (s.p1 IS NULL OR o.ts >= s.p1 + INTERVAL 3600 SECOND) AS admitted,
-         CASE WHEN (s.p1 IS NULL OR o.ts >= s.p1 + INTERVAL 3600 SECOND) THEN s.p2 ELSE s.p1 END AS p1,
-         CASE WHEN (s.p1 IS NULL OR o.ts >= s.p1 + INTERVAL 3600 SECOND) THEN o.ts ELSE s.p2 END AS p2
-  FROM sim s JOIN ordered o ON o.user_id = s.user_id AND o.rn = s.rn + 1
-)
-SELECT CAST(event_id AS BIGINT) AS event_id FROM sim WHERE admitted ORDER BY event_id
-"""
-
-
-
-
-def orders_customer_hash_join(sf_dir: str):
-    """Big-big partitioned hash join (axosyslog_ray.join — beyond the
-    reference's broadcast-only joins, SURVEY.md §2.7): orders x customer,
-    revenue stats per market segment."""
-    from ..join import hash_join
-    from ray.data.aggregate import Count, Sum
-
-    orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"]).map_batches(
-        lambda b: b.rename_columns(["o_custkey", "c_mktsegment"]), batch_format="pyarrow"
-    )
-    joined = hash_join(orders, cust, "o_custkey", how="inner")
-    out = (
-        joined.groupby("c_mktsegment")
-        .aggregate(Count(alias_name="n_orders"), Sum("o_totalprice", alias_name="total"))
-        .to_pandas()
-    )
-    out["total"] = round_half_away(out["total"], 2)
-    out["n_orders"] = out["n_orders"].astype("int64")
-    return out
-
-
-ORDERS_CUSTOMER_JOIN_SQL = """
-SELECT c.c_mktsegment, CAST(COUNT(*) AS BIGINT) AS n_orders,
-       ROUND(SUM(o.o_totalprice), 2) AS total
-FROM orders o JOIN customer c ON o.o_custkey = c.c_custkey
-GROUP BY c.c_mktsegment
-"""
-
-
-def lineitem_salted_count(sf_dir: str):
-    """Salted two-phase count for skewed keys (aggregate.salted_count —
-    the reference's missing skew handling, SURVEY.md §4): counts per
-    l_returnflag via (key, salt) partials then re-reduce."""
-    from ..aggregate import salted_count
-
-    ds = _read(sf_dir, "lineitem", ["l_returnflag"])
-    out = salted_count(ds, "l_returnflag", num_salts=8, alias="n").to_pandas()
-    out["n"] = out["n"].astype("int64")
-    return out
-
-
-LINEITEM_SALTED_SQL = """
-SELECT l_returnflag, CAST(COUNT(*) AS BIGINT) AS n FROM lineitem GROUP BY l_returnflag
-"""
-
-
-
-
-def events_date_roundtrip(sf_dir: str):
-    """date-parser() (reference modules/timestamp/date-parser.c): format
-    each ts as an apache-style string, parse it back through the format
-    list, return the reparsed stamp (second precision)."""
-    from ..stages.date_parser import DateParser
-
-    dp = DateParser(["%Y-%m-%dT%H:%M:%S%z", "%d/%b/%Y:%H:%M:%S"], source_col="ts_str", target_col="reparsed")
-
-    def rt(b: pa.Table) -> pa.Table:
-        df = b.to_pandas()
-        df["ts_str"] = df["ts"].dt.strftime("%d/%b/%Y:%H:%M:%S")
-        t = dp(pa.Table.from_pandas(df[["event_id", "ts_str"]], preserve_index=False))
-        return t.select(["event_id", "reparsed"])
-
-    out = _read(sf_dir, "events", ["event_id", "ts"]).map_batches(rt, batch_format="pyarrow").to_pandas()
-    return out
-
-
-EVENTS_DATE_SQL = """
-SELECT event_id, strptime(strftime(ts, '%d/%b/%Y:%H:%M:%S'), '%d/%b/%Y:%H:%M:%S') AS reparsed
-FROM events
-"""
-
-
-def events_netmask(sf_dir: str):
-    """netmask() CIDR containment (reference lib/filter/filter-netmask.c):
-    synthetic ip per event, keep rows inside 10.0.0.0/18."""
-    from ..route import Netmask
-
-    nm = Netmask("10.0.0.0/18", field="ip")
-
-    def filt(b: pa.Table) -> pa.Table:
-        df = b.to_pandas()
-        df["ip"] = "10." + (df["event_id"] % 256).astype(str) + "." + (df["event_id"] % 100).astype(str) + ".1"
-        t = pa.Table.from_pandas(df[["event_id", "ip"]], preserve_index=False)
-        mask = nm.mask(t)
-        return t.filter(pa.array(mask)).select(["event_id"])
-
-    out = _read(sf_dir, "events", ["event_id"]).map_batches(filt, batch_format="pyarrow").to_pandas()
-    return out.sort_values("event_id").reset_index(drop=True)
-
-
-EVENTS_NETMASK_SQL = """
--- 10.a.b.1 in 10.0.0.0/18 <=> a*2^16 + b*2^8 + 1 < 2^14 <=> a = 0 AND b < 64
-SELECT event_id FROM events WHERE (event_id % 256) = 0 AND (event_id % 100) < 64 ORDER BY event_id
-"""
-
-
-
-
-def events_cps_windows(sf_dir: str):
-    """stats change-per-second analogue (reference
-    lib/stats/aggregator/stats-change-per-second.c): event counts per
-    1-hour tumbling event-time window."""
-    from ..aggregate import pre_aggregated_count
-
-    def bucket(b: pa.Table) -> pa.Table:
-        ts = b.column("ts").to_pandas()
-        hour = ts.dt.floor("h")
-        return pa.table({"window_start": pa.array(hour.to_numpy().astype("datetime64[us]"), type=pa.timestamp("us"))})
-
-    ds = _read(sf_dir, "events", ["ts"]).map_batches(bucket, batch_format="pyarrow")
-    out = pre_aggregated_count(ds, ["window_start"], alias="n").to_pandas()
-    out["n"] = out["n"].astype("int64")
-    return out
-
-
-EVENTS_CPS_SQL = """
-SELECT date_trunc('hour', ts) AS window_start, CAST(COUNT(*) AS BIGINT) AS n
-FROM events GROUP BY 1
-"""
-
-
-def events_value_histogram(sf_dir: str):
-    """stats histogram aggregator (reference
-    lib/stats/aggregator/stats-histogram.c): fixed buckets over value."""
-    from ..aggregate import pre_aggregated_count
-
-    edges = np.array([0.0, 50.0, 100.0, 150.0, 200.0])
-
-    def bucket(b: pa.Table) -> pa.Table:
-        v = b.column("value").to_numpy()
-        idx = np.searchsorted(edges, v, side="right") - 1
-        idx = np.clip(idx, 0, len(edges) - 1)
-        labels = np.array(["0-50", "50-100", "100-150", "150-200", "200+"], dtype=object)
-        return pa.table({"bucket": pa.array(labels[idx], type=pa.string())})
-
-    ds = _read(sf_dir, "events", ["value"]).map_batches(bucket, batch_format="pyarrow")
-    out = pre_aggregated_count(ds, ["bucket"], alias="n").to_pandas()
-    out["n"] = out["n"].astype("int64")
-    return out
-
-
-EVENTS_HISTOGRAM_SQL = """
-SELECT CASE WHEN value < 50 THEN '0-50' WHEN value < 100 THEN '50-100'
-            WHEN value < 150 THEN '100-150' WHEN value < 200 THEN '150-200'
-            ELSE '200+' END AS bucket,
-       CAST(COUNT(*) AS BIGINT) AS n
-FROM events GROUP BY 1
-"""
-
-
-
-
-def docs_curation_pipeline(sf_dir: str):
-    """End-to-end training-data curation (the composite the engine exists
-    for): quality scoring -> heuristic quality filter -> exact dedup
-    (min doc wins) -> language ID -> per (lang_pred, source) counts.
-    Non-SQL (langid heuristic)."""
-    from ..aggregate import pre_aggregated_count
-    from ..dedup.exact import add_content_hash
-    from ..textstats import LangId, quality_features
-
-    ds = _read(sf_dir, "documents", ["doc_id", "text", "source"])
-
-    def score_and_filter(b: pa.Table) -> pa.Table:
-        from ..textstats import token_counts
-
-        t = token_counts(quality_features(b))
-        # Gopher-style length + stopword gates, tuned to actually prune
-        # this corpus: >= 30 whitespace tokens and a nonzero stopword ratio
-        ok = pc.and_(
-            pc.greater_equal(t.column("n_ws_tokens"), pa.scalar(30)),
-            pc.greater(t.column("stop_ratio"), pa.scalar(0.02)),
-        )
-        return add_content_hash(t.filter(ok), "text")
-
-    scored = ds.map_batches(score_and_filter, batch_format="pyarrow")
-
-    def dedup_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        return g.sort_values("doc_id", kind="mergesort").drop_duplicates("content_hash", keep="first")
-
-    from ..dedup.minhash import default_num_shards
-
-    num_buckets = default_num_shards()  # scales with cluster CPUs
-    bucketed = scored.map_batches(
-        lambda b: b.append_column(
-            "_bucket", pa.array((b.column("content_hash").to_numpy() % num_buckets).astype("int64"))),
-        batch_format="pyarrow",
-    )
-    deduped = bucketed.groupby("_bucket").map_groups(dedup_bucket, batch_format="pandas")
-    from ..textstats.analysis import langid_fn
-
-    labeled = deduped.map_batches(langid_fn, batch_format="pyarrow")
-    out = pre_aggregated_count(labeled, ["lang_pred", "source"], alias="n", final="driver")
-    out["n"] = out["n"].astype("int64")
-    return out.sort_values(["lang_pred", "source"]).reset_index(drop=True)
-
-
+""")
 def emb_knn_label(sf_dir: str):
     """k-NN majority-label classification over the embedding corpus:
     for each of the first 20 vectors, the majority label of its 5 nearest
-    (cosine) neighbors among the rest. Non-SQL (rows-only)."""
+    (cosine) neighbors among the rest."""
     from ..ann import ann_topk
 
     emb = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
@@ -2056,31 +1220,698 @@ def emb_knn_label(sf_dir: str):
         labels = pd.Series([id2label[v] for v in neigh])
         rows.append({"vec_id": qvec, "pred_label": int(labels.mode().iloc[0]),
                      "true_label": int(id2label[qvec])})
-    return pd.DataFrame(rows).sort_values("vec_id").reset_index(drop=True)
+    return _sorted(pd.DataFrame(rows), "vec_id")
 
 
-def docs_decontaminate(sf_dir: str):
-    """Benchmark decontamination: flag corpus docs sharing any word
-    3-gram with the eval set (doc_id % 97 == 0 stands in for a benchmark
-    suite). Eval gram set broadcast once; corpus streams (curation.py)."""
-    from ..curation import decontaminate
+@_query(oracle=_golden("emb_lsh_ann_sf001.parquet", "*", "rank"))
+def emb_lsh_ann(sf_dir: str):
+    """LSH-bucketed approximate ANN (random hyperplanes, bucket-scan).
+    Approximate by construction (no SQL equivalent), but fully seeded —
+    oracled by a committed golden parquet at sf0.01
+    (scripts/gen_golden_oracles.py — disclosed regression pin); recall
+    vs brute force is checked independently in tests/test_dedup_ann.py."""
+    from ..ann import lsh_ann_topk
 
+    return _ann_top10(sf_dir, lsh_ann_topk)
+
+
+@_query(oracle="""
+SELECT CAST(e.event_id AS BIGINT) AS event_id, c.ts AS click_ts
+FROM (SELECT user_id, ts, event_id FROM events WHERE event_type = 'error') e
+ASOF LEFT JOIN (SELECT user_id, ts FROM events WHERE event_type = 'click') c
+  ON e.user_id = c.user_id AND e.ts >= c.ts
+ORDER BY event_id
+""")
+def events_asof_join(sf_dir: str):
+    """As-of join (axosyslog_ray.join.asof_join — brief's custom-operator
+    list): each 'error' event matched to the SAME USER's latest preceding
+    'click' (backward inclusive). Oracled by DuckDB's native ASOF JOIN."""
+    from ..join import asof_join
+
+    ev = _read(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"])
+    left = ev.filter(expr="event_type == 'error'").select_columns(["user_id", "ts", "event_id"])
+    right = ev.filter(expr="event_type == 'click'").select_columns(["user_id", "ts"]).map_batches(
+        lambda b: b.append_column("click_ts", b.column("ts")), batch_format="pyarrow")
+    # statically-known projected schemas: skips the batch-peek probe that
+    # would partially execute both filtered upstreams a second time
+    ts_t = pa.timestamp("us")
+    lsch = pa.schema([("user_id", pa.int64()), ("ts", ts_t), ("event_id", pa.int64())])
+    rsch = pa.schema([("user_id", pa.int64()), ("ts", ts_t), ("click_ts", ts_t)])
+    # 64 buckets: the events table at bench scale holds ~10^4-10^5
+    # error/click rows, so the default cluster-scaled bucket count
+    # (8 x CPUs) would pay ~4x its useful work in per-partition shuffle
+    # fixed cost; at production scale pass a larger num_buckets so two
+    # buckets fit a worker's heap (see join.py docstring)
+    out = asof_join(left, right, on="ts", by="user_id", num_buckets=64,
+                    left_schema=lsch, right_schema=rsch).to_pandas()
+    return _sorted(out[["event_id", "click_ts"]], "event_id")
+
+
+@_query(oracle="""
+SELECT (CAST(floor(epoch(ts) / 3600) AS BIGINT) - off.o) * 3600 AS window_start,
+       CAST(COUNT(*) AS BIGINT) AS n
+FROM events, (SELECT UNNEST(range(0, 2)) AS o) off
+GROUP BY 1 ORDER BY 1
+""")
+def events_hopping_windows(sf_dir: str):
+    """Hopping event-time windows (size 2h, hop 1h — every event in 2
+    overlapping windows): per-window counts. window_start = epoch secs."""
+    from ..aggregate import hopping_window_counts
+
+    out = hopping_window_counts(_read(sf_dir, "events", ["ts"]), ts_col="ts",
+                                size_s=7200, hop_s=3600, final="driver")
+    return _sorted(out, "window_start")
+
+
+@_query(oracle="""
+SELECT l.l_linestatus, CAST(COUNT(*) AS BIGINT) AS n
+FROM lineitem l JOIN orders o ON l.l_orderkey = o.o_orderkey
+WHERE l.l_shipdate BETWEEN o.o_orderdate AND o.o_orderdate + INTERVAL 90 DAY
+GROUP BY 1 ORDER BY 1
+""")
+def lineitem_range_join(sf_dir: str):
+    """Keyed range join (axosyslog_ray.join.range_join): lineitems shipped
+    within 90 days of their order's date — per-orderkey counts by status."""
+    from ..join import range_join
+    from ..aggregate import pre_aggregated_count
+
+    li = _read(sf_dir, "lineitem", ["l_orderkey", "l_shipdate", "l_linestatus"]).map_batches(
+        lambda b: b.rename_columns(["o_orderkey", "l_shipdate", "l_linestatus"]), batch_format="pyarrow")
+    orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderdate"]).map_batches(
+        lambda b: b.append_column(
+            "o_deadline", pc.add(b.column("o_orderdate"), pa.scalar(7776000000000, pa.duration("us")))),
+        batch_format="pyarrow")
+    # 64 buckets: bench-scale tables pay ~4x their useful work in
+    # per-partition shuffle fixed cost at the 8xCPU default (see the
+    # asof-join sizing note); raise for production-scale inputs
+    joined = range_join(li, orders, key="o_orderkey", on="l_shipdate",
+                        lo="o_orderdate", hi="o_deadline", num_buckets=64)
+    return _sorted(pre_aggregated_count(joined, ["l_linestatus"], alias="n", final="driver"), "l_linestatus")
+
+
+# exhaustive IVF (nprobe=nlist) provably equals brute-force top-k, so the
+# independent brute-force SQL is a true oracle for the full IVF
+# train/assign/scan machinery
+@_query(oracle=EMB_ANN_SQL)
+def emb_ivf_ann(sf_dir: str):
+    """IVF ANN (k-means coarse quantizer, nprobe cell scan — the FAISS-
+    style scale path). Run here with nprobe=nlist (every cell probed),
+    which is provably exhaustive: the full train/assign/scan machinery
+    executes, and the result must equal brute-force cosine top-k — so
+    the INDEPENDENT SQL oracle (EMB_ANN_SQL) applies. The approximate
+    nprobe<nlist recall path is exercised in tests/test_dedup_ann.py."""
+    from ..ann import ivf_ann_topk
+
+    return _ann_top10(sf_dir, ivf_ann_topk, nlist=16, nprobe=16)
+
+
+@_query(oracle=_golden("emb_pq_ann_sf001.parquet", "rank, vec_id, sim", "rank"))
+def emb_pq_ann(sf_dir: str):
+    """Product-quantization ANN (ann/pq.py — Jegou et al. 2011): bounded
+    driver-side codebook training, one streamed encode+ADC-scan pass,
+    driver merge of tiny candidates. Seeded + deterministic; the ADC
+    distances are approximations by construction, so the oracle is a
+    committed golden parquet (scripts/gen_golden_oracles.py — disclosed
+    regression pin); recall + exactness properties are independently
+    tested in tests/test_dedup_ann.py::TestPqAnn."""
+    from ..ann import pq_ann_topk
+
+    return _ann_top10(sf_dir, pq_ann_topk, m=8, train_sample=2048)
+
+
+@_query(oracle=_golden("media_decode_stats.parquet", "media_type, n, total_pixels", "media_type"))
+def media_decode_stats(sf_dir: str):
+    """Multimodal plumbing: synthetic media corpus -> actor-pool decode
+    (stubbed kernel) -> per-type size stats. The corpus and the fake
+    decode kernel are fully deterministic and sf-independent, so the
+    oracle is a committed golden parquet (tests/golden/) — weaker than an
+    independent SQL computation, disclosed as such."""
+    import ray.data as rd
+    from ray.data.aggregate import Count, Sum
+
+    from ..multimodal import decode_images, gen_media_table
+
+    ds = rd.from_arrow(gen_media_table(600))
+    decoded = decode_images(ds)
+    return (
+        decoded.groupby("media_type")
+        .aggregate(Count(alias_name="n"), Sum("n_pixels", alias_name="total_pixels"))
+        .to_pandas()
+    )
+
+
+@_query(oracle=_golden("flagship_routes_sf001.parquet", "route, lang, CAST(n AS BIGINT) AS n",
+                       "route, lang"))
+def flagship_routes(sf_dir: str):
+    """Flagship parse->enrich->route->aggregate over synthesized pages
+    (BASELINE input_hint shape). The full pipeline is non-SQL, but the
+    synthesizer is seeded — oracled by a committed golden parquet at
+    sf0.01 (scripts/gen_golden_oracles.py — disclosed regression pin);
+    the route/aggregate logic itself is independently golden-tested in
+    tests/test_golden_routes.py."""
+    import pyarrow.parquet as pq
+
+    from ..aggregate import pre_aggregated_count
+    from ..pipelines.flagship import flagship_routed
+    from ..synth import pages_dataset
+
+    n_docs = pq.read_metadata(os.path.join(sf_dir, "documents.parquet")).num_rows
+    routed = flagship_routed(pages_dataset(n_docs * 12))
+    out = pre_aggregated_count(routed.select_columns(["route", "lang"]), ["route", "lang"], alias="n").to_pandas()
+    return _sorted(out, ["route", "lang"])
+
+
+# ---------------------------------------------------------------------------
+# extended ops: xml, formatters, group-lines, suppress/rate-limit
+# ---------------------------------------------------------------------------
+
+
+@_query(oracle="""
+SELECT event_id, event_type AS xml_type,
+       CAST(user_id AS VARCHAR) AS xml_user,
+       CAST(value AS VARCHAR) AS xml_value
+FROM events
+""")
+def events_xml_roundtrip(sf_dir: str):
+    """xml-parser() (reference modules/xml/xml.c): build an XML doc from
+    each event, parse it back, return the extracted fields."""
+    from ..stages.xml_parser import XmlParser
+
+    xp = XmlParser(source_col="xml_doc")
+
+    def rt(b: pa.Table) -> pa.Table:
+        df = b.to_pandas()
+        df["xml_doc"] = (
+            '<event type="' + df["event_type"] + '"><user>' + df["user_id"].astype(str)
+            + "</user><value>" + df["value"].astype(str) + "</value></event>"
+        )
+        t = xp(pa.Table.from_pandas(df[["event_id", "xml_doc"]], preserve_index=False))
+        xv = t.column("xv").combine_chunks()  # map<string,string>: Arrow-native key extraction
+        return pa.table({
+            "event_id": t.column("event_id"),
+            "xml_type": pc.map_lookup(xv, query_key="event._type", occurrence="first"),
+            "xml_user": pc.map_lookup(xv, query_key="event.user", occurrence="first"),
+            "xml_value": pc.map_lookup(xv, query_key="event.value", occurrence="first"),
+        })
+
+    return _read(sf_dir, "events", ["event_id", "event_type", "user_id", "value"]).map_batches(
+        rt, batch_format="pyarrow"
+    ).to_pandas()
+
+
+@_query(oracle="""
+SELECT (CASE WHEN value >= 200 THEN 'high' WHEN value >= 100 THEN 'mid' ELSE 'low' END)
+       || '/' || event_type AS bucket,
+       CAST(COUNT(*) AS BIGINT) AS n
+FROM events WHERE event_type <> 'error'
+GROUP BY 1 ORDER BY 1
+""")
+def events_filterx(sf_dir: str):
+    """FilterX block (axosyslog_ray.filterx — reference lib/filterx/
+    semantics: if/elif/else, ??, drop, string concat) over events:
+    classify value bands, tag each row, drop 'error' events, count per
+    (class, event_type)."""
+    from ..aggregate import pre_aggregated_count
+    from ..filterx import FilterX
+
+    fx = FilterX("""
+        if ($value >= 200) { $class = "high"; }
+        elif ($value >= 100) { $class = "mid"; }
+        else { $class = "low"; };
+        if ($event_type == "error") { drop; };
+        $bucket = $class + "/" + $event_type;
+    """)
+    ds = _read(sf_dir, "events", ["event_type", "value"]).map_batches(fx, batch_format="pyarrow")
+    return _sorted(pre_aggregated_count(ds, ["bucket"], alias="n", final="driver"), "bucket")
+
+
+@_query(oracle=r"""
+SELECT (CASE WHEN event_type IN ('signup', 'purchase') THEN 'conv'
+             WHEN regexp_matches(props, '\{"k": [0-9]\}') THEN 'tiny'
+             ELSE 'big' END) || '/' || event_type AS label,
+       CAST(CASE WHEN event_type = 'error' THEN 0 ELSE 1 END AS BIGINT) AS has_props,
+       CAST(COUNT(*) AS BIGINT) AS n
+FROM events
+GROUP BY 1, 2 ORDER BY 1, 2
+""")
+def events_filterx_regex(sf_dir: str):
+    """FilterX round-2 surface (=~ regex match, `in` membership, +=,
+    unset) over events: tag single-digit prop payloads via regex, group
+    conversion-ish types via membership, suffix the label, null out props
+    for errors — per-label counts + surviving props count."""
+    from ..aggregate import pre_aggregated_count
+    from ..filterx import FilterX
+
+    fx = FilterX("""
+        if ($props =~ "\\\\{\\"k\\": [0-9]\\\\}") { $label = "tiny"; }
+        else { $label = "big"; };
+        if ($event_type in ["signup", "purchase"]) { $label = "conv"; };
+        $label += "/" + $event_type;
+        if ($event_type == "error") { unset($props); };
+        $has_props = isset($props) ? 1 : 0;
+    """)
+    ds = _read(sf_dir, "events", ["event_type", "props"]).map_batches(fx, batch_format="pyarrow")
+    out = pre_aggregated_count(ds, ["label", "has_props"], alias="n", final="driver")
+    return _sorted(out, ["label", "has_props"])
+
+
+@_query(oracle="""
+SELECT doc_id,
+       regexp_replace(text, 'data', 'DATA') AS t1,
+       regexp_replace(text, '[aeiou]', '_', 'g') AS t2,
+       md5(lang) AS sig,
+       to_base64(encode(lang)) AS b64,
+       lower(hex(encode(lang))) AS hx,
+       CAST(CASE WHEN source LIKE 'src%' THEN 1 ELSE 0 END AS BIGINT) AS is_src,
+       replace(source, 'src', 'S') AS src2
+FROM documents
+ORDER BY doc_id
+""")
+def docs_filterx_strfns(sf_dir: str):
+    """FilterX string/regex/digest/codec functions (reference
+    lib/filterx/expr-regexp-subst.c first-vs-global, func-str-transform.c
+    str_replace, func-digest.c, func-encode.c, func-glob.c) applied over
+    the documents corpus — each one vectorized per batch (pandas
+    str.replace compiled-regex C loop; hashlib C digests)."""
+    from ..filterx import FilterX
+
+    fx = FilterX("""
+        $t1 = regexp_subst($text, "data", "DATA");
+        $t2 = regexp_subst($text, "[aeiou]", "_", true);
+        $sig = md5($lang);
+        $b64 = base64_encode($lang);
+        $hx = hex_encode($lang);
+        $is_src = glob_match($source, "src*") ? 1 : 0;
+        $src2 = str_replace($source, "src", "S");
+    """)
+    ds = _read(sf_dir, "documents", ["doc_id", "text", "lang", "source"]).map_batches(
+        fx, batch_format="pyarrow"
+    )
+    return _sorted(ds.to_pandas()[["doc_id", "t1", "t2", "sig", "b64", "hx", "is_src", "src2"]], "doc_id")
+
+
+@_query(oracle="""
+SELECT event_id,
+       CAST(json_extract(props, '$.k') AS BIGINT) AS k,
+       CASE WHEN CAST(json_extract(props, '$.k') AS BIGINT) >= 50
+            THEN '{"k":' || json_extract(props, '$.k') || ',"evt":"' || event_type || '"}'
+            ELSE '{"k":' || json_extract(props, '$.k') || '}' END AS j
+FROM events
+ORDER BY event_id
+""")
+def events_filterx_json(sf_dir: str):
+    """FilterX object model (reference lib/filterx/: parse_json,
+    expr-get-subscript.c / expr-getattr.c reads, expr-set-subscript.c
+    masked writes, format_json) over events.props: parse the JSON
+    payload, read k, enrich the dict with the event type for high-k rows
+    only, re-serialize."""
+    from ..filterx import FilterX
+
+    fx = FilterX("""
+        $p = parse_json($props);
+        $k = $p["k"];
+        if ($k >= 50) { $p["evt"] = $event_type; };
+        $j = format_json($p);
+    """)
+    ds = _read(sf_dir, "events", ["event_id", "event_type", "props"]).map_batches(
+        fx, batch_format="pyarrow"
+    )
+    return _sorted(ds.to_pandas()[["event_id", "k", "j"]], "event_id")
+
+
+@_query(oracle="""
+SELECT event_id,
+       strftime(date_trunc('second', ts), '%Y-%m-%dT%H:%M:%S') || '+00:00' AS iso,
+       strftime(CAST(timezone('Europe/Budapest', date_trunc('second', ts)) AS TIMESTAMP),
+                '%Y-%m-%dT%H:%M:%S') || '+00:00' AS uiso,
+       strftime(ts, '%H') AS hour
+FROM events
+ORDER BY event_id
+""")
+def events_filterx_datetime(sf_dir: str):
+    """FilterX datetime functions (reference lib/filterx/func-timestamp.c
+    strptime/strftime/format_isodate; fix_timezone registered in
+    filterx-globals.c with the two-pass DST re-lookup of
+    modules/timestamp/rewrite-fix-timezone.c) over events.ts: format ->
+    reparse roundtrip (second precision), ISO normalization, and a
+    wall-clock-in-Budapest -> UTC reinterpretation."""
+    from ..filterx import FilterX
+
+    fx = FilterX("""
+        $local = strftime($ts, "%Y-%m-%d %H:%M:%S");
+        $rt = strptime($local, "%Y-%m-%d %H:%M:%S");
+        $iso = format_isodate($rt);
+        $uiso = format_isodate(fix_timezone($rt, "Europe/Budapest"));
+        $hour = strftime($ts, "%H");
+    """)
+    ds = _read(sf_dir, "events", ["event_id", "ts"]).map_batches(fx, batch_format="pyarrow")
+    return _sorted(ds.to_pandas()[["event_id", "iso", "uiso", "hour"]], "event_id")
+
+
+@_query(oracle="""
+SELECT event_id,
+       'k=' || CAST(json_extract(props, '$.k') AS VARCHAR) AS kvs,
+       'CEF:0|ax|engine|1|' || event_type || '|' || event_type || '|5|k='
+           || CAST(json_extract(props, '$.k') AS VARCHAR) AS cef,
+       CAST(json_extract(props, '$.k') AS BIGINT) AS k2,
+       'ax' AS vendor,
+       event_type || '|' || CAST(json_extract(props, '$.k') AS VARCHAR) AS csv,
+       event_type AS et2
+FROM events
+ORDER BY event_id
+""")
+def events_filterx_parse_fns(sf_dir: str):
+    """FilterX parse_*/format_* function family (reference
+    modules/kvformat/filterx-func-{parse,format}-kv.c,
+    modules/cef/filterx-func-{parse,format}-cef.c,
+    modules/csvparser/filterx-func-{parse,format}-csv.c) over
+    events.props: JSON -> kv string, a CEF envelope built from a dict
+    literal and round-tripped through parse_cef, and a CSV
+    format/parse roundtrip — all per-batch inside map_batches."""
+    from ..filterx import FilterX
+
+    fx = FilterX("""
+        $d = parse_json($props);
+        $kvs = format_kv($d);
+        $cef = format_cef({"cef_version": "0", "device_vendor": "ax",
+                           "device_product": "engine", "device_version": "1",
+                           "device_event_class_id": $event_type,
+                           "event_name": $event_type, "agent_severity": "5",
+                           "k": string($d.k)});
+        $back = parse_cef($cef);
+        $k2 = int($back["k"]);
+        $vendor = $back.device_vendor;
+        $csv = format_csv([$event_type, string($d.k)], delimiter="|");
+        $et2 = parse_csv($csv, delimiter="|")[0];
+    """)
+    ds = _read(sf_dir, "events", ["event_id", "event_type", "props"]).map_batches(
+        fx, batch_format="pyarrow"
+    )
+    return _sorted(ds.to_pandas()[["event_id", "kvs", "cef", "k2", "vendor", "csv", "et2"]], "event_id")
+
+
+@_query(oracle="""
+SELECT CASE WHEN value >= 0 AND value < 50 THEN 'low'
+            WHEN value >= 50 AND value < 200 THEN 'mid+'
+            ELSE 'other' END AS band,
+       substr(event_type, 1, 4) AS head,
+       CASE WHEN length(event_type) <= 2 THEN event_type
+            ELSE substr(event_type, length(event_type) - 1, 2) END AS tail,
+       CAST(CASE WHEN event_type < 'login' THEN 1 ELSE 0 END AS BIGINT) AS early,
+       CASE WHEN props IS NULL THEN 'none' ELSE substr(props, 1, 1) END AS ptag,
+       CAST(CASE WHEN event_type NOT IN ('click', 'view') THEN 1 ELSE 0 END AS BIGINT) AS rare,
+       CAST(CASE WHEN value = 100.0 THEN 1 ELSE 0 END AS BIGINT) AS exact_v,
+       CAST(COUNT(*) AS BIGINT) AS n
+FROM events
+GROUP BY 1, 2, 3, 4, 5, 6, 7 ORDER BY 1, 2, 3, 4, 5, 6, 7
+""")
+def events_filterx_grammar2(sf_dir: str):
+    """FilterX grammar completion surface in one oracled pipeline:
+    switch with numeric `case lo..hi:` ranges, C-style FALLTHROUGH and
+    `break;` (expr-switch.c _eval_body + the reference's own
+    test_switch_fallthrough pins), string slicing with negative indices
+    (LL_DOTDOT), `eq`/`lt` string comparisons (KW_STR_*), `===`
+    type-and-value equality (KW_TAV_EQ), `not in` membership and the
+    `=??` null-safe assign (expr-assign.c nullv)."""
+    from ..aggregate import pre_aggregated_count
+    from ..filterx import FilterX
+
+    fx = FilterX("""
+        switch ($value) {
+          case 0..50: $band = "low"; break;
+          case 50..200: $band = "mid";
+          default: $band = $band eq "mid" ? "mid+" : "other";
+        };
+        $head = $event_type[..4];
+        $tail = $event_type[-2..];
+        $early = $event_type lt "login" ? 1 : 0;
+        $ptag = "none";
+        $ptag =?? $props[..1];
+        $rare = $event_type not in ["click", "view"] ? 1 : 0;
+        $exact_v = $value === 100.0 ? 1 : 0;
+    """)
+    ds = _read(sf_dir, "events", ["event_type", "value", "props"]).map_batches(
+        fx, batch_format="pyarrow")
+    cols = ["band", "head", "tail", "early", "ptag", "rare", "exact_v"]
+    return _sorted(pre_aggregated_count(ds, cols, alias="n", final="driver"), cols)
+
+
+@_query(oracle="""
+SELECT event_id,
+       '{"event_type":"' || event_type || '","user_id":"' || CAST(user_id AS VARCHAR) || '"}' AS json_out
+FROM events
+""")
+def events_format_json(sf_dir: str):
+    """$(format-flat-json) serializer (reference modules/json/format-json.c)
+    over selected event columns."""
+    from ..functions.templates import Template
+
+    tpl = Template("$(format-flat-json event_type=${event_type} user_id=${user_id})")
+
+    def fmt(b: pa.Table) -> pa.Table:
+        return pa.table({"event_id": b.column("event_id"),
+                         "json_out": tpl.eval_arrow(b)})
+
+    return _read(sf_dir, "events", ["event_id", "event_type", "user_id"]).map_batches(
+        fmt, batch_format="pyarrow"
+    ).to_pandas()
+
+
+@_query(oracle="""
+WITH marked AS (
+  SELECT user_id, ts, event_type,
+         CASE WHEN ts - lag(ts) OVER w > INTERVAL 1800 SECOND THEN 1 ELSE 0 END AS brk
+  FROM events WINDOW w AS (PARTITION BY user_id ORDER BY ts)
+), numbered AS (
+  SELECT user_id, ts, event_type,
+         SUM(brk) OVER (PARTITION BY user_id ORDER BY ts ROWS UNBOUNDED PRECEDING) AS sid
+  FROM marked
+)
+SELECT user_id, CAST(sid AS BIGINT) AS context_id,
+       string_agg(event_type, ' ' ORDER BY ts) AS joined,
+       CAST(COUNT(*) AS BIGINT) AS n_events
+FROM numbered GROUP BY user_id, sid
+""")
+def events_group_lines(sf_dir: str):
+    """group-lines() multi-line reassembly (reference
+    modules/correlation/group-lines.c): per user session (timeout 1800s),
+    event_types joined in event-time order."""
+    from ..state.correlate import group_lines
+
+    ds = _read(sf_dir, "events", ["user_id", "ts", "event_type"])
+    out = group_lines(ds, "user_id", timeout=1800, ts_col="ts", message_col="event_type", separator=" ").to_pandas()
+    out = out.rename(columns={"message": "joined", "n_lines": "n_events"})
+    return out[["user_id", "context_id", "joined", "n_events"]]
+
+
+@_query(oracle="""
+WITH RECURSIVE ordered AS (
+  SELECT user_id, event_type, ts, event_id,
+         ROW_NUMBER() OVER (PARTITION BY user_id, event_type ORDER BY ts, event_id) AS rn,
+         COUNT(*) OVER (PARTITION BY user_id, event_type) AS cnt
+  FROM events
+), kept AS (
+  SELECT user_id, event_type, ts, event_id, rn, cnt FROM ordered WHERE rn = 1
+  UNION ALL
+  SELECT nxt.user_id, nxt.event_type, nxt.ts, nxt.event_id, nxt.rn, nxt.cnt
+  FROM kept k, LATERAL (
+    SELECT o.user_id, o.event_type, o.ts, o.event_id, o.rn, o.cnt
+    FROM ordered o
+    WHERE o.user_id = k.user_id AND o.event_type = k.event_type
+      AND o.rn > k.rn AND o.ts > k.ts + INTERVAL 3600 SECOND
+    ORDER BY o.rn LIMIT 1
+  ) nxt
+)
+SELECT CAST(event_id AS BIGINT) AS event_id,
+       CAST(COALESCE(LEAD(rn) OVER (PARTITION BY user_id, event_type ORDER BY rn), cnt + 1)
+            - rn - 1 AS BIGINT) AS repeat_count
+FROM kept ORDER BY event_id
+""")
+def events_suppress(sf_dir: str):
+    """suppress(): drop duplicate messages per (user, type) within 3600s,
+    count suppressed (reference lib/logwriter.c:575-660). Oracled by a
+    recursive-CTE greedy chain in DuckDB."""
+    from ..state.suppress import suppress
+
+    ds = _read(sf_dir, "events", ["user_id", "event_type", "ts", "event_id"])
+    out = suppress(ds, 3600, keys=("user_id", "event_type"), ts_col="ts", tie_break="event_id").to_pandas()
+    return _sorted(out[["event_id", "repeat_count"]], "event_id")
+
+
+@_query(oracle="""
+WITH RECURSIVE ordered AS (
+  SELECT user_id, ts, event_id,
+         ROW_NUMBER() OVER (PARTITION BY user_id ORDER BY ts, event_id) AS rn
+  FROM events
+), sim AS (
+  SELECT o.user_id, o.rn, o.ts, o.event_id, TRUE AS admitted,
+         CAST(NULL AS TIMESTAMP) AS p1, o.ts AS p2
+  FROM ordered o WHERE o.rn = 1
+  UNION ALL
+  SELECT o.user_id, o.rn, o.ts, o.event_id,
+         (s.p1 IS NULL OR o.ts >= s.p1 + INTERVAL 3600 SECOND) AS admitted,
+         CASE WHEN (s.p1 IS NULL OR o.ts >= s.p1 + INTERVAL 3600 SECOND) THEN s.p2 ELSE s.p1 END AS p1,
+         CASE WHEN (s.p1 IS NULL OR o.ts >= s.p1 + INTERVAL 3600 SECOND) THEN o.ts ELSE s.p2 END AS p2
+  FROM sim s JOIN ordered o ON o.user_id = s.user_id AND o.rn = s.rn + 1
+)
+SELECT CAST(event_id AS BIGINT) AS event_id FROM sim WHERE admitted ORDER BY event_id
+""")
+def events_rate_limit(sf_dir: str):
+    """rate-limit(): per-user token bucket, 2 events per hour window
+    (reference modules/rate-limit-filter/rate-limit.c). Oracled by a
+    recursive-CTE ring-state simulation in DuckDB."""
+    from ..state.suppress import rate_limit
+
+    ds = _read(sf_dir, "events", ["user_id", "ts", "event_id"])
+    out = rate_limit(ds, "user_id", rate=2, per_seconds=3600, ts_col="ts", tie_break="event_id").to_pandas()
+    return _sorted(out[["event_id"]], "event_id")
+
+
+@_query(oracle="""
+SELECT c.c_mktsegment, CAST(COUNT(*) AS BIGINT) AS n_orders,
+       ROUND(SUM(o.o_totalprice), 2) AS total
+FROM orders o JOIN customer c ON o.o_custkey = c.c_custkey
+GROUP BY c.c_mktsegment
+""")
+def orders_customer_hash_join(sf_dir: str):
+    """Big-big partitioned hash join (axosyslog_ray.join — beyond the
+    reference's broadcast-only joins, SURVEY.md §2.7): orders x customer,
+    revenue stats per market segment."""
+    from ..join import hash_join
+    from ray.data.aggregate import Count, Sum
+
+    orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
+    cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"]).map_batches(
+        lambda b: b.rename_columns(["o_custkey", "c_mktsegment"]), batch_format="pyarrow"
+    )
+    joined = hash_join(orders, cust, "o_custkey", how="inner")
+    out = (
+        joined.groupby("c_mktsegment")
+        .aggregate(Count(alias_name="n_orders"), Sum("o_totalprice", alias_name="total"))
+        .to_pandas()
+    )
+    out["total"] = round_half_away(out["total"], 2)
+    return out
+
+
+@_query(oracle="""
+SELECT l_returnflag, CAST(COUNT(*) AS BIGINT) AS n FROM lineitem GROUP BY l_returnflag
+""")
+def lineitem_salted_count(sf_dir: str):
+    """Salted two-phase count for skewed keys (aggregate.salted_count —
+    the reference's missing skew handling, SURVEY.md §4): counts per
+    l_returnflag via (key, salt) partials then re-reduce."""
+    from ..aggregate import salted_count
+
+    ds = _read(sf_dir, "lineitem", ["l_returnflag"])
+    return salted_count(ds, "l_returnflag", num_salts=8, alias="n").to_pandas()
+
+
+@_query(oracle="""
+SELECT event_id, strptime(strftime(ts, '%d/%b/%Y:%H:%M:%S'), '%d/%b/%Y:%H:%M:%S') AS reparsed
+FROM events
+""")
+def events_date_roundtrip(sf_dir: str):
+    """date-parser() (reference modules/timestamp/date-parser.c): format
+    each ts as an apache-style string, parse it back through the format
+    list, return the reparsed stamp (second precision)."""
+    from ..stages.date_parser import DateParser
+
+    dp = DateParser(["%Y-%m-%dT%H:%M:%S%z", "%d/%b/%Y:%H:%M:%S"], source_col="ts_str", target_col="reparsed")
+
+    def rt(b: pa.Table) -> pa.Table:
+        df = b.to_pandas()
+        df["ts_str"] = df["ts"].dt.strftime("%d/%b/%Y:%H:%M:%S")
+        t = dp(pa.Table.from_pandas(df[["event_id", "ts_str"]], preserve_index=False))
+        return t.select(["event_id", "reparsed"])
+
+    return _read(sf_dir, "events", ["event_id", "ts"]).map_batches(rt, batch_format="pyarrow").to_pandas()
+
+
+@_query(oracle="""
+-- 10.a.b.1 in 10.0.0.0/18 <=> a*2^16 + b*2^8 + 1 < 2^14 <=> a = 0 AND b < 64
+SELECT event_id FROM events WHERE (event_id % 256) = 0 AND (event_id % 100) < 64 ORDER BY event_id
+""")
+def events_netmask(sf_dir: str):
+    """netmask() CIDR containment (reference lib/filter/filter-netmask.c):
+    synthetic ip per event, keep rows inside 10.0.0.0/18."""
+    from ..route import Netmask
+
+    nm = Netmask("10.0.0.0/18", field="ip")
+
+    def filt(b: pa.Table) -> pa.Table:
+        df = b.to_pandas()
+        df["ip"] = "10." + (df["event_id"] % 256).astype(str) + "." + (df["event_id"] % 100).astype(str) + ".1"
+        t = pa.Table.from_pandas(df[["event_id", "ip"]], preserve_index=False)
+        mask = nm.mask(t)
+        return t.filter(pa.array(mask)).select(["event_id"])
+
+    return _sorted(_read(sf_dir, "events", ["event_id"]).map_batches(filt, batch_format="pyarrow").to_pandas(),
+                   "event_id")
+
+
+@_query(oracle="""
+SELECT date_trunc('hour', ts) AS window_start, CAST(COUNT(*) AS BIGINT) AS n
+FROM events GROUP BY 1
+""")
+def events_cps_windows(sf_dir: str):
+    """stats change-per-second analogue (reference
+    lib/stats/aggregator/stats-change-per-second.c): event counts per
+    1-hour tumbling event-time window."""
+    from ..aggregate import pre_aggregated_count
+
+    def bucket(b: pa.Table) -> pa.Table:
+        ts = b.column("ts").to_pandas()
+        hour = ts.dt.floor("h")
+        return pa.table({"window_start": pa.array(hour.to_numpy().astype("datetime64[us]"), type=pa.timestamp("us"))})
+
+    ds = _read(sf_dir, "events", ["ts"]).map_batches(bucket, batch_format="pyarrow")
+    return pre_aggregated_count(ds, ["window_start"], alias="n").to_pandas()
+
+
+@_query(oracle="""
+SELECT CASE WHEN value < 50 THEN '0-50' WHEN value < 100 THEN '50-100'
+            WHEN value < 150 THEN '100-150' WHEN value < 200 THEN '150-200'
+            ELSE '200+' END AS bucket,
+       CAST(COUNT(*) AS BIGINT) AS n
+FROM events GROUP BY 1
+""")
+def events_value_histogram(sf_dir: str):
+    """stats histogram aggregator (reference
+    lib/stats/aggregator/stats-histogram.c): fixed buckets over value."""
+    from ..aggregate import pre_aggregated_count
+
+    edges = np.array([0.0, 50.0, 100.0, 150.0, 200.0])
+
+    def bucket(b: pa.Table) -> pa.Table:
+        v = b.column("value").to_numpy()
+        idx = np.searchsorted(edges, v, side="right") - 1
+        idx = np.clip(idx, 0, len(edges) - 1)
+        labels = np.array(["0-50", "50-100", "100-150", "150-200", "200+"], dtype=object)
+        return pa.table({"bucket": pa.array(labels[idx], type=pa.string())})
+
+    ds = _read(sf_dir, "events", ["value"]).map_batches(bucket, batch_format="pyarrow")
+    return pre_aggregated_count(ds, ["bucket"], alias="n").to_pandas()
+
+
+def _eval_split(sf_dir: str):
+    """(corpus, eval set) of the documents: doc_id % 97 == 0 stands in
+    for a benchmark suite."""
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
 
-    def _split(is_eval: bool):
+    def part(is_eval: bool):
         def f(b: pa.Table) -> pa.Table:
             m = pa.array(b.column("doc_id").to_numpy() % 97 == 0)
             return b.filter(m if is_eval else pc.invert(m))
 
         return f
 
-    eval_ds = docs.map_batches(_split(True), batch_format="pyarrow")
-    corpus = docs.map_batches(_split(False), batch_format="pyarrow")
-    out = decontaminate(corpus, eval_ds, n=3).to_pandas()
-    return out.sort_values("doc_id").reset_index(drop=True)
+    return (docs.map_batches(part(False), batch_format="pyarrow"),
+            docs.map_batches(part(True), batch_format="pyarrow"))
 
 
-DOCS_DECONTAMINATE_SQL = r"""
+# word-3-grams per document, shared by the decontamination oracles
+_GRAMS3_CTES = r"""
 WITH toks AS (
   SELECT doc_id, regexp_extract_all(lower(text), '[a-z0-9]+') AS w FROM documents
 ),
@@ -2089,16 +1920,36 @@ idx AS (
 ),
 grams AS (
   SELECT doc_id, array_to_string(w[i:i+2], ' ') AS g FROM idx
-),
+),"""
+
+
+@_query(oracle=_GRAMS3_CTES + r"""
 eval_grams AS (SELECT DISTINCT g FROM grams WHERE doc_id % 97 = 0)
 SELECT d.doc_id,
        EXISTS(SELECT 1 FROM grams gr JOIN eval_grams e USING (g)
               WHERE gr.doc_id = d.doc_id) AS contaminated
 FROM documents d WHERE d.doc_id % 97 <> 0
 ORDER BY doc_id
-"""
+""")
+def docs_decontaminate(sf_dir: str):
+    """Benchmark decontamination: flag corpus docs sharing any word
+    3-gram with the eval set (doc_id % 97 == 0 stands in for a benchmark
+    suite). Eval gram set broadcast once; corpus streams (curation.py)."""
+    from ..curation import decontaminate
+
+    return _sorted(decontaminate(*_eval_split(sf_dir), n=3).to_pandas(), "doc_id")
 
 
+@_query(oracle=_GRAMS3_CTES + r"""
+eg AS (SELECT DISTINCT doc_id AS eval_id, g FROM grams WHERE doc_id % 97 = 0),
+cg AS (SELECT DISTINCT doc_id, g FROM grams WHERE doc_id % 97 <> 0),
+hits AS (SELECT DISTINCT eg.eval_id, cg.doc_id FROM eg JOIN cg USING (g))
+SELECT e.eval_id, CAST(coalesce(h.n, 0) AS BIGINT) AS n_leaked_docs
+FROM (SELECT DISTINCT doc_id AS eval_id FROM documents WHERE doc_id % 97 = 0) e
+LEFT JOIN (SELECT eval_id, count(*) AS n FROM hits GROUP BY eval_id) h
+  USING (eval_id)
+ORDER BY eval_id
+""")
 def docs_leak_report(sf_dir: str):
     """Per-eval-item contamination leak report
     (curation.contamination_report): for each eval doc (doc_id % 97 ==
@@ -2108,43 +1959,10 @@ def docs_leak_report(sf_dir: str):
     scan, one small eval-id groupby-count."""
     from ..curation import contamination_report
 
-    docs = _read(sf_dir, "documents", ["doc_id", "text"])
-
-    def _split(is_eval: bool):
-        def f(b: pa.Table) -> pa.Table:
-            m = pa.array(b.column("doc_id").to_numpy() % 97 == 0)
-            return b.filter(m if is_eval else pc.invert(m))
-
-        return f
-
-    eval_ds = docs.map_batches(_split(True), batch_format="pyarrow")
-    corpus = docs.map_batches(_split(False), batch_format="pyarrow")
-    out = contamination_report(corpus, eval_ds, n=3)
-    out["eval_id"] = out["eval_id"].astype("int64")
-    return out
+    return contamination_report(*_eval_split(sf_dir), n=3)
 
 
-DOCS_LEAK_REPORT_SQL = r"""
-WITH toks AS (
-  SELECT doc_id, regexp_extract_all(lower(text), '[a-z0-9]+') AS w FROM documents
-),
-idx AS (
-  SELECT doc_id, w, unnest(generate_series(1, len(w) - 2)) AS i FROM toks WHERE len(w) >= 3
-),
-grams AS (
-  SELECT doc_id, array_to_string(w[i:i+2], ' ') AS g FROM idx
-),
-eg AS (SELECT DISTINCT doc_id AS eval_id, g FROM grams WHERE doc_id % 97 = 0),
-cg AS (SELECT DISTINCT doc_id, g FROM grams WHERE doc_id % 97 <> 0),
-hits AS (SELECT DISTINCT eg.eval_id, cg.doc_id FROM eg JOIN cg USING (g))
-SELECT e.eval_id, CAST(coalesce(h.n, 0) AS BIGINT) AS n_leaked_docs
-FROM (SELECT DISTINCT doc_id AS eval_id FROM documents WHERE doc_id % 97 = 0) e
-LEFT JOIN (SELECT eval_id, count(*) AS n FROM hits GROUP BY eval_id) h
-  USING (eval_id)
-ORDER BY eval_id
-"""
-
-
+@_query(oracle=_golden("docs_hash_sample_sf001.parquet", "doc_id, lang", "doc_id", lines=True))
 def docs_hash_sample(sf_dir: str):
     """Deterministic stratified sampling: keep a doc iff its vectorized
     64-bit hash coordinate (splitmix64 of doc_id) falls under its
@@ -2159,16 +1977,15 @@ def docs_hash_sample(sf_dir: str):
     ds = _read(sf_dir, "documents", ["doc_id", "lang"])
     out = hash_sample(ds, rates={"en": 0.5, "de": 0.2}, key_col="doc_id",
                       strat_col="lang", default_rate=0.05).to_pandas()
-    return out.sort_values("doc_id").reset_index(drop=True)
+    return _sorted(out, "doc_id")
 
 
-DOCS_HASH_SAMPLE_SQL = """
-SELECT doc_id, lang FROM
-read_parquet('/root/repo/tests/golden/docs_hash_sample_sf001.parquet')
-ORDER BY doc_id
-"""
-
-
+@_query(oracle="""
+SELECT doc_id, source FROM (
+  SELECT doc_id, source,
+         row_number() OVER (PARTITION BY source ORDER BY doc_id) AS rn
+  FROM documents) WHERE rn <= 30 ORDER BY doc_id
+""")
 def docs_source_quota(sf_dir: str):
     """Per-source document cap: first 30 docs per source by doc_id
     (web-corpus per-domain quota; coarse-bucket shuffle, curation.py)."""
@@ -2176,17 +1993,26 @@ def docs_source_quota(sf_dir: str):
 
     ds = _read(sf_dir, "documents", ["doc_id", "source"])
     out = quota_head(ds, key_col="source", order_col="doc_id", k=30).to_pandas()
-    return out.sort_values("doc_id").reset_index(drop=True)[["doc_id", "source"]]
+    return _sorted(out[["doc_id", "source"]], "doc_id")
 
 
-DOCS_SOURCE_QUOTA_SQL = """
-SELECT doc_id, source FROM (
-  SELECT doc_id, source,
-         row_number() OVER (PARTITION BY source ORDER BY doc_id) AS rn
-  FROM documents) WHERE rn <= 30 ORDER BY doc_id
-"""
-
-
+@_query(oracle="""
+WITH lines AS (
+  SELECT doc_id,
+         unnest(string_split(text, ' ')) AS line,
+         generate_subscripts(string_split(text, ' '), 1) AS seq
+  FROM documents
+), grp AS (
+  SELECT doc_id, seq, line,
+         SUM(CASE WHEN seq = 1 OR regexp_matches(line, '^[st]')
+             THEN 1 ELSE 0 END) OVER (PARTITION BY doc_id ORDER BY seq) AS msg_seq
+  FROM lines
+)
+SELECT doc_id, CAST(msg_seq AS BIGINT) AS msg_seq,
+       string_agg(line, '|' ORDER BY seq) AS message,
+       CAST(COUNT(*) AS BIGINT) AS n_lines
+FROM grp GROUP BY doc_id, msg_seq ORDER BY doc_id, msg_seq
+""")
 def docs_multiline(sf_dir: str):
     """Regexp-prefix multi-line framing (sources/text.MultiLineJoiner,
     reference lib/multi-line/regexp-multi-line.c): each doc's words are
@@ -2214,28 +2040,19 @@ def docs_multiline(sf_dir: str):
 
     out = _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
         frame, batch_format="pyarrow").to_pandas()
-    return out.sort_values(["doc_id", "msg_seq"]).reset_index(drop=True)
+    return _sorted(out, ["doc_id", "msg_seq"])
 
 
-DOCS_MULTILINE_SQL = """
-WITH lines AS (
-  SELECT doc_id,
-         unnest(string_split(text, ' ')) AS line,
-         generate_subscripts(string_split(text, ' '), 1) AS seq
-  FROM documents
-), grp AS (
-  SELECT doc_id, seq, line,
-         SUM(CASE WHEN seq = 1 OR regexp_matches(line, '^[st]')
-             THEN 1 ELSE 0 END) OVER (PARTITION BY doc_id ORDER BY seq) AS msg_seq
-  FROM lines
-)
-SELECT doc_id, CAST(msg_seq AS BIGINT) AS msg_seq,
-       string_agg(line, '|' ORDER BY seq) AS message,
-       CAST(COUNT(*) AS BIGINT) AS n_lines
-FROM grp GROUP BY doc_id, msg_seq ORDER BY doc_id, msg_seq
-"""
-
-
+@_query(oracle="""
+SELECT CAST(event_id AS BIGINT) AS event_id,
+       CASE WHEN event_type = 'error' THEN
+         'Traceback (most recent call last):' || chr(10) ||
+         'File "app_' || CAST(event_id AS VARCHAR) || '.py", line 1, in <module>' || chr(10) ||
+         '  raise_it()' || chr(10) ||
+         'ValueError: event ' || CAST(event_id AS VARCHAR)
+       ELSE 'evt ' || CAST(event_id AS VARCHAR) || ' ' || event_type END AS message
+FROM events ORDER BY event_id
+""")
 def events_smart_multiline(sf_dir: str):
     """Smart multi-line FSM (sources/smartml.py, reference
     lib/multi-line/smart-multi-line.c): each event renders as log lines
@@ -2264,39 +2081,10 @@ def events_smart_multiline(sf_dir: str):
         return pd.DataFrame({"event_id": g["event_id"].to_numpy(),
                              "message": messages})
 
-    out = bucketed_map_groups(ev, "user_id", per_stream, num_buckets=16).to_pandas()
-    out["event_id"] = out["event_id"].astype("int64")
-    return out.sort_values("event_id").reset_index(drop=True)
+    return _sorted(bucketed_map_groups(ev, "user_id", per_stream, num_buckets=16).to_pandas(), "event_id")
 
 
-EVENTS_SMART_MULTILINE_SQL = """
-SELECT CAST(event_id AS BIGINT) AS event_id,
-       CASE WHEN event_type = 'error' THEN
-         'Traceback (most recent call last):' || chr(10) ||
-         'File "app_' || CAST(event_id AS VARCHAR) || '.py", line 1, in <module>' || chr(10) ||
-         '  raise_it()' || chr(10) ||
-         'ValueError: event ' || CAST(event_id AS VARCHAR)
-       ELSE 'evt ' || CAST(event_id AS VARCHAR) || ' ' || event_type END AS message
-FROM events ORDER BY event_id
-"""
-
-
-def docs_gopher_quality(sf_dir: str):
-    """Gopher quality rules over the documents table (textstats.analysis
-    .gopher_quality — published Rae et al. 2021 heuristics): per-doc
-    component metrics + verdict; thresholds tuned to this corpus's short
-    synthetic docs so both verdicts appear."""
-    from ..textstats.analysis import gopher_quality
-
-    ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    out = ds.map_batches(
-        lambda b: gopher_quality(b, min_words=20, min_mean_word_len=3.0,
-                                 max_mean_word_len=6.0, min_stop_hits=1),
-        batch_format="pyarrow").drop_columns(["text"]).to_pandas()
-    return out.sort_values("doc_id").reset_index(drop=True)
-
-
-DOCS_GOPHER_SQL = """
+@_query(oracle="""
 WITH w AS (
   SELECT doc_id,
          list_filter(string_split_regex(text, '\\s+'), x -> x <> '') AS words,
@@ -2328,7 +2116,20 @@ SELECT doc_id,
         AND CAST(alpha AS DOUBLE) / nz >= 0.8
         AND stop_hits >= 1) AS gopher_pass
 FROM m ORDER BY doc_id
-"""
+""")
+def docs_gopher_quality(sf_dir: str):
+    """Gopher quality rules over the documents table (textstats.analysis
+    .gopher_quality — published Rae et al. 2021 heuristics): per-doc
+    component metrics + verdict; thresholds tuned to this corpus's short
+    synthetic docs so both verdicts appear."""
+    from ..textstats.analysis import gopher_quality
+
+    ds = _read(sf_dir, "documents", ["doc_id", "text"])
+    out = ds.map_batches(
+        lambda b: gopher_quality(b, min_words=20, min_mean_word_len=3.0,
+                                 max_mean_word_len=6.0, min_stop_hits=1),
+        batch_format="pyarrow").drop_columns(["text"]).to_pandas()
+    return _sorted(out, "doc_id")
 
 
 _CONFIG_PIPELINE_CONF = """\
@@ -2353,6 +2154,14 @@ log {
 """
 
 
+@_query(oracle="""
+SELECT dest, COUNT(*) AS n FROM (
+  SELECT CASE WHEN (event_id % 192) % 8 <= 3 THEN 'd_hot'
+              WHEN event_type IN ('signup', 'purchase') THEN 'd_tx'
+              ELSE 'd_other' END AS dest
+  FROM events) t
+GROUP BY dest ORDER BY dest
+""")
 def events_config_pipeline(sf_dir: str):
     """The config front end end-to-end: a syslog-ng .conf — pragmas,
     @define + backtick substitution (lib/cfg-lexer-subst.c), a block
@@ -2377,55 +2186,25 @@ def events_config_pipeline(sf_dir: str):
         derive, batch_format="pyarrow")
     out = run_config_on_dataset(cfg, ds, "s_ev").map_batches(
         lambda b: b.select(["dest"]), batch_format="pyarrow")
-    res = pre_aggregated_count(out, ["dest"], alias="n").to_pandas()
-    res["n"] = res["n"].astype("int64")
-    return res
+    return pre_aggregated_count(out, ["dest"], alias="n").to_pandas()
 
 
-EVENTS_CONFIG_PIPELINE_SQL = """
-SELECT dest, COUNT(*) AS n FROM (
-  SELECT CASE WHEN (event_id % 192) % 8 <= 3 THEN 'd_hot'
-              WHEN event_type IN ('signup', 'purchase') THEN 'd_tx'
-              ELSE 'd_other' END AS dest
-  FROM events) t
-GROUP BY dest ORDER BY dest
-"""
-
-
+@_query(oracle="""
+SELECT word, CAST(COUNT(*) AS BIGINT) AS cnt FROM (
+  SELECT unnest(regexp_extract_all(lower(text), '[a-z0-9]+')) AS word
+  FROM documents)
+GROUP BY word ORDER BY cnt DESC, word LIMIT 50
+""")
 def docs_vocab_topk(sf_dir: str):
     """Top-50 corpus vocabulary (textstats.vocab.vocab_topk): per-batch
     word-count combiner so the shuffle exchanges vocabulary-sized data,
     then a vocab-sized groupby sum + sort/limit."""
     from ..textstats.vocab import vocab_topk
 
-    out = vocab_topk(_read(sf_dir, "documents", ["text"]), k=50).to_pandas()
-    out["cnt"] = out["cnt"].astype("int64")
-    return out.reset_index(drop=True)
+    return vocab_topk(_read(sf_dir, "documents", ["text"]), k=50).to_pandas().reset_index(drop=True)
 
 
-DOCS_VOCAB_SQL = """
-SELECT word, CAST(COUNT(*) AS BIGINT) AS cnt FROM (
-  SELECT unnest(regexp_extract_all(lower(text), '[a-z0-9]+')) AS word
-  FROM documents)
-GROUP BY word ORDER BY cnt DESC, word LIMIT 50
-"""
-
-
-def docs_tfidf_topk(sf_dir: str):
-    """Per-doc top-3 keywords by integer tf-idf proxy (textstats.vocab
-    .tfidf_topk): distributed df aggregate + hash_join on word + bucketed
-    per-doc head — nothing vocabulary-sized on the driver."""
-    from ..textstats.vocab import tfidf_topk
-
-    out = tfidf_topk(_read(sf_dir, "documents", ["doc_id", "text"]), k=3).to_pandas()
-    for c in ("doc_id", "tf", "df", "score"):
-        out[c] = out[c].astype("int64")
-    return (out[["doc_id", "word", "tf", "df", "score"]]
-            .sort_values(["doc_id", "score", "word"],
-                         ascending=[True, False, True]).reset_index(drop=True))
-
-
-DOCS_TFIDF_SQL = """
+@_query(oracle="""
 WITH terms AS (
   SELECT doc_id, word, CAST(COUNT(*) AS BIGINT) AS tf FROM (
     SELECT doc_id, unnest(regexp_extract_all(lower(text), '[a-z0-9]+')) AS word
@@ -2441,9 +2220,29 @@ ranked AS (
     PARTITION BY doc_id ORDER BY score DESC, word) AS rn FROM scored)
 SELECT doc_id, word, tf, df, score
 FROM ranked WHERE rn <= 3 ORDER BY doc_id, score DESC, word
-"""
+""")
+def docs_tfidf_topk(sf_dir: str):
+    """Per-doc top-3 keywords by integer tf-idf proxy (textstats.vocab
+    .tfidf_topk): distributed df aggregate + hash_join on word + bucketed
+    per-doc head — nothing vocabulary-sized on the driver."""
+    from ..textstats.vocab import tfidf_topk
+
+    out = tfidf_topk(_read(sf_dir, "documents", ["doc_id", "text"]), k=3).to_pandas()
+    return _sorted(out[["doc_id", "word", "tf", "df", "score"]],
+                   ["doc_id", "score", "word"], ascending=[True, False, True])
 
 
+@_query(oracle="""
+WITH c AS (
+  SELECT doc_id,
+         CAST(COALESCE(len(regexp_extract_all(lower(text), '[a-z0-9]+')), 0)
+              AS BIGINT) AS n_tokens
+  FROM documents)
+SELECT doc_id, n_tokens,
+       CAST((SUM(n_tokens) OVER (ORDER BY doc_id) - n_tokens) // 64 AS BIGINT)
+         AS seq_bin
+FROM c ORDER BY doc_id
+""")
 def docs_pack_sequences(sf_dir: str):
     """Greedy concat-and-chunk sequence packing into 64-token context
     windows (curation.pack_sequences): two-level scan tree — per-range
@@ -2454,40 +2253,10 @@ def docs_pack_sequences(sf_dir: str):
 
     out = pack_sequences(_read(sf_dir, "documents", ["doc_id", "text"]),
                          window=64, range_size=64).to_pandas()
-    for c in ("doc_id", "n_tokens", "seq_bin"):
-        out[c] = out[c].astype("int64")
-    return out.sort_values("doc_id").reset_index(drop=True)
+    return _sorted(out, "doc_id")
 
 
-DOCS_PACK_SQL = """
-WITH c AS (
-  SELECT doc_id,
-         CAST(COALESCE(len(regexp_extract_all(lower(text), '[a-z0-9]+')), 0)
-              AS BIGINT) AS n_tokens
-  FROM documents)
-SELECT doc_id, n_tokens,
-       CAST((SUM(n_tokens) OVER (ORDER BY doc_id) - n_tokens) // 64 AS BIGINT)
-         AS seq_bin
-FROM c ORDER BY doc_id
-"""
-
-
-def docs_gopher_repetition(sf_dir: str):
-    """Gopher repetition rules (textstats.repetition.gopher_repetition,
-    Rae et al. 2021 table A1's repetition half): duplicate-line
-    fractions, top-{2,3,4}-gram character fractions, duplicated-5-gram
-    character coverage — map-only (no shuffle at any scale),
-    independently SQL-oracled."""
-    from ..textstats.repetition import gopher_repetition
-
-    out = _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
-        gopher_repetition, batch_format="pyarrow").to_pandas()
-    out["doc_id"] = out["doc_id"].astype("int64")
-    out["n_lines"] = out["n_lines"].astype("int64")
-    return out.sort_values("doc_id").reset_index(drop=True)
-
-
-DOCS_GOPHER_REPETITION_SQL = """
+@_query(oracle="""
 WITH toks AS (
   SELECT doc_id, coalesce(text, '') AS text,
          regexp_extract_all(lower(coalesce(text, '')), '[a-z0-9]+') AS ws
@@ -2545,30 +2314,21 @@ LEFT JOIN lagg USING (doc_id) LEFT JOIN t2 USING (doc_id)
 LEFT JOIN t3 USING (doc_id) LEFT JOIN t4 USING (doc_id)
 LEFT JOIN c5 USING (doc_id)
 ORDER BY nw.doc_id
-"""
+""")
+def docs_gopher_repetition(sf_dir: str):
+    """Gopher repetition rules (textstats.repetition.gopher_repetition,
+    Rae et al. 2021 table A1's repetition half): duplicate-line
+    fractions, top-{2,3,4}-gram character fractions, duplicated-5-gram
+    character coverage — map-only (no shuffle at any scale),
+    independently SQL-oracled."""
+    from ..textstats.repetition import gopher_repetition
+
+    out = _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
+        gopher_repetition, batch_format="pyarrow").to_pandas()
+    return _sorted(out, "doc_id")
 
 
-def docs_bloom_decontaminate(sf_dir: str):
-    """Cross-corpus Bloom membership (dedup.bloom.gram_bloom_flags):
-    per-doc count of word-3-gram positions that hit a Bloom filter
-    built by streaming the reference shard (source='src0') through a
-    tree OR-reduce — bounded broadcast state regardless of reference
-    size. Oracle is the EXACT membership join: green iff the filter
-    produced zero false positives on this corpus, which the 2^22-bit /
-    7-hash sizing guarantees with ~1e-10 per-probe odds (the FP rate
-    itself is pinned by tests/test_bloom.py)."""
-    from ..dedup.bloom import gram_bloom_flags
-
-    corpus = _read(sf_dir, "documents", ["doc_id", "text"])
-    ref = _read(sf_dir, "documents", ["text", "source"]).filter(
-        expr="source == 'src0'")
-    out = gram_bloom_flags(corpus, ref, n=3).to_pandas()
-    for c in ("doc_id", "n_grams", "n_hit"):
-        out[c] = out[c].astype("int64")
-    return out.sort_values("doc_id").reset_index(drop=True)
-
-
-DOCS_BLOOM_DECONTAMINATE_SQL = """
+@_query(oracle="""
 WITH toks AS (
   SELECT doc_id, source, regexp_extract_all(lower(text), '[a-z0-9]+') AS ws
   FROM documents),
@@ -2584,27 +2344,29 @@ cnt AS (
 SELECT t.doc_id, CAST(coalesce(c.n_grams, 0) AS BIGINT) AS n_grams,
        CAST(coalesce(c.n_hit, 0) AS BIGINT) AS n_hit
 FROM toks t LEFT JOIN cnt c USING (doc_id) ORDER BY t.doc_id
-"""
+""")
+def docs_bloom_decontaminate(sf_dir: str):
+    """Cross-corpus Bloom membership (dedup.bloom.gram_bloom_flags):
+    per-doc count of word-3-gram positions that hit a Bloom filter
+    built by streaming the reference shard (source='src0') through a
+    tree OR-reduce — bounded broadcast state regardless of reference
+    size. Oracle is the EXACT membership join: green iff the filter
+    produced zero false positives on this corpus, which the 2^22-bit /
+    7-hash sizing guarantees with ~1e-10 per-probe odds (the FP rate
+    itself is pinned by tests/test_bloom.py)."""
+    from ..dedup.bloom import gram_bloom_flags
 
-
-def docs_substring_dedup(sf_dir: str):
-    """ExactSubstr dedup (dedup.substring.substring_dedup, Lee et al.
-    ACL 2022 semantics at 10-word-window granularity): every word
-    covered by a corpus-duplicated window is removed from EVERY copy.
-    Hash prepass (16-byte window rows in the wide shuffle) + exact
-    text verification, independently oracled by a DuckDB window
-    self-join over the same tokenization."""
-    from ..dedup.substring import substring_dedup
-
-    out = substring_dedup(_read(sf_dir, "documents", ["doc_id", "text"]),
-                          k=10).to_pandas()
-    for c in ("doc_id", "n_words", "n_removed"):
-        out[c] = out[c].astype("int64")
-    return out.sort_values("doc_id").reset_index(drop=True)
+    corpus = _read(sf_dir, "documents", ["doc_id", "text"])
+    ref = _read(sf_dir, "documents", ["text", "source"]).filter(
+        expr="source == 'src0'")
+    out = gram_bloom_flags(corpus, ref, n=3).to_pandas()
+    return _sorted(out, "doc_id")
 
 
 _SUBSTR_K = 10
-DOCS_SUBSTRING_DEDUP_SQL = f"""
+
+
+@_query(oracle=f"""
 WITH toks AS (
   SELECT doc_id, regexp_extract_all(lower(text), '[a-z0-9]+') AS ws FROM documents),
 nw AS (SELECT doc_id, ws, len(ws) AS n FROM toks),
@@ -2628,24 +2390,22 @@ SELECT t.doc_id, coalesce(a.n_words, 0) AS n_words,
        coalesce(a.n_removed, 0) AS n_removed,
        coalesce(a.text_clean, '') AS text_clean
 FROM toks t LEFT JOIN agg a USING (doc_id) ORDER BY t.doc_id
-"""
+""")
+def docs_substring_dedup(sf_dir: str):
+    """ExactSubstr dedup (dedup.substring.substring_dedup, Lee et al.
+    ACL 2022 semantics at 10-word-window granularity): every word
+    covered by a corpus-duplicated window is removed from EVERY copy.
+    Hash prepass (16-byte window rows in the wide shuffle) + exact
+    text verification, independently oracled by a DuckDB window
+    self-join over the same tokenization."""
+    from ..dedup.substring import substring_dedup
+
+    out = substring_dedup(_read(sf_dir, "documents", ["doc_id", "text"]),
+                          k=10).to_pandas()
+    return _sorted(out, "doc_id")
 
 
-def docs_dedup_chunks(sf_dir: str):
-    """Duplicate-passage removal at 20-token chunk granularity
-    (dedup.chunks.dedup_chunks): map-only explode + ONE coarse-bucket
-    shuffle on chunk text, keep the globally-first (doc_id, chunk_id)
-    per distinct text."""
-    from ..dedup.chunks import dedup_chunks
-
-    out = dedup_chunks(_read(sf_dir, "documents", ["doc_id", "text"]),
-                       chunk_tokens=20).to_pandas()
-    for c in ("doc_id", "chunk_id", "n_tokens"):
-        out[c] = out[c].astype("int64")
-    return out.sort_values(["doc_id", "chunk_id"]).reset_index(drop=True)
-
-
-DOCS_DEDUP_CHUNKS_SQL = r"""
+@_query(oracle=r"""
 WITH t AS (
   SELECT doc_id, regexp_split_to_array(trim(text), '\s+') AS w,
          len(regexp_split_to_array(trim(text), '\s+')) AS n
@@ -2663,9 +2423,20 @@ ch AS (
 r AS (SELECT *, row_number() OVER (
         PARTITION BY text ORDER BY doc_id, chunk_id) AS rn FROM ch)
 SELECT doc_id, chunk_id, n_tokens FROM r WHERE rn = 1 ORDER BY doc_id, chunk_id
-"""
+""")
+def docs_dedup_chunks(sf_dir: str):
+    """Duplicate-passage removal at 20-token chunk granularity
+    (dedup.chunks.dedup_chunks): map-only explode + ONE coarse-bucket
+    shuffle on chunk text, keep the globally-first (doc_id, chunk_id)
+    per distinct text."""
+    from ..dedup.chunks import dedup_chunks
+
+    out = dedup_chunks(_read(sf_dir, "documents", ["doc_id", "text"]),
+                       chunk_tokens=20).to_pandas()
+    return _sorted(out, ["doc_id", "chunk_id"])
 
 
+@_query(oracle=kmeans_sql(4, 3))
 def emb_kmeans(sf_dir: str):
     """Distributed Lloyd k-means over the embedding column (ann.kmeans
     .kmeans_labels, k=4, 3 iterations): assignment + integer partial
@@ -2678,11 +2449,10 @@ def emb_kmeans(sf_dir: str):
         _read(sf_dir, "embeddings", ["vec_id", "embedding"]),
         k=4, iters=3, vec_col="embedding", id_col="vec_id")
     out = labels.to_pandas()
-    out["vec_id"] = out["vec_id"].astype("int64")
-    out["cluster"] = out["cluster"].astype("int64")
-    return out.sort_values("vec_id").reset_index(drop=True)
+    return _sorted(out, "vec_id")
 
 
+@_query(oracle=cluster_balanced_sql(4, 3, 50))
 def emb_cluster_sample(sf_dir: str):
     """Cluster-balanced sampling (ann.kmeans.cluster_balanced_sample):
     k-means clusters capped at 50 items each, chosen by a deterministic
@@ -2695,12 +2465,10 @@ def emb_cluster_sample(sf_dir: str):
     out = cluster_balanced_sample(
         _read(sf_dir, "embeddings", ["vec_id", "embedding"]),
         k=4, iters=3, cap=50, method="md5").to_pandas()
-    for c in ("vec_id", "cluster", "rk"):
-        out[c] = out[c].astype("int64")
-    return out[["vec_id", "cluster", "rk"]] \
-        .sort_values(["cluster", "rk"]).reset_index(drop=True)
+    return _sorted(out[["vec_id", "cluster", "rk"]], ["cluster", "rk"])
 
 
+@_query(oracle=semdedup_sql(4, 3, 0.45))
 def emb_semdedup(sf_dir: str):
     """SemDeDup-style semantic pruning (ann.kmeans.semdedup): k-means
     clusters, then within each cluster drop vectors with an earlier
@@ -2711,11 +2479,16 @@ def emb_semdedup(sf_dir: str):
     out = semdedup(_read(sf_dir, "embeddings", ["vec_id", "embedding"]),
                    k=4, iters=3, threshold=0.45,
                    vec_col="embedding", id_col="vec_id").to_pandas()
-    out["vec_id"] = out["vec_id"].astype("int64")
-    out["cluster"] = out["cluster"].astype("int64")
-    return out.sort_values("vec_id").reset_index(drop=True)
+    return _sorted(out, "vec_id")
 
 
+@_query(oracle="""
+SELECT lang, doc_id, n_chars,
+       CAST(row_number() OVER (PARTITION BY lang ORDER BY n_chars DESC, doc_id) AS BIGINT) AS rk
+FROM documents
+QUALIFY rk <= 3
+ORDER BY lang, rk
+""")
 def docs_topk_per_lang(sf_dir: str):
     """Per-group top-k (window.topk_per_group): the 3 largest docs per
     language by n_chars (ties: doc_id ascending), rank emitted as rk —
@@ -2729,21 +2502,18 @@ def docs_topk_per_lang(sf_dir: str):
     ds = _read(sf_dir, "documents", ["lang", "doc_id", "n_chars"])
     out = topk_per_group(ds, "lang", "n_chars", k=3, descending=True,
                          tie_cols="doc_id").to_pandas()
-    for c in ("doc_id", "n_chars", "rk"):
-        out[c] = out[c].astype("int64")
-    return out[["lang", "doc_id", "n_chars", "rk"]].sort_values(
-        ["lang", "rk"]).reset_index(drop=True)
+    return _sorted(out[["lang", "doc_id", "n_chars", "rk"]], ["lang", "rk"])
 
 
-DOCS_TOPK_PER_LANG_SQL = """
-SELECT lang, doc_id, n_chars,
-       CAST(row_number() OVER (PARTITION BY lang ORDER BY n_chars DESC, doc_id) AS BIGINT) AS rk
-FROM documents
-QUALIFY rk <= 3
-ORDER BY lang, rk
-"""
-
-
+@_query(oracle="""
+WITH c AS (
+  SELECT source, doc_id,
+         sum(n_chars) OVER (PARTITION BY source ORDER BY doc_id
+                            ROWS UNBOUNDED PRECEDING) AS cum_chars
+  FROM documents)
+SELECT source, doc_id, CAST(cum_chars AS BIGINT) AS cum_chars
+FROM c WHERE cum_chars <= 2000 ORDER BY source, doc_id
+""")
 def docs_token_budget(sf_dir: str):
     """Budget-capped prefix selection (window.budget_capped_select): per
     source, walk docs in doc_id order and keep rows while the running
@@ -2755,21 +2525,7 @@ def docs_token_budget(sf_dir: str):
     ds = _read(sf_dir, "documents", ["source", "doc_id", "n_chars"])
     out = budget_capped_select(ds, "source", "n_chars", budget=2000,
                                order_col="doc_id", cum_col="cum_chars").to_pandas()
-    for c in ("doc_id", "cum_chars"):
-        out[c] = out[c].astype("int64")
-    return out[["source", "doc_id", "cum_chars"]].sort_values(
-        ["source", "doc_id"]).reset_index(drop=True)
-
-
-DOCS_TOKEN_BUDGET_SQL = """
-WITH c AS (
-  SELECT source, doc_id,
-         sum(n_chars) OVER (PARTITION BY source ORDER BY doc_id
-                            ROWS UNBOUNDED PRECEDING) AS cum_chars
-  FROM documents)
-SELECT source, doc_id, CAST(cum_chars AS BIGINT) AS cum_chars
-FROM c WHERE cum_chars <= 2000 ORDER BY source, doc_id
-"""
+    return _sorted(out[["source", "doc_id", "cum_chars"]], ["source", "doc_id"])
 
 
 # fixed demo merge table (rank order) shared verbatim by the Ray query
@@ -2783,34 +2539,11 @@ _BPE_MERGES = [
 ]
 
 
-def docs_token_budget_bpe(sf_dir: str):
-    """Per-source token-budget selection where tokens are counted by a
-    from-spec BPE tokenizer (textstats/bpe.py — Sennrich-2016 apply
-    loop, GPT-2 merges.txt rank semantics) instead of whitespace runs:
-    each distinct word encodes once per actor (Zipf cache), counts
-    scatter back map-only, then the same two-level budget scan as
-    docs_token_budget. The DuckDB oracle replays the EXACT tokenizer
-    with a recursive CTE over the same literal merge table (lowest-rank
-    pair present, merged via boundary-safe string replace, iterated to
-    fixpoint)."""
-    from ..textstats.bpe import bpe_token_counts
-    from ..window import budget_capped_select
-
-    ds = _read(sf_dir, "documents", ["source", "doc_id", "text"])
-    counts = bpe_token_counts(ds, _BPE_MERGES, keep_cols=["source"])
-    out = budget_capped_select(counts, "source", "n_tokens_bpe",
-                               budget=1500, order_col="doc_id",
-                               cum_col="cum_tokens").to_pandas()
-    for c in ("doc_id", "n_tokens_bpe", "cum_tokens"):
-        out[c] = out[c].astype("int64")
-    return out[["source", "doc_id", "n_tokens_bpe", "cum_tokens"]] \
-        .sort_values(["source", "doc_id"]).reset_index(drop=True)
-
-
 _BPE_MERGES_SQL_VALUES = ", ".join(
     f"({i + 1}, '{a}', '{b}')" for i, (a, b) in enumerate(_BPE_MERGES))
 
-DOCS_TOKEN_BUDGET_BPE_SQL = f"""
+
+@_query(oracle=f"""
 WITH RECURSIVE merges(rank, a, b) AS (VALUES {_BPE_MERGES_SQL_VALUES}),
 words AS (
   SELECT doc_id, w
@@ -2853,25 +2586,29 @@ c AS (
   FROM doc_tok)
 SELECT source, doc_id, n_tokens_bpe, CAST(cum_tokens AS BIGINT) AS cum_tokens
 FROM c WHERE cum_tokens <= 1500 ORDER BY source, doc_id
-"""
+""")
+def docs_token_budget_bpe(sf_dir: str):
+    """Per-source token-budget selection where tokens are counted by a
+    from-spec BPE tokenizer (textstats/bpe.py — Sennrich-2016 apply
+    loop, GPT-2 merges.txt rank semantics) instead of whitespace runs:
+    each distinct word encodes once per actor (Zipf cache), counts
+    scatter back map-only, then the same two-level budget scan as
+    docs_token_budget. The DuckDB oracle replays the EXACT tokenizer
+    with a recursive CTE over the same literal merge table (lowest-rank
+    pair present, merged via boundary-safe string replace, iterated to
+    fixpoint)."""
+    from ..textstats.bpe import bpe_token_counts
+    from ..window import budget_capped_select
+
+    ds = _read(sf_dir, "documents", ["source", "doc_id", "text"])
+    counts = bpe_token_counts(ds, _BPE_MERGES, keep_cols=["source"])
+    out = budget_capped_select(counts, "source", "n_tokens_bpe",
+                               budget=1500, order_col="doc_id",
+                               cum_col="cum_tokens").to_pandas()
+    return _sorted(out[["source", "doc_id", "n_tokens_bpe", "cum_tokens"]], ["source", "doc_id"])
 
 
-def docs_chunk(sf_dir: str):
-    """Fixed-token-window chunking with overlap (textstats/chunk.py):
-    window 10 / overlap 2 whitespace-token chunks per document, chunk
-    text reassembled via one Arrow binary_join — map-only, no shuffle.
-    The RAG / long-context preprocessing step; SQL replay is
-    generate_series + list_slice + array_to_string."""
-    from ..textstats.chunk import chunk_documents
-
-    ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    out = chunk_documents(ds, window=10, overlap=2).to_pandas()
-    for c in ("doc_id", "chunk_id", "n_tokens"):
-        out[c] = out[c].astype("int64")
-    return out.sort_values(["doc_id", "chunk_id"]).reset_index(drop=True)
-
-
-DOCS_CHUNK_SQL = """
+@_query(oracle="""
 WITH tl AS (
   SELECT doc_id,
          CASE WHEN trim(text) = '' THEN CAST([] AS VARCHAR[])
@@ -2887,9 +2624,44 @@ SELECT doc_id, k AS chunk_id,
        array_to_string(list_slice(t, k * 8 + 1,
                                   least(k * 8 + 10, n)), ' ') AS chunk_text
 FROM c ORDER BY doc_id, chunk_id
-"""
+""")
+def docs_chunk(sf_dir: str):
+    """Fixed-token-window chunking with overlap (textstats/chunk.py):
+    window 10 / overlap 2 whitespace-token chunks per document, chunk
+    text reassembled via one Arrow binary_join — map-only, no shuffle.
+    The RAG / long-context preprocessing step; SQL replay is
+    generate_series + list_slice + array_to_string."""
+    from ..textstats.chunk import chunk_documents
+
+    ds = _read(sf_dir, "documents", ["doc_id", "text"])
+    out = chunk_documents(ds, window=10, overlap=2).to_pandas()
+    return _sorted(out, ["doc_id", "chunk_id"])
 
 
+# md5 word-3-gram hashes and their 4-gram-window minima, shared by the
+# winnowing oracles
+_WINNOW_CTES = """
+WITH tl AS (
+  SELECT doc_id,
+         CASE WHEN trim(text) = '' THEN CAST([] AS VARCHAR[])
+              ELSE string_split_regex(trim(text), '\\s+') END AS t
+  FROM documents),
+g AS (
+  SELECT doc_id, i,
+         md5(array_to_string(list_slice(t, i, i + 2), ' ')) AS h
+  FROM (SELECT doc_id, t, unnest(generate_series(1, len(t) - 2)) AS i
+        FROM tl WHERE len(t) >= 3)),
+wm AS (
+  SELECT doc_id, i,
+         min(h) OVER (PARTITION BY doc_id ORDER BY i
+                      ROWS BETWEEN 3 PRECEDING AND CURRENT ROW) AS mh"""
+
+
+@_query(oracle=_WINNOW_CTES + """
+  FROM g)
+SELECT DISTINCT doc_id, mh AS fingerprint FROM wm WHERE i >= 4
+ORDER BY doc_id, fingerprint
+""")
 def docs_winnow(sf_dir: str):
     """Winnowing fingerprints (textstats/winnow.py — the MOSS
     algorithm, Schleimer et al. 2003): distinct per-document minima of
@@ -2901,32 +2673,20 @@ def docs_winnow(sf_dir: str):
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     out = winnow_fingerprints(ds, k=3, w=4).to_pandas()
-    out["doc_id"] = out["doc_id"].astype("int64")
-    return out.sort_values(["doc_id", "fingerprint"]) \
-        .reset_index(drop=True)
+    return _sorted(out, ["doc_id", "fingerprint"])
 
 
-DOCS_WINNOW_SQL = """
-WITH tl AS (
-  SELECT doc_id,
-         CASE WHEN trim(text) = '' THEN CAST([] AS VARCHAR[])
-              ELSE string_split_regex(trim(text), '\\s+') END AS t
-  FROM documents),
-g AS (
-  SELECT doc_id, i,
-         md5(array_to_string(list_slice(t, i, i + 2), ' ')) AS h
-  FROM (SELECT doc_id, t, unnest(generate_series(1, len(t) - 2)) AS i
-        FROM tl WHERE len(t) >= 3)),
-wm AS (
-  SELECT doc_id, i,
-         min(h) OVER (PARTITION BY doc_id ORDER BY i
-                      ROWS BETWEEN 3 PRECEDING AND CURRENT ROW) AS mh
-  FROM g)
-SELECT DISTINCT doc_id, mh AS fingerprint FROM wm WHERE i >= 4
-ORDER BY doc_id, fingerprint
-"""
-
-
+@_query(oracle=_WINNOW_CTES + """
+  FROM g),
+fp AS (SELECT DISTINCT doc_id, mh AS fingerprint FROM wm WHERE i >= 4),
+ok AS (SELECT fingerprint FROM fp GROUP BY fingerprint
+       HAVING count(*) <= 20),
+p AS (SELECT a.doc_id AS doc_a, b.doc_id AS doc_b
+      FROM fp a JOIN ok USING (fingerprint) JOIN fp b USING (fingerprint)
+      WHERE a.doc_id < b.doc_id)
+SELECT doc_a, doc_b, CAST(count(*) AS BIGINT) AS n_shared
+FROM p GROUP BY doc_a, doc_b HAVING count(*) >= 2 ORDER BY doc_a, doc_b
+""")
 def docs_winnow_pairs(sf_dir: str):
     """Near-dup candidate pairs from winnowing fingerprints
     (textstats/winnow.winnow_pairs): docs sharing >= 2 selected minima
@@ -2937,57 +2697,10 @@ def docs_winnow_pairs(sf_dir: str):
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     out = winnow_pairs(ds, k=3, w=4, min_shared=2, max_df=20).to_pandas()
-    for c in ("doc_a", "doc_b", "n_shared"):
-        out[c] = out[c].astype("int64")
-    return out.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
+    return _sorted(out, ["doc_a", "doc_b"])
 
 
-DOCS_WINNOW_PAIRS_SQL = """
-WITH tl AS (
-  SELECT doc_id,
-         CASE WHEN trim(text) = '' THEN CAST([] AS VARCHAR[])
-              ELSE string_split_regex(trim(text), '\\s+') END AS t
-  FROM documents),
-g AS (
-  SELECT doc_id, i,
-         md5(array_to_string(list_slice(t, i, i + 2), ' ')) AS h
-  FROM (SELECT doc_id, t, unnest(generate_series(1, len(t) - 2)) AS i
-        FROM tl WHERE len(t) >= 3)),
-wm AS (
-  SELECT doc_id, i,
-         min(h) OVER (PARTITION BY doc_id ORDER BY i
-                      ROWS BETWEEN 3 PRECEDING AND CURRENT ROW) AS mh
-  FROM g),
-fp AS (SELECT DISTINCT doc_id, mh AS fingerprint FROM wm WHERE i >= 4),
-ok AS (SELECT fingerprint FROM fp GROUP BY fingerprint
-       HAVING count(*) <= 20),
-p AS (SELECT a.doc_id AS doc_a, b.doc_id AS doc_b
-      FROM fp a JOIN ok USING (fingerprint) JOIN fp b USING (fingerprint)
-      WHERE a.doc_id < b.doc_id)
-SELECT doc_a, doc_b, CAST(count(*) AS BIGINT) AS n_shared
-FROM p GROUP BY doc_a, doc_b HAVING count(*) >= 2 ORDER BY doc_a, doc_b
-"""
-
-
-def docs_containment(sf_dir: str):
-    """Per-doc n-gram containment vs a reference corpus
-    (curation.containment_scores — the Lee-2022 memorization metric):
-    reference = the src0 source's documents; score in exact integer
-    micro-units. Broadcast gram set + one map-only pass; DuckDB replays
-    with distinct gram strings (hash equality == string equality modulo
-    the disclosed 64-bit collision caveat shared with decontaminate)."""
-    from ..curation import containment_scores
-
-    ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    ref = _read(sf_dir, "documents", ["source", "doc_id", "text"]) \
-        .filter(expr="source == 'src0'")
-    out = containment_scores(ds, ref, n=5).to_pandas()
-    for c in ("doc_id", "n_grams", "n_matched", "containment_micro"):
-        out[c] = out[c].astype("int64")
-    return out.sort_values("doc_id").reset_index(drop=True)
-
-
-DOCS_CONTAINMENT_SQL = """
+@_query(oracle="""
 WITH toks AS (
   SELECT doc_id, regexp_extract_all(lower(text), '[a-z0-9]+') AS t
   FROM documents),
@@ -3010,9 +2723,30 @@ SELECT d.doc_id,
            AS containment_micro
 FROM documents d LEFT JOIN agg ON agg.doc_id = d.doc_id
 ORDER BY d.doc_id
-"""
+""")
+def docs_containment(sf_dir: str):
+    """Per-doc n-gram containment vs a reference corpus
+    (curation.containment_scores — the Lee-2022 memorization metric):
+    reference = the src0 source's documents; score in exact integer
+    micro-units. Broadcast gram set + one map-only pass; DuckDB replays
+    with distinct gram strings (hash equality == string equality modulo
+    the disclosed 64-bit collision caveat shared with decontaminate)."""
+    from ..curation import containment_scores
+
+    ds = _read(sf_dir, "documents", ["doc_id", "text"])
+    ref = _read(sf_dir, "documents", ["source", "doc_id", "text"]) \
+        .filter(expr="source == 'src0'")
+    out = containment_scores(ds, ref, n=5).to_pandas()
+    return _sorted(out, "doc_id")
 
 
+@_query(oracle="""
+SELECT event_type,
+       round(quantile_cont(value, 0.5), 4) AS p50,
+       round(quantile_cont(value, 0.9), 4) AS p90,
+       round(quantile_cont(value, 0.99), 4) AS p99
+FROM events GROUP BY event_type ORDER BY event_type
+""")
 def events_quantiles(sf_dir: str):
     """Exact per-group quantiles (window.group_quantiles): p50/p90/p99
     of `value` per event_type via one narrow (key, value) shuffle +
@@ -3024,18 +2758,16 @@ def events_quantiles(sf_dir: str):
     ds = _read(sf_dir, "events", ["event_type", "value"])
     out = group_quantiles(ds, "event_type", "value",
                           {"p50": 0.5, "p90": 0.9, "p99": 0.99}).to_pandas()
-    return out.sort_values("event_type").reset_index(drop=True)
+    return _sorted(out, "event_type")
 
 
-EVENTS_QUANTILES_SQL = """
+@_query(oracle="""
 SELECT event_type,
        round(quantile_cont(value, 0.5), 4) AS p50,
-       round(quantile_cont(value, 0.9), 4) AS p90,
-       round(quantile_cont(value, 0.99), 4) AS p99
+       round(quantile_cont(value, 0.95), 4) AS p95,
+       TRUE AS approx_ok
 FROM events GROUP BY event_type ORDER BY event_type
-"""
-
-
+""")
 def events_quantiles_sketch(sf_dir: str):
     """Sampled per-group quantile sketch (window.group_quantile_sketch):
     derandomized reservoir — smallest-k splitmix64(event_id)
@@ -3045,7 +2777,7 @@ def events_quantiles_sketch(sf_dir: str):
     group entirely, so p50/p95 HASH-match DuckDB quantile_cont exactly;
     approx_ok pins a sample_k=1024 run's p50 within 10% of exact
     (~1/sqrt(k) quantile deviation; measured <= 5.5% here)."""
-    from ..window import group_quantile_sketch, group_quantiles
+    from ..window import group_quantile_sketch
 
     ds = _read(sf_dir, "events", ["event_id", "event_type", "value"])
     full = group_quantile_sketch(ds, "event_type", "value",
@@ -3058,38 +2790,10 @@ def events_quantiles_sketch(sf_dir: str):
     out = full.merge(approx, on="event_type", how="inner")
     out["approx_ok"] = ((out["a50"] - out["p50"]).abs()
                         / out["p50"].abs().clip(lower=1e-9)) <= 0.10
-    return out[["event_type", "p50", "p95", "approx_ok"]] \
-        .sort_values("event_type").reset_index(drop=True)
+    return _sorted(out[["event_type", "p50", "p95", "approx_ok"]], "event_type")
 
 
-EVENTS_QUANTILES_SKETCH_SQL = """
-SELECT event_type,
-       round(quantile_cont(value, 0.5), 4) AS p50,
-       round(quantile_cont(value, 0.95), 4) AS p95,
-       TRUE AS approx_ok
-FROM events GROUP BY event_type ORDER BY event_type
-"""
-
-
-def docs_jaccard_decontaminate(sf_dir: str):
-    """Exact-Jaccard decontamination (curation.jaccard_decontaminate):
-    max similarity of each doc's distinct word-3-gram set vs every
-    src0 doc's set, flagged at >= 0.5 — the fuzzy-decontamination step
-    (eval near-dups, not just verbatim n-gram overlap). Eval index
-    broadcasts; corpus streams; SQL oracle is the independent
-    distinct-gram intersection/union join."""
-    from ..curation import jaccard_decontaminate
-
-    corpus = _read(sf_dir, "documents", ["doc_id", "text"])
-    evald = _read(sf_dir, "documents", ["text", "source"]).filter(
-        expr="source == 'src0'")
-    out = jaccard_decontaminate(corpus, evald, n=3, threshold=0.5).to_pandas()
-    out["doc_id"] = out["doc_id"].astype("int64")
-    out["max_jaccard"] = round_half_away(out["max_jaccard"], 6)
-    return out.sort_values("doc_id").reset_index(drop=True)
-
-
-DOCS_JACCARD_DECON_SQL = """
+@_query(oracle="""
 WITH toks AS (
   SELECT doc_id, regexp_extract_all(lower(text), '[a-z0-9]+') AS ws FROM documents),
 nw AS (SELECT doc_id, ws, len(ws) AS n FROM toks),
@@ -3110,48 +2814,25 @@ jac AS (
 SELECT t.doc_id, round(coalesce(jac.mj, 0), 6) AS max_jaccard,
        coalesce(jac.mj, 0) >= 0.5 AS contaminated
 FROM toks t LEFT JOIN jac USING (doc_id) ORDER BY t.doc_id
-"""
-
-
-def docs_dsir_weights(sf_dir: str):
-    """DSIR importance weights (dsir.dsir_weights; Xie et al. NeurIPS
-    2023): hashed uni+bi-gram bag-of-words distributions for the target
-    (source='src0') and raw corpora via streaming vector-sum aggregates,
-    per-doc log importance weight in exact integer micro-units.
-    method='md5' here so the DuckDB oracle reproduces the bucket hash
-    byte-for-byte; method='fast' (polynomial gram hash, ~100x) is the
-    100-TB path, rank-pinned against md5 in tests/test_dsir.py."""
-    from ..dsir import dsir_weights
+""")
+def docs_jaccard_decontaminate(sf_dir: str):
+    """Exact-Jaccard decontamination (curation.jaccard_decontaminate):
+    max similarity of each doc's distinct word-3-gram set vs every
+    src0 doc's set, flagged at >= 0.5 — the fuzzy-decontamination step
+    (eval near-dups, not just verbatim n-gram overlap). Eval index
+    broadcasts; corpus streams; SQL oracle is the independent
+    distinct-gram intersection/union join."""
+    from ..curation import jaccard_decontaminate
 
     corpus = _read(sf_dir, "documents", ["doc_id", "text"])
-    target = _read(sf_dir, "documents", ["doc_id", "text", "source"]).filter(
+    evald = _read(sf_dir, "documents", ["text", "source"]).filter(
         expr="source == 'src0'")
-    out = dsir_weights(corpus, target, num_buckets=10_000, alpha=0.5,
-                       method="md5").to_pandas()
-    for c in ("doc_id", "n_feats", "weight_micro"):
-        out[c] = out[c].astype("int64")
-    return out.sort_values("doc_id").reset_index(drop=True)
+    out = jaccard_decontaminate(corpus, evald, n=3, threshold=0.5).to_pandas()
+    out["max_jaccard"] = round_half_away(out["max_jaccard"], 6)
+    return _sorted(out, "doc_id")
 
 
-def docs_lm_quality(sf_dir: str):
-    """Unigram-LM quality scores (dsir.lm_quality_scores — the
-    CCNet/Gopher perplexity-filter shape, self-trained on the corpus):
-    one streaming bucket-count tree aggregate, broadcast quantized
-    log-prob table, integer-exact per-doc total log-probability.
-    method='md5' so DuckDB reproduces the bucket hash byte-for-byte;
-    method='fast' is the 100-TB path (same machinery as DSIR,
-    rank-pinned in tests/test_dsir.py)."""
-    from ..dsir import lm_quality_scores
-
-    out = lm_quality_scores(_read(sf_dir, "documents", ["doc_id", "text"]),
-                            num_buckets=10_000, alpha=0.5,
-                            method="md5").to_pandas()
-    for c in ("doc_id", "n_feats", "logprob_micro"):
-        out[c] = out[c].astype("int64")
-    return out.sort_values("doc_id").reset_index(drop=True)
-
-
-DOCS_LM_QUALITY_SQL = """
+@_query(oracle="""
 WITH toks AS (
   SELECT doc_id, regexp_extract_all(lower(text), '[a-z0-9]+') AS ws FROM documents),
 uni AS (SELECT doc_id, unnest(ws) AS gram FROM toks),
@@ -3172,10 +2853,24 @@ w AS (SELECT gb.doc_id, count(*) AS n_feats, sum(q.lp) AS lpm
 SELECT t.doc_id, CAST(coalesce(w.n_feats, 0) AS BIGINT) AS n_feats,
        CAST(coalesce(w.lpm, 0) AS BIGINT) AS logprob_micro
 FROM toks t LEFT JOIN w USING (doc_id) ORDER BY t.doc_id
-"""
+""")
+def docs_lm_quality(sf_dir: str):
+    """Unigram-LM quality scores (dsir.lm_quality_scores — the
+    CCNet/Gopher perplexity-filter shape, self-trained on the corpus):
+    one streaming bucket-count tree aggregate, broadcast quantized
+    log-prob table, integer-exact per-doc total log-probability.
+    method='md5' so DuckDB reproduces the bucket hash byte-for-byte;
+    method='fast' is the 100-TB path (same machinery as DSIR,
+    rank-pinned in tests/test_dsir.py)."""
+    from ..dsir import lm_quality_scores
+
+    out = lm_quality_scores(_read(sf_dir, "documents", ["doc_id", "text"]),
+                            num_buckets=10_000, alpha=0.5,
+                            method="md5").to_pandas()
+    return _sorted(out, "doc_id")
 
 
-DOCS_DSIR_SQL = """
+@_query(oracle="""
 WITH toks AS (
   SELECT doc_id, regexp_extract_all(lower(text), '[a-z0-9]+') AS ws FROM documents),
 nw AS (SELECT doc_id, ws, len(ws) AS n FROM toks),
@@ -3205,9 +2900,29 @@ w AS (SELECT gb.doc_id, count(*) AS n_feats, sum(qlr.q) AS wm
 SELECT t.doc_id, CAST(coalesce(w.n_feats, 0) AS BIGINT) AS n_feats,
        CAST(coalesce(w.wm, 0) AS BIGINT) AS weight_micro
 FROM toks t LEFT JOIN w USING (doc_id) ORDER BY t.doc_id
-"""
+""")
+def docs_dsir_weights(sf_dir: str):
+    """DSIR importance weights (dsir.dsir_weights; Xie et al. NeurIPS
+    2023): hashed uni+bi-gram bag-of-words distributions for the target
+    (source='src0') and raw corpora via streaming vector-sum aggregates,
+    per-doc log importance weight in exact integer micro-units.
+    method='md5' here so the DuckDB oracle reproduces the bucket hash
+    byte-for-byte; method='fast' (polynomial gram hash, ~100x) is the
+    100-TB path, rank-pinned against md5 in tests/test_dsir.py."""
+    from ..dsir import dsir_weights
+
+    corpus = _read(sf_dir, "documents", ["doc_id", "text"])
+    target = _read(sf_dir, "documents", ["doc_id", "text", "source"]).filter(
+        expr="source == 'src0'")
+    out = dsir_weights(corpus, target, num_buckets=10_000, alpha=0.5,
+                       method="md5").to_pandas()
+    return _sorted(out, "doc_id")
 
 
+@_query(oracle="""
+SELECT event_type, CAST(count(DISTINCT user_id) AS BIGINT) AS n_users
+FROM events GROUP BY event_type ORDER BY event_type
+""")
 def events_distinct_users(sf_dir: str):
     """Exact COUNT(DISTINCT user_id) per event_type
     (aggregate.distinct_count): per-batch (key, value) dedup combiner,
@@ -3219,16 +2934,14 @@ def events_distinct_users(sf_dir: str):
     ds = _read(sf_dir, "events", ["event_type", "user_id"])
     out = distinct_count(ds, "event_type", "user_id",
                          alias="n_users").to_pandas()
-    out["n_users"] = out["n_users"].astype("int64")
-    return out.sort_values("event_type").reset_index(drop=True)
+    return _sorted(out, "event_type")
 
 
-EVENTS_DISTINCT_USERS_SQL = """
-SELECT event_type, CAST(count(DISTINCT user_id) AS BIGINT) AS n_users
+@_query(oracle="""
+SELECT event_type, CAST(count(DISTINCT user_id) AS BIGINT) AS n_users,
+       TRUE AS approx_ok
 FROM events GROUP BY event_type ORDER BY event_type
-"""
-
-
+""")
 def events_distinct_users_hll(sf_dir: str):
     """Approximate per-group distinct via HyperLogLog
     (sketch.hll_group_distinct, p=14: one 16 KiB register array per
@@ -3240,47 +2953,19 @@ def events_distinct_users_hll(sf_dir: str):
     hash gate checks BOTH the exact side against DuckDB and that every
     group's HLL estimate landed inside the documented tolerance (the
     value-tolerance analogue of the golden-pin disclosure)."""
-    from ..aggregate import distinct_count
     from ..sketch import hll_group_distinct
 
-    ds = _read(sf_dir, "events", ["event_type", "user_id"])
-    exact = distinct_count(ds, "event_type", "user_id",
-                           alias="n_users").to_pandas()
+    exact = events_distinct_users(sf_dir)
     approx = hll_group_distinct(_read(sf_dir, "events", ["event_type", "user_id"]),
                                 "event_type", "user_id", p=14,
                                 alias="n_hll").to_pandas()
     out = exact.merge(approx, on="event_type", how="inner")
-    out["n_users"] = out["n_users"].astype("int64")
     out["approx_ok"] = ((out["n_hll"] - out["n_users"]).abs()
                         / out["n_users"].clip(lower=1)) <= 0.02
-    return out[["event_type", "n_users", "approx_ok"]] \
-        .sort_values("event_type").reset_index(drop=True)
+    return _sorted(out[["event_type", "n_users", "approx_ok"]], "event_type")
 
 
-EVENTS_DISTINCT_USERS_HLL_SQL = """
-SELECT event_type, CAST(count(DISTINCT user_id) AS BIGINT) AS n_users,
-       TRUE AS approx_ok
-FROM events GROUP BY event_type ORDER BY event_type
-"""
-
-
-def docs_domain_mix(sf_dir: str):
-    """Deterministic training-mixture rebalancing (curation.domain_mix):
-    downsample sources toward target weights 4:2:1:1 for
-    src0:src1:src2:src3 (others dropped) — the binding source keeps all,
-    the rest keep at exact integer 16-bit hash thresholds. method='md5'
-    so DuckDB reproduces the kept set byte-for-byte; method='fast'
-    (splitmix64 top bits) is the 100-TB path, same-construction tested."""
-    from ..curation import domain_mix
-
-    out = domain_mix(_read(sf_dir, "documents", ["doc_id", "source"]),
-                     {"src0": 4, "src1": 2, "src2": 1, "src3": 1},
-                     method="md5").to_pandas()
-    out["doc_id"] = out["doc_id"].astype("int64")
-    return out.sort_values("doc_id").reset_index(drop=True)
-
-
-DOCS_DOMAIN_MIX_SQL = """
+@_query(oracle="""
 WITH w AS (SELECT * FROM (VALUES ('src0', 4), ('src1', 2), ('src2', 1),
                                  ('src3', 1)) AS t(source, wgt)),
 cnt AS (SELECT source, CAST(count(*) AS BIGINT) AS n FROM documents
@@ -3294,9 +2979,30 @@ SELECT d.doc_id, d.source FROM documents d JOIN thr ON d.source = thr.source
 WHERE thr.t >= 65536
    OR substr(md5(CAST(d.doc_id AS VARCHAR)), 1, 4) < printf('%04x', thr.t)
 ORDER BY doc_id
-"""
+""")
+def docs_domain_mix(sf_dir: str):
+    """Deterministic training-mixture rebalancing (curation.domain_mix):
+    downsample sources toward target weights 4:2:1:1 for
+    src0:src1:src2:src3 (others dropped) — the binding source keeps all,
+    the rest keep at exact integer 16-bit hash thresholds. method='md5'
+    so DuckDB reproduces the kept set byte-for-byte; method='fast'
+    (splitmix64 top bits) is the 100-TB path, same-construction tested."""
+    from ..curation import domain_mix
+
+    out = domain_mix(_read(sf_dir, "documents", ["doc_id", "source"]),
+                     {"src0": 4, "src1": 2, "src2": 1, "src3": 1},
+                     method="md5").to_pandas()
+    return _sorted(out, "doc_id")
 
 
+# interval bounds: cum fractions 0.8 / 0.9 / 1.0 of the 16-bit hex space
+@_query(oracle="""
+SELECT doc_id, lang,
+       CASE WHEN substr(md5(CAST(doc_id AS VARCHAR)), 1, 4) < 'cccc' THEN 'train'
+            WHEN substr(md5(CAST(doc_id AS VARCHAR)), 1, 4) < 'e666' THEN 'val'
+            ELSE 'test' END AS split
+FROM documents ORDER BY doc_id
+""")
 def docs_hash_split(sf_dir: str):
     """Deterministic disjoint train/val/test split (curation.hash_split):
     one md5 coordinate per doc_id, non-overlapping interval assignment —
@@ -3309,20 +3015,10 @@ def docs_hash_split(sf_dir: str):
     ds = _read(sf_dir, "documents", ["doc_id", "lang"])
     out = hash_split(ds, {"train": 0.8, "val": 0.1, "test": 0.1},
                      key_col="doc_id", method="md5").to_pandas()
-    out["doc_id"] = out["doc_id"].astype("int64")
-    return out[["doc_id", "lang", "split"]].sort_values("doc_id").reset_index(drop=True)
+    return _sorted(out[["doc_id", "lang", "split"]], "doc_id")
 
 
-# interval bounds: cum fractions 0.8 / 0.9 / 1.0 of the 16-bit hex space
-DOCS_HASH_SPLIT_SQL = """
-SELECT doc_id, lang,
-       CASE WHEN substr(md5(CAST(doc_id AS VARCHAR)), 1, 4) < 'cccc' THEN 'train'
-            WHEN substr(md5(CAST(doc_id AS VARCHAR)), 1, 4) < 'e666' THEN 'val'
-            ELSE 'test' END AS split
-FROM documents ORDER BY doc_id
-"""
-
-
+@_query(oracle=_golden("docs_cross_dedup_sf001.parquet", "CAST(doc_id AS BIGINT) AS doc_id, CAST(n_hit_buckets AS BIGINT) AS n_hit_buckets, dup_of_prior", "doc_id"))
 def docs_cross_dedup(sf_dir: str):
     """Incremental cross-corpus near-dup flags
     (dedup.minhash.minhash_cross_flags): NEW side = sources != src0,
@@ -3340,11 +3036,17 @@ def docs_cross_dedup(sf_dir: str):
     prior = _read(sf_dir, "documents", ["doc_id", "text", "source"]).filter(
         expr="source == 'src0'")
     out = minhash_cross_flags(new, prior).to_pandas()
-    out["doc_id"] = out["doc_id"].astype("int64")
-    out["n_hit_buckets"] = out["n_hit_buckets"].astype("int64")
-    return out.sort_values("doc_id").reset_index(drop=True)
+    return _sorted(out, "doc_id")
 
 
+@_query(oracle="""
+SELECT lang, doc_id,
+       CAST(row_number() OVER (PARTITION BY lang
+            ORDER BY substr(md5(CAST(doc_id AS VARCHAR)), 1, 4), doc_id) AS BIGINT) AS rk
+FROM documents
+QUALIFY rk <= 20
+ORDER BY lang, rk
+""")
 def docs_stratified_k(sf_dir: str):
     """Deterministic exactly-K-per-stratum sampling: rank each lang's
     docs by an md5 hash coordinate (ties: doc_id) and keep the first 20
@@ -3365,22 +3067,10 @@ def docs_stratified_k(sf_dir: str):
     out = topk_per_group(ds.map_batches(add_coord, batch_format="pyarrow"),
                          "lang", "h4", k=20, descending=False,
                          tie_cols="doc_id").to_pandas()
-    out["doc_id"] = out["doc_id"].astype("int64")
-    out["rk"] = out["rk"].astype("int64")
-    return out[["lang", "doc_id", "rk"]].sort_values(
-        ["lang", "rk"]).reset_index(drop=True)
+    return _sorted(out[["lang", "doc_id", "rk"]], ["lang", "rk"])
 
 
-DOCS_STRATIFIED_K_SQL = """
-SELECT lang, doc_id,
-       CAST(row_number() OVER (PARTITION BY lang
-            ORDER BY substr(md5(CAST(doc_id AS VARCHAR)), 1, 4), doc_id) AS BIGINT) AS rk
-FROM documents
-QUALIFY rk <= 20
-ORDER BY lang, rk
-"""
-
-
+@_query(oracle=_golden("emb_mmr_topk_sf001.parquet", "CAST(rank AS BIGINT) AS rank, CAST(vec_id AS BIGINT) AS vec_id, sim, mmr_score", "rank"))
 def emb_mmr_topk(sf_dir: str):
     """MMR diversified top-k (ann.mmr, Carbonell & Goldstein 1998):
     distributed brute-force cosine top-50 candidate scan, then the
@@ -3392,12 +3082,25 @@ def emb_mmr_topk(sf_dir: str):
 
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
     out = mmr_topk(ds, _query_vec(sf_dir), k=10, pool=50, lam=0.7)
-    out["vec_id"] = out["vec_id"].astype("int64")
     out["sim"] = round_half_away(out["sim"], 6)
     out["mmr_score"] = round_half_away(out["mmr_score"], 6)
     return out.reset_index(drop=True)
 
 
+@_query(oracle="""
+WITH keyed AS (
+  SELECT lang, doc_id, n_chars,
+         CASE WHEN n_chars > 0 THEN
+           pow((CAST(('0x' || substr(md5(CAST(doc_id AS VARCHAR)), 1, 8)) AS UBIGINT) + 0.5)
+               / 4294967296.0, 1.0 / n_chars)
+         ELSE 0.0 END AS wkey
+  FROM documents)
+SELECT lang, doc_id, n_chars,
+       CAST(row_number() OVER (PARTITION BY lang ORDER BY wkey DESC, doc_id) AS BIGINT) AS rk
+FROM keyed
+QUALIFY rk <= 5
+ORDER BY lang, rk
+""")
 def docs_weighted_sample(sf_dir: str):
     """Deterministic weighted sampling without replacement
     (curation.weighted_sample_key, Efraimidis-Spirakis 2006 + the
@@ -3419,29 +3122,19 @@ def docs_weighted_sample(sf_dir: str):
     out = topk_per_group(ds.map_batches(add_key, batch_format="pyarrow"),
                          "lang", "wkey", k=5, descending=True,
                          tie_cols="doc_id").to_pandas()
-    out["doc_id"] = out["doc_id"].astype("int64")
-    out["n_chars"] = out["n_chars"].astype("int64")
-    out["rk"] = out["rk"].astype("int64")
-    return out[["lang", "doc_id", "n_chars", "rk"]].sort_values(
-        ["lang", "rk"]).reset_index(drop=True)
+    return _sorted(out[["lang", "doc_id", "n_chars", "rk"]], ["lang", "rk"])
 
 
-DOCS_WEIGHTED_SAMPLE_SQL = """
-WITH keyed AS (
-  SELECT lang, doc_id, n_chars,
-         CASE WHEN n_chars > 0 THEN
-           pow((CAST(('0x' || substr(md5(CAST(doc_id AS VARCHAR)), 1, 8)) AS UBIGINT) + 0.5)
-               / 4294967296.0, 1.0 / n_chars)
-         ELSE 0.0 END AS wkey
-  FROM documents)
-SELECT lang, doc_id, n_chars,
-       CAST(row_number() OVER (PARTITION BY lang ORDER BY wkey DESC, doc_id) AS BIGINT) AS rk
-FROM keyed
-QUALIFY rk <= 5
-ORDER BY lang, rk
-"""
-
-
+@_query(oracle="""
+WITH q AS (
+  SELECT event_type, quantile_cont(value, 0.25) AS q1,
+         quantile_cont(value, 0.75) AS q3
+  FROM events GROUP BY event_type)
+SELECT e.event_id, e.event_type, e.value
+FROM events e JOIN q USING (event_type)
+WHERE e.value > q.q3 + 1.5 * (q.q3 - q.q1)
+ORDER BY e.event_id
+""")
 def events_iqr_outliers(sf_dir: str):
     """Per-group Tukey outlier filter (window.iqr_outliers): events whose
     value exceeds q3 + 1.5*IQR of their event_type — exact quantile pass
@@ -3451,51 +3144,12 @@ def events_iqr_outliers(sf_dir: str):
 
     ds = _read(sf_dir, "events", ["event_id", "event_type", "value"])
     out = iqr_outliers(ds, "event_type", "value", k=1.5).to_pandas()
-    out["event_id"] = out["event_id"].astype("int64")
-    return out[["event_id", "event_type", "value"]].sort_values(
-        "event_id").reset_index(drop=True)
-
-
-EVENTS_IQR_SQL = """
-WITH q AS (
-  SELECT event_type, quantile_cont(value, 0.25) AS q1,
-         quantile_cont(value, 0.75) AS q3
-  FROM events GROUP BY event_type)
-SELECT e.event_id, e.event_type, e.value
-FROM events e JOIN q USING (event_type)
-WHERE e.value > q.q3 + 1.5 * (q.q3 - q.q1)
-ORDER BY e.event_id
-"""
-
-
-def docs_full_curation(sf_dir: str):
-    """The COMPOSED curation pipeline under the oracle gate
-    (pipelines/curate_corpus.curate with dedup off and md5 coordinate
-    variants): quality gate -> decontaminate vs src0 5-grams -> DSIR
-    weights toward src0 -> per-source 2000-token budget -> disjoint
-    98/1/1 split — every stage reproduced in ONE DuckDB CTE chain, so
-    the driver hash-checks the whole flow end-to-end, not just the
-    stages in isolation. (The MinHash dedup stage is golden-pinned
-    separately — band membership isn't SQL-expressible.)"""
-    from ..pipelines.curate_corpus import curate
-
-    docs = _read(sf_dir, "documents", ["doc_id", "source", "text"])
-    evald = _read(sf_dir, "documents", ["doc_id", "text", "source"]).filter(
-        expr="source == 'src0'")
-    target = _read(sf_dir, "documents", ["doc_id", "text", "source"]).filter(
-        expr="source == 'src0'")
-    out = curate(docs, eval_ds=evald, target_ds=target, dedup=False,
-                 budget_tokens=2000, dsir_method="md5", split_method="md5",
-                 splits={"train": 0.98, "val": 0.01, "test": 0.01}).to_pandas()
-    for c in ("doc_id", "n_tokens", "weight_micro", "cum_tokens"):
-        out[c] = out[c].astype("int64")
-    return out[["doc_id", "source", "text", "n_tokens", "weight_micro",
-                "cum_tokens", "split"]].sort_values("doc_id").reset_index(drop=True)
+    return _sorted(out[["event_id", "event_type", "value"]], "event_id")
 
 
 # split interval bounds: cum 0.98 -> 0xFAE1, 0.99 -> 0xFD70 of the
 # 16-bit hex space (hash_split's md5 coordinate)
-DOCS_FULL_CURATION_SQL = """
+@_query(oracle="""
 WITH base AS (
   SELECT doc_id, source, text,
          CAST(len(regexp_extract_all(text, '\\S+')) AS BIGINT) AS n_tokens
@@ -3550,9 +3204,36 @@ SELECT doc_id, source, text, n_tokens, weight_micro,
             WHEN substr(md5(CAST(doc_id AS VARCHAR)), 1, 4) < 'fd70' THEN 'val'
             ELSE 'test' END AS split
 FROM budgeted WHERE cum_tokens <= 2000 ORDER BY doc_id
-"""
+""")
+def docs_full_curation(sf_dir: str):
+    """The COMPOSED curation pipeline under the oracle gate
+    (pipelines/curate_corpus.curate with dedup off and md5 coordinate
+    variants): quality gate -> decontaminate vs src0 5-grams -> DSIR
+    weights toward src0 -> per-source 2000-token budget -> disjoint
+    98/1/1 split — every stage reproduced in ONE DuckDB CTE chain, so
+    the driver hash-checks the whole flow end-to-end, not just the
+    stages in isolation. (The MinHash dedup stage is golden-pinned
+    separately — band membership isn't SQL-expressible.)"""
+    from ..pipelines.curate_corpus import curate
+
+    docs = _read(sf_dir, "documents", ["doc_id", "source", "text"])
+    evald = _read(sf_dir, "documents", ["doc_id", "text", "source"]).filter(
+        expr="source == 'src0'")
+    target = _read(sf_dir, "documents", ["doc_id", "text", "source"]).filter(
+        expr="source == 'src0'")
+    out = curate(docs, eval_ds=evald, target_ds=target, dedup=False,
+                 budget_tokens=2000, dsir_method="md5", split_method="md5",
+                 splits={"train": 0.98, "val": 0.01, "test": 0.01}).to_pandas()
+    return _sorted(out[["doc_id", "source", "text", "n_tokens", "weight_micro", "cum_tokens", "split"]],
+                   "doc_id")
 
 
+@_query(oracle="""
+SELECT event_id, user_id,
+       CAST(coalesce(epoch_us(ts) - lag(epoch_us(ts)) OVER
+            (PARTITION BY user_id ORDER BY ts, event_id), -1) AS BIGINT) AS delta_us
+FROM events ORDER BY event_id
+""")
 def events_interarrival(sf_dir: str):
     """Per-user inter-event gaps (window.with_lag): each event's delay
     since the user's previous event in microseconds — SQL lag() OVER
@@ -3565,20 +3246,8 @@ def events_interarrival(sf_dir: str):
     out = with_lag(ds, "user_id", ["ts", "event_id"], "ts").to_pandas()
     dv = (out["ts"] - out["ts_lag"]).to_numpy()
     valid = ~pd.isna(dv)
-    out["delta_us"] = np.where(
-        valid, dv.astype("timedelta64[us]").astype("int64"), -1).astype("int64")
-    out["event_id"] = out["event_id"].astype("int64")
-    out["user_id"] = out["user_id"].astype("int64")
-    return out[["event_id", "user_id", "delta_us"]].sort_values(
-        "event_id").reset_index(drop=True)
-
-
-EVENTS_INTERARRIVAL_SQL = """
-SELECT event_id, user_id,
-       CAST(coalesce(epoch_us(ts) - lag(epoch_us(ts)) OVER
-            (PARTITION BY user_id ORDER BY ts, event_id), -1) AS BIGINT) AS delta_us
-FROM events ORDER BY event_id
-"""
+    out["delta_us"] = np.where(valid, dv.astype("timedelta64[us]").astype("int64"), -1)
+    return _sorted(out[["event_id", "user_id", "delta_us"]], "event_id")
 
 
 def _mk_c4_pages(b: pa.Table) -> pa.Table:
@@ -3606,26 +3275,8 @@ def _mk_c4_pages(b: pa.Table) -> pa.Table:
                      "text": pa.array(pages, type=pa.string())})
 
 
-def docs_c4_clean(sf_dir: str):
-    """C4-style page cleaning (textstats/c4.c4_clean — Raffel et al.
-    2020 §2.2): terminal-punctuation + min-word line filters, javascript
-    and boilerplate-phrase line drops, lorem-ipsum / curly-brace /
-    min-retained-lines page drops. One map-only vectorized stage, zero
-    shuffle. Input pages are synthesized deterministically from the
-    word stream (docs have no newlines); the DuckDB oracle rebuilds the
-    SAME pages and applies the SAME rules in SQL."""
-    from ..textstats.c4 import c4_clean
-
-    ds = _read(sf_dir, "documents", ["doc_id", "text"]) \
-        .map_batches(_mk_c4_pages, batch_format="pyarrow")
-    out = c4_clean(ds, min_words=5, min_lines=3).to_pandas()
-    out["doc_id"] = out["doc_id"].astype("int64")
-    out["n_lines_kept"] = out["n_lines_kept"].astype("int64")
-    return out[["doc_id", "n_lines_kept", "clean_text"]] \
-        .sort_values("doc_id").reset_index(drop=True)
-
-
-DOCS_C4_CLEAN_SQL = """
+# the _mk_c4_pages pages rebuilt in SQL, shared by the C4 and Flesch oracles
+_C4_PAGES_CTES = """
 WITH t AS (SELECT doc_id, string_split(text, ' ') AS ws FROM documents),
 n AS (SELECT doc_id, ws, len(ws) AS nw FROM t),
 ln AS (SELECT doc_id, i,
@@ -3641,7 +3292,10 @@ page AS (SELECT doc_id,
                         WHEN doc_id % 89 = 0
                         THEN chr(10) || 'curly { brace config.'
                         ELSE '' END AS text
-         FROM ln GROUP BY doc_id),
+         FROM ln GROUP BY doc_id),"""
+
+
+@_query(oracle=_C4_PAGES_CTES + """
 pl AS (SELECT doc_id, regexp_split_to_array(text, chr(10)) AS ls,
               NOT (contains(lower(text), 'lorem ipsum')
                    OR contains(text, '{')) AS page_ok
@@ -3662,29 +3316,24 @@ agg AS (SELECT doc_id, CAST(count(*) AS BIGINT) AS n_lines_kept,
         FROM kept GROUP BY doc_id)
 SELECT doc_id, n_lines_kept, clean_text FROM agg
 WHERE n_lines_kept >= 3 ORDER BY doc_id
-"""
+""")
+def docs_c4_clean(sf_dir: str):
+    """C4-style page cleaning (textstats/c4.c4_clean — Raffel et al.
+    2020 §2.2): terminal-punctuation + min-word line filters, javascript
+    and boilerplate-phrase line drops, lorem-ipsum / curly-brace /
+    min-retained-lines page drops. One map-only vectorized stage, zero
+    shuffle. Input pages are synthesized deterministically from the
+    word stream (docs have no newlines); the DuckDB oracle rebuilds the
+    SAME pages and applies the SAME rules in SQL."""
+    from ..textstats.c4 import c4_clean
+
+    ds = _read(sf_dir, "documents", ["doc_id", "text"]) \
+        .map_batches(_mk_c4_pages, batch_format="pyarrow")
+    out = c4_clean(ds, min_words=5, min_lines=3).to_pandas()
+    return _sorted(out[["doc_id", "n_lines_kept", "clean_text"]], "doc_id")
 
 
-def docs_epoch_mix(sf_dir: str):
-    """Deterministic epoch upsampling toward a training mixture
-    (curation.epoch_mix — the LLaMA/Pile "epochs per source" recipe):
-    src0 x2.5, src1 x1, src2 x0.25, src3 x3; other sources dropped.
-    Whole epochs replicate unconditionally; the fractional epoch keeps
-    rows whose 16-bit hash coordinate falls under an exact integer
-    threshold. method='md5' so DuckDB reproduces the emitted multiset
-    byte-for-byte; method='fast' (splitmix64 top bits) is the 100-TB
-    path, same construction (tests/test_curation.py)."""
-    from ..curation import epoch_mix
-
-    out = epoch_mix(_read(sf_dir, "documents", ["doc_id", "source"]),
-                    {"src0": 2.5, "src1": 1.0, "src2": 0.25, "src3": 3.0},
-                    method="md5").to_pandas()
-    out["doc_id"] = out["doc_id"].astype("int64")
-    out["epoch"] = out["epoch"].astype("int64")
-    return out.sort_values(["doc_id", "epoch"]).reset_index(drop=True)
-
-
-DOCS_EPOCH_MIX_SQL = """
+@_query(oracle="""
 WITH e AS (SELECT * FROM (VALUES ('src0', 2, 32768), ('src1', 1, 0),
                                  ('src2', 0, 16384), ('src3', 3, 0))
            AS t(source, whole, frac16)),
@@ -3701,9 +3350,34 @@ frac_rows AS (SELECT doc_id, source, CAST(whole AS BIGINT) AS epoch
 SELECT doc_id, source, epoch
 FROM (SELECT * FROM whole_rows UNION ALL SELECT * FROM frac_rows)
 ORDER BY doc_id, epoch
-"""
+""")
+def docs_epoch_mix(sf_dir: str):
+    """Deterministic epoch upsampling toward a training mixture
+    (curation.epoch_mix — the LLaMA/Pile "epochs per source" recipe):
+    src0 x2.5, src1 x1, src2 x0.25, src3 x3; other sources dropped.
+    Whole epochs replicate unconditionally; the fractional epoch keeps
+    rows whose 16-bit hash coordinate falls under an exact integer
+    threshold. method='md5' so DuckDB reproduces the emitted multiset
+    byte-for-byte; method='fast' (splitmix64 top bits) is the 100-TB
+    path, same construction (tests/test_curation.py)."""
+    from ..curation import epoch_mix
+
+    out = epoch_mix(_read(sf_dir, "documents", ["doc_id", "source"]),
+                    {"src0": 2.5, "src1": 1.0, "src2": 0.25, "src3": 3.0},
+                    method="md5").to_pandas()
+    return _sorted(out, ["doc_id", "epoch"])
 
 
+@_query(oracle="""
+WITH toks AS (
+  SELECT doc_id, regexp_extract_all(lower(text), '[a-z0-9]+') AS ws
+  FROM documents),
+nw AS (SELECT doc_id, ws, len(ws) AS n FROM toks),
+bi AS (SELECT array_to_string(ws[i : i + 1], ' ') AS gram
+       FROM nw, LATERAL (SELECT unnest(range(1, greatest(n, 1))) AS i) t),
+c AS (SELECT gram, CAST(count(*) AS BIGINT) AS cnt FROM bi GROUP BY gram)
+SELECT gram, cnt FROM c ORDER BY cnt DESC, gram LIMIT 40
+""")
 def docs_bigram_topk(sf_dir: str):
     """Top-40 corpus bigrams (textstats/vocab.bigram_topk — collocation
     / boilerplate-phrase mining): vectorized adjacent-token pairing over
@@ -3713,39 +3387,10 @@ def docs_bigram_topk(sf_dir: str):
     from ..textstats.vocab import bigram_topk
 
     out = bigram_topk(_read(sf_dir, "documents", ["text"]), k=40).to_pandas()
-    out["cnt"] = out["cnt"].astype("int64")
-    return out.sort_values(["cnt", "gram"], ascending=[False, True]) \
-        .reset_index(drop=True)
+    return _sorted(out, ["cnt", "gram"], ascending=[False, True])
 
 
-DOCS_BIGRAM_TOPK_SQL = """
-WITH toks AS (
-  SELECT doc_id, regexp_extract_all(lower(text), '[a-z0-9]+') AS ws
-  FROM documents),
-nw AS (SELECT doc_id, ws, len(ws) AS n FROM toks),
-bi AS (SELECT array_to_string(ws[i : i + 1], ' ') AS gram
-       FROM nw, LATERAL (SELECT unnest(range(1, greatest(n, 1))) AS i) t),
-c AS (SELECT gram, CAST(count(*) AS BIGINT) AS cnt FROM bi GROUP BY gram)
-SELECT gram, cnt FROM c ORDER BY cnt DESC, gram LIMIT 40
-"""
-
-
-def events_funnel(sf_dir: str):
-    """Ordered first-touch funnel (aggregate.funnel_counts): users whose
-    first 'view' precedes their first 'click' precedes their first
-    'purchase'. Per-batch per-user min-ts combiner (sentinel-int64, no
-    NaT widening), ONE hash(user) bucket shuffle that reduces straight
-    to per-stage partial counts, tiny Sum final."""
-    from ..aggregate import funnel_counts
-
-    out = funnel_counts(_read(sf_dir, "events",
-                              ["user_id", "event_type", "ts"]),
-                        ["view", "click", "purchase"]).to_pandas()
-    out["n_users"] = out["n_users"].astype("int64")
-    return out.sort_values("stage").reset_index(drop=True)
-
-
-EVENTS_FUNNEL_SQL = """
+@_query(oracle="""
 WITH m AS (SELECT user_id,
     min(ts) FILTER (event_type = 'view') AS t0,
     min(ts) FILTER (event_type = 'click') AS t1,
@@ -3762,9 +3407,31 @@ SELECT stage, n_users FROM (
          CAST(count(*) FILTER (t0 IS NOT NULL AND t1 > t0 AND t2 > t1)
               AS BIGINT) FROM m)
 ORDER BY stage
-"""
+""")
+def events_funnel(sf_dir: str):
+    """Ordered first-touch funnel (aggregate.funnel_counts): users whose
+    first 'view' precedes their first 'click' precedes their first
+    'purchase'. Per-batch per-user min-ts combiner (sentinel-int64, no
+    NaT widening), ONE hash(user) bucket shuffle that reduces straight
+    to per-stage partial counts, tiny Sum final."""
+    from ..aggregate import funnel_counts
+
+    out = funnel_counts(_read(sf_dir, "events",
+                              ["user_id", "event_type", "ts"]),
+                        ["view", "click", "purchase"]).to_pandas()
+    return _sorted(out, "stage")
 
 
+@_query(oracle="""
+WITH ud AS (SELECT DISTINCT user_id, CAST(date_trunc('day', ts) AS DATE) AS day
+            FROM events),
+c AS (SELECT user_id, min(day) AS cohort FROM ud GROUP BY user_id)
+SELECT strftime(c.cohort, '%Y-%m-%d') AS cohort_day,
+       CAST(datediff('day', c.cohort, ud.day) AS BIGINT) AS day_offset,
+       CAST(count(*) AS BIGINT) AS n_users
+FROM ud JOIN c USING (user_id)
+GROUP BY 1, 2 ORDER BY 1, 2
+""")
 def events_retention(sf_dir: str):
     """Cohort retention triangle (aggregate.cohort_retention): per
     (first-active-day cohort, day offset) active-user counts. Distinct
@@ -3774,44 +3441,10 @@ def events_retention(sf_dir: str):
 
     out = cohort_retention(_read(sf_dir, "events",
                                  ["user_id", "ts"])).to_pandas()
-    out["day_offset"] = out["day_offset"].astype("int64")
-    out["n_users"] = out["n_users"].astype("int64")
-    return out.sort_values(["cohort_day", "day_offset"]) \
-        .reset_index(drop=True)
+    return _sorted(out, ["cohort_day", "day_offset"])
 
 
-EVENTS_RETENTION_SQL = """
-WITH ud AS (SELECT DISTINCT user_id, CAST(date_trunc('day', ts) AS DATE) AS day
-            FROM events),
-c AS (SELECT user_id, min(day) AS cohort FROM ud GROUP BY user_id)
-SELECT strftime(c.cohort, '%Y-%m-%d') AS cohort_day,
-       CAST(datediff('day', c.cohort, ud.day) AS BIGINT) AS day_offset,
-       CAST(count(*) AS BIGINT) AS n_users
-FROM ud JOIN c USING (user_id)
-GROUP BY 1, 2 ORDER BY 1, 2
-"""
-
-
-def docs_ccnet_buckets(sf_dir: str):
-    """CCNet head/middle/tail quality buckets (dsir.ccnet_buckets,
-    Wenzek et al. 2020): self-trained unigram-LM scores -> integer
-    per-token perplexity proxy -> per-language exact DISCRETE tertile
-    split (window.group_quantile_disc = SQL quantile_disc: thresholds
-    are actual data values, no float interpolation drift). method='md5'
-    so DuckDB reproduces the LM byte-for-byte; method='fast' is the
-    100-TB path."""
-    from ..dsir import ccnet_buckets
-
-    out = ccnet_buckets(_read(sf_dir, "documents",
-                              ["doc_id", "text", "lang"]),
-                        method="md5").to_pandas()
-    out["doc_id"] = out["doc_id"].astype("int64")
-    out["score_micro"] = out["score_micro"].astype("int64")
-    return out[["doc_id", "lang", "score_micro", "bucket"]] \
-        .sort_values("doc_id").reset_index(drop=True)
-
-
-DOCS_CCNET_BUCKETS_SQL = """
+@_query(oracle="""
 WITH toks AS (
   SELECT doc_id, regexp_extract_all(lower(text), '[a-z0-9]+') AS ws
   FROM documents),
@@ -3846,27 +3479,24 @@ SELECT d.doc_id, d.lang, d.score_micro,
        CASE WHEN score_micro <= q1 THEN 'head'
             WHEN score_micro <= q2 THEN 'middle' ELSE 'tail' END AS bucket
 FROM d JOIN thr USING (lang) ORDER BY d.doc_id
-"""
+""")
+def docs_ccnet_buckets(sf_dir: str):
+    """CCNet head/middle/tail quality buckets (dsir.ccnet_buckets,
+    Wenzek et al. 2020): self-trained unigram-LM scores -> integer
+    per-token perplexity proxy -> per-language exact DISCRETE tertile
+    split (window.group_quantile_disc = SQL quantile_disc: thresholds
+    are actual data values, no float interpolation drift). method='md5'
+    so DuckDB reproduces the LM byte-for-byte; method='fast' is the
+    100-TB path."""
+    from ..dsir import ccnet_buckets
+
+    out = ccnet_buckets(_read(sf_dir, "documents",
+                              ["doc_id", "text", "lang"]),
+                        method="md5").to_pandas()
+    return _sorted(out[["doc_id", "lang", "score_micro", "bucket"]], "doc_id")
 
 
-def emb_int8_quantize(sf_dir: str):
-    """Symmetric per-vector int8 quantization (ann/quantize.int8_quantize):
-    scale = max|v|, codes = round_half_away(v*127/scale) — map-only, no
-    shuffle. The oracle recomputes every code in SQL (list lambdas);
-    qsum/qmin/qmax are integer-exact and scale is a bit-equal float32
-    max, so the value hash gates the full code grid."""
-    from ..ann.quantize import int8_quantize
-
-    out = int8_quantize(_read(sf_dir, "embeddings", ["vec_id", "embedding"]),
-                        codes=False).to_pandas()
-    out["vec_id"] = out["vec_id"].astype("int64")
-    for c in ("qsum", "qmin", "qmax"):
-        out[c] = out[c].astype("int64")
-    return out[["vec_id", "scale", "qsum", "qmin", "qmax"]] \
-        .sort_values("vec_id").reset_index(drop=True)
-
-
-EMB_INT8_QUANTIZE_SQL = """
+@_query(oracle="""
 WITH s AS (
   SELECT vec_id,
          list_max(list_transform(embedding,
@@ -3885,28 +3515,21 @@ SELECT vec_id, scale,
        CAST(list_min(codes) AS BIGINT) AS qmin,
        CAST(list_max(codes) AS BIGINT) AS qmax
 FROM q ORDER BY vec_id
-"""
+""")
+def emb_int8_quantize(sf_dir: str):
+    """Symmetric per-vector int8 quantization (ann/quantize.int8_quantize):
+    scale = max|v|, codes = round_half_away(v*127/scale) — map-only, no
+    shuffle. The oracle recomputes every code in SQL (list lambdas);
+    qsum/qmin/qmax are integer-exact and scale is a bit-equal float32
+    max, so the value hash gates the full code grid."""
+    from ..ann.quantize import int8_quantize
+
+    out = int8_quantize(_read(sf_dir, "embeddings", ["vec_id", "embedding"]),
+                        codes=False).to_pandas()
+    return _sorted(out[["vec_id", "scale", "qsum", "qmin", "qmax"]], "vec_id")
 
 
-def emb_centroid_outliers(sf_dir: str):
-    """Per-label centroid-distance outliers (ann/centroid.py): integer
-    micro-unit coordinates, half-away-rounded rational-mean centroids,
-    integer squared distances, per-label quantile_disc(0.95) cut — all
-    byte-reproducible in SQL. Two map-only passes + one narrow
-    (label, d2) shuffle; vectors never shuffle."""
-    from ..ann.centroid import centroid_outliers
-
-    out = centroid_outliers(
-        _read(sf_dir, "embeddings", ["vec_id", "embedding", "label"]),
-        q=0.95).to_pandas()
-    out["vec_id"] = out["vec_id"].astype("int64")
-    out["label"] = out["label"].astype("int64")
-    out["d2_micro2"] = out["d2_micro2"].astype("int64")
-    return out[["vec_id", "label", "d2_micro2", "is_outlier"]] \
-        .sort_values("vec_id").reset_index(drop=True)
-
-
-EMB_CENTROID_OUTLIERS_SQL = """
+@_query(oracle="""
 WITH e AS (
   SELECT vec_id, label, i AS dim,
          CAST(round(CAST(embedding[i] AS DOUBLE) * 1000000) AS BIGINT) AS xm
@@ -3925,9 +3548,33 @@ thr AS (SELECT label, quantile_disc(d2, 0.95) AS qv FROM d GROUP BY label)
 SELECT vec_id, CAST(d.label AS BIGINT) AS label, d2 AS d2_micro2,
        d2 > qv AS is_outlier
 FROM d JOIN thr USING (label) ORDER BY vec_id
-"""
+""")
+def emb_centroid_outliers(sf_dir: str):
+    """Per-label centroid-distance outliers (ann/centroid.py): integer
+    micro-unit coordinates, half-away-rounded rational-mean centroids,
+    integer squared distances, per-label quantile_disc(0.95) cut — all
+    byte-reproducible in SQL. Two map-only passes + one narrow
+    (label, d2) shuffle; vectors never shuffle."""
+    from ..ann.centroid import centroid_outliers
+
+    out = centroid_outliers(
+        _read(sf_dir, "embeddings", ["vec_id", "embedding", "label"]),
+        q=0.95).to_pandas()
+    out["label"] = out["label"].astype("int64")
+    return _sorted(out[["vec_id", "label", "d2_micro2", "is_outlier"]], "vec_id")
 
 
+@_query(oracle=_COMPONENTS_CTES + r"""
+),
+comp AS (SELECT node, MIN(r) AS component FROM reach GROUP BY node),
+alld AS (SELECT d.doc_id, CAST(coalesce(c.component, d.doc_id) AS BIGINT) AS component,
+                CAST(d.n_chars AS BIGINT) AS n_chars
+         FROM documents d LEFT JOIN comp c ON d.doc_id = c.node),
+rk AS (SELECT *, row_number() OVER (PARTITION BY component
+                                    ORDER BY n_chars DESC, doc_id) AS rn
+       FROM alld)
+SELECT doc_id, component, n_chars FROM rk WHERE rn = 1 ORDER BY doc_id
+""")
 def docs_dedup_keep_best(sf_dir: str):
     """Quality-aware near-dup dedup (dedup/components.dedup_keep_best):
     n-gram Jaccard pairs -> connected components -> keep the LONGEST
@@ -3941,41 +3588,19 @@ def docs_dedup_keep_best(sf_dir: str):
     pairs = ngram_jaccard_pairs(docs, threshold=0.5, shingle=3)
     meta = _read(sf_dir, "documents", ["doc_id", "n_chars"])
     out = dedup_keep_best(meta, pairs, quality_col="n_chars").to_pandas()
-    for c in ("doc_id", "component", "n_chars"):
-        out[c] = out[c].astype("int64")
-    return out.sort_values("doc_id").reset_index(drop=True)
+    return _sorted(out, "doc_id")
 
 
-DOCS_DEDUP_KEEP_BEST_SQL = r"""
-WITH RECURSIVE
-t AS (SELECT doc_id, regexp_split_to_array(trim(text), '\s+') AS w FROM documents),
-idx AS (SELECT doc_id, w, UNNEST(range(1, GREATEST(len(w) - 2, 1) + 1)) AS i FROM t),
-sh AS (SELECT DISTINCT doc_id, CASE WHEN len(w) < 3 THEN array_to_string(w, ' ')
-        ELSE array_to_string(w[i:i+2], ' ') END AS s FROM idx),
-sz AS (SELECT doc_id, COUNT(*) AS size FROM sh GROUP BY 1),
-inter AS (SELECT a.doc_id AS id_a, b.doc_id AS id_b, COUNT(*) AS n
-          FROM sh a JOIN sh b ON a.s = b.s AND a.doc_id < b.doc_id GROUP BY 1, 2),
-pairs AS (SELECT id_a, id_b FROM inter
-          JOIN sz sa ON sa.doc_id = id_a JOIN sz sb ON sb.doc_id = id_b
-          WHERE n * 1.0 / (sa.size + sb.size - n) >= 0.5),
-und AS (SELECT id_a AS node, id_b AS nbr FROM pairs
-        UNION SELECT id_b, id_a FROM pairs),
-reach AS (
-  SELECT node, node AS r FROM (SELECT DISTINCT node FROM und)
-  UNION
-  SELECT u.node, reach.r FROM und u JOIN reach ON u.nbr = reach.node
-),
-comp AS (SELECT node, MIN(r) AS component FROM reach GROUP BY node),
-alld AS (SELECT d.doc_id, CAST(coalesce(c.component, d.doc_id) AS BIGINT) AS component,
-                CAST(d.n_chars AS BIGINT) AS n_chars
-         FROM documents d LEFT JOIN comp c ON d.doc_id = c.node),
-rk AS (SELECT *, row_number() OVER (PARTITION BY component
-                                    ORDER BY n_chars DESC, doc_id) AS rn
-       FROM alld)
-SELECT doc_id, component, n_chars FROM rk WHERE rn = 1 ORDER BY doc_id
-"""
-
-
+@_query(oracle="""
+WITH m AS (SELECT event_id, user_id, ts,
+                  CAST(round(value * 1000000) AS BIGINT) AS value_micro
+           FROM events)
+SELECT event_id, user_id, value_micro,
+       CAST(sum(value_micro) OVER (PARTITION BY user_id
+            ORDER BY ts, event_id ROWS UNBOUNDED PRECEDING) AS BIGINT)
+         AS running_micro
+FROM m ORDER BY event_id
+""")
 def events_running_total(sf_dir: str):
     """Per-user running value total in time order
     (window.group_running_sum = SUM() OVER (PARTITION BY user ORDER BY
@@ -3988,31 +3613,13 @@ def events_running_total(sf_dir: str):
 
     def to_micro(b: pa.Table) -> pa.Table:
         v = b.column("value").to_numpy(zero_copy_only=False).astype(np.float64)
-        vm = (np.sign(v) * np.floor(np.abs(v) * 1e6 + 0.5)).astype(np.int64)
         return b.drop_columns(["value"]).append_column(
-            "value_micro", pa.array(vm))
+            "value_micro", pa.array(_int_half_away(v, 1e6)))
 
     out = group_running_sum(ds.map_batches(to_micro, batch_format="pyarrow"),
                             "user_id", ["ts", "event_id"], "value_micro",
                             alias="running_micro").to_pandas()
-    out["event_id"] = out["event_id"].astype("int64")
-    out["user_id"] = out["user_id"].astype("int64")
-    for c in ("value_micro", "running_micro"):
-        out[c] = out[c].astype("int64")
-    return out[["event_id", "user_id", "value_micro", "running_micro"]] \
-        .sort_values("event_id").reset_index(drop=True)
-
-
-EVENTS_RUNNING_TOTAL_SQL = """
-WITH m AS (SELECT event_id, user_id, ts,
-                  CAST(round(value * 1000000) AS BIGINT) AS value_micro
-           FROM events)
-SELECT event_id, user_id, value_micro,
-       CAST(sum(value_micro) OVER (PARTITION BY user_id
-            ORDER BY ts, event_id ROWS UNBOUNDED PRECEDING) AS BIGINT)
-         AS running_micro
-FROM m ORDER BY event_id
-"""
+    return _sorted(out[["event_id", "user_id", "value_micro", "running_micro"]], "event_id")
 
 
 # geoip oracle fixture: 16 /24 nets + one nested /25 (longest-prefix
@@ -4036,6 +3643,20 @@ def _geo_values_sql() -> str:
     return ", ".join(rows)
 
 
+@_query(oracle="""
+WITH ip AS (SELECT event_id,
+        '203.0.' || CAST((user_id // 256) %% 16 AS VARCHAR) || '.'
+                 || CAST(user_id %% 256 AS VARCHAR) AS ip,
+        CAST(203 AS BIGINT) * 16777216 + ((user_id // 256) %% 16) * 256
+            + user_id %% 256 AS ipi
+    FROM events),
+nets(lo, hi, plen, country) AS (VALUES %s),
+j AS (SELECT event_id, ip, country,
+             row_number() OVER (PARTITION BY event_id
+                                ORDER BY plen DESC) AS rn
+      FROM ip JOIN nets ON ipi BETWEEN lo AND hi)
+SELECT event_id, ip, country FROM j WHERE rn = 1 ORDER BY event_id
+""" % _geo_values_sql())
 def events_geoip(sf_dir: str):
     """GeoIP enrichment under the oracle gate (enrich/geoip.GeoIP over
     a from-spec .mmdb written by enrich/mmdb_write — the geoip2()
@@ -4069,27 +3690,24 @@ def events_geoip(sf_dir: str):
         .map_batches(mk_ip, batch_format="pyarrow") \
         .map_batches(stage, batch_format="pyarrow").to_pandas()
     out = out.rename(columns={"geo_country": "country"})
-    out["event_id"] = out["event_id"].astype("int64")
-    return out[["event_id", "ip", "country"]] \
-        .sort_values("event_id").reset_index(drop=True)
+    return _sorted(out[["event_id", "ip", "country"]], "event_id")
 
 
-EVENTS_GEOIP_SQL = """
-WITH ip AS (SELECT event_id,
-        '203.0.' || CAST((user_id // 256) %% 16 AS VARCHAR) || '.'
-                 || CAST(user_id %% 256 AS VARCHAR) AS ip,
-        CAST(203 AS BIGINT) * 16777216 + ((user_id // 256) %% 16) * 256
-            + user_id %% 256 AS ipi
-    FROM events),
-nets(lo, hi, plen, country) AS (VALUES %s),
-j AS (SELECT event_id, ip, country,
-             row_number() OVER (PARTITION BY event_id
-                                ORDER BY plen DESC) AS rn
-      FROM ip JOIN nets ON ipi BETWEEN lo AND hi)
-SELECT event_id, ip, country FROM j WHERE rn = 1 ORDER BY event_id
-""" % _geo_values_sql()
-
-
+@_query(oracle="""
+SELECT n.n_name,
+       CAST(sum(CAST(round(l.l_extendedprice * (1 - l.l_discount) * 100)
+                AS BIGINT)) AS BIGINT) AS revenue_cents
+FROM customer c
+JOIN orders o ON c.c_custkey = o.o_custkey
+JOIN lineitem l ON l.l_orderkey = o.o_orderkey
+JOIN supplier s ON l.l_suppkey = s.s_suppkey
+JOIN nation n ON s.s_nationkey = n.n_nationkey
+JOIN region r ON n.n_regionkey = r.r_regionkey
+WHERE r.r_name = 'ASIA' AND c.c_nationkey = s.s_nationkey
+  AND o.o_orderdate >= DATE '1996-01-01'
+  AND o.o_orderdate < DATE '1997-01-01'
+GROUP BY n.n_name ORDER BY revenue_cents DESC, n_name
+""")
 def orders_q5_local_supplier(sf_dir: str):
     """TPC-H Q5 shape (local supplier volume): ASIA-region revenue per
     nation where the customer's and supplier's nations agree.
@@ -4187,8 +3805,7 @@ def orders_q5_local_supplier(sf_dir: str):
         price = b.column("l_extendedprice").to_numpy(
             zero_copy_only=False)[m]
         disc = b.column("l_discount").to_numpy(zero_copy_only=False)[m]
-        v = price * (1.0 - disc) * 100.0
-        cents = (np.sign(v) * np.floor(np.abs(v) + 0.5)).astype(np.int64)
+        cents = _int_half_away(price * (1.0 - disc), 100.0)
         df = pd.DataFrame({"nat": cnat[m], "cents": cents}) \
             .groupby("nat", as_index=False)["cents"].sum()
         return pa.table({
@@ -4200,28 +3817,19 @@ def orders_q5_local_supplier(sf_dir: str):
     out = j.map_batches(local_rev, batch_format="pyarrow") \
         .groupby("n_name").aggregate(Sum("_c", alias_name="revenue_cents")) \
         .to_pandas()
-    out["revenue_cents"] = out["revenue_cents"].astype("int64")
-    return out.sort_values(["revenue_cents", "n_name"],
-                           ascending=[False, True]).reset_index(drop=True)
+    return _sorted(out, ["revenue_cents", "n_name"], ascending=[False, True])
 
 
-ORDERS_Q5_SQL = """
-SELECT n.n_name,
-       CAST(sum(CAST(round(l.l_extendedprice * (1 - l.l_discount) * 100)
-                AS BIGINT)) AS BIGINT) AS revenue_cents
-FROM customer c
-JOIN orders o ON c.c_custkey = o.o_custkey
-JOIN lineitem l ON l.l_orderkey = o.o_orderkey
-JOIN supplier s ON l.l_suppkey = s.s_suppkey
-JOIN nation n ON s.s_nationkey = n.n_nationkey
-JOIN region r ON n.n_regionkey = r.r_regionkey
-WHERE r.r_name = 'ASIA' AND c.c_nationkey = s.s_nationkey
-  AND o.o_orderdate >= DATE '1996-01-01'
-  AND o.o_orderdate < DATE '1997-01-01'
-GROUP BY n.n_name ORDER BY revenue_cents DESC, n_name
-"""
-
-
+@_query(oracle="""
+SELECT CAST(sum(CAST(round(l_extendedprice * l_discount * 100) AS BIGINT))
+            AS BIGINT) AS revenue_cents,
+       CAST(count(*) AS BIGINT) AS n_rows
+FROM lineitem
+WHERE l_shipdate >= TIMESTAMP '1996-01-01'
+  AND l_shipdate < TIMESTAMP '1997-01-01'
+  AND l_discount BETWEEN 0.03 AND 0.05
+  AND l_quantity < 24
+""")
 def lineitem_q6_revenue(sf_dir: str):
     """TPC-H Q6 shape (forecast revenue change): filtered map-only scan
     + ONE tree-reduce sum, zero shuffle — the canonical predicate-
@@ -4240,8 +3848,7 @@ def lineitem_q6_revenue(sf_dir: str):
         m = ((ship >= np.datetime64("1996-01-01")) &
              (ship < np.datetime64("1997-01-01")) &
              (disc >= 0.03) & (disc <= 0.05) & (qty < 24))
-        v = price[m] * disc[m] * 100.0
-        cents = (np.sign(v) * np.floor(np.abs(v) + 0.5)).astype(np.int64)
+        cents = _int_half_away(price[m] * disc[m], 100.0)
         return pa.table({"rev_cents": pa.array([int(cents.sum())],
                                                type=pa.int64()),
                          "n_rows": pa.array([int(m.sum())], type=pa.int64())})
@@ -4255,18 +3862,20 @@ def lineitem_q6_revenue(sf_dir: str):
                          "n_rows": [int(out["n_rows"])]})
 
 
-LINEITEM_Q6_SQL = """
-SELECT CAST(sum(CAST(round(l_extendedprice * l_discount * 100) AS BIGINT))
-            AS BIGINT) AS revenue_cents,
-       CAST(count(*) AS BIGINT) AS n_rows
-FROM lineitem
-WHERE l_shipdate >= TIMESTAMP '1996-01-01'
-  AND l_shipdate < TIMESTAMP '1997-01-01'
-  AND l_discount BETWEEN 0.03 AND 0.05
-  AND l_quantity < 24
-"""
-
-
+@_query(oracle="""
+SELECT l.l_orderkey AS o_orderkey,
+       strftime(o.o_orderdate, '%Y-%m-%d') AS o_orderdate,
+       o.o_orderpriority,
+       CAST(sum(CAST(round(l.l_extendedprice * (1 - l.l_discount) * 100)
+                     AS BIGINT)) AS BIGINT) AS revenue_cents
+FROM customer c JOIN orders o ON c.c_custkey = o.o_custkey
+JOIN lineitem l ON l.l_orderkey = o.o_orderkey
+WHERE c.c_mktsegment = 'BUILDING'
+  AND o.o_orderdate < TIMESTAMP '1998-01-01'
+  AND l.l_shipdate >= TIMESTAMP '1998-01-01'
+GROUP BY 1, 2, 3
+ORDER BY revenue_cents DESC, o_orderkey LIMIT 10
+""")
 def orders_q3_shipping(sf_dir: str):
     """TPC-H Q3 shape (shipping priority): BUILDING-segment customers
     join date-filtered orders join shipdate-filtered lineitem, revenue
@@ -4277,8 +3886,6 @@ def orders_q3_shipping(sf_dir: str):
     coarse-bucket hash joins and a sort/limit over per-order rows only.
     Toy-scale wall time is 3 chained exchanges' fixed cost (~5 s each
     at sf0.1 — the docs_substring_dedup regime), not compute."""
-    from ray.data.aggregate import Sum
-
     from ..join import hash_join
 
     cutoff = "1998-01-01"
@@ -4304,8 +3911,7 @@ def orders_q3_shipping(sf_dir: str):
         t = b.filter(pa.array(m))
         price = t.column("l_extendedprice").to_numpy(zero_copy_only=False)
         disc = t.column("l_discount").to_numpy(zero_copy_only=False)
-        v = price * (1.0 - disc) * 100.0
-        cents = (np.sign(v) * np.floor(np.abs(v) + 0.5)).astype(np.int64)
+        cents = _int_half_away(price * (1.0 - disc), 100.0)
         # COMBINER: collapse to per-orderkey partial sums before the
         # exchange — the revenue aggregate finishes BEFORE the join, so
         # the join ships one row per order, not per line item, and no
@@ -4346,56 +3952,13 @@ def orders_q3_shipping(sf_dir: str):
 
     out = global_topk(j, ["revenue_cents", "o_orderkey"], 10,
                       descending=[True, False])
-    out["o_orderkey"] = out["o_orderkey"].astype("int64")
-    out["revenue_cents"] = out["revenue_cents"].astype("int64")
     out["o_orderdate"] = pd.to_datetime(out["o_orderdate"]) \
         .dt.strftime("%Y-%m-%d")
     return out[["o_orderkey", "o_orderdate", "o_orderpriority",
                 "revenue_cents"]].reset_index(drop=True)
 
 
-ORDERS_Q3_SQL = """
-SELECT l.l_orderkey AS o_orderkey,
-       strftime(o.o_orderdate, '%Y-%m-%d') AS o_orderdate,
-       o.o_orderpriority,
-       CAST(sum(CAST(round(l.l_extendedprice * (1 - l.l_discount) * 100)
-                     AS BIGINT)) AS BIGINT) AS revenue_cents
-FROM customer c JOIN orders o ON c.c_custkey = o.o_custkey
-JOIN lineitem l ON l.l_orderkey = o.o_orderkey
-WHERE c.c_mktsegment = 'BUILDING'
-  AND o.o_orderdate < TIMESTAMP '1998-01-01'
-  AND l.l_shipdate >= TIMESTAMP '1998-01-01'
-GROUP BY 1, 2, 3
-ORDER BY revenue_cents DESC, o_orderkey LIMIT 10
-"""
-
-
-def events_patternize(sf_dir: str):
-    """pdbtool-patternize log-template mining (stages/patternize.py —
-    LogHash/SLCT family): synthesize log lines from events, mine the
-    frequent-word skeletons (support >= 50), wildcard the variable
-    positions, count clusters. One narrow word-df aggregate + broadcast
-    frequent set + map-only skeleton render + pattern count."""
-    from ..stages.patternize import patternize
-
-    def mk(b: pa.Table) -> pa.Table:
-        et = b.column("event_type").to_pandas().astype(str)
-        uid = b.column("user_id").to_pandas().astype(str)
-        val = b.column("value").to_numpy(zero_copy_only=False)
-        msg = ("svc " + et + " user u" + uid + " took "
-               + pd.Series((val * 1000).astype(np.int64)).astype(str)
-               + " ms")
-        return pa.table({"message": pa.array(msg, type=pa.string())})
-
-    ds = _read(sf_dir, "events", ["event_type", "user_id", "value"]) \
-        .map_batches(mk, batch_format="pyarrow")
-    out = patternize(ds, support=50).to_pandas()
-    out["support"] = out["support"].astype("int64")
-    return out.sort_values(["support", "pattern"],
-                           ascending=[False, True]).reset_index(drop=True)
-
-
-EVENTS_PATTERNIZE_SQL = """
+@_query(oracle="""
 WITH msg AS (
   SELECT event_id,
          'svc ' || event_type || ' user u' || CAST(user_id AS VARCHAR)
@@ -4418,44 +3981,31 @@ collapsed AS (SELECT regexp_replace(p, '@ANYSTRING@( @ANYSTRING@)+',
               FROM pat)
 SELECT pattern, CAST(count(*) AS BIGINT) AS support
 FROM collapsed GROUP BY pattern ORDER BY support DESC, pattern
-"""
+""")
+def events_patternize(sf_dir: str):
+    """pdbtool-patternize log-template mining (stages/patternize.py —
+    LogHash/SLCT family): synthesize log lines from events, mine the
+    frequent-word skeletons (support >= 50), wildcard the variable
+    positions, count clusters. One narrow word-df aggregate + broadcast
+    frequent set + map-only skeleton render + pattern count."""
+    from ..stages.patternize import patternize
+
+    def mk(b: pa.Table) -> pa.Table:
+        et = b.column("event_type").to_pandas().astype(str)
+        uid = b.column("user_id").to_pandas().astype(str)
+        val = b.column("value").to_numpy(zero_copy_only=False)
+        msg = ("svc " + et + " user u" + uid + " took "
+               + pd.Series((val * 1000).astype(np.int64)).astype(str)
+               + " ms")
+        return pa.table({"message": pa.array(msg, type=pa.string())})
+
+    ds = _read(sf_dir, "events", ["event_type", "user_id", "value"]) \
+        .map_batches(mk, batch_format="pyarrow")
+    out = patternize(ds, support=50).to_pandas()
+    return _sorted(out, ["support", "pattern"], ascending=[False, True])
 
 
-def docs_readability(sf_dir: str):
-    """Flesch reading-ease scores (textstats.flesch_scores) over the
-    synthesized C4-style pages (sentence variety): map-only vectorized
-    regex counting, exact integer micro-unit scores (float formula is
-    a fixed op-order expression — bit-equal across engines; rounding
-    half-away matches SQL round)."""
-    from ..textstats.analysis import flesch_scores
-
-    ds = _read(sf_dir, "documents", ["doc_id", "text"]) \
-        .map_batches(_mk_c4_pages, batch_format="pyarrow") \
-        .map_batches(flesch_scores, batch_format="pyarrow")
-    out = ds.to_pandas()
-    for c in ("doc_id", "n_words", "n_sentences", "n_syllables",
-              "flesch_micro"):
-        out[c] = out[c].astype("int64")
-    return out.sort_values("doc_id").reset_index(drop=True)
-
-
-DOCS_READABILITY_SQL = """
-WITH t AS (SELECT doc_id, string_split(text, ' ') AS ws FROM documents),
-n AS (SELECT doc_id, ws, len(ws) AS nw FROM t),
-ln AS (SELECT doc_id, i,
-              array_to_string(ws[i * 7 + 1 : i * 7 + 7], ' ')
-              || CASE (doc_id + i) % 5 WHEN 0 THEN '.' WHEN 1 THEN ''
-                      WHEN 2 THEN '?' WHEN 3 THEN '!'
-                      ELSE ' javascript.' END AS line
-       FROM n, LATERAL (SELECT unnest(range(0, (nw + 6) // 7)) AS i) r),
-page AS (SELECT doc_id,
-                string_agg(line, chr(10) ORDER BY i)
-                || CASE WHEN doc_id % 97 = 0
-                        THEN chr(10) || 'lorem ipsum here it is.'
-                        WHEN doc_id % 89 = 0
-                        THEN chr(10) || 'curly { brace config.'
-                        ELSE '' END AS text
-         FROM ln GROUP BY doc_id),
+@_query(oracle=_C4_PAGES_CTES + """
 c AS (SELECT doc_id, lower(text) AS low FROM page),
 m AS (SELECT doc_id,
              CAST(len(regexp_extract_all(low, '\\S+')) AS BIGINT) AS n_words,
@@ -4476,9 +4026,28 @@ SELECT doc_id, n_words,
               AS BIGINT)
        ELSE 0 END AS flesch_micro
 FROM m ORDER BY doc_id
-"""
+""")
+def docs_readability(sf_dir: str):
+    """Flesch reading-ease scores (textstats.flesch_scores) over the
+    synthesized C4-style pages (sentence variety): map-only vectorized
+    regex counting, exact integer micro-unit scores (float formula is
+    a fixed op-order expression — bit-equal across engines; rounding
+    half-away matches SQL round)."""
+    from ..textstats.analysis import flesch_scores
+
+    ds = _read(sf_dir, "documents", ["doc_id", "text"]) \
+        .map_batches(_mk_c4_pages, batch_format="pyarrow") \
+        .map_batches(flesch_scores, batch_format="pyarrow")
+    out = ds.to_pandas()
+    return _sorted(out, "doc_id")
 
 
+@_query(oracle="""
+SELECT CAST(user_id AS BIGINT) AS user_id,
+       CAST(count(*) AS BIGINT) AS n, TRUE AS approx_ok
+FROM events GROUP BY user_id
+ORDER BY n DESC, user_id LIMIT 20
+""")
 def events_heavy_hitters(sf_dir: str):
     """Top-20 heaviest users, exact, PLUS the Count-Min estimates
     gate (sketch.cms_build_column): the CMS is the unbounded-key path
@@ -4499,317 +4068,6 @@ def events_heavy_hitters(sf_dir: str):
                         ["n", "user_id"], 20, descending=[True, False])
     cms = cms_build_column(_read(sf_dir, "events", ["user_id"]), "user_id")
     est = cms_key_counts(cms, exact["user_id"].to_numpy())
-    exact["user_id"] = exact["user_id"].astype("int64")
-    exact["n"] = exact["n"].astype("int64")
     exact["approx_ok"] = (est >= exact["n"].to_numpy()) & \
         (est <= exact["n"].to_numpy() + 16)
-    return exact[["user_id", "n", "approx_ok"]] \
-        .sort_values(["n", "user_id"], ascending=[False, True]) \
-        .reset_index(drop=True)
-
-
-EVENTS_HEAVY_HITTERS_SQL = """
-SELECT CAST(user_id AS BIGINT) AS user_id,
-       CAST(count(*) AS BIGINT) AS n, TRUE AS approx_ok
-FROM events GROUP BY user_id
-ORDER BY n DESC, user_id LIMIT 20
-"""
-
-
-RAY_QUERIES = {
-    "events_heavy_hitters": events_heavy_hitters,
-    "docs_readability": docs_readability,
-    "events_patternize": events_patternize,
-    "lineitem_q6_revenue": lineitem_q6_revenue,
-    "orders_q3_shipping": orders_q3_shipping,
-    "orders_q5_local_supplier": orders_q5_local_supplier,
-    "events_geoip": events_geoip,
-    "events_running_total": events_running_total,
-    "docs_dedup_keep_best": docs_dedup_keep_best,
-    "emb_centroid_outliers": emb_centroid_outliers,
-    "emb_int8_quantize": emb_int8_quantize,
-    "docs_ccnet_buckets": docs_ccnet_buckets,
-    "events_funnel": events_funnel,
-    "events_retention": events_retention,
-    "docs_c4_clean": docs_c4_clean,
-    "docs_epoch_mix": docs_epoch_mix,
-    "docs_bigram_topk": docs_bigram_topk,
-    "events_config_pipeline": events_config_pipeline,
-    "events_interarrival": events_interarrival,
-    "docs_full_curation": docs_full_curation,
-    "events_iqr_outliers": events_iqr_outliers,
-    "docs_weighted_sample": docs_weighted_sample,
-    "emb_mmr_topk": emb_mmr_topk,
-    "docs_stratified_k": docs_stratified_k,
-    "docs_cross_dedup": docs_cross_dedup,
-    "docs_hash_split": docs_hash_split,
-    "docs_domain_mix": docs_domain_mix,
-    "events_distinct_users": events_distinct_users,
-    "events_distinct_users_hll": events_distinct_users_hll,
-    "docs_dsir_weights": docs_dsir_weights,
-    "docs_lm_quality": docs_lm_quality,
-    "docs_jaccard_decontaminate": docs_jaccard_decontaminate,
-    "docs_topk_per_lang": docs_topk_per_lang,
-    "docs_token_budget": docs_token_budget,
-    "docs_token_budget_bpe": docs_token_budget_bpe,
-    "docs_chunk": docs_chunk,
-    "docs_winnow": docs_winnow,
-    "docs_winnow_pairs": docs_winnow_pairs,
-    "docs_containment": docs_containment,
-    "events_quantiles": events_quantiles,
-    "events_quantiles_sketch": events_quantiles_sketch,
-    "q1_pricing": q1_pricing,
-    "customer_nation_join": customer_nation_join,
-    "docs_topk": docs_topk,
-    "events_route_counts": events_route_counts,
-    "events_in_list": events_in_list,
-    "events_severity_stats": events_severity_stats,
-    "events_json_extract": events_json_extract,
-    "docs_regex_first_word": docs_regex_first_word,
-    "docs_subst": docs_subst,
-    "docs_template_format": docs_template_format,
-    "lineitem_metrics_probe": lineitem_metrics_probe,
-    "events_sessions": events_sessions,
-    "docs_exact_dedup": docs_exact_dedup,
-    "docs_fingerprint": docs_fingerprint,
-    "docs_fingerprint_fast": docs_fingerprint_fast,
-    "docs_normalize": docs_normalize,
-    "docs_token_stats": docs_token_stats,
-    "docs_quality": docs_quality,
-    "emb_ann_topk": emb_ann_topk,
-    "emb_near_dup": emb_near_dup,
-    "docs_minhash_dedup": docs_minhash_dedup,
-    "docs_fuzzy_dedup": docs_fuzzy_dedup,
-    "docs_simhash_clusters": docs_simhash_clusters,
-    "docs_jaccard_pairs": docs_jaccard_pairs,
-    "docs_dup_components": docs_dup_components,
-    "docs_langid": docs_langid,
-    "docs_url_normalize": docs_url_normalize,
-    "docs_web_curation": docs_web_curation,
-    "docs_redact_pii": docs_redact_pii,
-    "docs_dedup_lines": docs_dedup_lines,
-    "docs_boilerplate_lines": docs_boilerplate_lines,
-    "docs_corpus_report": docs_corpus_report,
-    "docs_chunked": docs_chunked,
-    "docs_multiline": docs_multiline,
-    "docs_gopher_quality": docs_gopher_quality,
-    "emb_pq_ann": emb_pq_ann,
-    "events_smart_multiline": events_smart_multiline,
-    "emb_lsh_ann": emb_lsh_ann,
-    "media_decode_stats": media_decode_stats,
-    "flagship_routes": flagship_routes,
-    "events_xml_roundtrip": events_xml_roundtrip,
-    "events_format_json": events_format_json,
-    "events_group_lines": events_group_lines,
-    "events_suppress": events_suppress,
-    "events_rate_limit": events_rate_limit,
-    "orders_customer_hash_join": orders_customer_hash_join,
-    "lineitem_salted_count": lineitem_salted_count,
-    "events_date_roundtrip": events_date_roundtrip,
-    "events_netmask": events_netmask,
-    "events_cps_windows": events_cps_windows,
-    "events_value_histogram": events_value_histogram,
-    "docs_curation_pipeline": docs_curation_pipeline,
-    "emb_knn_label": emb_knn_label,
-    "events_filterx": events_filterx,
-    "events_filterx_regex": events_filterx_regex,
-    "docs_filterx_strfns": docs_filterx_strfns,
-    "events_filterx_json": events_filterx_json,
-    "events_filterx_datetime": events_filterx_datetime,
-    "events_filterx_parse_fns": events_filterx_parse_fns,
-    "events_filterx_grammar2": events_filterx_grammar2,
-    "emb_ivf_ann": emb_ivf_ann,
-    "events_asof_join": events_asof_join,
-    "events_hopping_windows": events_hopping_windows,
-    "lineitem_range_join": lineitem_range_join,
-    "docs_decontaminate": docs_decontaminate,
-    "docs_leak_report": docs_leak_report,
-    "docs_hash_sample": docs_hash_sample,
-    "docs_source_quota": docs_source_quota,
-    "docs_vocab_topk": docs_vocab_topk,
-    "docs_tfidf_topk": docs_tfidf_topk,
-    "docs_pack_sequences": docs_pack_sequences,
-    "docs_gopher_repetition": docs_gopher_repetition,
-    "docs_bloom_decontaminate": docs_bloom_decontaminate,
-    "docs_substring_dedup": docs_substring_dedup,
-    "docs_dedup_chunks": docs_dedup_chunks,
-    "emb_kmeans": emb_kmeans,
-    "emb_cluster_sample": emb_cluster_sample,
-    "emb_semdedup": emb_semdedup,
-}
-
-ORACLE_SQLS = {
-    "events_heavy_hitters": EVENTS_HEAVY_HITTERS_SQL,
-    "docs_readability": DOCS_READABILITY_SQL,
-    "events_patternize": EVENTS_PATTERNIZE_SQL,
-    "lineitem_q6_revenue": LINEITEM_Q6_SQL,
-    "orders_q3_shipping": ORDERS_Q3_SQL,
-    "orders_q5_local_supplier": ORDERS_Q5_SQL,
-    "events_geoip": EVENTS_GEOIP_SQL,
-    "events_running_total": EVENTS_RUNNING_TOTAL_SQL,
-    "docs_dedup_keep_best": DOCS_DEDUP_KEEP_BEST_SQL,
-    "emb_centroid_outliers": EMB_CENTROID_OUTLIERS_SQL,
-    "emb_int8_quantize": EMB_INT8_QUANTIZE_SQL,
-    "docs_ccnet_buckets": DOCS_CCNET_BUCKETS_SQL,
-    "events_funnel": EVENTS_FUNNEL_SQL,
-    "events_retention": EVENTS_RETENTION_SQL,
-    "docs_c4_clean": DOCS_C4_CLEAN_SQL,
-    "docs_epoch_mix": DOCS_EPOCH_MIX_SQL,
-    "docs_bigram_topk": DOCS_BIGRAM_TOPK_SQL,
-    "events_interarrival": EVENTS_INTERARRIVAL_SQL,
-    "docs_full_curation": DOCS_FULL_CURATION_SQL,
-    "events_iqr_outliers": EVENTS_IQR_SQL,
-    "docs_weighted_sample": DOCS_WEIGHTED_SAMPLE_SQL,
-    "emb_mmr_topk": (
-        "SELECT CAST(rank AS BIGINT) AS rank, CAST(vec_id AS BIGINT) AS vec_id,"
-        " sim, mmr_score FROM "
-        "read_parquet('/root/repo/tests/golden/emb_mmr_topk_sf001.parquet') "
-        "ORDER BY rank"),
-    "docs_stratified_k": DOCS_STRATIFIED_K_SQL,
-    "docs_cross_dedup": (
-        "SELECT CAST(doc_id AS BIGINT) AS doc_id,"
-        " CAST(n_hit_buckets AS BIGINT) AS n_hit_buckets, dup_of_prior FROM "
-        "read_parquet('/root/repo/tests/golden/docs_cross_dedup_sf001.parquet') "
-        "ORDER BY doc_id"),
-    "docs_hash_split": DOCS_HASH_SPLIT_SQL,
-    "docs_domain_mix": DOCS_DOMAIN_MIX_SQL,
-    "events_distinct_users": EVENTS_DISTINCT_USERS_SQL,
-    "events_distinct_users_hll": EVENTS_DISTINCT_USERS_HLL_SQL,
-    "docs_dsir_weights": DOCS_DSIR_SQL,
-    "docs_lm_quality": DOCS_LM_QUALITY_SQL,
-    "docs_jaccard_decontaminate": DOCS_JACCARD_DECON_SQL,
-    "docs_topk_per_lang": DOCS_TOPK_PER_LANG_SQL,
-    "docs_token_budget": DOCS_TOKEN_BUDGET_SQL,
-    "docs_token_budget_bpe": DOCS_TOKEN_BUDGET_BPE_SQL,
-    "docs_chunk": DOCS_CHUNK_SQL,
-    "docs_winnow": DOCS_WINNOW_SQL,
-    "docs_winnow_pairs": DOCS_WINNOW_PAIRS_SQL,
-    "docs_containment": DOCS_CONTAINMENT_SQL,
-    "events_quantiles": EVENTS_QUANTILES_SQL,
-    "events_quantiles_sketch": EVENTS_QUANTILES_SKETCH_SQL,
-    "events_config_pipeline": EVENTS_CONFIG_PIPELINE_SQL,
-    "q1_pricing": Q1_SQL,
-    "customer_nation_join": CUSTOMER_NATION_SQL,
-    "docs_topk": DOCS_TOPK_SQL,
-    "events_route_counts": EVENTS_ROUTE_SQL,
-    "events_in_list": EVENTS_IN_LIST_SQL,
-    "events_severity_stats": EVENTS_SEVERITY_SQL,
-    "events_json_extract": EVENTS_JSON_SQL,
-    "docs_regex_first_word": DOCS_REGEX_SQL,
-    "docs_subst": DOCS_SUBST_SQL,
-    "docs_template_format": DOCS_TEMPLATE_SQL,
-    "lineitem_metrics_probe": LINEITEM_METRICS_SQL,
-    "events_sessions": EVENTS_SESSIONS_SQL,
-    "docs_exact_dedup": DOCS_EXACT_DEDUP_SQL,
-    "docs_fingerprint": DOCS_FINGERPRINT_SQL,
-    "docs_fingerprint_fast": DOCS_FINGERPRINT_FAST_SQL,
-    "docs_normalize": DOCS_NORMALIZE_SQL,
-    "docs_token_stats": DOCS_TOKEN_SQL,
-    "docs_quality": DOCS_QUALITY_SQL,
-    "emb_ann_topk": EMB_ANN_SQL,
-    "emb_near_dup": EMB_NEAR_DUP_SQL,
-    "events_xml_roundtrip": EVENTS_XML_SQL,
-    "events_format_json": EVENTS_FORMAT_JSON_SQL,
-    "events_group_lines": EVENTS_GROUP_LINES_SQL,
-    "orders_customer_hash_join": ORDERS_CUSTOMER_JOIN_SQL,
-    "lineitem_salted_count": LINEITEM_SALTED_SQL,
-    "events_date_roundtrip": EVENTS_DATE_SQL,
-    "events_netmask": EVENTS_NETMASK_SQL,
-    "events_cps_windows": EVENTS_CPS_SQL,
-    "events_value_histogram": EVENTS_HISTOGRAM_SQL,
-    "events_suppress": EVENTS_SUPPRESS_SQL,
-    "events_rate_limit": EVENTS_RATE_LIMIT_SQL,
-    "docs_langid": DOCS_LANGID_SQL,
-    "docs_url_normalize": DOCS_URL_NORMALIZE_SQL,
-    "docs_web_curation": DOCS_WEB_CURATION_SQL,
-    "docs_redact_pii": _redact_sql(),
-    "docs_dedup_lines": DOCS_DEDUP_LINES_SQL,
-    "docs_boilerplate_lines": DOCS_BOILERPLATE_LINES_SQL,
-    "docs_corpus_report": DOCS_CORPUS_REPORT_SQL,
-    "docs_chunked": DOCS_CHUNKED_SQL,
-    "docs_multiline": DOCS_MULTILINE_SQL,
-    "docs_gopher_quality": DOCS_GOPHER_SQL,
-    "emb_pq_ann": (
-        "SELECT rank, vec_id, sim FROM "
-        "read_parquet('/root/repo/tests/golden/emb_pq_ann_sf001.parquet') "
-        "ORDER BY rank"),
-    "events_smart_multiline": EVENTS_SMART_MULTILINE_SQL,
-    "docs_jaccard_pairs": DOCS_JACCARD_SQL,
-    "docs_dup_components": DOCS_DUP_COMPONENTS_SQL,
-    "docs_curation_pipeline": DOCS_CURATION_SQL,
-    "emb_knn_label": EMB_KNN_LABEL_SQL,
-    # golden-parquet oracle (deterministic sf-independent synthetic corpus;
-    # regenerate with scripts in tests/golden if the fake decode changes)
-    "media_decode_stats": (
-        "SELECT media_type, n, total_pixels FROM "
-        "read_parquet('/root/repo/tests/golden/media_decode_stats.parquet') "
-        "ORDER BY media_type"
-    ),
-    "events_filterx": EVENTS_FILTERX_SQL,
-    "events_filterx_regex": EVENTS_FILTERX_REGEX_SQL,
-    "docs_filterx_strfns": DOCS_FILTERX_STRFNS_SQL,
-    "events_filterx_json": EVENTS_FILTERX_JSON_SQL,
-    "events_filterx_datetime": EVENTS_FILTERX_DATETIME_SQL,
-    "events_filterx_parse_fns": EVENTS_FILTERX_PARSE_FNS_SQL,
-    "events_filterx_grammar2": EVENTS_FILTERX_GRAMMAR2_SQL,
-    "events_asof_join": EVENTS_ASOF_SQL,
-    "events_hopping_windows": EVENTS_HOPPING_SQL,
-    "lineitem_range_join": LINEITEM_RANGE_SQL,
-    "docs_decontaminate": DOCS_DECONTAMINATE_SQL,
-    "docs_leak_report": DOCS_LEAK_REPORT_SQL,
-    "docs_hash_sample": DOCS_HASH_SAMPLE_SQL,
-    "docs_source_quota": DOCS_SOURCE_QUOTA_SQL,
-    # exhaustive IVF (nprobe=nlist) provably equals brute-force top-k,
-    # so the independent brute-force SQL is a true oracle for the full
-    # IVF train/assign/scan machinery
-    "emb_ivf_ann": EMB_ANN_SQL,
-    # golden-parquet oracles for the seeded non-SQL-expressible ops
-    # (deterministic regression pins generated at sf0.01 by
-    # scripts/gen_golden_oracles.py; disclosed as weaker than an
-    # independent computation in each query's docstring)
-    "docs_minhash_dedup": (
-        "SELECT CAST(doc_id AS BIGINT) AS doc_id, CAST(cluster_id AS BIGINT) AS cluster_id FROM "
-        "read_parquet('/root/repo/tests/golden/docs_minhash_dedup_sf001.parquet') "
-        "ORDER BY doc_id"
-    ),
-    "docs_fuzzy_dedup": (
-        "SELECT CAST(doc_id AS BIGINT) AS doc_id FROM "
-        "read_parquet('/root/repo/tests/golden/docs_fuzzy_dedup_sf001.parquet') "
-        "ORDER BY doc_id"
-    ),
-    "docs_simhash_clusters": (
-        "SELECT CAST(doc_id AS BIGINT) AS doc_id, CAST(cluster_id AS BIGINT) AS cluster_id FROM "
-        "read_parquet('/root/repo/tests/golden/docs_simhash_clusters_sf001.parquet') "
-        "ORDER BY doc_id"
-    ),
-    "emb_lsh_ann": (
-        "SELECT * FROM "
-        "read_parquet('/root/repo/tests/golden/emb_lsh_ann_sf001.parquet') "
-        "ORDER BY rank"
-    ),
-    "flagship_routes": (
-        "SELECT route, lang, CAST(n AS BIGINT) AS n FROM "
-        "read_parquet('/root/repo/tests/golden/flagship_routes_sf001.parquet') "
-        "ORDER BY route, lang"
-    ),
-    "docs_vocab_topk": DOCS_VOCAB_SQL,
-    "docs_tfidf_topk": DOCS_TFIDF_SQL,
-    "docs_pack_sequences": DOCS_PACK_SQL,
-    "docs_gopher_repetition": DOCS_GOPHER_REPETITION_SQL,
-    "docs_bloom_decontaminate": DOCS_BLOOM_DECONTAMINATE_SQL,
-    "docs_substring_dedup": DOCS_SUBSTRING_DEDUP_SQL,
-    "docs_dedup_chunks": DOCS_DEDUP_CHUNKS_SQL,
-}
-
-
-def _register_generated_oracles():
-    """Generated-SQL oracles (CTE chains derived from the same constants
-    the Ray operators use — ann/kmeans.py builds them)."""
-    from ..ann.kmeans import cluster_balanced_sql, kmeans_sql, semdedup_sql
-
-    ORACLE_SQLS["emb_kmeans"] = kmeans_sql(4, 3)
-    ORACLE_SQLS["emb_cluster_sample"] = cluster_balanced_sql(4, 3, 50)
-    ORACLE_SQLS["emb_semdedup"] = semdedup_sql(4, 3, 0.45)
-
-
-_register_generated_oracles()
+    return _sorted(exact[["user_id", "n", "approx_ok"]], ["n", "user_id"], ascending=[False, True])

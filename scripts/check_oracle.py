@@ -6,6 +6,9 @@ row count, schema (column names sorted), and a value hash (columns sorted
 by name, rows sorted by all columns, values stringified) — the same
 comparison shape the driver uses. Exits nonzero on any mismatch.
 
+Each OK/MISMATCH line also prints the Ray result's canonical hash and its
+column dtypes, so the output of two checkouts can be diffed line by line.
+
 Usage: python scripts/check_oracle.py [sf_dir] [query ...]
 """
 from __future__ import annotations
@@ -89,8 +92,10 @@ def main() -> int:
         rm, sm, hm = canon(mine), canon(orc), None
         ok = rm[0] == sm[0] and rm[1] == sm[1] and rm[2] == sm[2]
         status = "OK" if ok else "MISMATCH"
+        dtypes = ",".join(f"{c}:{mine[c].dtype}" for c in rm[1])
         print(f"{name}: {status} rows {rm[0]}/{sm[0]} "
-              f"schema {'=' if rm[1]==sm[1] else 'DIFF'} hash {'=' if rm[2]==sm[2] else 'DIFF'}")
+              f"schema {'=' if rm[1]==sm[1] else 'DIFF'} hash {'=' if rm[2]==sm[2] else 'DIFF'} "
+              f"ray {rm[2]} dtypes {dtypes}")
         if not ok:
             if rm[1] != sm[1]:
                 print(f"   mine cols:   {rm[1]}\n   oracle cols: {sm[1]}")

@@ -223,7 +223,9 @@ def test_hypothesis_random_lines_match_scalar(sep):
                               min_size=1, max_size=20)
     seen = [0, 0]
 
-    @settings(max_examples=150, deadline=None)
+    # derandomize: the closing share check depends on the draws, so the
+    # draws are fixed (a random run fell below 0.3 about once in 40)
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(lines_strategy)
     def prop(lines):
         _cross(lines, value_separator=sep)

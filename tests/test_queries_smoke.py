@@ -7,13 +7,16 @@ correctness is covered by scripts/check_oracle.py (DuckDB at sf0.01) and
 by the golden fixtures; this test only guards the contract surface:
 importability, the (sf_dir) call signature, and a materialisable result.
 """
+import importlib.util
 import os
+import re
 
 import pandas as pd
 import pyarrow as pa
 import pytest
 
 SF = "/root/testdata/sf0.001"
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _entry():
@@ -46,6 +49,46 @@ def test_oracle_sql_keys_subset_of_queries():
     e = _entry()
     extra = set(e.oracle_sql()) - set(e.queries())
     assert not extra, f"oracle_sql keys without a queries() entry: {extra}"
+
+
+def test_query_declared_twice_raises():
+    from axosyslog_ray.pipelines.queries import ORACLE_SQLS, RAY_QUERIES, _query
+
+    def q1_pricing(sf_dir):
+        return None
+
+    with pytest.raises(ValueError, match="q1_pricing"):
+        _query("SELECT 1")(q1_pricing)
+    assert RAY_QUERIES["q1_pricing"] is not q1_pricing
+    assert ORACLE_SQLS["q1_pricing"] != "SELECT 1"
+
+
+def _golden_oracles():
+    from axosyslog_ray.pipelines.queries import ORACLE_SQLS
+
+    golden = {n: s for n, s in ORACLE_SQLS.items() if "tests/golden" in s}
+    assert golden
+    return golden
+
+
+def test_golden_oracles_name_committed_files():
+    for name, sql in _golden_oracles().items():
+        files = re.findall(r"read_parquet\('[^']*/tests/golden/([^']+)'\)", sql)
+        assert len(files) == 1, name
+        assert os.path.isfile(os.path.join(ROOT, "tests", "golden", files[0])), name
+
+
+def test_golden_oracles_keep_the_path_perfbench_rewrites():
+    # perfbench/mix.py rewrites read_parquet('<checkout>/tests/golden/<file>')
+    # to its own checkout's copy
+    spec = importlib.util.spec_from_file_location("perfbench_mix", os.path.join(ROOT, "perfbench", "mix.py"))
+    mix = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mix)
+
+    for name, sql in _golden_oracles().items():
+        m = re.search(r"read_parquet\('([^']*)'\)", sql)
+        assert os.path.dirname(m.group(1)) == os.path.join(ROOT, "tests", "golden"), name
+        assert mix._GOLDEN.fullmatch(m.group(0)), name
 
 
 def test_entry_runs(ray_session):

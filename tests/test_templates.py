@@ -396,6 +396,21 @@ def test_key_skips_a_null_value_of_any_type():
         "s a 1", ""]
 
 
+def test_key_skips_a_name_that_is_no_column_and_no_macro():
+    t = pa.table({"s": ["a", None]})
+    for spec in ("$(format-json --key missing)", "$(format-json missing)"):
+        assert Template(spec).eval(t).tolist() == ["{}", "{}"]
+    assert Template("$(format-json --key s --key missing)").eval(t).tolist() == [
+        '{"s":"a"}', "{}"]
+
+
+def test_key_renders_a_macro_that_is_no_column():
+    # HOST is no column here; the macro reads the host column
+    t = pa.table({"host": ["h1", "h2"]})
+    assert Template("$(format-json --key HOST)").eval(t).tolist() == [
+        '{"HOST":"h1"}', '{"HOST":"h2"}']
+
+
 def test_bool_value_with_null_renders_lowercase():
     t = pa.table({"b": [True, None, False]})
     assert Template("$b").eval(t).tolist() == ["true", "", "false"]
