@@ -544,8 +544,9 @@ def tf_format_welf(t: pa.Table, *args):
 
 def tf_graphite_output(t: pa.Table, *args):
     """$(graphite-output --timestamp T --key glob ...): one
-    'key value timestamp' graphite plaintext line per selected pair,
-    newline-joined per row (reference modules/graphite/, Light
+    'key value timestamp' graphite plaintext line per selected pair, each
+    ending in a newline as the plaintext protocol requires; a row with no
+    pairs renders "" (reference modules/graphite/, Light
     template_functions/graphite-output)."""
     from .templates import Template
 
@@ -562,11 +563,8 @@ def tf_graphite_output(t: pa.Table, *args):
             i += 1
     n_rows, iter_row_pairs = _parse_vp_args(t, rest)
     tss = Template(ts_spec).eval(t)
-    out: list[str] = []
-    for r in range(n_rows):
-        lines = [f"{k} {v} {tss.iloc[r]}"
-                 for k, v in sorted(iter_row_pairs(r))]
-        out.append("\n".join(lines))
+    out = ["".join(f"{k} {v} {tss.iloc[r]}\n" for k, v in sorted(iter_row_pairs(r)))
+           for r in range(n_rows)]
     return pd.Series(out, dtype=object)
 
 

@@ -8,6 +8,10 @@ reference modules/appmodel/app-parser-generator.c) -> db-parser
 filterx-style predicate routing into four sinks with final/fallback
 semantics -> per-sink aggregate counts.
 
+The syslog parse builds only the header columns a later layer or the
+sink reads (`SYSLOG_COLUMNS`): no SDATA map, MSGID, legacy header or
+format name.
+
 Physical shape: ONE fused map_batches stage of stateless tasks
 (`flagship_routed` -> `_apply_stage`) does everything row-parallel. Each
 worker process builds one `LogPipelineStage` on its first batch and
@@ -44,6 +48,11 @@ SINKS = ["errors", "auth", "web", "other"]
 # the `app` column's values; a row's code is the last chain stage that
 # claimed it
 _APPS = pa.array(["raw", "kv", "apache", "json", "syslog"])
+# the header columns something downstream reads: the sink (SINK_COLUMNS),
+# PatternDB (program, message, tags), context (host), the router (pri,
+# tags) and perfbench's replay (syslog_parsed). msgid, legacy_msghdr,
+# sdata and msgformat are read by nothing, so they are not parsed
+SYSLOG_COLUMNS = ("pri", "ts_stamp", "host", "program", "pid", "message", "syslog_parsed", "tags")
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +162,7 @@ class LogPipelineStage:
         self.router = build_router()
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        t = parse_syslog_table(batch)
+        t = parse_syslog_table(batch, columns=SYSLOG_COLUMNS)
         n = t.num_rows
 
         # ---- app-parser classification chain (first-match-wins) ----

@@ -1044,17 +1044,20 @@ def docs_chunked(sf_dir: str):
     return _sorted(ds.to_pandas(), ["doc_id", "chunk_id"])
 
 
+def _sql_words(words) -> str:
+    """A SQL list literal of `words`, sorted: the text of an oracle built
+    from a set must not follow PYTHONHASHSEED."""
+    return "[" + ",".join("'" + w + "'" for w in sorted(words)) + "]"
+
+
 def _sql_stopword_scores(toks_expr: str = "toks", n_expr: str = "n_tok") -> str:
     """Per-language stopword-hit-ratio SQL columns, generated from the
     SAME STOPWORDS the Python heuristic uses (single source of truth)."""
     from ..textstats.analysis import STOPWORDS
 
-    def arr(ws):
-        return "[" + ",".join("'" + w + "'" for w in ws) + "]"
-
     return ",\n  ".join(
         f"CASE WHEN {n_expr} = 0 THEN 0.0 ELSE CAST(length(list_filter({toks_expr}, "
-        f"x -> list_contains({arr(sw)}, x))) AS DOUBLE) / {n_expr} END AS s_{lang}"
+        f"x -> list_contains({_sql_words(sw)}, x))) AS DOUBLE) / {n_expr} END AS s_{lang}"
         for lang, sw in STOPWORDS.items()
     )
 
@@ -1114,7 +1117,7 @@ def _docs_curation_sql() -> str:
     the first 200 tokens, counts per (lang_pred, source)."""
     from ..textstats.analysis import STOPWORDS
 
-    en = "[" + ",".join("'" + w + "'" for w in STOPWORDS["en"]) + "]"
+    en = _sql_words(STOPWORDS["en"])
     return f"""
 WITH full_toks AS (
   SELECT doc_id, source, text,

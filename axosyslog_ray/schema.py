@@ -25,20 +25,9 @@ PAGES_SCHEMA = pa.schema(
     ]
 )
 
-# Parsed-message columns appended by the header-parse stage. `pri` defaults
-# to 13 (user.notice) when the line carries no <PRI> — same default the
-# reference applies (modules/syslogformat/syslog-format.c, default_pri).
-MSG_FIELDS = [
-    pa.field("pri", pa.uint16()),
-    pa.field("ts_stamp", pa.timestamp("us")),
-    pa.field("host", pa.string()),
-    pa.field("program", pa.string()),
-    pa.field("pid", pa.string()),
-    pa.field("msgid", pa.string()),
-    pa.field("message", pa.string()),
-    pa.field("sdata", pa.map_(pa.string(), pa.string())),
-]
-
+# the pri of a line that carries no <PRI>: the reference's default
+# (modules/syslogformat/syslog-format.c, default_pri). The parsed-message
+# columns are declared once, in stages/syslog.py (COLUMNS).
 DEFAULT_PRI = 13  # user.notice == facility 1 * 8 + severity 5
 
 LANGS = ["en", "de", "fr", "es", "zh", "ja", "ru", "pt"]

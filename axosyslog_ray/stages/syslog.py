@@ -10,14 +10,22 @@ reference's no-parse fallback; routing layers decide what to do with
 unparsed rows (the reference's parser-failure drop,
 lib/parser/parser-expr.c:46-99, is applied by the pipeline).
 
-Vectorization strategy: `pyarrow.compute` and numpy only. Each branch
-(RFC5424, RFC3164 with a BSD stamp, RFC3164 with an ISO stamp, PRI with
-no stamp, unterminated PRI) runs one RE2 `extract_regex` over the rows no
-earlier branch claimed; stamps are assembled numerically from the
-captured digits by `_timestamp`; each output column is the concatenation
-of the per-branch values, put in row order by one `take`. Only SDATA map
-construction touches Python, per row with an SD block (map columns are
-row-wise by nature).
+Vectorization strategy: `pyarrow.compute` and numpy only. RFC5424 is
+one RE2 match without captures over every row, and its header is then
+the first six tokens of a `split_pattern(" ", max_splits=6)` of the
+matching rows (no header token holds a space; the seventh token is the
+SD block and message). Each later branch (RFC3164 with a BSD stamp,
+RFC3164 with an ISO stamp, PRI with no stamp, unterminated PRI) runs one
+RE2 `extract_regex` over the rows no earlier branch claimed; stamps are
+assembled numerically from the captured digits by `_timestamp`; each
+output column is the concatenation of the per-branch values, put in row
+order by one `take`.
+
+A caller names the columns it reads (`columns=`, all 12 by default), and
+only those are built. Only SDATA map construction touches Python, per
+row with an SD block (map columns are row-wise by nature), and only when
+`sdata` is asked for; the SD block is still matched, because `message`
+starts after it.
 
 Every pattern is written once and serves both engines: RE2 in the
 vectorized path, Python `re` (ASCII, `fullmatch`) in the scalar oracle
@@ -27,6 +35,7 @@ vectorized path, Python `re` (ASCII, `fullmatch`) in the scalar oracle
 from __future__ import annotations
 
 import re
+from collections.abc import Collection
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -114,6 +123,9 @@ _TAG_LISTS = pa.array(
     pa.list_(pa.string()),
 )
 _SDATA = pa.map_(pa.string(), pa.string())
+# every column parse_syslog_table can build, in output order
+COLUMNS = ("pri", "ts_stamp", "host", "program", "pid", "msgid", "message",
+           "legacy_msghdr", "sdata", "syslog_parsed", "msgformat", "tags")
 _NULL_STR = pa.scalar(None, pa.string())
 
 
@@ -219,17 +231,16 @@ def guess_year(mon: np.ndarray, recv: np.ndarray) -> np.ndarray:
     return np.where(np.isnat(recv), 0, year)
 
 
-def _legacy_tail(rest: pa.Array, check_program: bool):
+def _legacy_tail(rest: pa.Array, check_program: bool, legacy_msghdr: bool):
     """The RFC3164 tail after the header: the reference legacy
     program-name scan, then LP_CHECK_PROGRAM. -> ({program, pid,
-    legacy_msghdr, message}, bad). `pid` is null where no '[' was present
+    message[, legacy_msghdr]}, bad). `pid` is null where no '[' was present
     OR the scan ran off the end of the data (reference sets PID only
     `if (left)`, syslog-format.c:384-386). Under check_program a `bad`
     name leaves PROGRAM/PID unset with the whole tail as the message
     (reference early return)."""
     st = pc.extract_regex(rest, pattern="(?s)" + RE_TAGX.pattern)
     prog, pidb, colon, sp, msg = (pc.struct_field(st, g) for g in ("prog", "pidb", "colon", "sp", "msg"))
-    legacy = pc.binary_join_element_wise(prog, pidb, colon, sp, "")
     # scan hit end-of-data inside the brackets: nothing after the pid
     ran_off = pc.and_(pc.invert(pc.ends_with(pidb, "]")),
                       pc.equal(pc.binary_join_element_wise(prog, pidb, ""), rest))
@@ -237,16 +248,16 @@ def _legacy_tail(rest: pa.Array, check_program: bool):
     cols = {
         "program": prog,
         "pid": pc.if_else(has_pid, pc.struct_field(st, "pid"), _NULL_STR),
-        "legacy_msghdr": pc.if_else(pc.equal(legacy, ""), _NULL_STR, legacy),
         "message": msg,
     }
+    if legacy_msghdr:
+        legacy = pc.binary_join_element_wise(prog, pidb, colon, sp, "")
+        cols["legacy_msghdr"] = pc.if_else(pc.equal(legacy, ""), _NULL_STR, legacy)
     bad = np.zeros(len(rest), dtype=bool)
     if check_program:
         ok = pc.match_substring_regex(prog, RE_PROGRAM.pattern)
         bad = ~ok.to_numpy(zero_copy_only=False)
-        for k in ("program", "pid", "legacy_msghdr"):
-            cols[k] = pc.if_else(ok, cols[k], _NULL_STR)
-        cols["message"] = pc.if_else(ok, msg, rest)
+        cols = {k: pc.if_else(ok, v, rest if k == "message" else _NULL_STR) for k, v in cols.items()}
     return cols, bad
 
 
@@ -269,16 +280,23 @@ def _scatter(n: int, pieces: list, default: pa.Array | None, typ: pa.DataType) -
 
 def parse_syslog_table(
     table: pa.Table, col: str = "text", recv_ts_col: str = "warc_ts",
-    check_program: bool = False
+    check_program: bool = False, columns: Collection[str] = COLUMNS
 ) -> pa.Table:
     """Append parsed header columns to an Arrow batch (the first map_batches
     stage of the flagship pipeline).
+
+    columns names the outputs to build (any of COLUMNS; an unknown name
+    raises ValueError); they are appended in COLUMNS order, and the work
+    that only msgid, legacy_msghdr, sdata or msgformat needs is skipped
+    when they are not asked for.
 
     check_program mirrors LP_CHECK_PROGRAM (syslog-format.c:332-373):
     an RFC3164 program name must be [A-Za-z0-9._-()/]+ with at least one
     letter; otherwise PROGRAM/PID stay unset, the whole tail stays in
     the message, and the row is tagged syslog.rfc3164_invalid_program
     (pins test_syslog_format.c rfc3164_check_program_*)."""
+    if unknown := set(columns) - set(COLUMNS):
+        raise ValueError(f"unknown syslog columns: {sorted(unknown)}")
     n = table.num_rows
     text = pc.fill_null(table.column(col).cast(pa.string()), "").combine_chunks()
     if recv_ts_col in table.column_names:
@@ -292,8 +310,7 @@ def parse_syslog_table(
     ts_ok = ~np.isnat(recv)
     fmt = np.zeros(n, dtype=np.int8)  # index into _FORMATS; 0 = not parsed
     tags = np.zeros(n, dtype=np.int8)  # index into _TAG_LISTS
-    strs = {k: [] for k in ("host", "program", "pid", "msgid", "message", "legacy_msghdr")}
-    sdata = []
+    strs = {k: [] for k in COLUMNS}
 
     def rfc3164(rows, ex, us, ok):
         """The shared BSD/ISO-stamp tail: pri, stamp, host, legacy tag."""
@@ -304,31 +321,37 @@ def parse_syslog_table(
         tail(rows, pc.struct_field(ex, "rest"), 0)
 
     def tail(rows, rest, tag):
-        cols, bad = _legacy_tail(rest, check_program)
+        cols, bad = _legacy_tail(rest, check_program, "legacy_msghdr" in columns)
         for k, v in cols.items():
             strs[k].append((rows, v))
         fmt[rows] = 2
         tags[rows] = np.where(bad, tag + _T_INVALID_PROGRAM, tag)
 
     # ---------- RFC5424 ----------
-    # detect, then extract only over the candidate rows
-    is5424 = pc.match_substring_regex(text, r"^<\d{1,3}>\d ").to_numpy(zero_copy_only=False)
-    rows, ex = _extract(text, RE_5424, is5424)
-    pri[rows] = _int(pc.struct_field(ex, "pri"))
-    ts[rows], ts_ok[rows] = _iso_timestamp(pc.extract_regex(
-        pc.struct_field(ex, "ts"), pattern="(?s)" + RE_ISO.pattern))
+    # a bare RE2 match (it computes no captures), then the header is the
+    # first six of seven space-split tokens: no space can sit inside one
+    is5424 = pc.match_substring_regex(text, "(?s)" + RE_5424.pattern).to_numpy(zero_copy_only=False)
+    rows = np.flatnonzero(is5424)
+    tok = pc.split_pattern(text.filter(pa.array(is5424)), " ", max_splits=6)
+
+    def field(i):
+        return pc.list_element(tok, i)
+
+    pri[rows] = _int(pc.utf8_slice_codeunits(field(0), 1, -2))  # "<pri>v"
+    ts[rows], ts_ok[rows] = _iso_timestamp(pc.extract_regex(field(1), pattern="(?s)" + RE_ISO.pattern))
     # nil ('-') fields stay null, matching the reference's unset values
-    for name, g in (("host", "host"), ("program", "app"), ("pid", "pid"), ("msgid", "msgid")):
-        v = pc.struct_field(ex, g)
-        strs[name].append((rows, pc.if_else(pc.equal(v, "-"), _NULL_STR, v)))
-    rest = pc.struct_field(ex, "rest")
+    for name, i in (("host", 2), ("program", 3), ("pid", 4), ("msgid", 5)):
+        if name in columns:
+            v = field(i)
+            strs[name].append((rows, pc.if_else(pc.equal(v, "-"), _NULL_STR, v)))
+    rest = field(6)
     sd = pc.extract_regex(rest, pattern="(?s)" + RE_SD_BLOCK.pattern)
     strs["message"].append((rows, pc.if_else(sd.is_valid(), pc.struct_field(sd, "msg"), rest)))
-    block = pc.struct_field(sd, "sd")
-    has_sd = pc.fill_null(pc.not_equal(block, "-"), False)
-    sd_rows = rows[has_sd.to_numpy(zero_copy_only=False)]
-    sdata.append((sd_rows, pa.array(
-        [parse_sdata(x) for x in block.filter(has_sd).to_pylist()], _SDATA)))
+    if "sdata" in columns:
+        block = pc.struct_field(sd, "sd")
+        has_sd = pc.fill_null(pc.not_equal(block, "-"), False)
+        strs["sdata"].append((rows[has_sd.to_numpy(zero_copy_only=False)], pa.array(
+            [parse_sdata(x) for x in block.filter(has_sd).to_pylist()], _SDATA)))
     fmt[rows] = 1
 
     # ---------- RFC3164 ----------
@@ -365,24 +388,26 @@ def parse_syslog_table(
     tags[ipri] = _T_INVALID_PRI
 
     out = table
-    for name, arr in (
-        ("pri", pa.array(pri, pa.uint16())),
-        ("ts_stamp", pa.array(ts.view("datetime64[us]"), mask=~ts_ok)),
-        ("host", _scatter(n, strs["host"], None, pa.string())),
-        ("program", _scatter(n, strs["program"], None, pa.string())),
-        ("pid", _scatter(n, strs["pid"], None, pa.string())),
-        ("msgid", _scatter(n, strs["msgid"], None, pa.string())),
-        ("message", _scatter(n, strs["message"], text, pa.string())),
-        ("legacy_msghdr", _scatter(n, strs["legacy_msghdr"], None, pa.string())),
-        ("sdata", _scatter(n, sdata, None, _SDATA)),
-        ("syslog_parsed", pa.array(fmt > 0)),
-        ("msgformat", _FORMATS.take(fmt)),
-        ("tags", _TAG_LISTS.take(tags)),
+    for name, build in (
+        ("pri", lambda: pa.array(pri, pa.uint16())),
+        ("ts_stamp", lambda: pa.array(ts.view("datetime64[us]"), mask=~ts_ok)),
+        ("host", lambda: _scatter(n, strs["host"], None, pa.string())),
+        ("program", lambda: _scatter(n, strs["program"], None, pa.string())),
+        ("pid", lambda: _scatter(n, strs["pid"], None, pa.string())),
+        ("msgid", lambda: _scatter(n, strs["msgid"], None, pa.string())),
+        ("message", lambda: _scatter(n, strs["message"], text, pa.string())),
+        ("legacy_msghdr", lambda: _scatter(n, strs["legacy_msghdr"], None, pa.string())),
+        ("sdata", lambda: _scatter(n, strs["sdata"], None, _SDATA)),
+        ("syslog_parsed", lambda: pa.array(fmt > 0)),
+        ("msgformat", lambda: _FORMATS.take(fmt)),
+        ("tags", lambda: _TAG_LISTS.take(tags)),
     ):
+        if name not in columns:
+            continue
         if name in out.column_names:  # re-parse overwrites (syslog-parser() on a field)
-            out = out.set_column(out.column_names.index(name), name, arr)
+            out = out.set_column(out.column_names.index(name), name, build())
         else:
-            out = out.append_column(name, arr)
+            out = out.append_column(name, build())
     return out
 
 

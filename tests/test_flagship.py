@@ -88,12 +88,8 @@ _STAGE_DIGESTS = [
     ("host", "b303591a7b4d6f4335815be133041980d7676338ecf229d02310bbf2e582dd28"),
     ("program", "553fa29832380e39e627090994abe4649406fcc0fbd5fd52abfbc1e82f1bb6f6"),
     ("pid", "b38b2b7077508208fd47a94cb949c39569fd82daa31a24ee865c361158d72f2f"),
-    ("msgid", "a9d6bd1ae53a9b4e43c5216cbe950999d4ac6493b53129ac5c54f890f6bb499c"),
     ("message", "1fffd22df003acfe8977a04d89d4ae63729243ca7209fd7d925511783baaf63e"),
-    ("legacy_msghdr", "822fbdfd3f94d7bd20c83f4007b5990b706be4d6580e886aa743102b5bdc1a36"),
-    ("sdata", "272825b7ccb5e8402ca8644efa7dd2d5283ac480cc09bdd8cfc555f3eddc5680"),
     ("syslog_parsed", "0d68962fb16c0aa7e87010da2d19623240a5ddf83e91cb57d74e89916f8bfd70"),
-    ("msgformat", "a24d9c328a7982afac0cb0ca86bec920412edc76ebafc9040dbd27925b2d4a47"),
     ("tags", "edd558dc9f30a9506828842a548503f64d705ea45b3a7346e31ed6cc92ee1b4b"),
     ("json_valid", "ca9e8e20cb024f5d4af98d553336ceac5dd268394c5a82594d88576eb1e5c9b4"),
     ("csv_valid", "8a6e5fde334d75ed75b8e80848dfc552dca0391f6abaf8e81a9c6ca638a769d2"),

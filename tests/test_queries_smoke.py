@@ -91,6 +91,24 @@ def test_golden_oracles_keep_the_path_perfbench_rewrites():
         assert mix._GOLDEN.fullmatch(m.group(0)), name
 
 
+def test_oracle_sql_does_not_follow_the_hash_seed():
+    # docs_langid and docs_curation_pipeline build their SQL from the
+    # STOPWORDS sets, whose iteration order follows PYTHONHASHSEED
+    import json
+    import subprocess
+    import sys
+
+    dump = ("import json; from axosyslog_ray.pipelines.queries import ORACLE_SQLS as o; "
+            "print(json.dumps({k: o[k] for k in ('docs_langid', 'docs_curation_pipeline')}))")
+
+    def oracles(seed):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": ROOT}
+        return json.loads(subprocess.run([sys.executable, "-c", dump], env=env, cwd=ROOT,
+                                         capture_output=True, text=True, check=True).stdout)
+
+    assert oracles("1") == oracles("2")
+
+
 def test_entry_runs(ray_session):
     e = _entry()
     res = e.entry()

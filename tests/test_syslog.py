@@ -423,3 +423,24 @@ def test_vectorized_matches_scalar_oracle_differential(rows, check_program):
     t = pa.table({"text": pa.array(lines, pa.string()),
                   "warc_ts": pa.array(recvs, pa.timestamp("us"))})
     _assert_oracle_agrees(t, check_program)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_line, _recv), min_size=1, max_size=20), st.booleans(),
+       st.sets(st.sampled_from(COLUMNS)))
+def test_pruned_columns_match_the_full_parse(rows, check_program, subset):
+    """columns= builds exactly the named outputs, after the input
+    columns and in COLUMNS order, each equal to the full parse's."""
+    lines, recvs = zip(*rows)
+    t = pa.table({"text": pa.array(lines, pa.string()),
+                  "warc_ts": pa.array(recvs, pa.timestamp("us"))})
+    full = parse_syslog_table(t, check_program=check_program)
+    pruned = parse_syslog_table(t, check_program=check_program, columns=subset)
+    assert pruned.column_names == ["text", "warc_ts"] + [c for c in COLUMNS if c in subset]
+    for c in subset:
+        assert pruned.column(c).equals(full.column(c)), c
+
+
+def test_unknown_column_raises():
+    with pytest.raises(ValueError, match="sd_data"):
+        parse_syslog_table(gen_pages_table(10), columns=("pri", "sd_data"))

@@ -375,7 +375,7 @@ def test_format_cef_extension_and_graphite():
     out = Template("$(format-cef-extension --key act --key bad.key)").eval(t).tolist()
     assert out == ["act=blocked a\\=b", "act=ok"]
     g = Template("$(graphite-output --timestamp $recvd_unixtime --key act)").eval(t)
-    assert g.tolist() == ["act blocked a=b 100", "act ok 200"]
+    assert g.tolist() == ["act blocked a=b 100\n", "act ok 200\n"]
 
 
 def test_scope_skips_pairs_a_row_does_not_set():
@@ -393,7 +393,7 @@ def test_key_skips_a_null_value_of_any_type():
     for spec in ("$(format-json --key s --key n)", "$(format-json s n)"):
         assert Template(spec).eval(t).tolist() == ['{"s":"a","n":1}', "{}"]
     assert Template("$(graphite-output --timestamp 1 --key s)").eval(t).tolist() == [
-        "s a 1", ""]
+        "s a 1\n", ""]
 
 
 def test_key_skips_a_name_that_is_no_column_and_no_macro():
