@@ -41,6 +41,9 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+# assign_files is re-exported for callers that import it from this module
+from ..state.checkpoint import CheckpointManifest, assign_files, run_partitions  # noqa: F401
+
 
 def curate(docs, eval_ds=None, target_ds=None, *,
            text_col: str = "text", id_col: str = "doc_id",
@@ -155,79 +158,22 @@ def curate(docs, eval_ds=None, target_ds=None, *,
     return ds
 
 
-def _list_parquet_files(docs_path: str) -> list[tuple[str, int]]:
-    """Enumerate (path, size_bytes) for every parquet file under a path
-    (a single file, a directory tree, or an explicit list)."""
-    import os
-
-    if isinstance(docs_path, (list, tuple)):
-        out = []
-        for p in docs_path:
-            out.extend(_list_parquet_files(p))
-        return out
-    if os.path.isfile(docs_path):
-        return [(docs_path, os.path.getsize(docs_path))]
-    files: list[tuple[str, int]] = []
-    for root, _dirs, names in os.walk(docs_path):
-        for name in sorted(names):
-            if name.endswith((".parquet", ".pq")):
-                full = os.path.join(root, name)
-                files.append((full, os.path.getsize(full)))
-    files.sort()
-    return files
-
-
-def assign_files(files: list[tuple[str, int]], num_parts: int) -> list[list[str]]:
-    """Size-balanced deterministic assignment of input files to resume
-    partitions (greedy longest-processing-time): each partition reads ONLY
-    its own bytes — no read amplification — and the assignment is a pure
-    function of the (sorted) file listing, so a resumed run computes the
-    identical plan. Partitions may be empty when files < num_parts."""
-    import heapq
-
-    parts: list[list[str]] = [[] for _ in range(num_parts)]
-    # heap of (total_bytes, part_index); ties broken by part index for
-    # determinism. Iterate files largest-first.
-    heap = [(0, i) for i in range(num_parts)]
-    heapq.heapify(heap)
-    for path, size in sorted(files, key=lambda fs: (-fs[1], fs[0])):
-        total, idx = heapq.heappop(heap)
-        parts[idx].append(path)
-        heapq.heappush(heap, (total + size, idx))
-    for p in parts:
-        p.sort()
-    return parts
-
-
-def curate_to_parquet(docs_path: str, out_dir: str,
+def curate_to_parquet(docs_path, out_dir: str,
                       num_parts: int = 8, **kwargs):
-    """Resumable driver: shard the INPUT FILE LIST across partitions
-    (size-balanced, deterministic) and run `curate` per partition through
-    the checkpoint manifest — a killed run re-runs ONLY unfinished
-    partitions (per-partition lineage + row-count metrics in _manifest/,
-    the north-star resume contract).
+    """Resumable driver: run `curate` over each partition of the input
+    file list through the checkpoint manifest's partition loop
+    (state.checkpoint.run_partitions) — a killed run re-runs ONLY
+    unfinished partitions (per-partition lineage + row-count metrics in
+    _manifest/, the north-star resume contract).
 
-    Each partition's read touches only its own files, so the whole run
-    scans the input exactly once regardless of num_parts (no read
+    `docs_path` is a Parquet file, a directory tree, a glob or a list of
+    these. Each partition's read touches only its own files, so the whole
+    run scans the input exactly once regardless of num_parts (no read
     amplification), and no assumption is made about id column types.
-    Partitions with no assigned files (files < num_parts) are marked done
-    with zero rows without scheduling any read."""
+    Raises FileNotFoundError when `docs_path` names no Parquet file."""
     import ray.data as rd
 
-    from ..state.checkpoint import CheckpointManifest
-
-    man = CheckpointManifest(out_dir)
-    parts = assign_files(_list_parquet_files(docs_path), num_parts)
-
-    done = 0
-    for part, files in enumerate(parts):
-        pid = f"{part:05d}"
-        if man.is_done(pid):
-            done += 1
-            continue
-        if not files:
-            man.mark_done(pid, {"part_id": pid, "rows": 0, "files": 0})
-            continue
-        man.write_partition(pid, curate(rd.read_parquet(files), **kwargs),
-                            extra_meta={"files": len(files)})
-    return {"parts": num_parts, "skipped": done, "manifest": man.manifest_dir}
+    res = run_partitions(docs_path, out_dir, num_parts,
+                         lambda files: curate(rd.read_parquet(files), **kwargs))
+    return {"parts": num_parts, "skipped": len(res["skipped"]),
+            "manifest": CheckpointManifest(out_dir).manifest_dir}

@@ -12,15 +12,23 @@ and then a `_manifest/<part>.done.json` marker records row counts +
 metrics. On restart, completed partitions are skipped before any read is
 scheduled — no reprocessing, no duplicates. Output layout is
 `out_dir/part=<id>/*.parquet`, never one giant file.
+
+`run_partitions` is the one partition loop every resumable driver
+(jobs/flagship_job.py, pipelines/curate_corpus.py::curate_to_parquet)
+runs: list the input files, plan partitions over them, skip the done
+ones, write the rest through `write_partition`.
 """
 
 from __future__ import annotations
 
+import glob
+import heapq
 import json
 import os
 import shutil
 import time
 import uuid
+from collections import Counter
 
 
 class CheckpointManifest:
@@ -69,26 +77,30 @@ class CheckpointManifest:
             return existing
         final = self.part_dir(part_id)
         # clear orphaned tmp dirs from a previous killed attempt
-        import glob as _glob
-
-        for stale in _glob.glob(final + ".tmp-*"):
+        for stale in glob.glob(final + ".tmp-*"):
             shutil.rmtree(stale, ignore_errors=True)
         tmp = final + f".tmp-{uuid.uuid4().hex[:8]}"
         t0 = time.time()
         ds.write_parquet(tmp, **(write_kwargs or {}))
         import pyarrow.parquet as pq
 
-        rows = 0
+        # rows per directory from the footers: "." for the partition's top
+        # level, "route=web" for a `partition_cols=["route"]` write
+        rows_by_dir: Counter[str] = Counter()
         for root, _dirs, fnames in os.walk(tmp):
             for fname in fnames:
                 if fname.endswith(".parquet"):
-                    rows += pq.read_metadata(os.path.join(root, fname)).num_rows
+                    rows_by_dir[os.path.relpath(root, tmp)] += \
+                        pq.read_metadata(os.path.join(root, fname)).num_rows
+        # a killed attempt's files must not survive into the finished
+        # partition: the directory is replaced whole, never merged
         if os.path.exists(final):
             shutil.rmtree(final)
         os.replace(tmp, final)
         meta = {
             "part_id": part_id,
-            "rows": rows,
+            "rows": sum(rows_by_dir.values()),
+            "rows_by_dir": dict(rows_by_dir),
             "wall_sec": round(time.time() - t0, 3),
             "completed_at": time.time(),
             **(extra_meta or {}),
@@ -97,19 +109,73 @@ class CheckpointManifest:
         return meta
 
 
-def resumable_run(partition_ids: list[str], build_fn, out_dir: str, metrics_fn=None,
-                  write_kwargs: dict | None = None) -> dict:
-    """Run `build_fn(part_id) -> Dataset` for every partition not already
-    completed; returns {part_id: meta}. Each partition internally executes
-    with full-cluster parallelism, so sequential partition order costs
-    nothing while giving kill-safe resume granularity."""
+def list_files(paths) -> list[tuple[str, int]]:
+    """(path, size_bytes) of every Parquet file named by `paths`, sorted
+    and without duplicates: a file, a directory tree (every `*.parquet` /
+    `*.pq` under it), a glob, or a list of these."""
+    if not isinstance(paths, str):
+        return sorted({f for p in paths for f in list_files(p)})
+    if os.path.isfile(paths):
+        return [(paths, os.path.getsize(paths))]
+    if os.path.isdir(paths):
+        return sorted(
+            (full, os.path.getsize(full))
+            for root, _dirs, names in os.walk(paths)
+            for full in (os.path.join(root, n) for n in names)
+            if full.endswith((".parquet", ".pq")))
+    if glob.escape(paths) == paths:  # no wildcard: a path that is not there
+        return []
+    return list_files(glob.glob(paths))
+
+
+def assign_files(files: list[tuple[str, int]], num_parts: int) -> list[list[str]]:
+    """Size-balanced deterministic assignment of input files to resume
+    partitions (greedy longest-processing-time): each partition reads ONLY
+    its own bytes — no read amplification — and the assignment is a pure
+    function of the (sorted) file listing, so a resumed run computes the
+    identical plan. Partitions may be empty when files < num_parts."""
+    parts: list[list[str]] = [[] for _ in range(num_parts)]
+    # heap of (total_bytes, part_index); ties broken by part index for
+    # determinism. Iterate files largest-first.
+    heap = [(0, i) for i in range(num_parts)]
+    heapq.heapify(heap)
+    for path, size in sorted(files, key=lambda fs: (-fs[1], fs[0])):
+        total, idx = heapq.heappop(heap)
+        parts[idx].append(path)
+        heapq.heappush(heap, (total + size, idx))
+    for p in parts:
+        p.sort()
+    return parts
+
+
+def run_partitions(inputs, out_dir: str, num_parts: int, build,
+                   write_kwargs: dict | None = None) -> dict[str, dict[str, dict]]:
+    """Run a resumable job: `build(files) -> Dataset` for every partition
+    of the input files (`list_files(inputs)` planned by `assign_files`)
+    that has no done marker yet, written through `write_partition`.
+
+    A partition with no files is marked done with 0 rows and reads
+    nothing. Each partition executes with full-cluster parallelism, so
+    running them one after another costs nothing while a kill loses at
+    most the partition in flight. Returns `{"run": {part_id: meta},
+    "skipped": {part_id: meta}}`; raises FileNotFoundError when `inputs`
+    names no Parquet file."""
+    files = list_files(inputs)
+    if not files:
+        raise FileNotFoundError(f"no input files match {inputs!r}")
     ckpt = CheckpointManifest(out_dir)
-    results: dict[str, dict] = {}
-    for pid in partition_ids:
-        if ckpt.is_done(pid):
-            results[pid] = ckpt.meta(pid)
+    out: dict[str, dict[str, dict]] = {"run": {}, "skipped": {}}
+    for k, part_files in enumerate(assign_files(files, num_parts)):
+        pid = f"{k:05d}"
+        meta = ckpt.meta(pid)
+        if meta is not None:
+            out["skipped"][pid] = meta
             continue
-        ds = build_fn(pid)
-        extra = metrics_fn(pid) if metrics_fn else None
-        results[pid] = ckpt.write_partition(pid, ds, extra, write_kwargs=write_kwargs)
-    return results
+        if not part_files:
+            meta = {"part_id": pid, "rows": 0, "files": 0}
+            ckpt.mark_done(pid, meta)
+        else:
+            meta = ckpt.write_partition(pid, build(part_files), {"files": len(part_files)},
+                                        write_kwargs=write_kwargs)
+        out["run"][pid] = meta
+    return out

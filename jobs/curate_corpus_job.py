@@ -11,18 +11,20 @@ partitions. This driver is that entry point:
         --output s3://bucket/curated/v1    \
         --num-parts 256 --budget-tokens 5e9
 
-Local smoke run (single node, the sandbox shape):
+Local smoke run (single node, from the repo root):
 
-    python jobs/curate_corpus_job.py \
+    PYTHONPATH=. python jobs/curate_corpus_job.py \
         --input /root/testdata/sf0.001/documents.parquet \
         --output /tmp/curated --num-parts 4
 
-Resume semantics: partitions are a deterministic size-balanced shard of
-the INPUT FILE LIST (each partition reads only its own bytes — no read
-amplification; pipelines/curate_corpus.py:assign_files); finished
-partitions are recorded in `<output>/_manifest/<part>.done.json` with
-row counts + wall time and skipped on the next submit. Re-submitting
-the SAME command after a kill is the resume.
+Resume semantics (shared with jobs/flagship_job.py): the run is
+`state.checkpoint.run_partitions` — partitions are a deterministic
+size-balanced shard of the INPUT FILE LIST (each partition reads only
+its own bytes — no read amplification); each one is written to a
+temporary directory and renamed to `<output>/part=<k>/`, then recorded
+in `<output>/_manifest/<k>.done.json` with row counts + wall time and
+skipped on the next submit. Re-submitting the SAME command after a kill
+is the resume. An input that names no Parquet file exits 2.
 """
 from __future__ import annotations
 
@@ -48,17 +50,21 @@ def main(argv=None) -> int:
 
     import ray
 
-    # `ray job submit` provides the cluster; standalone runs auto-init
+    # no address: Ray takes RAY_ADDRESS (`ray job submit` sets it), then
+    # the latest local cluster, and only then starts one
     if not ray.is_initialized():
-        ray.init(address="auto" if "--address" in sys.argv else "local",
-                 ignore_reinit_error=True)
+        ray.init()
 
     from axosyslog_ray.pipelines.curate_corpus import curate_to_parquet
 
-    result = curate_to_parquet(
-        args.input, args.output, num_parts=args.num_parts,
-        dedup=not args.no_dedup, budget_tokens=args.budget_tokens,
-        min_words=args.min_words, max_words=args.max_words)
+    try:
+        result = curate_to_parquet(
+            args.input, args.output, num_parts=args.num_parts,
+            dedup=not args.no_dedup, budget_tokens=args.budget_tokens,
+            min_words=args.min_words, max_words=args.max_words)
+    except FileNotFoundError as e:
+        print(e, file=sys.stderr)
+        return 2
     print(json.dumps(result))
     return 0
 

@@ -11,34 +11,30 @@ partitions. Usage:
         --output s3://bucket/routed/v1 \
         --num-parts 256
 
-Local smoke run (single node, the sandbox shape):
+Local smoke run (single node, from the repo root; `synth.write_pages`
+makes the input):
 
-    python jobs/flagship_job.py --input /tmp/pages \
+    python -c "from axosyslog_ray.synth import write_pages; \
+        write_pages('/tmp/pages', 600_000)"
+    PYTHONPATH=. python jobs/flagship_job.py --input /tmp/pages \
         --output /tmp/routed --num-parts 4
 
-Resume semantics (the curate_corpus_job contract): partitions are a
-deterministic size-balanced shard of the INPUT FILE LIST
-(pipelines/curate_corpus.assign_files — each partition reads only its
-own bytes, no read amplification); finished partitions record
-`<output>/_manifest/<part>.done.json` with per-sink routed counts and
-are skipped on re-submit. The per-partition output directory is
-`<output>/part=<k>/<route>/...parquet`, so downstream consumers read
-`<output>/part=*/<route>/` per route.
+Resume semantics (shared with jobs/curate_corpus_job.py): the run is
+`state.checkpoint.run_partitions` — partitions are a deterministic
+size-balanced shard of the INPUT FILE LIST (each partition reads only
+its own bytes, no read amplification); each one is written to a
+temporary directory and renamed to `<output>/part=<k>/route=<sink>/`,
+then `<output>/_manifest/<k>.done.json` records its rows per route
+directory (read from the Parquet footers). Finished partitions are
+skipped on re-submit, and a rerun partition replaces whatever a killed
+attempt left, so the manifest states what is on disk. Downstream
+consumers read `<output>/part=*/route=<sink>/` per route.
 """
 from __future__ import annotations
 
 import argparse
-import glob
 import json
-import os
 import sys
-import time
-
-
-def _files_with_sizes(pattern: str) -> list[tuple[str, int]]:
-    if os.path.isdir(pattern):
-        pattern = os.path.join(pattern, "*.parquet")
-    return [(f, os.path.getsize(f)) for f in sorted(glob.glob(pattern))]
 
 
 def main(argv=None) -> int:
@@ -52,57 +48,32 @@ def main(argv=None) -> int:
 
     import ray
 
+    # no address: Ray takes RAY_ADDRESS (`ray job submit` sets it), then
+    # the latest local cluster, and only then starts one
     if not ray.is_initialized():
-        ray.init(address=os.environ.get("RAY_ADDRESS", "auto"),
-                 include_dashboard=False)
+        ray.init()
     import ray.data as rd
 
-    from axosyslog_ray.pipelines.curate_corpus import assign_files
     from axosyslog_ray.pipelines.flagship import flagship_routed
-    from axosyslog_ray.sinks import RoutedParquetDatasink
+    from axosyslog_ray.state.checkpoint import run_partitions
 
-    files = _files_with_sizes(args.input)
-    if not files:
-        print(f"no input files match {args.input!r}", file=sys.stderr)
+    def build(files):
+        return flagship_routed(
+            rd.read_parquet(files, columns=["url", "warc_ts", "text", "lang"]))
+
+    try:
+        res = run_partitions(args.input, args.output, args.num_parts, build,
+                             write_kwargs={"partition_cols": ["route"]})
+    except FileNotFoundError as e:
+        print(e, file=sys.stderr)
         return 2
-    parts = assign_files(files, args.num_parts)
-    manifest_dir = os.path.join(args.output, "_manifest")
-    os.makedirs(manifest_dir, exist_ok=True)
-
-    done = skipped = 0
     totals: dict[str, int] = {}
-    for k, part_files in enumerate(parts):
-        if not part_files:
-            continue
-        marker = os.path.join(manifest_dir, f"{k}.done.json")
-        if os.path.exists(marker):
-            skipped += 1
-            with open(marker) as fh:
-                for route, n in json.load(fh)["sink_counts"].items():
-                    totals[route] = totals.get(route, 0) + n
-            continue
-        t0 = time.time()
-        ds = rd.read_parquet(part_files,
-                             columns=["url", "warc_ts", "text", "lang"])
-        routed = flagship_routed(ds)
-        sink = RoutedParquetDatasink(os.path.join(args.output, f"part={k}"),
-                                     partition_col="route",
-                                     count_cols=("route",))
-        routed.write_datasink(sink)
-        counts = ({r: int(n) for r, n in
-                   sink.counts.groupby("route")["n"].sum().items()}
-                  if sink.counts is not None else {})
-        tmp = marker + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump({"part": k, "files": part_files,
-                       "sink_counts": counts,
-                       "sec": round(time.time() - t0, 3)}, fh)
-        os.replace(tmp, marker)  # atomic: a kill mid-write never
-        done += 1                # records a half-finished partition
-        for route, n in counts.items():
+    for meta in [*res["run"].values(), *res["skipped"].values()]:
+        for d, n in meta.get("rows_by_dir", {}).items():
+            route = d.split("=", 1)[1]
             totals[route] = totals.get(route, 0) + n
-
-    print(json.dumps({"partitions_run": done, "partitions_skipped": skipped,
+    print(json.dumps({"partitions_run": len(res["run"]),
+                      "partitions_skipped": len(res["skipped"]),
                       "sink_counts": totals}))
     return 0
 

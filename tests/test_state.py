@@ -5,7 +5,7 @@ import pandas as pd
 import pyarrow as pa
 import pytest
 
-from axosyslog_ray.state.checkpoint import CheckpointManifest, resumable_run
+from axosyslog_ray.state.checkpoint import CheckpointManifest, run_partitions
 from axosyslog_ray.state.sessions import GroupingBy
 from axosyslog_ray.state.suppress import RateLimit, Suppress
 
@@ -80,32 +80,39 @@ def test_rate_limit_token_bucket():
 
 @pytest.mark.usefixtures("ray_session")
 def test_checkpoint_resume_skips_done_partitions(tmp_path):
+    import os
+
+    import pyarrow.parquet as pq
     import ray.data as rd
 
+    src = tmp_path / "in"
+    src.mkdir()
+    for p in ("p0", "p1", "p2"):
+        pq.write_table(pa.table({"part": [p] * 100, "id": list(range(100))}),
+                       str(src / f"{p}.parquet"))
     calls = []
 
-    def build(pid):
-        calls.append(pid)
-        return rd.range(100).map_batches(
-            lambda b: pa.table({"part": pa.array([pid] * b.num_rows), "id": b.column("id")}),
-            batch_format="pyarrow",
-        )
+    def build(files):
+        calls.append(os.path.basename(files[0]))
+        return rd.read_parquet(files)
 
     out = str(tmp_path / "out")
-    r1 = resumable_run(["p0", "p1"], build, out)
-    assert sorted(calls) == ["p0", "p1"]
-    assert r1["p0"]["rows"] == 100
-    # simulate restart: p0/p1 done, p2 new
+    r1 = run_partitions(str(src), out, 3, build)
+    assert sorted(calls) == ["p0.parquet", "p1.parquet", "p2.parquet"]
+    assert r1["run"]["00000"]["rows"] == 100
+    # simulate restart: partitions 0/1 done, partition 2 never finished
+    os.remove(os.path.join(out, "_manifest", "00002.done.json"))
     calls.clear()
-    r2 = resumable_run(["p0", "p1", "p2"], build, out)
-    assert calls == ["p2"]  # no reprocessing of completed partitions
-    assert r2["p0"]["rows"] == 100 and r2["p2"]["rows"] == 100
+    r2 = run_partitions(str(src), out, 3, build)
+    assert calls == ["p2.parquet"]  # no reprocessing of completed partitions
+    assert sorted(r2["skipped"]) == ["00000", "00001"]
+    assert r2["skipped"]["00000"]["rows"] == 100 and r2["run"]["00002"]["rows"] == 100
     ck = CheckpointManifest(out)
-    assert ck.done_parts() == {"p0", "p1", "p2"}
+    assert ck.done_parts() == {"00000", "00001", "00002"}
     # outputs complete and readable
     import glob
 
-    files = [f for p in ["p0", "p1", "p2"] for f in glob.glob(ck.part_dir(p) + "/*.parquet")]
+    files = [f for p in ck.done_parts() for f in glob.glob(ck.part_dir(p) + "/*.parquet")]
     total = rd.read_parquet(files).count()
     assert total == 300
 
