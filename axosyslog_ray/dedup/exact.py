@@ -12,6 +12,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..hashutil import hash_str_array
+from ..shuffle import bucketed_map_groups
 
 
 def add_content_hash(batch: pa.Table, col: str = "text", out: str = "content_hash") -> pa.Table:
@@ -35,26 +36,16 @@ def dedup_stats(ds, col: str = "text", id_col: str = "doc_id"):
 
 def dedup_rows(ds, col: str = "text", id_col: str = "doc_id", num_buckets: int | None = None):
     """Return the dataset with only the canonical row per distinct content
-    (min id wins). Full-row shuffle by a coarse hash bucket — grouping by
-    the raw content hash would make one tiny map_groups group per
-    distinct document (the measured 50x overhead pattern); inside each
-    bucket the dedup is one vectorized drop_duplicates. num_buckets
+    (min id wins). Full-row coarse-bucket exchange keyed on the content
+    hash — grouping by the raw hash would make one tiny map_groups group
+    per distinct document (the measured 50x overhead pattern); inside
+    each bucket the dedup is one vectorized drop_duplicates. num_buckets
     defaults to 8x cluster CPUs (bounded group size at any scale)."""
     import pandas as pd
 
-    from .minhash import default_num_shards
-
-    if num_buckets is None:
-        num_buckets = default_num_shards()
-
-    def hash_and_bucket(b: pa.Table) -> pa.Table:
-        t = add_content_hash(b, col)
-        bucket = (t.column("content_hash").to_numpy() % num_buckets).astype(np.int64)
-        return t.append_column("_bucket", pa.array(bucket))
-
-    hashed = ds.map_batches(hash_and_bucket, batch_format="pyarrow")
+    hashed = ds.map_batches(lambda b: add_content_hash(b, col), batch_format="pyarrow")
 
     def dedup_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        return g.sort_values(id_col, kind="mergesort").drop_duplicates("content_hash", keep="first").drop(columns=["_bucket"])
+        return g.sort_values(id_col, kind="mergesort").drop_duplicates("content_hash", keep="first")
 
-    return hashed.groupby("_bucket").map_groups(dedup_bucket, batch_format="pandas")
+    return bucketed_map_groups(hashed, "content_hash", dedup_bucket, num_buckets)

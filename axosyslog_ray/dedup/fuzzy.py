@@ -31,43 +31,35 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..shuffle import bucketed_map_groups
 from .components import connected_components
-from .minhash import BandEmitter, MinHasher, default_num_shards, shard_of
+from .minhash import BAND_KEY, BandEmitter, MinHasher
 
 _DROP = "_fuzzy_drop"
 
 
 def minhash_star_edges(ds, num_perm: int = 64, bands: int = 16, shingle: int = 3,
                        text_col: str = "text", id_col: str = "doc_id",
-                       num_shards: int | None = None, concurrency=None):
+                       num_buckets: int | None = None):
     """Dataset[(id_a, id_b)] star edges of the LSH bucket-sharing graph:
-    one edge per distinct (doc, bucket-min) with doc != bucket-min."""
+    one edge per distinct (doc, bucket-min) with doc != bucket-min, from
+    one coarse-bucket exchange keyed on (band_id, band_hash)."""
     mh = MinHasher(num_perm=num_perm, shingle=shingle, text_col=text_col, id_col=id_col)
-    kwargs = {"concurrency": concurrency} if concurrency else {}
-    sigs = ds.map_batches(mh, batch_format="pyarrow", **kwargs)
-    rows = sigs.map_batches(BandEmitter(bands=bands, id_col=id_col), batch_format="pyarrow")
-    if num_shards is None:
-        num_shards = default_num_shards()
-
-    def add_shard(b: pa.Table) -> pa.Table:
-        sh = shard_of(b.column("band_id").to_numpy(), b.column("band_hash").to_numpy(), num_shards)
-        return b.append_column("_shard", pa.array(sh))
+    rows = ds.map_batches(mh, batch_format="pyarrow").map_batches(
+        BandEmitter(bands=bands, id_col=id_col), batch_format="pyarrow")
 
     def star(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.copy()
-        g["_bmin"] = g.groupby(["band_id", "band_hash"])[id_col].transform("min")
+        g["_bmin"] = g.groupby(BAND_KEY)[id_col].transform("min")
         e = g.loc[g[id_col] != g["_bmin"], [id_col, "_bmin"]].drop_duplicates()
         return pd.DataFrame({"id_a": e[id_col].astype("int64"),
                              "id_b": e["_bmin"].astype("int64")})
 
-    return rows.map_batches(add_shard, batch_format="pyarrow").groupby("_shard").map_groups(
-        star, batch_format="pandas")
+    return bucketed_map_groups(rows, BAND_KEY, star, num_buckets)
 
 
 def fuzzy_dedup(ds, num_perm: int = 64, bands: int = 16, shingle: int = 3,
                 text_col: str = "text", id_col: str = "doc_id",
-                num_shards: int | None = None, num_buckets: int | None = None,
-                max_iters: int = 64):
+                num_buckets: int | None = None, max_iters: int = 64):
     """Remove near-duplicate rows: keep exactly one representative (the
     min id over the true transitive cluster) per near-dup cluster, plus
     every row that shares no LSH bucket. Returns a Dataset with the
@@ -75,7 +67,7 @@ def fuzzy_dedup(ds, num_perm: int = 64, bands: int = 16, shingle: int = 3,
     from ..join import hash_join
 
     edges = minhash_star_edges(ds, num_perm=num_perm, bands=bands, shingle=shingle,
-                               text_col=text_col, id_col=id_col, num_shards=num_shards)
+                               text_col=text_col, id_col=id_col, num_buckets=num_buckets)
     comp = connected_components(edges, src="id_a", dst="id_b",
                                 num_buckets=num_buckets, max_iters=max_iters)
     drops = comp.filter(expr="node != component").map_batches(

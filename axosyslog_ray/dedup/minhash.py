@@ -10,8 +10,9 @@ construction, e.g. Broder 1997 / MMDS ch.3 — public knowledge):
 2. signatures split into `bands` bands of `rows_per_band` values; each
    band hashed to one (band_id, band_hash, doc_id) row — the ONLY thing
    shuffled;
-3. groupby (band_id, band_hash) yields candidate buckets; candidate
-   pairs are verified with exact n-gram Jaccard (optional);
+3. one coarse-bucket exchange keyed on (band_id, band_hash)
+   (`shuffle.bucketed_map_groups`) co-locates each candidate bucket;
+   candidate pairs are verified with exact n-gram Jaccard (optional);
 4. cluster id = min doc_id over the candidate-pair connected component,
    approximated by one round of min-label propagation (bucket min),
    which is exact when duplicates share at least one band bucket with
@@ -25,29 +26,10 @@ import pandas as pd
 import pyarrow as pa
 
 from ..hashutil import hash_str_array
+from ..shuffle import bucketed_map_groups
 
 _MERSENNE = np.uint64((1 << 61) - 1)
-# Fibonacci-style odd multiplier for mixing (band_id, band_hash) into a shard key
-_MIX = np.int64(-7046029254386353131)  # 0x9E3779B97F4A7C15 as signed int64
-
-
-def default_num_shards() -> int:
-    """Coarse-shard count for bucket-grouped dedup shuffles: scales with the
-    cluster so each map_groups group holds ~1/(8*cluster_cpus) of the band
-    rows — bounded at 100x data on a 256-node cluster, yet few enough
-    groups to dodge the measured ~50x tiny-group map_groups overhead."""
-    from ..shuffle import default_num_buckets
-
-    return default_num_buckets()
-
-
-def shard_of(band_id: np.ndarray, band_hash: np.ndarray, num_shards: int) -> np.ndarray:
-    """Deterministic shard for a (band_id, band_hash) LSH bucket. All rows of
-    one bucket land in one shard (correctness), while distinct buckets spread
-    uniformly (bounded group size — VERDICT r1 'What's wrong' #1)."""
-    with np.errstate(over="ignore"):
-        key = (band_hash.astype(np.int64) + band_id.astype(np.int64)) * _MIX
-    return ((key.view(np.uint64) >> np.uint64(33)) % np.uint64(num_shards)).astype(np.int64)
+BAND_KEY = ["band_id", "band_hash"]
 
 
 class MinHasher:
@@ -150,65 +132,47 @@ class BandEmitter:
         )
 
 
-def minhash_clusters(ds, num_perm: int = 64, bands: int = 16, shingle: int = 3,
-                     text_col: str = "text", id_col: str = "doc_id", concurrency=None,
-                     final: str = "shuffle", num_shards: int | None = None):
-    """doc_id -> cluster_id (min doc_id sharing any LSH bucket).
-
-    Returns Dataset[(doc_id, cluster_id)] (final="shuffle") or a pandas
-    DataFrame (final="driver" — the per-doc min reduce runs on the driver
-    over the small (doc, bucket_min) label table; right when n_docs is
-    bounded, skipping a second all-to-all barrier). Rows with
-    cluster_id < doc_id are near-duplicates of an earlier doc.
-
-    The shuffle groups by a coarse shard `hash(band_id, band_hash) %
-    num_shards` — the middle granularity between per-bucket (thousands of
-    tiny map_groups groups, measured ~50x overhead) and per-band (each
-    group holds n_docs rows — unbounded at scale). Group size is bounded
-    at ~n_band_rows/num_shards; num_shards scales with cluster CPUs."""
-    mh = MinHasher(num_perm=num_perm, shingle=shingle, text_col=text_col, id_col=id_col)
-    kwargs = {"concurrency": concurrency} if concurrency else {}
-    sigs = ds.map_batches(mh, batch_format="pyarrow", **kwargs)
-    pairs = sigs.map_batches(BandEmitter(bands=bands, id_col=id_col), batch_format="pyarrow")
-    if num_shards is None:
-        num_shards = default_num_shards()
-    import pandas as pd
-
-    def add_shard(b: pa.Table) -> pa.Table:
-        sh = shard_of(b.column("band_id").to_numpy(), b.column("band_hash").to_numpy(), num_shards)
-        return b.append_column("_shard", pa.array(sh))
-
-    def bucket_min(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.copy()
-        # a (band_id, band_hash) bucket is entirely inside one shard; the
-        # per-bucket min is a vectorized two-key transform
-        g["bucket_min"] = g.groupby(["band_id", "band_hash"])[id_col].transform("min")
-        # partial per-doc min within the shard -> one row per (shard, doc)
-        return g.groupby(id_col, as_index=False)["bucket_min"].min()
-
-    joined = pairs.map_batches(add_shard, batch_format="pyarrow").groupby("_shard").map_groups(
-        bucket_min, batch_format="pandas")
-    if final == "driver":
-        frames = [b.to_pandas() for b in joined.iter_batches(batch_size=None, batch_format="pyarrow")]
-        allp = pd.concat(frames, ignore_index=True) if frames else pd.DataFrame({id_col: [], "bucket_min": []})
-        return allp.groupby(id_col, as_index=False)["bucket_min"].min().rename(columns={"bucket_min": "cluster_id"})
-    # distributed final: coarse-bucket map_groups, NOT ray's
-    # groupby().aggregate — the sort-based aggregate exchange measured
-    # 5x slower (10s vs 2s at sf0.1/32cpus) for this bounded-width
-    # reduce; one hash bucket per ~n_docs/64 rows is the right
-    # granularity and the vectorized per-bucket min is one pandas pass
-    from ..shuffle import bucketed_map_groups
-
-    def _final_min(g):
+def cluster_min(labels, id_col: str = "doc_id"):
+    """Dataset[(id, bucket_min)] partial labels -> Dataset[(id,
+    cluster_id)]: the per-doc min over one coarse-bucket exchange keyed
+    on the id. Not Ray's groupby().aggregate — its sort-based exchange
+    measured 5x slower (10s vs 2s at sf0.1/32cpus) for this
+    bounded-width reduce; one bucket per ~n_docs/64 rows is the right
+    granularity and the per-bucket min is one pandas pass."""
+    def final_min(g: pd.DataFrame) -> pd.DataFrame:
         return (g.groupby(id_col, as_index=False)["bucket_min"].min()
                  .rename(columns={"bucket_min": "cluster_id"}))
 
-    return bucketed_map_groups(joined, id_col, _final_min, num_buckets=64)
+    return bucketed_map_groups(labels, id_col, final_min, num_buckets=64)
+
+
+def minhash_clusters(ds, num_perm: int = 64, bands: int = 16, shingle: int = 3,
+                     text_col: str = "text", id_col: str = "doc_id",
+                     num_buckets: int | None = None):
+    """Dataset[(doc_id, cluster_id)]: cluster_id is the min doc_id sharing
+    any LSH bucket, so rows with cluster_id < doc_id are near-duplicates
+    of an earlier doc.
+
+    Band rows meet in one coarse-bucket exchange keyed on (band_id,
+    band_hash) — an LSH bucket never splits across buckets, and
+    num_buckets (default 8x cluster CPUs) bounds both group size and
+    group count; each bucket emits one partial (doc, bucket_min) row per
+    doc it holds, reduced by `cluster_min`."""
+    mh = MinHasher(num_perm=num_perm, shingle=shingle, text_col=text_col, id_col=id_col)
+    pairs = ds.map_batches(mh, batch_format="pyarrow").map_batches(
+        BandEmitter(bands=bands, id_col=id_col), batch_format="pyarrow")
+
+    def bucket_min(g: pd.DataFrame) -> pd.DataFrame:
+        g["bucket_min"] = g.groupby(BAND_KEY)[id_col].transform("min")
+        return g.groupby(id_col, as_index=False)["bucket_min"].min()
+
+    return cluster_min(bucketed_map_groups(pairs, BAND_KEY, bucket_min, num_buckets),
+                       id_col)
 
 
 def minhash_cross_flags(new_ds, prior_ds, num_perm: int = 64, bands: int = 16,
                         shingle: int = 3, text_col: str = "text",
-                        id_col: str = "doc_id", num_shards: int | None = None,
+                        id_col: str = "doc_id", num_buckets: int | None = None,
                         prior_bands=None):
     """Incremental cross-corpus near-dup detection: flag NEW docs that
     share at least one LSH band bucket with ANY prior-corpus doc — the
@@ -218,10 +182,10 @@ def minhash_cross_flags(new_ds, prior_ds, num_perm: int = 64, bands: int = 16,
     with one row per NEW doc (clean docs carry 0/false).
 
     Both sides stream through the same MinHasher/BandEmitter stages and
-    meet in ONE coarse-shard shuffle on hash(band_id, band_hash) — the
-    prior corpus is never broadcast and never joined row-to-row; per
-    shard the prior-presence bit is a two-key transform and each new
-    doc emits one partial row per shard it touches. Pass `prior_bands`
+    meet in ONE coarse-bucket exchange keyed on (band_id, band_hash) —
+    the prior corpus is never broadcast and never joined row-to-row; per
+    bucket the prior-presence bit is a two-key transform and each new
+    doc emits one partial row per bucket it touches. Pass `prior_bands`
     (a Dataset of (id, band_id, band_hash) rows, e.g. read back from a
     stored band index) to skip re-hashing the prior corpus on every
     incremental run — the index is what a production pipeline persists.
@@ -237,33 +201,25 @@ def minhash_cross_flags(new_ds, prior_ds, num_perm: int = 64, bands: int = 16,
     if prior_bands is None:
         prior_bands = prior_ds.map_batches(mh, batch_format="pyarrow").map_batches(
             be, batch_format="pyarrow")
-    if num_shards is None:
-        num_shards = default_num_shards()
 
     def tag(side: int):
         def fn(b: pa.Table) -> pa.Table:
-            sh = shard_of(b.column("band_id").to_numpy(),
-                          b.column("band_hash").to_numpy(), num_shards)
-            return (b.append_column("_side", pa.array(np.full(b.num_rows, side, dtype=np.int8)))
-                     .append_column("_shard", pa.array(sh)))
+            return b.append_column("_side", pa.array(np.full(b.num_rows, side, dtype=np.int8)))
 
         return fn
 
-    both = nb.map_batches(tag(1), batch_format="pyarrow").union(
-        prior_bands.map_batches(tag(0), batch_format="pyarrow"))
+    both = [nb.map_batches(tag(1), batch_format="pyarrow"),
+            prior_bands.map_batches(tag(0), batch_format="pyarrow")]
 
-    def shard_hits(g: pd.DataFrame) -> pd.DataFrame:
-        # bucket has prior iff min(_side) == 0 (buckets never split shards)
-        prior_in_bucket = g.groupby(["band_id", "band_hash"])["_side"].transform("min") == 0
+    def bucket_hits(g: pd.DataFrame) -> pd.DataFrame:
+        # an LSH bucket has a prior doc iff min(_side) == 0
+        prior_in_bucket = g.groupby(BAND_KEY)["_side"].transform("min") == 0
         new_rows = g["_side"] == 1
-        part = (g.loc[new_rows, [id_col]]
+        return (g.loc[new_rows, [id_col]]
                   .assign(hits=prior_in_bucket[new_rows].astype(np.int64))
                   .groupby(id_col, as_index=False)["hits"].sum())
-        return part
 
-    partials = both.groupby("_shard").map_groups(shard_hits, batch_format="pandas")
-
-    from ..shuffle import bucketed_map_groups
+    partials = bucketed_map_groups(both, BAND_KEY, bucket_hits, num_buckets)
 
     def final_sum(g: pd.DataFrame) -> pd.DataFrame:
         out = g.groupby(id_col, as_index=False)["hits"].sum()

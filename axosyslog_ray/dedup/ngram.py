@@ -8,11 +8,12 @@ set-similarity joins using MapReduce" — public knowledge):
    hash pass + lexsort dedup), exploded to (doc_id, shingle_hash, size)
    rows — `size` is the doc's distinct-shingle count, carried along so
    the final Jaccard needs no second join back to the corpus;
-2. shuffle ONCE by a coarse shard `hash(shingle) % num_shards` (every
-   row of one shingle lands in one shard — bounded group sizes, same
-   shape as dedup.minhash.shard_of);
-3. within each shard: self-merge per shingle emits partial co-occurrence
-   counts per (id_a < id_b) pair — one vectorized pandas merge+groupby;
+2. shuffle ONCE through the coarse-bucket exchange keyed on the
+   shingle hash (`shuffle.bucketed_map_groups`: every row of one
+   shingle lands in one bucket — bounded group sizes);
+3. within each bucket: self-merge per shingle emits partial
+   co-occurrence counts per (id_a < id_b) pair — one vectorized pandas
+   merge+groupby;
 4. a tiny groupby over the pair rows sums partials; Jaccard =
    |A∩B| / (|A| + |B| - |A∩B|), filter >= threshold.
 
@@ -32,6 +33,7 @@ import pandas as pd
 import pyarrow as pa
 
 from ..hashutil import hash_str_array
+from ..shuffle import bucketed_map_groups
 
 
 class ShingleExploder:
@@ -80,35 +82,20 @@ class ShingleExploder:
 
 def ngram_jaccard_pairs(ds, threshold: float = 0.5, shingle: int = 3,
                         text_col: str = "text", id_col: str = "doc_id",
-                        num_shards: int | None = None,
+                        num_buckets: int | None = None,
                         max_shingle_freq: int | None = None):
     """Dataset[(id_a, id_b, jaccard)] for all pairs with exact word-shingle
     Jaccard >= threshold. Exact when max_shingle_freq is None."""
-    from ..shuffle import bucketed_map_groups
-    from .minhash import default_num_shards
-
-    if num_shards is None:
-        num_shards = default_num_shards()
-
     exploded = ds.map_batches(
         ShingleExploder(shingle=shingle, text_col=text_col, id_col=id_col),
         batch_format="pyarrow",
     )
 
-    def add_shard(b: pa.Table) -> pa.Table:
-        # same mixer as the minhash LSH path (band_id=0): one shingle's
-        # rows land in one shard, distinct shingles spread uniformly
-        from .minhash import shard_of
-
-        sh = b.column("sh").to_numpy()
-        shard = shard_of(np.zeros(len(sh), dtype=np.int64), sh, num_shards)
-        return b.append_column("_shard", pa.array(shard))
-
-    def pairs_in_shard(g: pd.DataFrame) -> pd.DataFrame:
+    def pairs_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
         freq = g.groupby("sh")["sh"].transform("size")
         # singleton shingles (the long tail) can never form an id_a<id_b
         # pair — drop them BEFORE the self-merge so the merge input is
-        # only the shared-shingle rows, not the whole shard
+        # only the shared-shingle rows, not the whole bucket
         keep = freq >= 2
         if max_shingle_freq is not None:
             keep &= freq <= max_shingle_freq
@@ -125,10 +112,9 @@ def ngram_jaccard_pairs(ds, threshold: float = 0.5, shingle: int = 3,
                 .size().rename("n").reset_index())
         return out.rename(columns={f"{id_col}_a": "id_a", f"{id_col}_b": "id_b"})
 
-    partial = exploded.map_batches(add_shard, batch_format="pyarrow").groupby(
-        "_shard").map_groups(pairs_in_shard, batch_format="pandas")
+    partial = bucketed_map_groups(exploded, "sh", pairs_in_bucket, num_buckets)
 
-    # sum intersection partials across shards per pair, with the SAME
+    # sum intersection partials across buckets per pair, with the SAME
     # coarse-bucket shape (one pandas groupby-sum per bucket) — Ray's
     # native multi-key hash aggregate was measured pathologically slow on
     # ~1M pair rows; the threshold filter pushes into the bucket stage so

@@ -15,6 +15,8 @@ import pandas as pd
 import pyarrow as pa
 
 from ..hashutil import hash_str_array
+from ..shuffle import bucketed_map_groups
+from .minhash import cluster_min
 
 _BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)
 
@@ -102,18 +104,13 @@ def simhash_bands(batch: pa.Table, bands: int = 4, id_col: str = "doc_id") -> pa
 
 def simhash_candidates(ds, bands: int = 4, max_hamming: int = 3,
                        text_col: str = "text", id_col: str = "doc_id",
-                       final: str = "shuffle", num_shards: int | None = None):
-    """(doc_id, cluster_id): min doc sharing a band AND within max_hamming
-    (verified exactly per bucket). final="driver" reduces the small label
-    table on the driver, skipping the second all-to-all.
+                       num_buckets: int | None = None):
+    """Dataset[(doc_id, cluster_id)]: min doc sharing a band AND within
+    max_hamming (verified exactly per bucket).
 
-    Shuffle is keyed by a coarse shard hash(band_id, band_val) % num_shards
-    (bounded group size at scale — see dedup.minhash.shard_of), not band_id
-    (each band group would hold n_docs rows)."""
-    from .minhash import default_num_shards, shard_of
-
-    if num_shards is None:
-        num_shards = default_num_shards()
+    The band rows meet in one coarse-bucket exchange keyed on (band_id,
+    band_val) — bounded group size at scale; keying on band_id alone
+    would put n_docs rows in each group."""
     fps = ds.map_batches(SimHasher(text_col, id_col), batch_format="pyarrow")
 
     # vectorized 64-bit popcount (numpy<2 has no bitwise_count)
@@ -127,8 +124,8 @@ def simhash_candidates(ds, bands: int = 4, max_hamming: int = 3,
         return c
 
     def bucket_verify(g: pd.DataFrame) -> pd.DataFrame:
-        # one coarse shard per group; per (band_id, band_val) bucket the
-        # candidate rep is the min doc; exact hamming verified vectorized
+        # per (band_id, band_val) candidate bucket the rep is the min doc;
+        # exact hamming verified vectorized
         g = g.sort_values(["band_id", "band_val", id_col], kind="mergesort").reset_index(drop=True)
         grp = g.groupby(["band_id", "band_val"], sort=False)
         rep_id = grp[id_col].transform("min").to_numpy()
@@ -143,21 +140,8 @@ def simhash_candidates(ds, bands: int = 4, max_hamming: int = 3,
         t = simhash_bands(b, bands, id_col)
         # fingerprints repeat per band in the same order as the ids
         sims = pa.concat_arrays([b.column("simhash").combine_chunks()] * bands)
-        t = t.append_column("simhash", sims)
-        sh = shard_of(t.column("band_id").to_numpy(), t.column("band_val").to_numpy(), num_shards)
-        return t.append_column("_shard", pa.array(sh))
+        return t.append_column("simhash", sims)
 
     buckets = fps.map_batches(emit, batch_format="pyarrow")
-    labeled = buckets.groupby("_shard").map_groups(bucket_verify, batch_format="pandas")
-    if final == "driver":
-        frames = [b.to_pandas() for b in labeled.iter_batches(batch_size=None, batch_format="pyarrow")]
-        allp = pd.concat(frames, ignore_index=True) if frames else pd.DataFrame({id_col: [], "bucket_min": []})
-        return allp.groupby(id_col, as_index=False)["bucket_min"].min().rename(columns={"bucket_min": "cluster_id"})
-    # coarse-bucket final (see dedup.minhash: 5x the sort-aggregate)
-    from ..shuffle import bucketed_map_groups
-
-    def _final_min(g):
-        return (g.groupby(id_col, as_index=False)["bucket_min"].min()
-                 .rename(columns={"bucket_min": "cluster_id"}))
-
-    return bucketed_map_groups(labeled, id_col, _final_min, num_buckets=64)
+    labeled = bucketed_map_groups(buckets, ["band_id", "band_val"], bucket_verify, num_buckets)
+    return cluster_min(labeled, id_col)

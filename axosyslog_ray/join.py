@@ -4,7 +4,8 @@ The reference only ever joins against broadcast-small sides
 (add-contextual-data, geoip, in-list — SURVEY.md §2.7); this module adds
 the big-big case a relational user expects, built portably on Ray Data
 primitives: align schemas, tag each side, union, and hash-shuffle ONCE
-by a COARSE bucket `hash(key) % num_buckets` — never by the raw key
+through `shuffle.bucketed_map_groups` (a COARSE bucket
+`hash(key) % num_buckets`) — never by the raw key
 (one map_groups group per distinct key was the repo's measured ~50x
 tiny-group overhead and the slowest r1 query). Within each bucket the
 merge is Arrow's own C++ hash join (`pa.Table.join`), so there is no
@@ -33,8 +34,9 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .shuffle import bucketed_map_groups
+
 _SIDE_COL = "__join_side"
-_BUCKET_COL = "__join_bucket"
 
 _ARROW_HOW = {
     "inner": "inner",
@@ -94,7 +96,37 @@ def _arrow_schema(ds) -> pa.Schema:
     return pa.schema(fields)
 
 
-from .shuffle import key_bucket_array as _key_buckets  # shared coarse-bucket hash
+def _tag_sides(left, right, shared: list[str], suffixes: tuple[str, str],
+               left_schema: pa.Schema | None, right_schema: pa.Schema | None):
+    """Both sides on one schema: the `shared` columns, then each side's
+    value columns (a name both sides carry gets its side's suffix; the
+    other side's values are null) and a side tag. Returns ([left, right]
+    tagged, output column order, left value names, right value names)."""
+    lschema = left_schema if left_schema is not None else _arrow_schema(left)
+    rschema = right_schema if right_schema is not None else _arrow_schema(right)
+    lcols = [c for c in lschema.names if c not in shared]
+    rcols = [c for c in rschema.names if c not in shared]
+    overlap = set(lcols) & set(rcols)
+    # output (renamed) value columns per side, with their Arrow types
+    l_out = [(c + suffixes[0] if c in overlap else c, c, lschema.field(c).type) for c in lcols]
+    r_out = [(c + suffixes[1] if c in overlap else c, c, rschema.field(c).type) for c in rcols]
+    out_order = shared + [n for n, _, _ in l_out] + [n for n, _, _ in r_out]
+
+    def tag(side: str, mine, other):
+        def fn(b: pa.Table) -> pa.Table:
+            cols = {k: b.column(k) for k in shared}
+            for out_name, src, _typ in mine:
+                cols[out_name] = b.column(src)
+            for out_name, _src, typ in other:
+                cols[out_name] = pa.nulls(b.num_rows, typ)
+            t = pa.Table.from_arrays([cols[n] for n in out_order], names=out_order)
+            return t.append_column(_SIDE_COL, pa.array([side] * b.num_rows, type=pa.string()))
+
+        return fn
+
+    sides = [left.map_batches(tag("l", l_out, r_out), batch_format="pyarrow"),
+             right.map_batches(tag("r", r_out, l_out), batch_format="pyarrow")]
+    return sides, out_order, [n for n, _, _ in l_out], [n for n, _, _ in r_out]
 
 
 def hash_join(left, right, key: str | list[str], how: str = "inner",
@@ -107,42 +139,8 @@ def hash_join(left, right, key: str | list[str], how: str = "inner",
     if how not in _ARROW_HOW:
         raise ValueError(f"how must be one of {sorted(_ARROW_HOW)}, got {how!r}")
     keys = [key] if isinstance(key, str) else list(key)
-    if num_buckets is None:
-        from .shuffle import default_num_buckets
-
-        num_buckets = default_num_buckets()
-    lschema = left_schema if left_schema is not None else _arrow_schema(left)
-    rschema = right_schema if right_schema is not None else _arrow_schema(right)
-    lcols = [c for c in lschema.names if c not in keys]
-    rcols = [c for c in rschema.names if c not in keys]
-    overlap = set(lcols) & set(rcols)
-    # output (renamed) value columns per side, with their Arrow types
-    l_out = [(c + suffixes[0] if c in overlap else c, c, lschema.field(c).type) for c in lcols]
-    r_out = [(c + suffixes[1] if c in overlap else c, c, rschema.field(c).type) for c in rcols]
-    out_order = keys + [n for n, _, _ in l_out] + [n for n, _, _ in r_out]
-    l_names = [n for n, _, _ in l_out]
-    r_names = [n for n, _, _ in r_out]
-
-    def prep(side: str):
-        mine = l_out if side == "l" else r_out
-        other = r_out if side == "l" else l_out
-
-        def fn(b: pa.Table) -> pa.Table:
-            cols = {k: b.column(k) for k in keys}
-            for out_name, src, _typ in mine:
-                cols[out_name] = b.column(src)
-            for out_name, _src, typ in other:
-                cols[out_name] = pa.nulls(b.num_rows, typ)
-            arrays = [cols[n] for n in out_order]
-            t = pa.Table.from_arrays(arrays, names=out_order)
-            t = t.append_column(_SIDE_COL, pa.array([side] * b.num_rows, type=pa.string()))
-            return t.append_column(_BUCKET_COL, pa.array(_key_buckets(b, keys, num_buckets)))
-
-        return fn
-
-    tagged = left.map_batches(prep("l"), batch_format="pyarrow").union(
-        right.map_batches(prep("r"), batch_format="pyarrow")
-    )
+    sides, out_order, l_names, r_names = _tag_sides(
+        left, right, keys, suffixes, left_schema, right_schema)
     arrow_how = _ARROW_HOW[how]
 
     def merge(g: pa.Table) -> pa.Table:
@@ -153,7 +151,7 @@ def hash_join(left, right, key: str | list[str], how: str = "inner",
         return out.select(out_order) if out.num_rows else pa.table(
             {n: pa.array([], type=out.schema.field(n).type) for n in out_order})
 
-    return tagged.groupby(_BUCKET_COL).map_groups(merge, batch_format="pyarrow")
+    return bucketed_map_groups(sides, keys, merge, num_buckets, batch_format="pyarrow")
 
 
 def asof_join(left, right, on: str, by: str | list[str], direction: str = "backward",
@@ -181,41 +179,8 @@ def asof_join(left, right, on: str, by: str | list[str], direction: str = "backw
     if direction not in ("backward", "forward"):
         raise ValueError("direction must be backward|forward")
     keys = [by] if isinstance(by, str) else list(by)
-    if num_buckets is None:
-        from .shuffle import default_num_buckets
-
-        num_buckets = default_num_buckets()
-    lschema = left_schema if left_schema is not None else _arrow_schema(left)
-    rschema = right_schema if right_schema is not None else _arrow_schema(right)
-    lcols = [c for c in lschema.names if c not in keys and c != on]
-    rcols = [c for c in rschema.names if c not in keys and c != on]
-    overlap = set(lcols) & set(rcols)
-    l_out = [(c + suffixes[0] if c in overlap else c, c, lschema.field(c).type) for c in lcols]
-    r_out = [(c + suffixes[1] if c in overlap else c, c, rschema.field(c).type) for c in rcols]
-    out_order = keys + [on] + [n for n, _, _ in l_out] + [n for n, _, _ in r_out]
-    l_names = [n for n, _, _ in l_out]
-    r_names = [n for n, _, _ in r_out]
-
-    def prep(side: str):
-        mine = l_out if side == "l" else r_out
-        other = r_out if side == "l" else l_out
-
-        def fn(b: pa.Table) -> pa.Table:
-            cols = {k: b.column(k) for k in keys}
-            cols[on] = b.column(on)
-            for out_name, src, _t in mine:
-                cols[out_name] = b.column(src)
-            for out_name, _s, typ in other:
-                cols[out_name] = pa.nulls(b.num_rows, typ)
-            t = pa.Table.from_arrays([cols[n] for n in out_order], names=out_order)
-            t = t.append_column(_SIDE_COL, pa.array([side] * b.num_rows, type=pa.string()))
-            return t.append_column(_BUCKET_COL, pa.array(_key_buckets(b, keys, num_buckets)))
-
-        return fn
-
-    tagged = left.map_batches(prep("l"), batch_format="pyarrow").union(
-        right.map_batches(prep("r"), batch_format="pyarrow")
-    )
+    sides, out_order, l_names, r_names = _tag_sides(
+        left, right, keys + [on], suffixes, left_schema, right_schema)
 
     def merge(g: pa.Table) -> pa.Table:
         is_l = pc.equal(g.column(_SIDE_COL), pa.scalar("l")).combine_chunks()
@@ -274,7 +239,7 @@ def asof_join(left, right, on: str, by: str | list[str], direction: str = "backw
                 cols.append(rt.column(n).take(take))
         return pa.Table.from_arrays(cols, names=out_order)
 
-    return tagged.groupby(_BUCKET_COL).map_groups(merge, batch_format="pyarrow")
+    return bucketed_map_groups(sides, keys, merge, num_buckets, batch_format="pyarrow")
 
 
 def range_join(left, right, key: str | list[str], on: str, lo: str, hi: str,

@@ -357,7 +357,7 @@ def docs_subst(sf_dir: str):
         t = subst(b, "spark", "SPARK", field="text")
         return pa.table({"doc_id": b.column("doc_id"), "text_rw": t.column("text")})
 
-    return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(rw, batch_format="pyarrow").to_pandas()
+    return _map_documents(sf_dir, rw)
 
 
 @_query(oracle="SELECT doc_id, upper(lang) || ':' || source || ':' || CAST(length(text) AS VARCHAR) AS fmt FROM documents")
@@ -441,17 +441,21 @@ def docs_exact_dedup(sf_dir: str):
     return dedup_stats(_read(sf_dir, "documents", ["doc_id", "text"])).to_pandas()[["rep_id", "n_copies"]]
 
 
+def _map_documents(sf_dir: str, fn) -> pd.DataFrame:
+    """`fn` over every (doc_id, text) batch of the documents table, sorted
+    by doc_id."""
+    out = _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
+        fn, batch_format="pyarrow").to_pandas()
+    return _sorted(out, "doc_id")
+
+
 @_query(oracle="SELECT doc_id, md5(lower(trim(text))) AS fingerprint FROM documents")
 def docs_fingerprint(sf_dir: str):
     """Document fingerprinting: md5 of normalized text (crypto template
     functions analogue, reference modules/cryptofuncs/)."""
     from ..textstats import fingerprint_md5
 
-    def fp(b: pa.Table) -> pa.Table:
-        t = fingerprint_md5(b)
-        return t.select(["doc_id", "fingerprint"])
-
-    return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(fp, batch_format="pyarrow").to_pandas()
+    return _map_documents(sf_dir, lambda b: fingerprint_md5(b).select(["doc_id", "fingerprint"]))
 
 
 @_query(oracle="""
@@ -477,9 +481,7 @@ def docs_normalize(sf_dir: str):
         t = pa.table({"doc_id": b.column("doc_id"), "text": messy})
         return normalize_text(t).rename_columns(["doc_id", "text_norm"])
 
-    out = _read(sf_dir, "documents", ["doc_id", "text"]) \
-        .map_batches(mk, batch_format="pyarrow").to_pandas()
-    return _sorted(out, "doc_id")
+    return _map_documents(sf_dir, mk)
 
 
 @_query(oracle=_golden("docs_fingerprint_fast_sf001.parquet", "doc_id, fingerprint64, n_prints, min_print",
@@ -512,9 +514,7 @@ def docs_fingerprint_fast(sf_dir: str):
                          "n_prints": pa.array(n.astype(np.int64)),
                          "min_print": pa.array(mn, type=pa.int64(), mask=(n == 0))})
 
-    out = _read(sf_dir, "documents", ["doc_id", "text"]) \
-        .map_batches(fp, batch_format="pyarrow").to_pandas()
-    return _sorted(out, "doc_id")
+    return _map_documents(sf_dir, fp)
 
 
 @_query(oracle=r"""
@@ -528,10 +528,8 @@ def docs_token_stats(sf_dir: str):
     """Token counting: whitespace + BPE-ish regex tokens per doc."""
     from ..textstats import token_counts
 
-    def tc(b: pa.Table) -> pa.Table:
-        return token_counts(b).select(["doc_id", "n_ws_tokens", "n_bpe_tokens", "n_chars_calc"])
-
-    return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(tc, batch_format="pyarrow").to_pandas()
+    return _map_documents(sf_dir, lambda b: token_counts(b).select(
+        ["doc_id", "n_ws_tokens", "n_bpe_tokens", "n_chars_calc"]))
 
 
 _STOP_EN_SQL = "('the','a','an','and','of','to','in','is','it','that','for','on','with','as')"
@@ -615,7 +613,7 @@ def emb_near_dup(sf_dir: str):
 def docs_minhash_dedup(sf_dir: str):
     """MinHash+LSH near-dup clusters (shingle->minhash->band->bucket
     groupby). Returns (doc_id, cluster_id). Non-SQL-expressible; the
-    construction is seeded and shard-count-invariant (per-doc min over
+    construction is seeded and bucket-count-invariant (per-doc min over
     ALL buckets), so the oracle is a committed golden parquet generated
     at sf0.01 (scripts/gen_golden_oracles.py) — a deterministic
     regression pin, weaker than an independent computation, disclosed
@@ -623,8 +621,8 @@ def docs_minhash_dedup(sf_dir: str):
     (planted-duplicate recall + Jaccard verification)."""
     from ..dedup.minhash import minhash_clusters
 
-    # final="shuffle" (the default): the per-doc min reduce is a
-    # distributed groupby aggregate — no per-doc rows stream to the
+    # the per-doc min reduce is a coarse-bucket exchange on the workers
+    # (dedup.minhash.cluster_min) — no per-doc rows stream to the
     # driver; only this bounded sf-test result is collected
     return _sorted(minhash_clusters(_read(sf_dir, "documents", ["doc_id", "text"])).to_pandas(), "doc_id")
 
@@ -633,7 +631,7 @@ def docs_minhash_dedup(sf_dir: str):
 def docs_fuzzy_dedup(sf_dir: str):
     """Fuzzy dedup purge (dedup/fuzzy.py): MinHash LSH star edges ->
     fixpoint connected components -> keep one representative per
-    near-dup cluster. Returns surviving doc_ids. Seeded + shard-count-
+    near-dup cluster. Returns surviving doc_ids. Seeded + bucket-count-
     invariant like docs_minhash_dedup, so the oracle is a committed
     golden parquet (disclosed regression pin); independent behavior
     checks in tests/test_fuzzy_dedup.py (planted clusters)."""
@@ -651,9 +649,8 @@ def docs_simhash_clusters(sf_dir: str):
     (scripts/gen_golden_oracles.py — disclosed regression pin)."""
     from ..dedup.simhash import simhash_candidates
 
-    # final="shuffle" (the operator default): the per-doc min reduce runs
-    # as a distributed coarse-bucket groupby — no per-doc rows stream to
-    # the driver; only this bounded sf-test result is collected
+    # the per-doc min reduce is the same coarse-bucket exchange as
+    # docs_minhash_dedup's; only this bounded sf-test result is collected
     return _sorted(simhash_candidates(_read(sf_dir, "documents", ["doc_id", "text"])).to_pandas(), "doc_id")
 
 
@@ -2326,9 +2323,7 @@ def docs_gopher_repetition(sf_dir: str):
     independently SQL-oracled."""
     from ..textstats.repetition import gopher_repetition
 
-    out = _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
-        gopher_repetition, batch_format="pyarrow").to_pandas()
-    return _sorted(out, "doc_id")
+    return _map_documents(sf_dir, gopher_repetition)
 
 
 @_query(oracle="""
@@ -2835,7 +2830,10 @@ def docs_jaccard_decontaminate(sf_dir: str):
     return _sorted(out, "doc_id")
 
 
-@_query(oracle="""
+# the md5-bucketed unigram LM of dsir.lm_quality_scores (method='md5',
+# 10,000 buckets, alpha 0.5): per-doc feature count and summed
+# quantized log-prob (w), shared by the LM-quality and CCNet oracles
+_LM_CTES = """
 WITH toks AS (
   SELECT doc_id, regexp_extract_all(lower(text), '[a-z0-9]+') AS ws FROM documents),
 uni AS (SELECT doc_id, unnest(ws) AS gram FROM toks),
@@ -2852,7 +2850,10 @@ q AS (
   CROSS JOIN tot
   LEFT JOIN cnt ON bk.b = cnt.b),
 w AS (SELECT gb.doc_id, count(*) AS n_feats, sum(q.lp) AS lpm
-      FROM gb JOIN q ON gb.b = q.b GROUP BY gb.doc_id)
+      FROM gb JOIN q ON gb.b = q.b GROUP BY gb.doc_id)"""
+
+
+@_query(oracle=_LM_CTES + """
 SELECT t.doc_id, CAST(coalesce(w.n_feats, 0) AS BIGINT) AS n_feats,
        CAST(coalesce(w.lpm, 0) AS BIGINT) AS logprob_micro
 FROM toks t LEFT JOIN w USING (doc_id) ORDER BY t.doc_id
@@ -2873,10 +2874,13 @@ def docs_lm_quality(sf_dir: str):
     return _sorted(out, "doc_id")
 
 
-@_query(oracle="""
-WITH toks AS (
-  SELECT doc_id, regexp_extract_all(lower(text), '[a-z0-9]+') AS ws FROM documents),
-nw AS (SELECT doc_id, ws, len(ws) AS n FROM toks),
+def _dsir_qlr(raw_join: str = "") -> str:
+    """The DSIR log-ratio chain of dsir.dsir_weights (method='md5', 10,000
+    buckets, alpha 0.5) over `toks`/`nw`: md5-bucketed uni+bi-grams (gb),
+    the target (src0) and raw bucket counts, and the per-bucket
+    quantized log importance ratio (qlr). `raw_join` narrows the raw
+    side's documents."""
+    return f"""
 uni AS (SELECT doc_id, unnest(ws) AS gram FROM toks),
 bi AS (SELECT nw.doc_id, array_to_string(ws[i : i + 1], ' ') AS gram
        FROM nw, LATERAL (SELECT unnest(range(1, greatest(n, 1))) AS i) t),
@@ -2886,7 +2890,7 @@ gb AS (SELECT doc_id,
        FROM grams),
 tgt AS (SELECT b, count(*) AS c FROM gb
         JOIN documents d USING (doc_id) WHERE d.source = 'src0' GROUP BY b),
-raw AS (SELECT b, count(*) AS c FROM gb GROUP BY b),
+raw AS (SELECT b, count(*) AS c FROM gb{raw_join} GROUP BY b),
 tots AS (SELECT (SELECT coalesce(sum(c), 0) FROM tgt) AS tt,
                 (SELECT coalesce(sum(c), 0) FROM raw) AS tr),
 qlr AS (
@@ -2897,7 +2901,13 @@ qlr AS (
   FROM (SELECT unnest(range(0, 10000)) AS b) bk
   CROSS JOIN tots
   LEFT JOIN tgt ON bk.b = tgt.b
-  LEFT JOIN raw ON bk.b = raw.b),
+  LEFT JOIN raw ON bk.b = raw.b),"""
+
+
+@_query(oracle="""
+WITH toks AS (
+  SELECT doc_id, regexp_extract_all(lower(text), '[a-z0-9]+') AS ws FROM documents),
+nw AS (SELECT doc_id, ws, len(ws) AS n FROM toks),""" + _dsir_qlr() + """
 w AS (SELECT gb.doc_id, count(*) AS n_feats, sum(qlr.q) AS wm
       FROM gb JOIN qlr ON gb.b = qlr.b GROUP BY gb.doc_id)
 SELECT t.doc_id, CAST(coalesce(w.n_feats, 0) AS BIGINT) AS n_feats,
@@ -3168,28 +3178,7 @@ contam AS (SELECT DISTINCT g5.doc_id FROM g5
            JOIN gated USING (doc_id) JOIN evalg USING (gram)),
 corpus AS (SELECT * FROM gated WHERE doc_id NOT IN (SELECT doc_id FROM contam)),
 -- DSIR: raw distribution over the post-decontamination corpus,
--- target distribution over the RAW src0 docs (the separate target set)
-uni AS (SELECT t2.doc_id, unnest(ws) AS gram FROM toks t2),
-bi AS (SELECT nw.doc_id, array_to_string(ws[i : i + 1], ' ') AS gram
-       FROM nw, LATERAL (SELECT unnest(range(1, greatest(n, 1))) AS i) t),
-grams AS (SELECT doc_id, gram FROM uni UNION ALL SELECT doc_id, gram FROM bi),
-gb AS (SELECT doc_id,
-              CAST(CAST(('0x' || substr(md5(gram), 1, 8)) AS UBIGINT) % 10000 AS BIGINT) AS b
-       FROM grams),
-tgt AS (SELECT b, count(*) AS c FROM gb
-        JOIN documents d USING (doc_id) WHERE d.source = 'src0' GROUP BY b),
-rawc AS (SELECT b, count(*) AS c FROM gb JOIN corpus USING (doc_id) GROUP BY b),
-tots AS (SELECT (SELECT coalesce(sum(c), 0) FROM tgt) AS tt,
-                (SELECT coalesce(sum(c), 0) FROM rawc) AS tr),
-qlr AS (
-  SELECT bk.b,
-         CAST(round((ln((coalesce(tgt.c, 0) + 0.5) / (tots.tt + 0.5 * 10000))
-                   - ln((coalesce(rawc.c, 0) + 0.5) / (tots.tr + 0.5 * 10000)))
-                    * 1000000, 0) AS BIGINT) AS q
-  FROM (SELECT unnest(range(0, 10000)) AS b) bk
-  CROSS JOIN tots
-  LEFT JOIN tgt ON bk.b = tgt.b
-  LEFT JOIN rawc ON bk.b = rawc.b),
+-- target distribution over the RAW src0 docs (the separate target set)""" + _dsir_qlr(" JOIN corpus USING (doc_id)") + """
 w AS (SELECT gb.doc_id, sum(qlr.q) AS wm
       FROM gb JOIN corpus USING (doc_id) JOIN qlr ON gb.b = qlr.b
       GROUP BY gb.doc_id),
@@ -3447,26 +3436,7 @@ def events_retention(sf_dir: str):
     return _sorted(out, ["cohort_day", "day_offset"])
 
 
-@_query(oracle="""
-WITH toks AS (
-  SELECT doc_id, regexp_extract_all(lower(text), '[a-z0-9]+') AS ws
-  FROM documents),
-uni AS (SELECT doc_id, unnest(ws) AS gram FROM toks),
-gb AS (SELECT doc_id,
-              CAST(CAST(('0x' || substr(md5(gram), 1, 8)) AS UBIGINT)
-                   % 10000 AS BIGINT) AS b
-       FROM uni),
-cnt AS (SELECT b, count(*) AS c FROM gb GROUP BY b),
-tot AS (SELECT coalesce(sum(c), 0) AS t FROM cnt),
-q AS (
-  SELECT bk.b,
-         CAST(round(ln((coalesce(cnt.c, 0) + 0.5) / (tot.t + 0.5 * 10000))
-                    * 1000000, 0) AS BIGINT) AS lp
-  FROM (SELECT unnest(range(0, 10000)) AS b) bk
-  CROSS JOIN tot
-  LEFT JOIN cnt ON bk.b = cnt.b),
-w AS (SELECT gb.doc_id, count(*) AS n_feats, sum(q.lp) AS lpm
-      FROM gb JOIN q ON gb.b = q.b GROUP BY gb.doc_id),
+@_query(oracle=_LM_CTES + """,
 s AS (SELECT t.doc_id,
              CAST(coalesce(w.n_feats, 0) AS BIGINT) AS n_feats,
              CAST(coalesce(w.lpm, 0) AS BIGINT) AS lpm

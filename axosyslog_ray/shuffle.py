@@ -4,10 +4,11 @@ One map_groups group per DISTINCT KEY is the repo's measured ~50x
 tiny-group overhead; one group per band/whole-key-space is unbounded at
 scale. The middle granularity — shuffle by `hash(key) % num_buckets`
 with num_buckets scaled to the cluster — bounds group size AND group
-count. Every keyed stateful operator (sessions, suppress, rate-limit,
-group-lines, joins, dedup) shares this shape; the per-bucket function
-then handles MANY keys at once with vectorized pandas/numpy segment
-logic.
+count. `bucketed_map_groups` is the one exchange of this shape: every
+keyed stateful operator (sessions, suppress, rate-limit, group-lines,
+correlate, joins, dedup, patternize) goes through it, and the
+per-bucket function then handles MANY keys at once with vectorized
+pandas/numpy segment logic.
 """
 
 from __future__ import annotations
@@ -47,7 +48,12 @@ def bucketed_map_groups(ds, keys: list[str] | str, fn, num_buckets: int | None =
                         batch_format: str = "pandas"):
     """groupby(hash(keys) % B).map_groups(fn) — fn sees one BUCKET (many
     keys' full row sets co-located) and must group by the key columns
-    itself (vectorized). The bucket column is stripped before fn."""
+    itself (vectorized). The bucket column is stripped before fn.
+
+    `ds` may be a list of Datasets with one schema (e.g. the tagged
+    sides of a join): each gets its bucket column in its own map, which
+    fuses into that input's last map, and the exchange runs over their
+    union."""
     keys = [keys] if isinstance(keys, str) else list(keys)
     if num_buckets is None:
         num_buckets = default_num_buckets()
@@ -62,8 +68,10 @@ def bucketed_map_groups(ds, keys: list[str] | str, fn, num_buckets: int | None =
             g = g.drop_columns([BUCKET_COL])
         return fn(g)
 
-    return ds.map_batches(add_bucket, batch_format="pyarrow").groupby(BUCKET_COL).map_groups(
-        strip_and_apply, batch_format=batch_format)
+    inputs = [d.map_batches(add_bucket, batch_format="pyarrow")
+              for d in (ds if isinstance(ds, (list, tuple)) else [ds])]
+    bucketed = inputs[0].union(*inputs[1:]) if len(inputs) > 1 else inputs[0]
+    return bucketed.groupby(BUCKET_COL).map_groups(strip_and_apply, batch_format=batch_format)
 
 
 def key_segments(g: pd.DataFrame, keys: list[str]) -> np.ndarray:

@@ -141,8 +141,7 @@ def patternize(ds, support: int, text_col: str = "message",
     return pre_aggregated_count(patterns, ["pattern"], alias="support")
 
 
-def _patternize_semijoin(ds, frequent_ds, text_col: str = "message",
-                         n_buckets: int = 32):
+def _patternize_semijoin(ds, frequent_ds, text_col: str = "message"):
     """Wide-vocabulary patternize: no broadcast of the frequent set.
 
     Shape (3 bounded exchanges, disclosed fallback):
@@ -150,17 +149,19 @@ def _patternize_semijoin(ds, frequent_ds, text_col: str = "message",
        skeleton is a pure function of the message text, so identical
        messages collapse before any token work.
     2. flat token table keyed by a 128-bit message hash (two independent
-       siphash streams), hash-bucketed BY TOKEN and unioned with the
-       frequent-word table; per-bucket membership marking is one pandas
-       isin against only that bucket's slice of the vocabulary.
-    3. marked tokens re-bucketed BY MESSAGE; per-bucket vectorized
-       skeleton render (shared _render_skeletons kernel), then one
-       small (pattern, n) Sum.
+       siphash streams), unioned with the frequent-word table and
+       bucketed BY TOKEN (`shuffle.bucketed_map_groups`); per-bucket
+       membership marking is one pandas isin against only that bucket's
+       slice of the vocabulary.
+    3. marked tokens re-bucketed BY MESSAGE (keyed on k1); per-bucket
+       vectorized skeleton render (shared _render_skeletons kernel),
+       then one small (pattern, n) Sum.
     """
     import ray  # noqa: F401  (parity with broadcast path; Ray Data only)
     from ray.data.aggregate import Sum
 
     from ..hashutil import hash_str_array
+    from ..shuffle import bucketed_map_groups
 
     def toks(b: pa.Table) -> pa.Table:
         texts = b.column(text_col).to_pandas().fillna("")
@@ -193,10 +194,6 @@ def _patternize_semijoin(ds, frequent_ds, text_col: str = "message",
                 type=pa.int64()),
             "_side": pa.array(np.zeros(nm + len(flat), dtype=np.int8),
                               type=pa.int8()),
-            "_bucket": pa.array(np.concatenate(
-                [np.zeros(nm, dtype=np.int64),
-                 (hash_str_array(flat) % np.uint64(n_buckets))
-                 .astype(np.int64)]), type=pa.int64()),
         })
 
     def freq_rows(b: pa.Table) -> pa.Table:
@@ -210,9 +207,6 @@ def _patternize_semijoin(ds, frequent_ds, text_col: str = "message",
             "_n": pa.array(z, type=pa.int64()),
             "_side": pa.array(np.ones(len(words), dtype=np.int8),
                               type=pa.int8()),
-            "_bucket": pa.array(
-                (hash_str_array(words) % np.uint64(n_buckets))
-                .astype(np.int64), type=pa.int64()),
         })
 
     def mark(g: pd.DataFrame) -> pd.DataFrame:
@@ -226,8 +220,6 @@ def _patternize_semijoin(ds, frequent_ds, text_col: str = "message",
             "_n": toks_g["_n"].to_numpy(dtype=np.int64),
             "keep": (toks_g["token"].isin(fset).to_numpy(dtype=bool)
                      if fset else np.zeros(len(toks_g), dtype=bool)),
-            "_mbucket": (toks_g["k1"].to_numpy(dtype=np.uint64)
-                         % np.uint64(n_buckets)).astype(np.int64),
         })
 
     def render_group(g: pd.DataFrame) -> pd.DataFrame:
@@ -257,11 +249,8 @@ def _patternize_semijoin(ds, frequent_ds, text_col: str = "message",
 
     dm = pre_aggregated_count(ds, [text_col], alias="_n")
     token_ds = dm.map_batches(toks, batch_format="pyarrow")
-    union = token_ds.union(
-        frequent_ds.map_batches(freq_rows, batch_format="pyarrow"))
-    marked = union.groupby("_bucket").map_groups(
-        mark, batch_format="pandas")
-    rendered = marked.groupby("_mbucket").map_groups(
-        render_group, batch_format="pandas")
+    marked = bucketed_map_groups(
+        [token_ds, frequent_ds.map_batches(freq_rows, batch_format="pyarrow")], "token", mark)
+    rendered = bucketed_map_groups(marked, "k1", render_group)
     return rendered.groupby("pattern").aggregate(
         Sum("_n", alias_name="support"))

@@ -25,6 +25,7 @@ import glob
 import heapq
 import json
 import os
+import re
 import shutil
 import time
 import uuid
@@ -109,12 +110,24 @@ class CheckpointManifest:
         return meta
 
 
+def _require_local(path: str) -> None:
+    """Raise ValueError for a `scheme://` URI: the listing, the manifest
+    and the atomic rename see only the local (or a mounted shared)
+    filesystem."""
+    scheme = re.match(r"([A-Za-z][A-Za-z0-9+.-]*)://", path)
+    if scheme:
+        raise ValueError(f"{scheme.group(1)}:// paths are not supported ({path!r}): "
+                         "use a local or mounted filesystem path")
+
+
 def list_files(paths) -> list[tuple[str, int]]:
     """(path, size_bytes) of every Parquet file named by `paths`, sorted
     and without duplicates: a file, a directory tree (every `*.parquet` /
-    `*.pq` under it), a glob, or a list of these."""
+    `*.pq` under it), a glob, or a list of these. A `scheme://` URI
+    raises ValueError."""
     if not isinstance(paths, str):
         return sorted({f for p in paths for f in list_files(p)})
+    _require_local(paths)
     if os.path.isfile(paths):
         return [(paths, os.path.getsize(paths))]
     if os.path.isdir(paths):
@@ -159,7 +172,9 @@ def run_partitions(inputs, out_dir: str, num_parts: int, build,
     running them one after another costs nothing while a kill loses at
     most the partition in flight. Returns `{"run": {part_id: meta},
     "skipped": {part_id: meta}}`; raises FileNotFoundError when `inputs`
-    names no Parquet file."""
+    names no Parquet file and ValueError for a `scheme://` input or
+    output."""
+    _require_local(out_dir)
     files = list_files(inputs)
     if not files:
         raise FileNotFoundError(f"no input files match {inputs!r}")

@@ -75,7 +75,8 @@ def _eval_field(spec: str, sess: pd.DataFrame):
 
 
 class PdbCorrelator:
-    """`ds.groupby(key).map_groups(PdbCorrelator(cfg).apply, batch_format='pandas')`."""
+    """`apply(group)` correlates the rows of ONE context-id key;
+    `correlate` calls it once per key inside each coarse bucket."""
 
     def __init__(self, cfg: CorrelationConfig):
         self.cfg = cfg
@@ -120,13 +121,19 @@ class PdbCorrelator:
 
 
 def correlate(ds, cfg: CorrelationConfig):
-    keys = cfg.key if len(cfg.key) > 1 else cfg.key[0]
+    """Correlation contexts per `cfg.key`: one coarse-bucket exchange keyed
+    on the key, then `PdbCorrelator.apply` once per key of the bucket. A
+    null key is one key of its own, as in a Ray groupby."""
+    from ..shuffle import bucketed_map_groups
+
     corr = PdbCorrelator(cfg)
 
-    def apply(df: pd.DataFrame) -> pd.DataFrame:
-        return corr.apply(df)
+    def bucket_fn(g: pd.DataFrame) -> pd.DataFrame:
+        parts = [corr.apply(sub) for _, sub in g.groupby(cfg.key, sort=False, dropna=False)]
+        parts = [p for p in parts if len(p)]
+        return pd.concat(parts, ignore_index=True) if parts else corr.apply(g.iloc[:0])
 
-    return ds.groupby(keys).map_groups(apply, batch_format="pandas")
+    return bucketed_map_groups(ds, cfg.key, bucket_fn)
 
 
 def group_lines(ds, key, timeout: float, ts_col: str = "ts_stamp",

@@ -9,10 +9,12 @@ grouping-parser.c:233-290): `key` grouping, `where` pre-filter,
 aggregate emits one synthetic row per closed context with
 template-evaluated fields (synthetic-message.c).
 
-Ray shape: `ds.groupby(key).map_groups(session_fn)` — the group sees ALL
-rows for its key (shuffle by the full key; session windows cannot be
-salted, SURVEY.md §7.3), sorts by event time, splits on timeout gaps,
-applies trigger/having, and emits synthetic rows. Windows are *session*
+Ray shape: `sessionize` is one coarse-bucket exchange
+(`shuffle.bucketed_map_groups` keyed on `key`) — a bucket holds ALL
+rows of each of its keys (shuffle by the full key; session windows
+cannot be salted, SURVEY.md §7.3); `GroupingBy` sorts the bucket by key
+and event time, splits on key changes and timeout gaps, applies
+trigger/having, and emits synthetic rows. Windows are *session*
 windows exactly like the reference's timer-wheel timeouts, but computed
 deterministically in event time — stronger than the reference's
 arrival-order semantics (SURVEY.md §2.6 note).
@@ -30,7 +32,7 @@ import pandas as pd
 
 
 class GroupingBy:
-    """Callable for `ds.groupby(key).map_groups(self, batch_format="pandas")`."""
+    """Per-bucket callable of `sessionize`'s coarse-bucket exchange."""
 
     def __init__(
         self,

@@ -3,12 +3,14 @@
 The north-star contract: the pipeline runs unchanged on a multi-node
 cluster via `ray job submit`, checkpoints per-partition lineage +
 metrics, and a killed run resumes without reprocessing completed
-partitions. This driver is that entry point:
+partitions. This driver is that entry point (input and output are
+paths on a filesystem every node mounts; a `scheme://` URI raises
+ValueError):
 
     ray job submit --working-dir . -- \
         python jobs/curate_corpus_job.py \
-        --input  s3://bucket/crawl/docs/   \
-        --output s3://bucket/curated/v1    \
+        --input  /mnt/shared/crawl/docs/ \
+        --output /mnt/shared/curated/v1 \
         --num-parts 256 --budget-tokens 5e9
 
 Local smoke run (single node, from the repo root):

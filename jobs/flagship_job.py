@@ -3,12 +3,14 @@ route -> aggregate pipeline over Common-Crawl-style page parquet.
 
 The north-star contract: the same code runs unchanged on an N-node or
 4N-node cluster; a killed run resumes without reprocessing completed
-partitions. Usage:
+partitions. Usage (input and output are paths on a filesystem every
+node mounts; a `scheme://` URI raises ValueError, since the listing,
+the manifest and the atomic rename are filesystem operations):
 
     ray job submit --working-dir . -- \
         python jobs/flagship_job.py \
-        --input  s3://bucket/crawl/pages/ \
-        --output s3://bucket/routed/v1 \
+        --input  /mnt/shared/crawl/pages/ \
+        --output /mnt/shared/routed/v1 \
         --num-parts 256
 
 Local smoke run (single node, from the repo root; `synth.write_pages`

@@ -117,6 +117,21 @@ def test_checkpoint_resume_skips_done_partitions(tmp_path):
     assert total == 300
 
 
+def test_run_partitions_rejects_uri_paths(tmp_path):
+    """The listing, the manifest and the atomic rename are local-only: a
+    URI input or output raises naming its scheme instead of listing
+    nothing or writing under a local `s3:` directory."""
+    from axosyslog_ray.state.checkpoint import list_files
+
+    with pytest.raises(ValueError, match="s3://"):
+        list_files("s3://bucket/crawl/pages/")
+    with pytest.raises(ValueError, match="gs://"):
+        list_files([str(tmp_path), "gs://bucket/docs/*.parquet"])
+    with pytest.raises(ValueError, match="s3://"):
+        run_partitions(str(tmp_path), "s3://bucket/routed/v1", 2, lambda files: None)
+    assert not (tmp_path / "s3:").exists()
+
+
 def test_checkpoint_atomic_no_partial_dirs(tmp_path):
     import os
 
