@@ -1784,7 +1784,10 @@ def orders_customer_hash_join(sf_dir: str):
     cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"]).map_batches(
         lambda b: b.rename_columns(["o_custkey", "c_mktsegment"]), batch_format="pyarrow"
     )
-    joined = hash_join(orders, cust, "o_custkey", how="inner")
+    joined = hash_join(
+        orders, cust, "o_custkey", how="inner",
+        left_schema=pa.schema([("o_custkey", pa.int64()), ("o_totalprice", pa.float64())]),
+        right_schema=pa.schema([("o_custkey", pa.int64()), ("c_mktsegment", pa.string())]))
     out = (
         joined.groupby("c_mktsegment")
         .aggregate(Count(alias_name="n_orders"), Sum("o_totalprice", alias_name="total"))

@@ -26,7 +26,9 @@ import os
 import time
 import uuid
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 from ray.data import Datasink
 
@@ -54,6 +56,27 @@ def _format_lines(t: pa.Table, template) -> list[str]:
     return tpl.eval(t).tolist()
 
 
+def _partition_runs(col: pa.ChunkedArray) -> tuple[np.ndarray, list[tuple[object, int, int]]]:
+    """Group a bundle's rows by one column's value without a Python pass
+    over the rows: dictionary-encode the column (null is code -1), take a
+    stable argsort of the codes, so rows keep their input order inside
+    each value, and cut the sorted codes where they change. One sort and
+    contiguous slices, O(n log n) at any cardinality (a filter per
+    distinct value re-scans the bundle once per value).
+
+    Returns the row order and one (value, start, end) run over it per
+    distinct value; value is None for null, else the dictionary entry as
+    numpy renders it (`to_numpy`, which names the partition directory)."""
+    enc = pc.dictionary_encode(col.combine_chunks())
+    codes = enc.indices.fill_null(-1).to_numpy()
+    order = np.argsort(codes, kind="stable")
+    sorted_codes = codes[order]
+    bounds = [0, *(np.flatnonzero(np.diff(sorted_codes)) + 1).tolist(), len(codes)]
+    values = enc.dictionary.to_numpy(zero_copy_only=False)
+    return order, [(None if sorted_codes[s] < 0 else values[sorted_codes[s]], s, e)
+                   for s, e in zip(bounds[:-1], bounds[1:])]
+
+
 class RoutedParquetDatasink(Datasink):
     """file() destination: hive-partitioned parquet fan-out with the
     per-sink counters FUSED into the write tasks.
@@ -69,6 +92,19 @@ class RoutedParquetDatasink(Datasink):
     execution's driver-side fixed cost, which is flat in CPU count and
     caps measured scaling efficiency on short runs (BASELINE.md phase
     decomposition).
+
+    A write task returns its partial counts as `{col: ndarray}` for each
+    count column plus "count_all" (None for an empty bundle), never as
+    Python rows: Ray wraps every write return in a one-row pandas block
+    and sizes it by walking the Python objects inside, which for a list
+    of (route, host, n) tuples visits every tuple and string (7 ms a
+    task at ~2.2k groups on a 4-vCPU VM), while an ndarray is sized by
+    its `nbytes` (0.6 ms).
+    The partition split is `_partition_runs` (dictionary codes, no
+    per-row Python either). Each file caps its Parquet dictionary page
+    at max(rows, 4096) bytes, so a column with more than ~one distinct
+    byte per row (urls, messages, stamps) falls back to plain encoding at
+    once instead of after hashing up to parquet's 1 MiB default.
 
     `min_rows_per_write` makes Ray bundle at least that many rows per
     write() call, so output files stay sized (~one file per partition
@@ -91,61 +127,44 @@ class RoutedParquetDatasink(Datasink):
         os.makedirs(self.root, exist_ok=True)
 
     def write(self, blocks, ctx):
-        import pyarrow.compute as pc
-
         tables = _to_tables(blocks)
         if not tables:
-            return []
+            return None
         t = tables[0] if len(tables) == 1 else pa.concat_tables(tables)
-        agg = t.select(self.count_cols).group_by(self.count_cols).aggregate([([], "count_all")])
         # deterministic filenames (task_idx + per-task write sequence, no
         # uuid): a retried write task regenerates the SAME names and
         # overwrites its failed attempt's partial files instead of
         # duplicating rows beside them (Ray's FilenameProvider contract)
         seq = self._write_seq = getattr(self, "_write_seq", -1) + 1
-        # ONE sort + contiguous slices per partition value — O(n log n)
-        # regardless of partition cardinality (a filter per distinct value
-        # re-scans the whole bundle each time: quadratic-ish when a user
-        # partitions by a high-cardinality column)
-        import numpy as np
-        import pandas as pd
-
-        order = pc.sort_indices(t.column(self.partition_col))
-        ts = t.take(order)
-        kn = ts.column(self.partition_col).to_numpy(zero_copy_only=False)
-        n = len(kn)
-        isnull = pd.isna(kn)
-        change = np.empty(n, dtype=bool)
-        change[0] = True
-        # nulls sort together; None != None would split them row-per-row
-        change[1:] = (kn[1:] != kn[:-1]) & ~(isnull[1:] & isnull[:-1])
-        starts = np.flatnonzero(change)
-        ends = np.append(starts[1:], n)
-        body = ts.drop_columns([self.partition_col])
-        for s, e in zip(starts, ends):
-            if isnull[s]:
-                # the hive null-dir name (read_parquet restores it as null)
-                d = os.path.join(self.root, f"{self.partition_col}=__HIVE_DEFAULT_PARTITION__")
-            else:
-                d = os.path.join(self.root, f"{self.partition_col}={kn[s]}")
+        order, runs = _partition_runs(t.column(self.partition_col))
+        body = t.drop_columns([self.partition_col]).take(order)
+        for value, s, e in runs:
+            # the hive null-dir name (read_parquet restores it as null)
+            name = "__HIVE_DEFAULT_PARTITION__" if value is None else value
+            d = os.path.join(self.root, f"{self.partition_col}={name}")
             os.makedirs(d, exist_ok=True)
             pq.write_table(
                 body.slice(s, e - s),
                 os.path.join(d, f"part_{ctx.task_idx:05d}_{seq:04d}.parquet"),
+                dictionary_pagesize_limit=max(e - s, 4096),
             )
-        cols = [agg.column(c).to_pylist() for c in (*self.count_cols, "count_all")]
-        return list(zip(*cols))
+        agg = t.select(self.count_cols).group_by(self.count_cols).aggregate([([], "count_all")])
+        return {c: agg.column(c).to_numpy(zero_copy_only=False)
+                for c in (*self.count_cols, "count_all")}
 
     def on_write_complete(self, write_result):
         import pandas as pd
 
-        rows = [r for ret in write_result.write_returns for r in (ret or [])]
-        df = pd.DataFrame(rows, columns=[*self.count_cols, "n"])
+        parts = [r for r in write_result.write_returns if r is not None]
+        if not parts:
+            self.counts = pd.DataFrame(columns=[*self.count_cols, "n"])
+            return
+        df = pd.DataFrame({c: np.concatenate([p[c] for p in parts])
+                           for c in (*self.count_cols, "count_all")})
         # dropna=False: null group keys are real sinks (e.g. messages with
         # no host) — pandas' default silently drops them, Arrow's doesn't
-        self.counts = (
-            df.groupby(self.count_cols, as_index=False, dropna=False)["n"].sum() if len(df) else df
-        )
+        self.counts = (df.rename(columns={"count_all": "n"})
+                       .groupby(self.count_cols, as_index=False, dropna=False)["n"].sum())
 
     def get_name(self):
         return f"RoutedParquet({self.root})"
@@ -159,10 +178,11 @@ class TemplatedTextDatasink(Datasink):
     columnar-analytics form.
 
     Layout: root/<partition>=<val>/part_<task>_<seq>.log (or flat
-    part_*.log files without a partition column) — many files per sink,
-    never one giant file, deterministic names so a retried task
-    overwrites its own partial output. Returns per-partition line
-    counts merged on the driver like the parquet sink."""
+    part_*.log files without a partition column; null goes to
+    <partition>=__NULL__) — many files per sink, never one giant file,
+    deterministic names so a retried task overwrites its own partial
+    output. Partitions are split by `_partition_runs`, as in the parquet
+    sink. Returns per-partition line counts merged on the driver."""
 
     def __init__(self, root: str, template=None, partition_col: str | None = None):
         self.root = root
@@ -181,10 +201,6 @@ class TemplatedTextDatasink(Datasink):
         return len(lines)
 
     def write(self, blocks, ctx):
-        import numpy as np
-        import pandas as pd
-        import pyarrow.compute as pc
-
         tables = _to_tables(blocks)
         if not tables:
             return []
@@ -194,19 +210,11 @@ class TemplatedTextDatasink(Datasink):
             n = self._write_lines(
                 os.path.join(self.root, f"part_{ctx.task_idx:05d}_{seq:04d}.log"), t)
             return [(None, n)]
-        order = pc.sort_indices(t.column(self.partition_col))
+        order, runs = _partition_runs(t.column(self.partition_col))
         ts = t.take(order)
-        kn = ts.column(self.partition_col).to_numpy(zero_copy_only=False)
-        n = len(kn)
-        isnull = pd.isna(kn)
-        change = np.empty(n, dtype=bool)
-        change[0] = True
-        change[1:] = (kn[1:] != kn[:-1]) & ~(isnull[1:] & isnull[:-1])
-        starts = np.flatnonzero(change)
-        ends = np.append(starts[1:], n)
         out = []
-        for s, e in zip(starts, ends):
-            val = "__NULL__" if isnull[s] else str(kn[s])
+        for value, s, e in runs:
+            val = "__NULL__" if value is None else str(value)
             d = os.path.join(self.root, f"{self.partition_col}={val}")
             os.makedirs(d, exist_ok=True)
             c = self._write_lines(

@@ -120,32 +120,39 @@ def test_routed_parquet_sink_counts_match_readback(tmp_path):
 
     from axosyslog_ray.sinks import RoutedParquetDatasink
 
-    # host=None for part of one route: null group keys are real sinks and
-    # must survive the driver merge (pandas groupby drops NaN by default)
-    rows = [{"route": ["web", "auth", "errors"][i % 3],
-             "host": None if i % 3 == 0 else f"h{i % 7}",
-             "value": i} for i in range(1000)]
-    ds = rd.from_items(rows).repartition(6)
-    sink = RoutedParquetDatasink(str(tmp_path / "sinks"), partition_col="route",
-                                 count_cols=("route", "host"), min_rows_per_file=200)
-    ds.write_datasink(sink)
+    # a string and an int partition column: directory names render each
+    # value as numpy prints it
+    for routes, dir_names in [
+        (["web", "auth", "errors"], ["route=auth", "route=errors", "route=web"]),
+        ([2, 0, 1], ["route=0", "route=1", "route=2"]),
+    ]:
+        root = tmp_path / f"sinks_{type(routes[0]).__name__}"
+        # host=None for part of one route: null group keys are real sinks and
+        # must survive the driver merge (pandas groupby drops NaN by default)
+        rows = [{"route": routes[i % 3],
+                 "host": None if i % 3 == 0 else f"h{i % 7}",
+                 "value": i} for i in range(1000)]
+        ds = rd.from_items(rows).repartition(6)
+        sink = RoutedParquetDatasink(str(root), partition_col="route",
+                                     count_cols=("route", "host"), min_rows_per_file=200)
+        ds.write_datasink(sink)
 
-    # fused counts == a read-back groupby over the written files
-    back = rd.read_parquet(str(tmp_path / "sinks")).to_pandas()
-    expect = back.groupby(["route", "host"], dropna=False).size().rename("n").reset_index()
+        # fused counts == a read-back groupby over the written files
+        back = rd.read_parquet(str(root)).to_pandas()
+        expect = back.groupby(["route", "host"], dropna=False).size().rename("n").reset_index()
 
-    def canon(df):
-        df = df.copy()
-        df["host"] = df["host"].fillna("<null>")
-        return df.sort_values(["route", "host"]).reset_index(drop=True).astype(str)
+        def canon(df):
+            df = df.copy()
+            df["host"] = df["host"].fillna("<null>")
+            return df.sort_values(["route", "host"]).reset_index(drop=True).astype(str)
 
-    assert canon(sink.counts).equals(canon(expect))
-    assert int(sink.counts["n"].sum()) == 1000
+        assert canon(sink.counts).equals(canon(expect))
+        assert int(sink.counts["n"].sum()) == 1000
 
-    # hive layout: partition dirs, partition column restored on read
-    dirs = sorted(os.path.basename(p) for p in glob.glob(str(tmp_path / "sinks" / "route=*")))
-    assert dirs == ["route=auth", "route=errors", "route=web"]
-    assert set(back.columns) >= {"route", "host", "value"}
+        # hive layout: partition dirs, partition column restored on read
+        dirs = sorted(os.path.basename(p) for p in glob.glob(str(root / "route=*")))
+        assert dirs == dir_names
+        assert set(back.columns) >= {"route", "host", "value"}
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -192,6 +199,76 @@ def test_routed_parquet_sink_high_cardinality_partitions(tmp_path):
     assert len(back) == n
     assert sorted(back["v"]) == list(range(n))
     assert back.groupby("route")["v"].count().eq(5).all()
+
+
+class _Ctx:
+    task_idx = 3
+
+
+def test_routed_parquet_write_returns_numpy_counts(tmp_path):
+    """write() hands Ray numpy columns (sized by nbytes), never Python
+    rows, and each partition file keeps the bundle's row order."""
+    import numpy as np
+    import pyarrow.parquet as pq
+
+    from axosyslog_ray.sinks import RoutedParquetDatasink
+
+    t = pa.table({"route": ["web", "auth", None, "web", "auth", "web"],
+                  "host": ["a", None, "b", None, "a", "a"],
+                  "v": [0, 1, 2, 3, 4, 5]})
+    sink = RoutedParquetDatasink(str(tmp_path), count_cols=("route", "host"))
+    ret = sink.write([t.slice(0, 4), t.slice(4)], _Ctx())
+    assert isinstance(ret, dict) and set(ret) == {"route", "host", "count_all"}
+    assert all(isinstance(v, np.ndarray) for v in ret.values())
+    got = sorted(zip(ret["route"].tolist(), ret["host"].tolist(), ret["count_all"].tolist()),
+                 key=repr)
+    assert got == sorted([("web", "a", 2), ("web", None, 1), ("auth", None, 1),
+                          ("auth", "a", 1), (None, "b", 1)], key=repr)
+
+    files = {os.path.relpath(p, tmp_path): pq.read_table(p).column("v").to_pylist()
+             for p in glob.glob(str(tmp_path / "*" / "*.parquet"))}
+    assert files == {"route=web/part_00003_0000.parquet": [0, 3, 5],
+                     "route=auth/part_00003_0000.parquet": [1, 4],
+                     "route=__HIVE_DEFAULT_PARTITION__/part_00003_0000.parquet": [2]}
+    # a bundle big enough that an unstable sort would reorder rows
+    big = pa.table({"route": [f"r{i * 7919 % 13}" for i in range(5000)],
+                    "host": ["a"] * 5000, "v": list(range(5000))})
+    sink.write([big], _Ctx())
+    parts = glob.glob(str(tmp_path / "route=r*" / "part_00003_0001.parquet"))
+    assert len(parts) == 13
+    for p in parts:
+        v = pq.read_table(p).column("v").to_pylist()
+        assert v == sorted(v)
+
+    from ray.data.datasource.datasink import WriteResult
+
+    sink.on_write_complete(WriteResult(6, 0, [ret, None]))
+    assert list(sink.counts.columns) == ["route", "host", "n"]
+    assert sink.counts["n"].dtype == np.int64 and int(sink.counts["n"].sum()) == 6
+    assert sink.counts["host"].isna().sum() == 2
+
+
+def test_routed_parquet_empty_write_and_run(tmp_path):
+    from ray.data.datasource.datasink import WriteResult
+
+    from axosyslog_ray.sinks import RoutedParquetDatasink
+
+    sink = RoutedParquetDatasink(str(tmp_path), count_cols=("route", "host"))
+    empty = pa.table({"route": pa.array([], pa.string()), "host": pa.array([], pa.string())})
+    assert sink.write([], _Ctx()) is None
+    assert sink.write([empty], _Ctx()) is None
+    sink.on_write_complete(WriteResult(0, 0, []))
+    assert list(sink.counts.columns) == ["route", "host", "n"] and len(sink.counts) == 0
+
+
+def test_templated_text_sink_null_partition(tmp_path):
+    from axosyslog_ray.sinks import TemplatedTextDatasink
+
+    t = pa.table({"route": ["web", None, "web", None], "m": ["a", "b", "c", "d"]})
+    sink = TemplatedTextDatasink(str(tmp_path), template="$m", partition_col="route")
+    assert sorted(sink.write([t], _Ctx())) == [("__NULL__", 2), ("web", 2)]
+    assert open(tmp_path / "route=__NULL__" / "part_00003_0000.log").read() == "b\nd\n"
+    assert open(tmp_path / "route=web" / "part_00003_0000.log").read() == "a\nc\n"
 
 
 def test_templated_text_sink_byte_parity(ray_session, tmp_path):
