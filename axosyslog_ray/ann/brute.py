@@ -1,10 +1,10 @@
-"""Exact cosine top-k: broadcast query matrix × streamed corpus batches.
+"""Exact cosine top-k, and exact embedding-cosine near-duplicate pairs.
 
-Scale shape: queries are the SMALL side (ray.put once; each actor reads
-the ref in __init__); the corpus streams through map_batches, each batch
-contributing its local top-k per query (one numpy matmul); the final
-reduce merges per-batch candidate lists — a tiny shuffle of
-(query_id, k) rows, never the embeddings.
+Top-k scale shape: queries are the SMALL side (shipped once inside the
+stage); the corpus streams through the shared candidate scan
+(ann/scan.py), each batch scoring every query with one numpy matmul and
+keeping its k best by (sim desc, id asc); the driver merges the tiny
+(query_id, k) candidate rows, never the embeddings.
 """
 
 from __future__ import annotations
@@ -13,73 +13,28 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from .scan import TopKScan, _norm, _to_matrix, dense, scan_topk
 
-def _to_matrix(col, dim: int | None = None) -> np.ndarray:
-    if hasattr(col, "to_pylist"):  # Arrow array/chunked array
-        lists = col.to_pylist()
-    else:  # pandas Series of lists/ndarrays
-        lists = list(col)
-    if not lists:  # empty Ray block: keep 2-D so matmuls don't AxisError
-        return np.empty((0, dim or 0), dtype=np.float64)
-    return np.asarray(lists, dtype=np.float64)
+# chunks of the near-dup self-join: C(C+1)/2 chunk-pair tasks
+_MAX_CHUNKS = 16
 
 
-def _norm(m: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(m, axis=1, keepdims=True)
-    n[n == 0] = 1.0
-    return m / n
+class CosineTopK(TopKScan):
+    """Dense cosine of every query against every batch row."""
 
+    def __init__(self, queries: np.ndarray, k: int = 10, vec_col: str = "embedding",
+                 id_col: str = "vec_id"):
+        super().__init__(queries, k, vec_col, id_col)
 
-class CosineTopK:
-    """Actor-pool stage: per batch, local top-k for every query."""
-
-    def __init__(self, queries: np.ndarray | None = None, queries_ref=None, k: int = 10,
-                 vec_col: str = "embedding", id_col: str = "vec_id"):
-        if queries_ref is not None:
-            import ray
-
-            queries = ray.get(queries_ref)
-        self.q = _norm(np.asarray(queries, dtype=np.float64))
-        self.k = k
-        self.vec_col = vec_col
-        self.id_col = id_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table({"query_id": pa.array([], type=pa.int64()),
-                             self.id_col: pa.array([], type=pa.int64()),
-                             "sim": pa.array([], type=pa.float64())})
-        m = _norm(_to_matrix(batch.column(self.vec_col)))
-        ids = batch.column(self.id_col).to_numpy()
-        sims = self.q @ m.T  # (n_queries, batch)
-        k = min(self.k, sims.shape[1])
-        out_q, out_id, out_sim = [], [], []
-        for qi in range(sims.shape[0]):
-            idx = np.argpartition(-sims[qi], k - 1)[:k] if k < sims.shape[1] else np.arange(sims.shape[1])
-            out_q.append(np.full(len(idx), qi, dtype=np.int64))
-            out_id.append(ids[idx])
-            out_sim.append(sims[qi][idx])
-        return pa.table(
-            {
-                "query_id": pa.array(np.concatenate(out_q)),
-                self.id_col: pa.array(np.concatenate(out_id)),
-                "sim": pa.array(np.concatenate(out_sim)),
-            }
-        )
+    def score(self, m: np.ndarray):
+        return dense(self.qm @ m.T)  # (n_queries, batch)
 
 
 def ann_topk(ds, queries: np.ndarray, k: int = 10, vec_col: str = "embedding",
-             id_col: str = "vec_id", concurrency=None) -> pd.DataFrame:
+             id_col: str = "vec_id") -> pd.DataFrame:
     """Exact global top-k per query: per-batch candidates -> driver merge of
     the tiny candidate table. Ties broken by (sim desc, id asc)."""
-    cands = ds.map_batches(
-        CosineTopK(queries=queries, k=k, vec_col=vec_col, id_col=id_col),
-        batch_format="pyarrow", concurrency=concurrency,
-    ).to_pandas()
-    cands = cands.sort_values(["query_id", "sim", id_col], ascending=[True, False, True])
-    top = cands.groupby("query_id", as_index=False).head(k).reset_index(drop=True)
-    top["rank"] = top.groupby("query_id").cumcount() + 1
-    return top[["query_id", "rank", id_col, "sim"]]
+    return scan_topk(ds, CosineTopK(queries, k, vec_col, id_col))
 
 
 def _pairs_table(lo: np.ndarray, hi: np.ndarray, s: np.ndarray) -> pa.Table:
@@ -93,55 +48,25 @@ def _pairs_table(lo: np.ndarray, hi: np.ndarray, s: np.ndarray) -> pa.Table:
 
 
 def near_dup_pairs(ds, threshold: float = 0.95, vec_col: str = "embedding",
-                   id_col: str = "vec_id", concurrency=None, small_corpus: bool = False,
-                   max_chunks: int = 16):
+                   id_col: str = "vec_id"):
     """Embedding-cosine near-dup: all (id_a < id_b) pairs with cosine >=
     threshold. EXACT (matches the all-pairs SQL oracle).
 
-    Default (scale path): distributed block-pair self-join. The projected
-    (id, vector) corpus is materialized into the DISTRIBUTED object store
-    (never the driver heap), its blocks grouped into <= max_chunks chunks,
-    and one Ray task per chunk pair (i <= j) computes its pairs — each
-    task holds exactly two chunks in memory; results are tiny (id, id,
-    sim) tables. O(n^2) similarity compute is intrinsic to exact all-pairs
-    — it is spread over C(C+1)/2 tasks; for approximate-but-subquadratic
-    retrieval use ann.lsh. Raw Ray tasks are justified here because the
-    Dataset API has no self-join (prompt: custom-operator rule (c)).
-
-    small_corpus=True: the round-1 broadcast baseline — the whole corpus is
-    ray.put once and every streamed batch compares against it. Only valid
-    while the corpus fits one worker's heap; kept as the simple/lowest-
-    latency path for small inputs."""
+    Distributed block-pair self-join. The projected (id, vector) corpus
+    is materialized into the DISTRIBUTED object store (never the driver
+    heap), its blocks grouped into <= 16 chunks, and one Ray task per
+    chunk pair (i <= j) computes its pairs — each task holds exactly two
+    chunks in memory; results are tiny (id, id, sim) tables. O(n^2)
+    similarity compute is intrinsic to exact all-pairs — it is spread
+    over C(C+1)/2 tasks; for approximate-but-subquadratic retrieval use
+    ann.lsh. Raw Ray tasks are justified here because the Dataset API has
+    no self-join (prompt: custom-operator rule (c))."""
     import ray
-
-    if small_corpus:
-        # ONE materialization for both columns — two executions could order
-        # rows differently and misalign ids with vectors
-        side = ds.select_columns([id_col, vec_col]).to_pandas()
-        full = _norm(_to_matrix(side[vec_col]))
-        all_ids = side[id_col].to_numpy()
-        ref = ray.put((full, all_ids))
-
-        # plain function, not a callable CLASS: an actor pool sized == the
-        # CPU count starves the upstream read task (observed deadlock at
-        # num_cpus=4); ray.get of a plasma numpy is zero-copy after the
-        # first local fetch, so per-batch get costs nothing
-        def pair_finder(batch: pa.Table) -> pa.Table:
-            m, ids = ray.get(ref)
-            bm = _norm(_to_matrix(batch.column(vec_col)))
-            bids = batch.column(id_col).to_numpy()
-            sims = bm @ m.T
-            rows, cols = np.nonzero(sims >= threshold)
-            a, b, s = bids[rows], ids[cols], sims[rows, cols]
-            keep = a < b  # dedupe symmetric pairs and self-pairs
-            return _pairs_table(a[keep], b[keep], s[keep])
-
-        return ds.map_batches(pair_finder, batch_format="pyarrow", concurrency=concurrency)
 
     proj = ds.select_columns([id_col, vec_col]).materialize()
     refs = [r for bundle in proj.iter_internal_ref_bundles() for r in bundle.block_refs]
     # group blocks into chunks so the task count is C(C+1)/2, not B^2/2
-    n_chunks = min(max_chunks, max(1, len(refs)))
+    n_chunks = min(_MAX_CHUNKS, max(1, len(refs)))
     chunks = [refs[i::n_chunks] for i in range(n_chunks)]
 
     def _chunk_matrix(refs):

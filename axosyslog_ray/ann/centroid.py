@@ -26,13 +26,11 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-
-def _half_away(x: np.ndarray) -> np.ndarray:
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+from ..hashutil import half_away
 
 
 def _micro(mat: np.ndarray) -> np.ndarray:
-    return _half_away(mat.astype(np.float64) * 1_000_000.0).astype(np.int64)
+    return half_away(mat.astype(np.float64) * 1_000_000.0).astype(np.int64)
 
 
 def label_centroids(ds, emb_col: str = "embedding", label_col: str = "label"):

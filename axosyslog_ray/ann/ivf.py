@@ -9,12 +9,12 @@ inside them.
 Ray shape:
 - TRAIN: a bounded `ds.limit(sample)` batch trains the quantizer with a
   few Lloyd iterations on the DRIVER (centroids are tiny: nlist x dim);
-- ASSIGN + SCAN: one fused map_batches pass — each batch computes its
-  rows' nearest centroids (one matmul vs the broadcast centroid matrix)
-  and emits candidates only for rows landing in a probed cell, with
-  exact cosine rescoring (einsum over colliding pairs). The corpus is
-  never shuffled and never replicated; only the tiny (query_id, id, sim)
-  candidate rows leave the stage.
+- ASSIGN + SCAN: one pass of the shared candidate scan (ann/scan.py) —
+  each batch computes its rows' nearest centroids (one matmul vs the
+  broadcast centroid matrix), rescores exactly only the rows landing in
+  a probed cell, and keeps its k best per query by (sim desc, id asc).
+  The corpus is never shuffled and never replicated; only the tiny
+  (query_id, id, sim) candidate rows leave the stage.
 At 100 TB the train sample stays bounded, centroids broadcast once per
 actor, and the scan is embarrassingly parallel. For a materialized
 reusable index, write the assignment as a cell-partitioned Parquet
@@ -25,9 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-import pyarrow as pa
 
-from .brute import _norm, _to_matrix
+from .scan import TopKScan, _norm, empty_topk, read_sample, rescore, scan_topk
 
 
 def train_centroids(sample: np.ndarray, nlist: int, iters: int = 10, seed: int = 17) -> np.ndarray:
@@ -49,59 +48,32 @@ def train_centroids(sample: np.ndarray, nlist: int, iters: int = 10, seed: int =
     return cents
 
 
-class IvfScanner:
-    """Fused assign+scan stage: per batch, rows are assigned to their
-    nearest centroid; rows in any probed cell are rescored against the
-    queries probing that cell."""
+class IvfScanner(TopKScan):
+    """Fused assign+scan: each batch row is assigned to its nearest
+    centroid; rows in a probed cell are rescored against the queries
+    probing that cell."""
 
     def __init__(self, queries: np.ndarray, centroids: np.ndarray, nprobe: int,
-                 vec_col: str, id_col: str):
-        self.qm = _norm(np.asarray(queries, dtype=np.float64))
+                 k: int, vec_col: str, id_col: str):
+        super().__init__(queries, k, vec_col, id_col)
         self.cents = np.asarray(centroids, dtype=np.float64)
-        self.nprobe = min(nprobe, len(self.cents))
         # (nq, nprobe) cells each query probes
-        sims = self.qm @ self.cents.T
-        self.q_cells = np.argsort(-sims, axis=1)[:, : self.nprobe]
-        self.vec_col = vec_col
-        self.id_col = id_col
+        self.q_cells = np.argsort(-(self.qm @ self.cents.T), axis=1)[:, :nprobe]
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table({"query_id": pa.array([], type=pa.int64()),
-                             self.id_col: pa.array([], type=pa.int64()),
-                             "sim": pa.array([], type=pa.float64())})
-        m = _norm(_to_matrix(batch.column(self.vec_col)))
-        ids = batch.column(self.id_col).to_numpy()
+    def score(self, m: np.ndarray):
         cell = np.argmax(m @ self.cents.T, axis=1)  # (n,)
-        nq = self.qm.shape[0]
         # hit[q, row] = row's cell among query q's probed cells
         hit = (cell[None, None, :] == self.q_cells[:, :, None]).any(axis=1)
-        rows, cols = np.nonzero(hit)
-        if len(rows) == 0:
-            return pa.table({"query_id": pa.array([], type=pa.int64()),
-                             self.id_col: pa.array([], type=pa.int64()),
-                             "sim": pa.array([], type=pa.float64())})
-        sims = np.einsum("ij,ij->i", self.qm[rows], m[cols])
-        return pa.table({
-            "query_id": pa.array(rows.astype(np.int64)),
-            self.id_col: pa.array(ids[cols]),
-            "sim": pa.array(sims),
-        })
+        return rescore(self.qm, m, hit)
 
 
 def ivf_ann_topk(ds, queries: np.ndarray, k: int = 10, nlist: int = 16, nprobe: int = 4,
                  train_sample: int = 4096, vec_col: str = "embedding",
-                 id_col: str = "vec_id", seed: int = 17, concurrency=None) -> pd.DataFrame:
+                 id_col: str = "vec_id", seed: int = 17) -> pd.DataFrame:
     """Approximate top-k: driver-side bounded-sample training, one
     streamed assign+scan pass, tiny candidate merge."""
-    sample_tbl = pa.concat_tables(
-        ds.limit(train_sample).iter_batches(batch_size=train_sample, batch_format="pyarrow"),
-        promote_options="permissive",
-    )
-    cents = train_centroids(_to_matrix(sample_tbl.column(vec_col)), nlist=nlist, seed=seed)
-    scanner = IvfScanner(queries, cents, nprobe, vec_col, id_col)
-    cands = ds.map_batches(scanner, batch_format="pyarrow", concurrency=concurrency).to_pandas()
-    cands = cands.sort_values(["query_id", "sim", id_col], ascending=[True, False, True])
-    top = cands.groupby("query_id", as_index=False).head(k).reset_index(drop=True)
-    top["rank"] = top.groupby("query_id").cumcount() + 1
-    return top[["query_id", "rank", id_col, "sim"]]
+    sample = read_sample(ds, train_sample, vec_col)
+    if not len(sample):  # empty corpus
+        return empty_topk(id_col)
+    cents = train_centroids(sample, nlist=nlist, seed=seed)
+    return scan_topk(ds, IvfScanner(queries, cents, nprobe, k, vec_col, id_col))

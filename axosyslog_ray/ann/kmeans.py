@@ -41,7 +41,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .brute import _to_matrix
+from .scan import _to_matrix
 
 QUANT = 1 << 20
 

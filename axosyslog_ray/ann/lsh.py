@@ -8,20 +8,20 @@ with high probability. Recall is tuned with `n_tables` independent
 plane sets. Exact rescoring happens only on colliding (query, row)
 pairs.
 
-Scale shape (fixes VERDICT r1 'What's wrong' #4): the scanner is ONE
-fused map_batches stage — the corpus is never replicated x n_tables
-through an exchange, and candidate matching is a vectorized key
-comparison, not a per-row Python set-membership loop. Only the tiny
-(query_id, id, sim) candidate rows leave the stage.
+Scale shape: the scanner scores inside the shared candidate scan
+(ann/scan.py) — the corpus is never replicated x n_tables through an
+exchange, and candidate matching is a vectorized key comparison, not a
+per-row Python set-membership loop. Each batch keeps its k best
+colliding rows per query by (sim desc, id asc); only those tiny
+(query_id, id, sim) rows leave the stage.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-import pyarrow as pa
 
-from .brute import _norm, _to_matrix
+from .scan import TopKScan, rescore, scan_topk
 
 
 def _bucket_keys(m: np.ndarray, planes: np.ndarray) -> np.ndarray:
@@ -35,57 +35,28 @@ def _make_planes(dim: int, n_bits: int, n_tables: int, seed: int) -> list[np.nda
     return [rng.normal(size=(n_bits, dim)) for _ in range(n_tables)]
 
 
-class LshScanner:
-    """Fused per-batch stage: bucket the batch's rows per table, match
-    against the (broadcast-tiny) query keys with a vectorized equality,
-    rescore only colliding pairs with an einsum. Stateful setup (planes,
-    normalized query matrix, per-table query keys) happens once per actor."""
+class LshScanner(TopKScan):
+    """Bucket the batch's rows per table, match against the query keys
+    with a vectorized equality, rescore only the colliding pairs. Planes
+    and per-table query keys are built once per scanner."""
 
     def __init__(self, queries: np.ndarray, n_bits: int, n_tables: int, seed: int,
-                 vec_col: str, id_col: str):
-        self.qm = _norm(np.asarray(queries, dtype=np.float64))
+                 k: int, vec_col: str, id_col: str):
+        super().__init__(queries, k, vec_col, id_col)
         self.planes = _make_planes(self.qm.shape[1], n_bits, n_tables, seed)
         self.q_keys = [_bucket_keys(self.qm, p) for p in self.planes]  # per table (nq,)
-        self.n_tables = n_tables
-        self.vec_col = vec_col
-        self.id_col = id_col
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table({"query_id": pa.array([], type=pa.int64()),
-                             self.id_col: pa.array([], type=pa.int64()),
-                             "sim": pa.array([], type=pa.float64())})
-        m = _norm(_to_matrix(batch.column(self.vec_col)))
-        ids = batch.column(self.id_col).to_numpy()
-        nq, n = self.qm.shape[0], len(ids)
-        hit = np.zeros((nq, n), dtype=bool)
-        for t, planes in enumerate(self.planes):
-            ck = _bucket_keys(m, planes)  # (n,)
-            hit |= ck[None, :] == self.q_keys[t][:, None]
-        rows, cols = np.nonzero(hit)
-        if len(rows) == 0:
-            return pa.table({"query_id": pa.array([], type=pa.int64()),
-                             self.id_col: pa.array([], type=pa.int64()),
-                             "sim": pa.array([], type=pa.float64())})
-        sims = np.einsum("ij,ij->i", self.qm[rows], m[cols])
-        return pa.table(
-            {
-                "query_id": pa.array(rows.astype(np.int64)),
-                self.id_col: pa.array(ids[cols]),
-                "sim": pa.array(sims),
-            }
-        )
+    def score(self, m: np.ndarray):
+        hit = np.zeros((len(self.qm), len(m)), dtype=bool)
+        for planes, q_keys in zip(self.planes, self.q_keys):
+            hit |= _bucket_keys(m, planes)[None, :] == q_keys[:, None]
+        return rescore(self.qm, m, hit)
 
 
 def lsh_ann_topk(ds, queries: np.ndarray, k: int = 10, n_bits: int = 8, n_tables: int = 4,
-                 vec_col: str = "embedding", id_col: str = "vec_id", seed: int = 11,
-                 concurrency=None) -> pd.DataFrame:
+                 vec_col: str = "embedding", id_col: str = "vec_id",
+                 seed: int = 11) -> pd.DataFrame:
     """Approximate top-k: one streamed pass; each batch contributes only
     rows colliding with a query bucket. The driver merge sees the small
     candidate table, never embeddings."""
-    scanner = LshScanner(queries, n_bits, n_tables, seed, vec_col, id_col)
-    cands = ds.map_batches(scanner, batch_format="pyarrow", concurrency=concurrency).to_pandas()
-    cands = cands.sort_values(["query_id", "sim", id_col], ascending=[True, False, True])
-    top = cands.groupby("query_id", as_index=False).head(k).reset_index(drop=True)
-    top["rank"] = top.groupby("query_id").cumcount() + 1
-    return top[["query_id", "rank", id_col, "sim"]]
+    return scan_topk(ds, LshScanner(queries, n_bits, n_tables, seed, k, vec_col, id_col))

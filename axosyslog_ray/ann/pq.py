@@ -9,9 +9,11 @@ an m-byte code replaces a 4*d-byte vector, the memory/IO shape that
 makes a 100-TB embedding corpus scannable.
 
 Ray shape, like ann/brute and ann/ivf: codebooks train on a BOUNDED
-driver-side sample, the scan is ONE streamed map_batches pass holding
-only the codebooks + queries (per-batch work: encode + table gather,
-all numpy), the driver merges the tiny per-batch candidate tables.
+driver-side sample, the scan is ONE pass of the shared candidate scan
+(ann/scan.py) holding only the codebooks + queries (per-batch work:
+encode + table gather, all numpy, keeping the k best per query by
+(sim desc, id asc)), and the driver merges the tiny per-batch candidate
+tables.
 For cosine similarity the vectors are normalized so L2^2 = 2 - 2*cos
 and PQ's L2 machinery ranks identically; reported sim = 1 - d2/2.
 
@@ -26,9 +28,8 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-import pyarrow as pa
 
-from .brute import _norm, _to_matrix
+from .scan import TopKScan, _norm, dense, empty_topk, read_sample, scan_topk
 
 
 def train_pq(sample: np.ndarray, m: int = 8, k: int = 256, iters: int = 10,
@@ -72,66 +73,38 @@ def encode_pq(vecs: np.ndarray, books: np.ndarray) -> np.ndarray:
     return codes
 
 
-class PqScanner:
+class PqScanner(TopKScan):
     """Streamed ADC scan: encode the batch once, score every query via
-    its (m, k) distance table — one fancy-gather + row-sum per query."""
+    its (m, k) distance table — one fancy-gather + row-sum."""
 
-    def __init__(self, queries: np.ndarray, books: np.ndarray,
-                 vec_col: str = "embedding", id_col: str = "vec_id",
-                 k_per_batch: int = 64):
-        q = _norm(np.asarray(queries, dtype=np.float64))
+    def __init__(self, queries: np.ndarray, books: np.ndarray, k: int,
+                 vec_col: str = "embedding", id_col: str = "vec_id"):
+        super().__init__(queries, k, vec_col, id_col)
         self.books = books
-        m, k, sub = books.shape
+        m, n_codes, sub = books.shape
         # per-query ADC tables: squared L2 from query sub-vector to each
-        # codeword, built ONCE at actor/worker construction
-        self.tables = np.empty((len(q), m, k), dtype=np.float64)
+        # codeword, built ONCE per scanner
+        self.tables = np.empty((len(self.qm), m, n_codes), dtype=np.float64)
         for j in range(m):
-            qs = q[:, j * sub:(j + 1) * sub]
+            qs = self.qm[:, j * sub:(j + 1) * sub]
             diff = qs[:, None, :] - books[j][None, :, :]
             self.tables[:, j, :] = (diff * diff).sum(axis=2)
-        self.vec_col = vec_col
-        self.id_col = id_col
-        self.k_per_batch = k_per_batch
         self._m_idx = np.arange(m)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        vecs = _norm(_to_matrix(batch.column(self.vec_col)))
-        ids = batch.column(self.id_col).to_numpy()
-        codes = encode_pq(vecs, self.books)
-        out_q, out_id, out_sim = [], [], []
-        kk = min(self.k_per_batch, len(ids))
-        for qi in range(len(self.tables)):
-            d2 = self.tables[qi][self._m_idx, codes].sum(axis=1)
-            idx = np.argpartition(d2, kk - 1)[:kk] if kk < len(d2) else np.arange(len(d2))
-            out_q.append(np.full(len(idx), qi, dtype=np.int64))
-            out_id.append(ids[idx])
-            out_sim.append(1.0 - d2[idx] / 2.0)  # L2^2 on unit vectors -> cos
-        return pa.table({
-            "query_id": pa.array(np.concatenate(out_q)),
-            self.id_col: pa.array(np.concatenate(out_id)),
-            "sim": pa.array(np.concatenate(out_sim)),
-        })
+    def score(self, m: np.ndarray):
+        codes = encode_pq(m, self.books)
+        d2 = self.tables[:, self._m_idx, codes].sum(axis=2)  # (nq, n)
+        return dense(1.0 - d2 / 2.0)  # L2^2 on unit vectors -> cos
 
 
 def pq_ann_topk(ds, queries: np.ndarray, k: int = 10, m: int = 8, n_codes: int = 256,
                 train_sample: int = 4096, vec_col: str = "embedding",
-                id_col: str = "vec_id", seed: int = 23,
-                concurrency=None) -> pd.DataFrame:
+                id_col: str = "vec_id", seed: int = 23) -> pd.DataFrame:
     """Approximate top-k via PQ codes: bounded driver-side training, one
     streamed encode+scan pass, tiny candidate merge. Ties broken by
     (sim desc, id asc) like ann_topk."""
-    sample_tbl = pa.concat_tables(
-        ds.limit(train_sample).iter_batches(batch_size=train_sample,
-                                            batch_format="pyarrow"),
-        promote_options="permissive",
-    )
-    books = train_pq(_to_matrix(sample_tbl.column(vec_col)), m=m, k=n_codes,
-                     seed=seed)
-    scanner = PqScanner(queries, books, vec_col=vec_col, id_col=id_col)
-    kwargs = {"concurrency": concurrency} if concurrency else {}
-    cands = ds.map_batches(scanner, batch_format="pyarrow", **kwargs).to_pandas()
-    cands = cands.sort_values(["query_id", "sim", id_col],
-                              ascending=[True, False, True])
-    top = cands.groupby("query_id", as_index=False).head(k).reset_index(drop=True)
-    top["rank"] = top.groupby("query_id").cumcount() + 1
-    return top[["query_id", "rank", id_col, "sim"]]
+    sample = read_sample(ds, train_sample, vec_col)
+    if not len(sample):  # empty corpus
+        return empty_topk(id_col)
+    books = train_pq(sample, m=m, k=n_codes, seed=seed)
+    return scan_topk(ds, PqScanner(queries, books, k, vec_col, id_col))

@@ -21,9 +21,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-
-def _half_away(x: np.ndarray) -> np.ndarray:
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+from ..hashutil import half_away
 
 
 def int8_quantize_batch(batch: pa.Table, emb_col: str = "embedding",
@@ -35,7 +33,7 @@ def int8_quantize_batch(batch: pa.Table, emb_col: str = "embedding",
         .astype(np.float64) if len(batch) else np.empty((0, 0))
     scale = np.abs(mat).max(axis=1) if mat.size else np.zeros(len(batch))
     safe = np.where(scale == 0.0, 1.0, scale)
-    q = _half_away(mat * 127.0 / safe[:, None]).astype(np.int64) \
+    q = half_away(mat * 127.0 / safe[:, None]).astype(np.int64) \
         if mat.size else np.zeros((len(batch), 0), dtype=np.int64)
     cols = {
         id_col: batch.column(id_col),

@@ -960,17 +960,20 @@ class Config:
             for kind, arg in ch.elements:
                 if kind == "source":
                     t = self._inject_through_channels(arg, t, _depth + 1)
-            rest = [e for e in ch.elements if e[0] != "source"]
-            if rest:
-                own_id = _ROW_ID not in t.column_names
-                if own_id:
-                    t = t.append_column(
-                        _ROW_ID, pa.array(np.arange(t.num_rows),
-                                          type=pa.int64()))
-                t = self._run_sequence(t, rest)
-                if own_id:
-                    t = t.drop_columns([_ROW_ID])
+            t = self._run_channel(ch, t)
         return t
+
+    def _run_channel(self, ch, t: pa.Table) -> pa.Table:
+        """Run a block-source channel's non-source elements over `t`,
+        under a temporary row id when `t` carries none."""
+        rest = [e for e in ch.elements if e[0] != "source"]
+        if not rest:
+            return t
+        own_id = _ROW_ID not in t.column_names
+        if own_id:
+            t = t.append_column(_ROW_ID, pa.array(np.arange(t.num_rows), type=pa.int64()))
+        t = self._run_sequence(t, rest)
+        return t.drop_columns([_ROW_ID]) if own_id else t
 
     @_with_user_funcs
     def metrics(self) -> dict:
@@ -1751,20 +1754,10 @@ def _build_source(drivers: list[Driver], cfg: "Config | None" = None) -> pa.Tabl
             # parser/rewrite/filter stages before joining the path
             ch = d.args[0]
             srcs = [a for k, a in ch.elements if k == "source"]
-            rest = [e for e in ch.elements if e[0] != "source"]
             t = pa.concat_tables(
                 [_build_source(cfg.sources[sn], cfg) for sn in srcs],
                 promote_options="permissive")
-            if rest:
-                own_id = _ROW_ID not in t.column_names
-                if own_id:
-                    t = t.append_column(
-                        _ROW_ID, pa.array(np.arange(t.num_rows),
-                                          type=pa.int64()))
-                t = cfg._run_sequence(t, rest)
-                if own_id:
-                    t = t.drop_columns([_ROW_ID])
-            parts.append(t)
+            parts.append(cfg._run_channel(ch, t))
         elif d.name == "example-msg-generator":
             from .functions.numbers import parse_int64_with_suffix
 

@@ -30,14 +30,10 @@ These are the corpus-hygiene steps of a large-scale LLM data pipeline
 from __future__ import annotations
 
 import hashlib
-import re
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-
-_WORD_RE = re.compile(r"[a-z0-9]+")  # the repo's single-source tokenization rule
-
 
 _GRAM_A = np.uint64(0x9E3779B97F4A7C15)  # odd multiplier, mod-2^64 polynomial
 

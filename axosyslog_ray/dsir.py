@@ -42,6 +42,7 @@ import numpy as np
 import pyarrow as pa
 
 from .curation import _gram_hashes
+from .hashutil import half_away
 from .textstats.vocab import _flat_tokens
 
 
@@ -122,8 +123,7 @@ def log_ratio_micro(ct: np.ndarray, cr: np.ndarray, alpha: float = 0.5) -> np.nd
     tr = float(cr.sum())
     lr = (np.log((ct + alpha) / (tt + alpha * nb))
           - np.log((cr + alpha) / (tr + alpha * nb)))
-    v = lr * 1e6
-    return (np.sign(v) * np.floor(np.abs(v) + 0.5)).astype(np.int64)
+    return half_away(lr * 1e6).astype(np.int64)
 
 
 class _DsirScorer:
@@ -190,8 +190,7 @@ def logprob_micro(c: np.ndarray, alpha: float = 0.5) -> np.ndarray:
     contract vs the SQL oracle."""
     nb = len(c)
     t = float(c.sum())
-    v = np.log((c + alpha) / (t + alpha * nb)) * 1e6
-    return (np.sign(v) * np.floor(np.abs(v) + 0.5)).astype(np.int64)
+    return half_away(np.log((c + alpha) / (t + alpha * nb)) * 1e6).astype(np.int64)
 
 
 def lm_quality_scores(ds, num_buckets: int = 10_000, alpha: float = 0.5,

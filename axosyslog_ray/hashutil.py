@@ -1,4 +1,5 @@
-"""Deterministic vectorized hashing used for synthesis, salting and dedup.
+"""Deterministic vectorized hashing used for synthesis, salting and dedup,
+and the one half-away-from-zero rounding kernel (DuckDB ROUND()).
 
 All synthetic data is a pure function of (seed, row_index) via splitmix64,
 so generation is reproducible under any batching / partitioning — the
@@ -11,6 +12,13 @@ from __future__ import annotations
 import numpy as np
 
 _U64 = np.uint64
+
+
+def half_away(v, scale: float = 1.0):
+    """Round `v * scale` half away from zero — DuckDB ROUND() semantics
+    (numpy/pandas .round is banker's rounding, which flips .5 boundary
+    hashes). Callers that scale first pass scale 1 (an exact multiply)."""
+    return np.sign(v) * np.floor(np.abs(v) * scale + 0.5)
 
 
 def splitmix64(x: np.ndarray) -> np.ndarray:

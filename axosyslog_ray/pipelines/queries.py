@@ -24,6 +24,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..ann.kmeans import cluster_balanced_sql, kmeans_sql, semdedup_sql
+from ..hashutil import half_away
 
 RAY_QUERIES: dict[str, Callable[[str], Any]] = {}
 ORACLE_SQLS: dict[str, str] = {}
@@ -64,18 +65,9 @@ def _sorted(out: pd.DataFrame, by, ascending=True) -> pd.DataFrame:
 
 
 def round_half_away(s: pd.Series, digits: int = 2) -> pd.Series:
-    """Round half away from zero — DuckDB ROUND() semantics (numpy/pandas
-    .round is banker's rounding, which flips .5 boundary hashes)."""
+    """`s` rounded to `digits` decimals half away from zero (DuckDB ROUND())."""
     f = 10.0 ** digits
-    v = s.astype(float)
-    return np.sign(v) * np.floor(np.abs(v) * f + 0.5) / f
-
-
-def _int_half_away(v: np.ndarray, scale: float) -> np.ndarray:
-    """v * scale rounded half away from zero to int64 (DuckDB
-    CAST(round(v * scale) AS BIGINT)): integer cents / micro-units, so
-    sums are order-independent and drift-free across engines."""
-    return (np.sign(v) * np.floor(np.abs(v) * scale + 0.5)).astype(np.int64)
+    return half_away(s.astype(float), f) / f
 
 
 _BLOCKS_TUNED = False
@@ -3590,7 +3582,7 @@ def events_running_total(sf_dir: str):
     def to_micro(b: pa.Table) -> pa.Table:
         v = b.column("value").to_numpy(zero_copy_only=False).astype(np.float64)
         return b.drop_columns(["value"]).append_column(
-            "value_micro", pa.array(_int_half_away(v, 1e6)))
+            "value_micro", pa.array(half_away(v, 1e6).astype(np.int64)))
 
     out = group_running_sum(ds.map_batches(to_micro, batch_format="pyarrow"),
                             "user_id", ["ts", "event_id"], "value_micro",
@@ -3781,7 +3773,7 @@ def orders_q5_local_supplier(sf_dir: str):
         price = b.column("l_extendedprice").to_numpy(
             zero_copy_only=False)[m]
         disc = b.column("l_discount").to_numpy(zero_copy_only=False)[m]
-        cents = _int_half_away(price * (1.0 - disc), 100.0)
+        cents = half_away(price * (1.0 - disc), 100.0).astype(np.int64)
         df = pd.DataFrame({"nat": cnat[m], "cents": cents}) \
             .groupby("nat", as_index=False)["cents"].sum()
         return pa.table({
@@ -3824,7 +3816,7 @@ def lineitem_q6_revenue(sf_dir: str):
         m = ((ship >= np.datetime64("1996-01-01")) &
              (ship < np.datetime64("1997-01-01")) &
              (disc >= 0.03) & (disc <= 0.05) & (qty < 24))
-        cents = _int_half_away(price[m] * disc[m], 100.0)
+        cents = half_away(price[m] * disc[m], 100.0).astype(np.int64)
         return pa.table({"rev_cents": pa.array([int(cents.sum())],
                                                type=pa.int64()),
                          "n_rows": pa.array([int(m.sum())], type=pa.int64())})
@@ -3887,7 +3879,7 @@ def orders_q3_shipping(sf_dir: str):
         t = b.filter(pa.array(m))
         price = t.column("l_extendedprice").to_numpy(zero_copy_only=False)
         disc = t.column("l_discount").to_numpy(zero_copy_only=False)
-        cents = _int_half_away(price * (1.0 - disc), 100.0)
+        cents = half_away(price * (1.0 - disc), 100.0).astype(np.int64)
         # COMBINER: collapse to per-orderkey partial sums before the
         # exchange — the revenue aggregate finishes BEFORE the join, so
         # the join ships one row per order, not per line item, and no

@@ -13,7 +13,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ..hashutil import hash_str_array
+from ..hashutil import half_away, hash_str_array
 
 # BPE-ish token regex: words, numbers, or single punctuation marks
 TOKEN_RE = re.compile(r"\w+|[^\w\s]")
@@ -451,7 +451,7 @@ def flesch_scores(batch: pa.Table, text_col: str = "text",
     w = np.maximum(words, 1.0)
     s = np.maximum(sents, 1.0)
     score = 206.835 - 1.015 * (w / s) - 84.6 * (syll / w)
-    micro = (np.sign(score) * np.floor(np.abs(score) * 1e6 + 0.5))
+    micro = half_away(score, 1e6)
     micro = np.where(words > 0, micro, 0.0).astype(np.int64)
     return pa.table({
         id_col: batch.column(id_col),

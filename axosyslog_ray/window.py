@@ -36,6 +36,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from .hashutil import half_away
 from .shuffle import bucketed_map_groups
 
 
@@ -284,9 +285,8 @@ def _exact_group_quantiles_frame(g: pd.DataFrame, group_cols: list[str],
         else:
             qv = np.full(n_keys, np.nan)
         if round_digits is not None:
-            # DuckDB ROUND half-away-from-zero, not banker's
             f = 10.0 ** round_digits
-            qv = np.sign(qv) * np.floor(np.abs(qv) * f + 0.5) / f
+            qv = half_away(qv, f) / f
         out[name] = np.where(cnt > 0, qv, np.nan)
     return out
 

@@ -956,6 +956,32 @@ log { source(s); parser(p); destination(d); };
         assert out.column("verb").to_pylist() == ["GET", "POST"]
         assert out.column("path").to_pylist() == ["/index", "/login"]
 
+    def test_block_source_channel_runs_on_injected_and_built_rows(self):
+        # a nested block-source channel runs its non-source stages,
+        # innermost first, both over injected rows (which replace the
+        # transport read) and over the rows its own sources build
+        cfg = compile_config("""
+block source inner() {
+    channel {
+        source { example-msg-generator(num(1) template("a=9")); };
+        parser { kv-parser(prefix(".kv.")); };
+    };
+};
+block source outer() {
+    channel {
+        source { inner(); };
+        rewrite { set("${.kv.a}-outer" value("tag")); };
+    };
+};
+source s { outer(); };
+destination d { file("o.log" template("${.kv.a}|${tag}\\n")); };
+log { source(s); destination(d); };
+""")
+        r = cfg.run(sources={"s": pa.table({"message": ["a=1 b=2", "a=3"]})})
+        assert r.rendered("d") == ["1|1-outer\n", "3|3-outer\n"]
+        assert r.table("d").column_names == ["message", ".kv.a", ".kv.b", "tag"]
+        assert cfg.run().rendered("d") == ["9|9-outer\n"]
+
     def test_block_body_backticks_resolve_at_generate_time(self):
         # a global @define referenced INSIDE a block body must survive
         # preprocessing (substitution suspended over the body) and

@@ -311,9 +311,9 @@ def test_simhash_invariant_to_num_shards():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_near_dup_block_pair_matches_broadcast():
+def test_near_dup_block_pair_matches_all_pairs():
     """The distributed block-pair exact path must produce exactly the
-    broadcast baseline's pair set."""
+    pair set of an in-test numpy all-pairs cosine >= threshold."""
     import ray.data as rd
     from axosyslog_ray.ann.brute import near_dup_pairs
 
@@ -325,7 +325,9 @@ def test_near_dup_block_pair_matches_broadcast():
     df = pd.DataFrame({"vec_id": range(50), "embedding": list(m)})
     ds = rd.from_pandas(df).repartition(5)
     got = near_dup_pairs(ds, threshold=0.95).to_pandas()
-    ref = near_dup_pairs(rd.from_pandas(df), threshold=0.95, small_corpus=True).to_pandas()
+    u = m / np.linalg.norm(m, axis=1, keepdims=True)
+    a, b = np.nonzero(np.triu(u @ u.T >= 0.95, k=1))
+    ref = pd.DataFrame({"id_a": a.astype(np.int64), "id_b": b.astype(np.int64)})
     key = ["id_a", "id_b"]
     got_s = got[key].sort_values(key).reset_index(drop=True)
     ref_s = ref[key].sort_values(key).reset_index(drop=True)
@@ -559,6 +561,85 @@ class TestPqAnn:
         a = pq_ann_topk(ds, vecs[:3], k=5, train_sample=400)
         b = pq_ann_topk(ds, vecs[:3], k=5, train_sample=400)
         pd.testing.assert_frame_equal(a, b)
+
+
+def _ann_methods():
+    from axosyslog_ray.ann import ann_topk, ivf_ann_topk, lsh_ann_topk, pq_ann_topk
+
+    return {
+        "brute": ann_topk,
+        "lsh": lambda ds, q, k: lsh_ann_topk(ds, q, k=k, n_bits=6, n_tables=4),
+        "ivf": lambda ds, q, k: ivf_ann_topk(ds, q, k=k, nlist=8, nprobe=8),
+        "pq": lambda ds, q, k: pq_ann_topk(ds, q, k=k, m=8),
+    }
+
+
+def _tie_corpus(n=300, n_dup=150, d=16, seed=4):
+    """`n_dup` rows are the same vector (the nearest to query 0, so their
+    sims tie bitwise at 1.0), more than 64, so a per-batch cut below the
+    tie group has to choose among them; vec_id is a permutation, so row
+    order says nothing about id order."""
+    rng = np.random.RandomState(seed)
+    m = rng.normal(size=(n, d))
+    dup_rows = rng.choice(n, size=n_dup, replace=False)
+    m[dup_rows] = 0.0
+    m[dup_rows, 0] = 3.0
+    ids = rng.permutation(n).astype(np.int64)
+    q = np.vstack([np.eye(d)[0] * 2.0, rng.normal(size=d)])
+    t = pa.table({"vec_id": pa.array(ids), "embedding": pa.array(list(m))})
+    return t, q, np.sort(ids[dup_rows])
+
+
+def _numpy_topk(t, q, k):
+    m = np.stack(t.column("embedding").to_pylist())
+    ids = t.column("vec_id").to_numpy()
+    u = m / np.linalg.norm(m, axis=1, keepdims=True)
+    qn = q / np.linalg.norm(q, axis=1, keepdims=True)
+    return [ids[np.lexsort((ids, -(u @ qv)))[:k]].tolist() for qv in qn]
+
+
+@pytest.mark.parametrize("method", ["brute", "lsh", "ivf", "pq"])
+def test_topk_ties_break_by_id(method, ray_session):
+    import ray.data as rd
+
+    t, q, dup_ids = _tie_corpus()
+    topk = _ann_methods()[method]
+    k = 3
+    one = topk(rd.from_arrow(t), q, k)
+    cuts = np.linspace(0, t.num_rows, 8).astype(int)
+    seven = topk(rd.from_arrow([t.slice(a, b - a) for a, b in zip(cuts[:-1], cuts[1:])]), q, k)
+    pd.testing.assert_frame_equal(one, seven)
+    # the tie at the k-th place keeps the smallest ids
+    assert one[one["query_id"] == 0]["vec_id"].tolist() == dup_ids[:k].tolist()
+    if method in ("brute", "ivf"):  # exact (IVF probes every cell)
+        ref = _numpy_topk(t, q, k)
+        assert [g["vec_id"].tolist() for _, g in one.groupby("query_id")] == ref
+
+
+def test_pq_returns_k_rows_above_64(ray_session):
+    import ray.data as rd
+
+    from axosyslog_ray.ann import pq_ann_topk
+
+    rng = np.random.RandomState(8)
+    m = rng.normal(size=(300, 16))
+    ds = rd.from_arrow(pa.table({"vec_id": pa.array(np.arange(300)),
+                                 "embedding": pa.array(list(m))}))
+    out = pq_ann_topk(ds, m[:2], k=100)
+    assert out.groupby("query_id").size().tolist() == [100, 100]
+    assert out.groupby("query_id")["rank"].apply(list).tolist() == [list(range(1, 101))] * 2
+
+
+@pytest.mark.parametrize("method", ["brute", "lsh", "ivf", "pq"])
+def test_empty_corpus_returns_empty_frame(method, ray_session):
+    import ray.data as rd
+
+    t, q, _ = _tie_corpus()
+    empty = rd.from_arrow(t).filter(expr="vec_id < 0")
+    out = _ann_methods()[method](empty, q, 3)
+    assert out.empty
+    assert out.dtypes.to_dict() == {"query_id": np.int64, "rank": np.int64,
+                                    "vec_id": np.int64, "sim": np.float64}
 
 
 def test_normalize_text_unicode_and_ws():
