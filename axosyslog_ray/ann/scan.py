@@ -21,16 +21,23 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 
 def _to_matrix(col, dim: int | None = None) -> np.ndarray:
-    if hasattr(col, "to_pylist"):  # Arrow array/chunked array
-        lists = col.to_pylist()
-    else:  # pandas Series of lists/ndarrays
-        lists = list(col)
-    if not lists:  # empty Ray block: keep 2-D so matmuls don't AxisError
+    """A vector column as a float64 (rows, dim) matrix. An Arrow list
+    column with no null row and one length reads its flat values buffer;
+    anything else goes through Python lists."""
+    if len(col) == 0:  # empty Ray block: keep 2-D so matmuls don't AxisError
         return np.empty((0, dim or 0), dtype=np.float64)
-    return np.asarray(lists, dtype=np.float64)
+    if not hasattr(col, "to_pylist"):  # pandas Series of lists/ndarrays
+        return np.asarray(list(col), dtype=np.float64)
+    t = col.type
+    if (pa.types.is_fixed_size_list(t) or pa.types.is_list(t) or pa.types.is_large_list(t)) \
+            and col.null_count == 0 and pc.count_distinct(pc.list_value_length(col)).as_py() == 1:
+        flat = pc.list_flatten(col).to_numpy(zero_copy_only=False)
+        return flat.astype(np.float64).reshape(len(col), -1)
+    return np.asarray(col.to_pylist(), dtype=np.float64)
 
 
 def _norm(m: np.ndarray) -> np.ndarray:

@@ -243,7 +243,9 @@ def asof_join(left, right, on: str, by: str | list[str], direction: str = "backw
 
 
 def range_join(left, right, key: str | list[str], on: str, lo: str, hi: str,
-               suffixes: tuple[str, str] = ("_l", "_r"), num_buckets: int | None = None):
+               suffixes: tuple[str, str] = ("_l", "_r"), num_buckets: int | None = None,
+               left_schema: pa.Schema | None = None,
+               right_schema: pa.Schema | None = None):
     """Keyed range join: left rows matched to right rows with the same key
     and left.on BETWEEN right.lo AND right.hi (inclusive). Composition:
     the coarse-bucket hash join co-locates keys, then one vectorized
@@ -251,9 +253,11 @@ def range_join(left, right, key: str | list[str], on: str, lo: str, hi: str,
     shuffle (it is not an equi-key), so this IS the minimal exchange for
     the keyed case. For the KEYLESS small-interval-set case (e.g. CIDR
     enrichment) use the broadcast path instead (enrich.geoip's
-    flattened-interval searchsorted — no shuffle at all)."""
+    flattened-interval searchsorted — no shuffle at all). Pass
+    left_schema/right_schema as for hash_join."""
     inner = hash_join(left, right, key, how="inner", suffixes=suffixes,
-                      num_buckets=num_buckets)
+                      num_buckets=num_buckets, left_schema=left_schema,
+                      right_schema=right_schema)
     # resolve suffixed names if they collided
     names = None
 

@@ -586,13 +586,15 @@ WHERE list_cosine_similarity(CAST(a.embedding AS DOUBLE[]), CAST(b.embedding AS 
 def emb_near_dup(sf_dir: str):
     """Embedding-cosine near-dup pairs (a < b over threshold). Threshold 0.3
     so the random-embedding fixture actually produces pairs."""
+    import ray
+
     from ..ann import near_dup_pairs
 
     emb = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    out = near_dup_pairs(emb, threshold=0.3).to_pandas()
-    if out.empty:
-        return pd.DataFrame({"id_a": pd.Series([], dtype="int64"), "id_b": pd.Series([], dtype="int64")})
-    return _sorted(out[["id_a", "id_b"]], ["id_a", "id_b"])
+    # the pair tables themselves: they keep their columns when there is
+    # no pair, which Dataset.to_pandas() does not
+    pairs = pa.concat_tables(ray.get(near_dup_pairs(emb, threshold=0.3).to_arrow_refs()))
+    return _sorted(pairs.select(["id_a", "id_b"]).to_pandas(), ["id_a", "id_b"])
 
 
 # ---------------------------------------------------------------------------
@@ -1296,8 +1298,13 @@ def lineitem_range_join(sf_dir: str):
     # 64 buckets: bench-scale tables pay ~4x their useful work in
     # per-partition shuffle fixed cost at the 8xCPU default (see the
     # asof-join sizing note); raise for production-scale inputs
+    ts_t = pa.timestamp("us")
     joined = range_join(li, orders, key="o_orderkey", on="l_shipdate",
-                        lo="o_orderdate", hi="o_deadline", num_buckets=64)
+                        lo="o_orderdate", hi="o_deadline", num_buckets=64,
+                        left_schema=pa.schema([("o_orderkey", pa.int64()), ("l_shipdate", ts_t),
+                                               ("l_linestatus", pa.string())]),
+                        right_schema=pa.schema([("o_orderkey", pa.int64()), ("o_orderdate", ts_t),
+                                                ("o_deadline", ts_t)]))
     return _sorted(pre_aggregated_count(joined, ["l_linestatus"], alias="n", final="driver"), "l_linestatus")
 
 

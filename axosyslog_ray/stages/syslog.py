@@ -10,26 +10,34 @@ reference's no-parse fallback; routing layers decide what to do with
 unparsed rows (the reference's parser-failure drop,
 lib/parser/parser-expr.c:46-99, is applied by the pipeline).
 
-Vectorization strategy: `pyarrow.compute` and numpy only. RFC5424 is
-one RE2 match without captures over every row, and its header is then
-the first six tokens of a `split_pattern(" ", max_splits=6)` of the
-matching rows (no header token holds a space; the seventh token is the
-SD block and message). Each later branch (RFC3164 with a BSD stamp,
-RFC3164 with an ISO stamp, PRI with no stamp, unterminated PRI) runs one
-RE2 `extract_regex` over the rows no earlier branch claimed; stamps are
-assembled numerically from the captured digits by `_timestamp`; each
-output column is the concatenation of the per-branch values, put in row
-order by one `take`.
+Vectorization strategy: `pyarrow.compute` and numpy only, and no RE2
+capture group (RE2 answers a bare match with its DFA, and has to switch
+to a slower engine as soon as one submatch is asked for). A row is
+matched only against the branches its first byte can start ('<' for
+RFC5424 and PRI-only; '<' or a month initial for RFC3164 with a BSD
+stamp; '<' or a digit for RFC3164 with an ISO stamp), by one bare
+`match_substring_regex` per branch. The matched rows' fields are then
+read at byte offsets in the column's one data buffer: the PRI digits,
+the 15-byte BSD stamp, the ISO stamp (19 fixed bytes, the zone form
+decided from the token's end), the ` +` runs and the host, and the
+legacy `program[pid]:` header (RE_TAGX's grammar as stop bytes). A
+scan for one stop byte is one Arrow substring search; a scan for a set
+of them walks the open rows in numpy for at most `_SCAN_CAP` bytes and
+hands the rest to one RE2 search. The RFC5424 header is the
+first six tokens of a `split_pattern(" ", max_splits=6)` of its rows
+(no header token holds a space; the seventh is the SD block and
+message); the SD block is the one `extract_regex`, since `message`
+starts after it. Each string output is built once, from per-row
+[start, stop) spans of the buffer, by one `take`.
 
 A caller names the columns it reads (`columns=`, all 12 by default), and
 only those are built. Only SDATA map construction touches Python, per
 row with an SD block (map columns are row-wise by nature), and only when
-`sdata` is asked for; the SD block is still matched, because `message`
-starts after it.
+`sdata` is asked for.
 
-Every pattern is written once and serves both engines: RE2 in the
-vectorized path, Python `re` (ASCII, `fullmatch`) in the scalar oracle
-`parse_syslog_line`.
+Every pattern is written once and serves both engines: bare RE2 matches
+in the vectorized path, Python `re` (ASCII, `fullmatch`, named groups)
+in the scalar oracle `parse_syslog_line`.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ from __future__ import annotations
 import re
 from collections.abc import Collection
 from datetime import datetime, timedelta
+from typing import NamedTuple
 
 import numpy as np
 import pyarrow as pa
@@ -126,7 +135,6 @@ _SDATA = pa.map_(pa.string(), pa.string())
 # every column parse_syslog_table can build, in output order
 COLUMNS = ("pri", "ts_stamp", "host", "program", "pid", "msgid", "message",
            "legacy_msghdr", "sdata", "syslog_parsed", "msgformat", "tags")
-_NULL_STR = pa.scalar(None, pa.string())
 
 
 _SD_UNESCAPE = re.compile(r'\\([\\"\]])')
@@ -171,20 +179,93 @@ def parse_sdata(sd: str) -> list[tuple[str, str]] | None:
 # Vectorized path
 # ---------------------------------------------------------------------------
 
-def _extract(strings: pa.Array, pattern: re.Pattern, cand: np.ndarray):
-    """RE2 `pattern` over the rows of `strings` flagged in `cand` ->
-    (positions of the matching rows, their groups as a StructArray).
-    Unmatched OPTIONAL groups come back as "" (RE2 semantics), not null."""
-    rows = np.flatnonzero(cand)
-    st = pc.extract_regex(strings.filter(pa.array(cand)), pattern="(?s)" + pattern.pattern)
-    ok = st.is_valid()
-    return rows[ok.to_numpy(zero_copy_only=False)], st.filter(ok)
+# A scan for a set of stop bytes walks at most this many bytes a row in
+# numpy; the rows still open then take one RE2 search, so a long token
+# costs one pass
+_SCAN_CAP = 64
 
 
-def _int(a: pa.Array) -> np.ndarray:
-    """ASCII digit strings -> int64; "" (an unmatched optional group) and a
-    null read as 0, a leading space pad is skipped."""
-    return pc.fill_null(pc.cast(pc.utf8_lpad(pc.utf8_ltrim(a, " "), 1, "0"), pa.int64()), 0).to_numpy()
+class _Stops(NamedTuple):
+    """A scan's stop bytes: a 256-entry byte table, the same set as an RE2
+    class, and the byte itself when the set is one byte."""
+    table: np.ndarray
+    pattern: str
+    literal: str | None
+
+
+def _stop_set(chars: str, negate: bool = False) -> _Stops:
+    codes = list(chars.encode())
+    return _Stops(np.isin(np.arange(256), codes) != negate,
+                  "[" + "^" * negate + "".join(f"\\x{c:02x}" for c in codes) + "]",
+                  chars if len(chars) == 1 and not negate else None)
+
+
+_SPACE, _NOT_SPACE, _GT = _stop_set(" "), _stop_set(" ", negate=True), _stop_set(">")
+# RE_TAGX as stop sets: the program ends at ' ', '[' or ':', the pid at ']', ' ' or ':'
+_PROG_END, _PID_END = _stop_set(" [:"), _stop_set("] :")
+# the first bytes an RFC3164 stamp can start with, after an optional PRI
+_MONTH_INITIAL = _stop_set("".join(m[0] for m in MONTH_NAMES)).table
+_DIGIT = _stop_set("0123456789").table
+_MONTH_KEYS = np.array([int.from_bytes(m.encode(), "big") for m in MONTH_NAMES])
+
+
+class _Text:
+    """The bytes of a string column, read at per-row byte offsets. Every
+    delimiter the parse cuts at is ASCII, so a cut never splits a UTF-8
+    sequence."""
+
+    def __init__(self, text: pa.StringArray):
+        _, offsets, buf = text.buffers()
+        self.buf = buf if buf is not None else pa.py_buffer(b"")
+        off = np.frombuffer(offsets, np.int32)[text.offset:text.offset + len(text) + 1].astype(np.int64)
+        self.start, self.end = off[:-1], off[1:]
+        # one zero byte stands in for an empty buffer, so a read never fails
+        self.data = np.frombuffer(self.buf, np.uint8) if self.buf.size else np.zeros(1, np.uint8)
+
+    def byte(self, pos: np.ndarray) -> np.ndarray:
+        """The byte at each position; one past the buffer reads its last."""
+        return self.data[np.minimum(pos, len(self.data) - 1)]
+
+    def int_at(self, pos: np.ndarray, width: int, stop: np.ndarray | None = None) -> np.ndarray:
+        """The ASCII digits at pos..pos+width (cut at stop) as int64."""
+        v = np.zeros(len(pos), np.int64)
+        for k in range(width):
+            d = v * 10 + self.byte(pos + k) - 48
+            v = d if stop is None else np.where(pos + k < stop, d, v)
+        return v
+
+    def scan(self, pos: np.ndarray, end: np.ndarray, stops: _Stops) -> np.ndarray:
+        """Per row, the first position in [pos, end) whose byte is in the
+        stop set, else end. The rows must be in row order. One stop byte
+        is found by Arrow's substring search alone."""
+        pos = pos.copy()
+        live = np.flatnonzero(pos < end)
+        for _ in range(0 if stops.literal else _SCAN_CAP):
+            if not len(live):
+                return pos
+            live = live[~stops.table[self.data[pos[live]]]]
+            pos[live] += 1
+            live = live[pos[live] < end[live]]
+        if len(live):
+            # element i is [pos, next open row's pos): a hit past the row's end is a miss
+            p, e = pos[live], end[live]
+            view = pa.Array.from_buffers(pa.binary(), len(live), [
+                None, pa.py_buffer(np.append(p, e[-1]).astype(np.int32)), self.buf])
+            i = (pc.find_substring(view, stops.literal) if stops.literal
+                 else pc.find_substring_regex(view, stops.pattern)).to_numpy()
+            pos[live] = np.where((i >= 0) & (i < e - p), p + i, e)
+        return pos
+
+    def strings(self, lo: np.ndarray, hi: np.ndarray, valid: np.ndarray | None = None) -> pa.StringArray:
+        """The strings data[lo:hi], null where not valid; the spans lie in
+        their rows, in row order. One take of the even elements of a view
+        whose odd elements are the gaps between the spans."""
+        m = len(lo)
+        offsets = np.empty(2 * m + 1, np.int32)
+        offsets[0:-1:2], offsets[1:-1:2] = np.minimum(lo, hi), hi
+        offsets[-1] = hi[-1] if m else 0
+        view = pa.StringArray.from_buffers(2 * m, pa.py_buffer(offsets), self.buf)
+        return view.take(pa.array(np.arange(0, 2 * m, 2), mask=None if valid is None else ~valid))
 
 
 def _timestamp(year, month, day, hour, minute, second, micro=0, offset_min=0):
@@ -204,18 +285,33 @@ def _timestamp(year, month, day, hour, minute, second, micro=0, offset_min=0):
     return us, ok
 
 
-def _iso_timestamp(st: pa.StructArray):
-    """`_timestamp` over the ISO_STAMP groups of an extract; rows where the
-    extract did not match are invalid."""
-    def f(name):
-        return pc.struct_field(st, name)
-
-    year, month, day, hour, minute, second, oh, om = (
-        _int(f(g)) for g in ("year", "month", "day", "hour", "minute", "second", "oh", "om"))
-    micro = _int(pc.utf8_rpad(pc.utf8_slice_codeunits(f("frac"), 0, 6), 6, "0"))
-    sign = np.where(pc.fill_null(pc.equal(f("sign"), "-"), False).to_numpy(zero_copy_only=False), -1, 1)
+def _iso_at(text: _Text, p: np.ndarray, end: np.ndarray):
+    """`_timestamp` of the ISO_STAMP tokens text[p:end] (each matches it):
+    19 fixed bytes, then the zone form read from the token's end (Z,
+    ±HH:MM or ±HHMM), and up to 6 digits of the fraction before it."""
+    year, month, day, hour, minute, second = (
+        text.int_at(p + i, w) for i, w in ((0, 4), (5, 2), (8, 2), (11, 2), (14, 2), (17, 2)))
+    signs = (ord("+"), ord("-"))
+    colon = np.isin(text.byte(end - 6), signs)  # ±HH:MM
+    plain = ~colon & np.isin(text.byte(end - 5), signs)  # ±HHMM
+    zone = np.select([text.byte(end - 1) == ord("Z"), colon, plain], [end - 1, end - 6, end - 5], end)
+    oh = np.where(colon | plain, text.int_at(zone + 1, 2), 0)
+    om = np.where(colon | plain, text.int_at(end - 2, 2), 0)
+    sign = np.where(text.byte(zone) == ord("-"), -1, 1)
+    frac = np.where((p + 19 < end) & (text.byte(p + 19) == ord(".")), p + 20, zone)
+    micro = text.int_at(frac, 6, stop=zone) * 10 ** (6 - np.minimum(zone - frac, 6))
     us, ok = _timestamp(year, month, day, hour, minute, second, micro, sign * (oh * 60 + om))
-    return us, ok & (oh < 24) & (om < 60) & st.is_valid().to_numpy(zero_copy_only=False)
+    return us, ok & (oh < 24) & (om < 60)
+
+
+def _bsd_at(text: _Text, p: np.ndarray, recv: np.ndarray):
+    """`_timestamp` of the 15-byte BSD stamps `Mmm dd hh:mm:ss` at p (each
+    matches RE_3164's), the year guessed from the receive time."""
+    key = (text.byte(p).astype(np.int64) << 16) | (text.byte(p + 1).astype(np.int64) << 8) | text.byte(p + 2)
+    mon = (key[:, None] == _MONTH_KEYS).argmax(1) + 1
+    day = np.where(text.byte(p + 4) == ord(" "), 0, text.int_at(p + 4, 1)) * 10 + text.int_at(p + 5, 1)
+    return _timestamp(guess_year(mon, recv), mon, day,
+                      text.int_at(p + 7, 2), text.int_at(p + 10, 2), text.int_at(p + 13, 2))
 
 
 def guess_year(mon: np.ndarray, recv: np.ndarray) -> np.ndarray:
@@ -229,36 +325,6 @@ def guess_year(mon: np.ndarray, recv: np.ndarray) -> np.ndarray:
     year[(mon == 12) & (rmon == 1)] -= 1
     year[(mon == 1) & (rmon == 12)] += 1
     return np.where(np.isnat(recv), 0, year)
-
-
-def _legacy_tail(rest: pa.Array, check_program: bool, legacy_msghdr: bool):
-    """The RFC3164 tail after the header: the reference legacy
-    program-name scan, then LP_CHECK_PROGRAM. -> ({program, pid,
-    message[, legacy_msghdr]}, bad). `pid` is null where no '[' was present
-    OR the scan ran off the end of the data (reference sets PID only
-    `if (left)`, syslog-format.c:384-386). Under check_program a `bad`
-    name leaves PROGRAM/PID unset with the whole tail as the message
-    (reference early return)."""
-    st = pc.extract_regex(rest, pattern="(?s)" + RE_TAGX.pattern)
-    prog, pidb, colon, sp, msg = (pc.struct_field(st, g) for g in ("prog", "pidb", "colon", "sp", "msg"))
-    # scan hit end-of-data inside the brackets: nothing after the pid
-    ran_off = pc.and_(pc.invert(pc.ends_with(pidb, "]")),
-                      pc.equal(pc.binary_join_element_wise(prog, pidb, ""), rest))
-    has_pid = pc.and_(pc.not_equal(pidb, ""), pc.invert(ran_off))
-    cols = {
-        "program": prog,
-        "pid": pc.if_else(has_pid, pc.struct_field(st, "pid"), _NULL_STR),
-        "message": msg,
-    }
-    if legacy_msghdr:
-        legacy = pc.binary_join_element_wise(prog, pidb, colon, sp, "")
-        cols["legacy_msghdr"] = pc.if_else(pc.equal(legacy, ""), _NULL_STR, legacy)
-    bad = np.zeros(len(rest), dtype=bool)
-    if check_program:
-        ok = pc.match_substring_regex(prog, RE_PROGRAM.pattern)
-        bad = ~ok.to_numpy(zero_copy_only=False)
-        cols = {k: pc.if_else(ok, v, rest if k == "message" else _NULL_STR) for k, v in cols.items()}
-    return cols, bad
 
 
 def _scatter(n: int, pieces: list, default: pa.Array | None, typ: pa.DataType) -> pa.Array:
@@ -286,9 +352,9 @@ def parse_syslog_table(
     stage of the flagship pipeline).
 
     columns names the outputs to build (any of COLUMNS; an unknown name
-    raises ValueError); they are appended in COLUMNS order, and the work
-    that only msgid, legacy_msghdr, sdata or msgformat needs is skipped
-    when they are not asked for.
+    raises ValueError); they are appended in COLUMNS order. The SD maps
+    are built only for sdata, and the SD block is matched only for
+    message or sdata.
 
     check_program mirrors LP_CHECK_PROGRAM (syslog-format.c:332-373):
     an RFC3164 program name must be [A-Za-z0-9._-()/]+ with at least one
@@ -299,6 +365,7 @@ def parse_syslog_table(
         raise ValueError(f"unknown syslog columns: {sorted(unknown)}")
     n = table.num_rows
     text = pc.fill_null(table.column(col).cast(pa.string()), "").combine_chunks()
+    tx = _Text(text)
     if recv_ts_col in table.column_names:
         recv = pc.cast(table.column(recv_ts_col), pa.timestamp("us"), safe=False).to_numpy()
     else:
@@ -310,63 +377,88 @@ def parse_syslog_table(
     ts_ok = ~np.isnat(recv)
     fmt = np.zeros(n, dtype=np.int8)  # index into _FORMATS; 0 = not parsed
     tags = np.zeros(n, dtype=np.int8)  # index into _TAG_LISTS
-    strs = {k: [] for k in COLUMNS}
+    # each string output is a [lo, hi) byte span of its row, null where not
+    # valid; an unparsed row's message is the whole row
+    spans = {k: [tx.start.copy(), tx.start.copy(), np.zeros(n, bool)]
+             for k in ("host", "program", "pid", "msgid", "legacy_msghdr")}
+    spans["message"] = [tx.start.copy(), tx.end, np.ones(n, bool)]
 
-    def rfc3164(rows, ex, us, ok):
-        """The shared BSD/ISO-stamp tail: pri, stamp, host, legacy tag."""
-        pv = pc.struct_field(ex, "pri")
-        pri[rows] = np.where(pc.not_equal(pv, "").to_numpy(zero_copy_only=False), _int(pv), DEFAULT_PRI)
-        ts[rows], ts_ok[rows] = us, ok
-        strs["host"].append((rows, pc.struct_field(ex, "host")))
-        tail(rows, pc.struct_field(ex, "rest"), 0)
+    def put(name, rows, lo, hi, valid=True):
+        s = spans[name]
+        s[0][rows], s[1][rows], s[2][rows] = lo, hi, valid
 
-    def tail(rows, rest, tag):
-        cols, bad = _legacy_tail(rest, check_program, "legacy_msghdr" in columns)
-        for k, v in cols.items():
-            strs[k].append((rows, v))
-        fmt[rows] = 2
-        tags[rows] = np.where(bad, tag + _T_INVALID_PROGRAM, tag)
+    # a row is matched only against the branches its first byte can start
+    first = np.where(tx.end > tx.start, tx.byte(tx.start), 0)
+    lt = first == ord("<")
+
+    def match(cand, pattern):
+        """The rows of `cand` that `pattern` matches: a bare RE2 match,
+        which runs RE2's DFA and computes no captures."""
+        ok = pc.match_substring_regex(text.filter(pa.array(cand)), "(?s)" + pattern.pattern)
+        return np.flatnonzero(cand)[ok.to_numpy(zero_copy_only=False)]
+
+    def after_pri(rows):
+        """Set the pri of `rows` that open with '<pri>'; -> where each row's
+        header goes on."""
+        at = tx.start[rows].copy()
+        w = lt[rows]
+        s = at[w]
+        gt = tx.scan(s + 1, tx.end[rows][w], _GT)
+        pri[rows[w]] = tx.int_at(s + 1, 3, stop=gt)
+        at[w] = gt + 1
+        return at
 
     # ---------- RFC5424 ----------
-    # a bare RE2 match (it computes no captures), then the header is the
-    # first six of seven space-split tokens: no space can sit inside one
-    is5424 = pc.match_substring_regex(text, "(?s)" + RE_5424.pattern).to_numpy(zero_copy_only=False)
-    rows = np.flatnonzero(is5424)
-    tok = pc.split_pattern(text.filter(pa.array(is5424)), " ", max_splits=6)
-
-    def field(i):
-        return pc.list_element(tok, i)
-
-    pri[rows] = _int(pc.utf8_slice_codeunits(field(0), 1, -2))  # "<pri>v"
-    ts[rows], ts_ok[rows] = _iso_timestamp(pc.extract_regex(field(1), pattern="(?s)" + RE_ISO.pattern))
+    # the header is the first six of seven space-split tokens: no space
+    # can sit inside one
+    rows = match(lt, RE_5424)
+    after_pri(rows)
+    tok = pc.split_pattern(text.take(rows), " ", max_splits=6)
+    size = pc.binary_length(tok.flatten()).to_numpy().astype(np.int64).reshape(-1, 7)
+    lo = tx.start[rows, None] + np.cumsum(np.pad(size[:, :-1] + 1, ((0, 0), (1, 0))), axis=1)
+    hi = lo + size
+    iso = pc.match_substring_regex(pc.list_element(tok, 1), "(?s)" + RE_ISO.pattern).to_numpy(
+        zero_copy_only=False)
+    ts_ok[rows] = False
+    ts[rows[iso]], ts_ok[rows[iso]] = _iso_at(tx, lo[iso, 1], hi[iso, 1])
     # nil ('-') fields stay null, matching the reference's unset values
     for name, i in (("host", 2), ("program", 3), ("pid", 4), ("msgid", 5)):
-        if name in columns:
-            v = field(i)
-            strs[name].append((rows, pc.if_else(pc.equal(v, "-"), _NULL_STR, v)))
-    rest = field(6)
-    sd = pc.extract_regex(rest, pattern="(?s)" + RE_SD_BLOCK.pattern)
-    strs["message"].append((rows, pc.if_else(sd.is_valid(), pc.struct_field(sd, "msg"), rest)))
-    if "sdata" in columns:
+        put(name, rows, lo[:, i], hi[:, i], (size[:, i] != 1) | (tx.byte(lo[:, i]) != ord("-")))
+    sd_rows = sd_blocks = None
+    if "message" in columns or "sdata" in columns:
+        sd = pc.extract_regex(pc.list_element(tok, 6), pattern="(?s)" + RE_SD_BLOCK.pattern)
         block = pc.struct_field(sd, "sd")
+        skip = pc.fill_null(pc.binary_length(block), -1).to_numpy() + 1  # the block and its space
+        put("message", rows, np.minimum(lo[:, 6] + skip, hi[:, 6]), hi[:, 6])
         has_sd = pc.fill_null(pc.not_equal(block, "-"), False)
-        strs["sdata"].append((rows[has_sd.to_numpy(zero_copy_only=False)], pa.array(
-            [parse_sdata(x) for x in block.filter(has_sd).to_pylist()], _SDATA)))
+        sd_rows, sd_blocks = rows[has_sd.to_numpy(zero_copy_only=False)], block.filter(has_sd)
     fmt[rows] = 1
 
-    # ---------- RFC3164 ----------
-    rows, ex = _extract(text, RE_3164, fmt == 0)
-    mon = pc.index_in(pc.struct_field(ex, "mon"), value_set=pa.array(MONTH_NAMES)).to_numpy() + 1
-    rfc3164(rows, ex, *_timestamp(
-        guess_year(mon, recv[rows]), mon,
-        *(_int(pc.struct_field(ex, g)) for g in ("day", "hour", "minute", "second"))))
-
-    # ---------- RFC3164 with ISO timestamp ----------
+    # ---------- RFC3164 with a BSD or an ISO stamp ----------
     # the legacy date scan also accepts an RFC5424-style ISO stamp
     # (scan-timestamp.c:213 __parse_iso_stamp); host/tag parse continues
     # exactly like the BSD-stamp branch
-    rows, ex = _extract(text, RE_3164_ISO, fmt == 0)
-    rfc3164(rows, ex, *_iso_timestamp(ex))
+    stamp_end = np.zeros(n, np.int64)
+    rows = match((fmt == 0) & (lt | _MONTH_INITIAL[first]), RE_3164)
+    p = after_pri(rows)
+    p += tx.byte(p) == ord(" ")
+    ts[rows], ts_ok[rows] = _bsd_at(tx, p, recv[rows])
+    stamp_end[rows], fmt[rows] = p + 15, 2
+    rows = match((fmt == 0) & (lt | _DIGIT[first]), RE_3164_ISO)
+    p = after_pri(rows)
+    p += tx.byte(p) == ord(" ")
+    stamp_end[rows] = tx.scan(p + 19, tx.end[rows], _SPACE)
+    ts[rows], ts_ok[rows] = _iso_at(tx, p, stamp_end[rows])
+    fmt[rows] = 2
+    # the reference skips ALL spaces before the hostname and before the
+    # program name (syslog-format.c:923,955 _skip_chars " " -1)
+    rows = np.flatnonzero(fmt == 2)
+    end = tx.end[rows]
+    host = tx.scan(stamp_end[rows], end, _NOT_SPACE)
+    host_end = tx.scan(host, end, _SPACE)
+    put("host", rows, host, host_end)
+    rest = np.zeros(n, np.int64)
+    rest[rows] = tx.scan(host_end, end, _NOT_SPACE)
 
     # ---------- RFC3164 with PRI but missing timestamp ----------
     # `<189> program[pid]: message` parses TAG-only: no host, stamp=recv,
@@ -374,10 +466,35 @@ def parse_syslog_table(
     # tests/test_syslog_format.c rfc3164_error_missing_timestamp). The
     # legacy scan always runs here: "<189>65536" yields PROGRAM="65536"
     # (syslog-format.c:978-981)
-    lt = (fmt == 0) & pc.starts_with(text, "<").to_numpy(zero_copy_only=False)
-    rows, ex = _extract(text, RE_PRI_ONLY, lt)
-    pri[rows] = _int(pc.struct_field(ex, "pri"))
-    tail(rows, pc.struct_field(ex, "rest"), _T_MISSING_TS)
+    rows = match((fmt == 0) & lt, RE_PRI_ONLY)
+    rest[rows] = tx.scan(after_pri(rows), tx.end[rows], _NOT_SPACE)
+    fmt[rows], tags[rows] = 2, _T_MISSING_TS
+
+    # ---------- the legacy program-name scan of every RFC3164 row ----------
+    # RE_TAGX as byte offsets; `pid` is null where no '[' was present OR
+    # the scan ran off the end of the data (reference sets PID only
+    # `if (left)`, syslog-format.c:384-386). Under check_program a bad
+    # name leaves PROGRAM/PID unset with the whole tail as the message
+    # (reference early return)
+    rows = np.flatnonzero(fmt == 2)
+    r, end = rest[rows], tx.end[rows]
+    prog_end = tx.scan(r, end, _PROG_END)
+    pid_end = prog_end.copy()
+    bracket = (prog_end < end) & (tx.byte(prog_end) == ord("["))
+    pid_end[bracket] = tx.scan(prog_end[bracket] + 1, end[bracket], _PID_END)
+    has_pid = bracket & (pid_end < end)
+    hdr_end = pid_end + (has_pid & (tx.byte(pid_end) == ord("]")))
+    hdr_end += (hdr_end < end) & (tx.byte(hdr_end) == ord(":"))
+    hdr_end += (hdr_end < end) & (tx.byte(hdr_end) == ord(" "))
+    ok = np.ones(len(rows), bool)
+    if check_program:
+        ok = pc.match_substring_regex(tx.strings(r, prog_end), RE_PROGRAM.pattern).to_numpy(
+            zero_copy_only=False)
+        tags[rows] += np.where(ok, 0, _T_INVALID_PROGRAM).astype(np.int8)
+    put("program", rows, r, prog_end, ok)
+    put("pid", rows, prog_end + 1, pid_end, has_pid & ok)
+    put("message", rows, np.where(ok, hdr_end, r), end)
+    put("legacy_msghdr", rows, r, hdr_end, (hdr_end > r) & ok)
 
     # ---------- invalid PRI: a '<' prefix that never closes ----------
     # the reference accepts the line, shoves it whole into MSG and tags
@@ -387,27 +504,24 @@ def parse_syslog_table(
     fmt[ipri] = 2
     tags[ipri] = _T_INVALID_PRI
 
+    build = {
+        "pri": lambda: pa.array(pri, pa.uint16()),
+        "ts_stamp": lambda: pa.array(ts.view("datetime64[us]"), mask=~ts_ok),
+        **{k: (lambda k=k: tx.strings(*spans[k])) for k in spans},
+        "sdata": lambda: _scatter(n, [(sd_rows, pa.array(
+            [parse_sdata(x) for x in sd_blocks.to_pylist()], _SDATA))], None, _SDATA),
+        "syslog_parsed": lambda: pa.array(fmt > 0),
+        "msgformat": lambda: _FORMATS.take(fmt),
+        "tags": lambda: _TAG_LISTS.take(tags),
+    }
     out = table
-    for name, build in (
-        ("pri", lambda: pa.array(pri, pa.uint16())),
-        ("ts_stamp", lambda: pa.array(ts.view("datetime64[us]"), mask=~ts_ok)),
-        ("host", lambda: _scatter(n, strs["host"], None, pa.string())),
-        ("program", lambda: _scatter(n, strs["program"], None, pa.string())),
-        ("pid", lambda: _scatter(n, strs["pid"], None, pa.string())),
-        ("msgid", lambda: _scatter(n, strs["msgid"], None, pa.string())),
-        ("message", lambda: _scatter(n, strs["message"], text, pa.string())),
-        ("legacy_msghdr", lambda: _scatter(n, strs["legacy_msghdr"], None, pa.string())),
-        ("sdata", lambda: _scatter(n, strs["sdata"], None, _SDATA)),
-        ("syslog_parsed", lambda: pa.array(fmt > 0)),
-        ("msgformat", lambda: _FORMATS.take(fmt)),
-        ("tags", lambda: _TAG_LISTS.take(tags)),
-    ):
+    for name in COLUMNS:
         if name not in columns:
             continue
         if name in out.column_names:  # re-parse overwrites (syslog-parser() on a field)
-            out = out.set_column(out.column_names.index(name), name, build())
+            out = out.set_column(out.column_names.index(name), name, build[name]())
         else:
-            out = out.append_column(name, build())
+            out = out.append_column(name, build[name]())
     return out
 
 
@@ -425,7 +539,7 @@ def _stamp(year, month, day, hour, minute, second, micro=0, offset_min=0):
 
 
 def _iso_stamp(m: re.Match):
-    """Scalar `_iso_timestamp` over the ISO_STAMP groups of a match."""
+    """Scalar `_iso_at` over the ISO_STAMP groups of a match."""
     oh, om = int(m.group("oh") or 0), int(m.group("om") or 0)
     if oh > 23 or om > 59:
         return None

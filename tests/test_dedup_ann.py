@@ -642,6 +642,34 @@ def test_empty_corpus_returns_empty_frame(method, ray_session):
                                     "vec_id": np.int64, "sim": np.float64}
 
 
+def test_near_dup_pairs_empty_corpus_keeps_the_pair_schema(ray_session):
+    import ray
+    import ray.data as rd
+
+    from axosyslog_ray.ann import near_dup_pairs
+
+    t, _, _ = _tie_corpus()
+    out = near_dup_pairs(rd.from_arrow(t).filter(expr="vec_id < 0"))
+    want = pa.schema([("id_a", pa.int64()), ("id_b", pa.int64()), ("sim", pa.float64())])
+    assert out.count() == 0
+    assert out.schema().base_schema == want
+    assert pa.concat_tables(ray.get(out.to_arrow_refs())).schema == want
+
+
+@pytest.mark.parametrize("typ", [pa.list_(pa.float32()), pa.list_(pa.float64()),
+                                 pa.list_(pa.float32(), 5), pa.large_list(pa.float32())])
+def test_to_matrix_equals_the_python_list_path(typ):
+    from axosyslog_ray.ann.scan import _to_matrix
+
+    col = pa.array(list(np.random.RandomState(0).normal(size=(7, 5))), typ)
+    for c in (col, col.slice(2), pa.chunked_array([col.slice(0, 3), col.slice(3)])):
+        got = _to_matrix(c)
+        assert got.dtype == np.float64
+        assert got.tobytes() == np.asarray(c.to_pylist(), dtype=np.float64).tobytes()
+    assert _to_matrix(col.slice(0, 0), 5).shape == (0, 5)
+    assert _to_matrix(pa.chunked_array([], typ)).shape == (0, 0)
+
+
 def test_normalize_text_unicode_and_ws():
     from axosyslog_ray.textstats import normalize_text
 

@@ -13,7 +13,7 @@ import pyarrow as pa
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from axosyslog_ray.stages.syslog import parse_syslog_line, parse_syslog_table
+from axosyslog_ray.stages.syslog import MONTH_NAMES, parse_syslog_line, parse_syslog_table
 from axosyslog_ray.synth import gen_pages_table
 
 RECV = pd.Timestamp("2026-08-17 12:00:00")
@@ -350,8 +350,84 @@ class TestRfc3164IsoTimestamp:
 
 
 # ---------------------------------------------------------------------------
+# The byte-offset parse: scans past the numpy cap, UTF-8 beside every
+# delimiter, and the first-byte gate; each row checked against the oracle
+# ---------------------------------------------------------------------------
+
+
+def _oracle_table(lines):
+    return pa.table({"text": pa.array(lines, pa.string()),
+                     "warc_ts": pa.array([datetime(2026, 8, 17, 12)] * len(lines), pa.timestamp("us"))})
+
+
+LONG = "h" * 100  # longer than the scan cap, so the RE2 search after it runs
+
+
+@pytest.mark.parametrize("check_program", [False, True])
+def test_tokens_longer_than_the_scan_cap(check_program):
+    lines = [
+        f"<13>Aug 17 05:02:28 {LONG} prog[1]: m",            # host
+        f"<13>Aug 17 05:02:28 h {LONG}[1]: m",               # program, closed pid
+        f"<13>Aug 17 05:02:28 h {LONG}",                     # program runs to the end
+        f"<13>Aug 17 05:02:28 h p[{LONG}]: m",               # closed pid
+        f"<13>Aug 17 05:02:28 h p[{LONG} x",                 # unclosed pid, space stop
+        f"<13>Aug 17 05:02:28 h p[{LONG}",                   # unclosed pid runs off the end
+        f"<13>Aug 17 05:02:28{' ' * 100}h{' ' * 100}p: m",   # long space runs
+        f"Aug 17 05:02:28{' ' * 100}",                       # a stamp followed only by spaces
+        f"<13>2024-01-05T10:41:30.{'7' * 100}+0200 h p: m",  # long ISO fraction
+        f"<13>2024-01-05T10:41:30{' ' * 100}",
+        f"<13>{' ' * 100}{LONG}[{LONG}]: m",                 # PRI-only
+        f"<34>1 2026-08-17T05:02:28Z {LONG} {LONG} {LONG} {LONG} - m",
+        "<13>Aug 17 05:02:28 h p: m",                         # short rows between long ones
+    ]
+    # interleave each long row with a short one: a hit in the next row is a miss
+    t = _oracle_table([x for line in lines for x in (line, "<13>Aug 17 05:02:28 h q[2]: z")])
+    _assert_oracle_agrees(t, check_program)
+    host, program, pid = (parse_syslog_table(t, check_program=check_program).column(c)[i].as_py()
+                          for c, i in (("host", 0), ("program", 2), ("pid", 6)))
+    assert host == program == pid == LONG
+
+
+def test_utf8_beside_every_delimiter():
+    lines = [
+        "<13>Aug 17 05:02:28 hé prög[pïd]: mé",
+        "<13>Aug 17 05:02:28 é é[é]:é",
+        "<13>Aug 17 05:02:28 é é[é é:é",
+        "<13>Aug 17 05:02:28  é  ü",
+        "<13>2024-01-05T10:41:30Z é é: é",
+        "<13> é[é",
+        "<13>é:",
+        '<34>1 2026-08-17T05:02:28.5+02:00 hé äpp pïd ïd [ex@0 k="é"] é',
+        "<34>1 - é é é é - é",
+        "<é>1 x", "é Aug 17 05:02:28 h p: m", "Aug 17 05:02:28 é", "Aug 17 05:02:28 hé",
+    ]
+    for check_program in (False, True):
+        _assert_oracle_agrees(_oracle_table(lines), check_program)
+
+
+def test_first_byte_gate():
+    bsd = [f"{mon} {d:2d} 05:02:28 h p: m" for d, mon in enumerate(MONTH_NAMES, 1)]
+    lines = bsd + [
+        "Just text", "Feb 3 05:02:28 h p: m", "Sep", "Oct 1", "N", "D ",   # month initials
+        "2024-01-05T10:41:30 h p: m", "10.0.0.1 - - [x]", "1", "9 x",      # digits
+        "<13>x", "<13>1 2026-08-17T05:02:28Z h a p i - m", "<", "<x>",      # '<'
+        "", " Aug 17 05:02:28 h p: m", "{\"a\": 1}", "\x00", "é", "aug 17 05:02:28 h p: m",
+    ]
+    t = _oracle_table(lines)
+    _assert_oracle_agrees(t)
+    parsed = parse_syslog_table(t).column("syslog_parsed").to_pylist()
+    assert parsed[:12] == [True] * 12 and parsed[-6:] == [False] * 6
+
+
+# ---------------------------------------------------------------------------
 # Differential test: vectorized path vs scalar oracle on generated lines
 # ---------------------------------------------------------------------------
+
+
+# tokens longer than the scan cap of the byte-offset parse
+_long = st.integers(65, 140).map(lambda k: ("ab1é" * 40)[:k])
+_long_digits = st.integers(65, 140).map(lambda k: "7" * k)
+_long_spaces = st.integers(65, 140).map(lambda k: " " * k)
 
 
 def _num(lo, hi, width):
@@ -362,7 +438,7 @@ _iso = st.builds(
     lambda y, mo, d, h, mi, sec, frac, zone: f"{y}-{mo}-{d}T{h}:{mi}:{sec}{frac}{zone}",
     st.sampled_from(["0001", "1970", "2024", "2026", "9999"]) | _num(0, 9999, 4),
     _num(0, 13, 2), _num(0, 32, 2), _num(0, 25, 2), _num(0, 61, 2), _num(0, 61, 2),
-    st.just("") | st.text("0123456789", min_size=1, max_size=9).map(lambda f: "." + f),
+    st.just("") | (st.text("0123456789", min_size=1, max_size=9) | _long_digits).map(lambda f: "." + f),
     st.sampled_from(["", "Z"]) | st.builds(
         lambda sign, hh, sep, mm: f"{sign}{hh}{sep}{mm}",
         st.sampled_from("+-"), _num(0, 25, 2), st.sampled_from(["", ":"]), _num(0, 61, 2)),
@@ -391,7 +467,10 @@ _sd = st.just("-") | st.lists(_sd_elem, min_size=1, max_size=3).map("".join) \
 _tail = st.sampled_from(["prog[pid]: message", "prog: m", "prog[12 34]: m", "prog[123",
                          "prog[12:", "127.0.0.1[pid]: x", "[noname]: m", "65536",
                          "prog!: m", "a(b)/c.d-e_f[1]: m", ""]) \
-    | st.text(" :[]ab1.-/!\t\n", max_size=16)
+    | st.text(" :[]ab1.-/!\t\n", max_size=16) \
+    | st.builds(lambda prog, pid, msg: prog + pid + msg, st.just("p") | _long,
+                st.just("") | _long.map(lambda x: "[" + x) | _long.map(lambda x: "[" + x + "]"),
+                st.sampled_from(["", ": m", " m", ":"]))
 _pri = st.sampled_from(["", "<13>", "<189> ", "<0>", "<999>"]) | _num(0, 999, 1).map(lambda p: f"<{p}>")
 
 _line = st.one_of(
@@ -402,12 +481,12 @@ _line = st.one_of(
               st.sampled_from(["", " ", " msg", "  trailing  ", " evt count=1\n"])),
     # RFC3164 with a BSD or an ISO stamp (or an ISO-like non-stamp)
     st.builds(lambda pri, stamp, sp, host, tail: f"{pri}{stamp}{sp}{host}{tail}",
-              _pri, _bsd | _iso | _not_iso, st.sampled_from([" ", "  "]),
-              st.sampled_from(["host", "h2", "10.0.0.1"]),
-              st.just("") | _tail.map(lambda tl: " " + tl)),
+              _pri, _bsd | _iso | _not_iso, st.sampled_from([" ", "  "]) | _long_spaces,
+              st.sampled_from(["host", "h2", "10.0.0.1"]) | _long,
+              st.just("") | _tail.map(lambda tl: " " + tl) | _long_spaces),
     # PRI with a missing timestamp
     st.builds(lambda pri, sp, tail: f"<{pri}>{sp}{tail}",
-              _num(0, 999, 1), st.sampled_from(["", " ", "  "]), _tail),
+              _num(0, 999, 1), st.sampled_from(["", " ", "  "]) | _long_spaces, _tail),
     # a '<' that never closes a PRI
     st.sampled_from(["<189 Aug 17 05:02:28 h p: m", "<abc> x", "<1234>x", "<", "<13"]),
     st.text(max_size=40),
