@@ -3,11 +3,11 @@
 Mirrors the reference geoip parser shape (reference
 modules/geoip2/geoip-parser.c:90-110,195-199 — mmdb opened once, an IP
 template resolved per message, results under `prefix()`): here the
-database is a list of (cidr, attrs...) ranges; lookup is one RE2 pass
-that packs the dotted quads into int64 and one `np.searchsorted` over
-the sorted range starts — O(log n) per row, no pandas. Each attribute
-is then one Arrow `take`. The db is built once per actor (__init__), the
-broadcast-small-side pattern.
+database is a list of (cidr, attrs...) ranges; lookup is one bare RE2
+match and one split that pack the dotted quads into int64, and one
+`np.searchsorted` over the sorted range starts — O(log n) per row, no
+pandas. Each attribute is then one Arrow `take`. The db is built once
+per actor (__init__), the broadcast-small-side pattern.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-_IPV4 = r"^(?P<a>\d{1,3})\.(?P<b>\d{1,3})\.(?P<c>\d{1,3})\.(?P<d>\d{1,3})$"
+_IPV4 = r"^\d{1,3}\.\d{1,3}\.\d{1,3}\.\d{1,3}$"
 
 
 class GeoIP:
@@ -81,17 +81,18 @@ class GeoIP:
 
     @staticmethod
     def pack_ipv4(ips) -> np.ndarray:
-        """Dotted quads -> int64, via one Arrow RE2 extract: -1 where the
-        value is null, is not four 1-3 digit decimal octets, or has an
-        octet above 255."""
-        st = pc.extract_regex(pc.cast(ips, pa.string()), pattern=_IPV4)
-        val = np.zeros(len(ips), dtype=np.int64)
-        ok = np.ones(len(ips), dtype=bool)
-        for f in "abcd":
-            octet = pc.fill_null(pc.cast(pc.struct_field(st, f), pa.int64()), 256).to_numpy()
-            ok &= octet <= 255
-            val = (val << 8) | octet
-        return np.where(ok, val, -1)
+        """Dotted quads -> int64: -1 where the value is null, is not four
+        1-3 digit decimal octets, or has an octet above 255. The shape is
+        one bare RE2 match (no capture group); the matching rows are
+        split at the dots and cast as one flat int64 column."""
+        ips = pc.cast(ips, pa.string())
+        rows = np.flatnonzero(pc.fill_null(pc.match_substring_regex(ips, _IPV4), False))
+        octets = pc.list_flatten(pc.split_pattern(ips.take(rows), "."))
+        octets = np.asarray(pc.cast(octets, pa.int64())).reshape(-1, 4)
+        out = np.full(len(ips), -1, dtype=np.int64)
+        ok = (octets <= 255).all(axis=1)
+        out[rows[ok]] = octets[ok] @ np.array([1 << 24, 1 << 16, 1 << 8, 1], dtype=np.int64)
+        return out
 
     def __call__(self, table: pa.Table) -> pa.Table:
         n = table.num_rows

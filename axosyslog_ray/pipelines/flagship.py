@@ -20,12 +20,17 @@ context db, geoip ranges, regexes) is built once per process. Per batch,
 everything between the syslog parse and the router runs on Arrow kernels
 and numpy, with no pandas: each app parser runs on its candidate rows
 only and its values are scattered back (`stages.syslog._scatter`);
-contextual data is one `index_in` + two `take`s per field, and GeoIP one
-RE2 pass + `searchsorted` + one `take` per attribute. Per-row Python is
-left only in the JSON decode of the json candidates and in the generic
-parsers on the rows the RE2 passes cannot decide. Routing needs no
-shuffle (a route label column + partitioned write), and neither do the
-per-sink counts (`run_flagship`): the sink counts what it writes.
+PatternDB's `pdb_values` is one MapArray gathered from its capture
+columns; contextual data is one `index_in` + two `take`s per field, and
+GeoIP one bare RE2 match and a split + `searchsorted` + one `take` per
+attribute; the route label is a `take` of int codes. Per-row Python is
+left only in the JSON decode of the json candidates, in the generic
+parsers on the rows the RE2 passes cannot decide, and in PatternDB's
+trie walk and tag merge for the rare rows that need them (two rules
+match, only a prefix matches, or the row already has tags). Routing
+needs no shuffle (a route label column + partitioned write), and
+neither do the per-sink counts (`run_flagship`): the sink counts what
+it writes.
 """
 
 from __future__ import annotations

@@ -532,8 +532,11 @@ class Router:
 
     def route_first(self, table: pa.Table, col: str = "route", unmatched: str = "_unmatched") -> pa.Table:
         """Append a scalar route-label column (the first route to match
-        wins) — the shuffle-free partitioned-write fan-out."""
-        label = np.full(table.num_rows, unmatched, dtype=object)
-        for name, m in self.masks(table).items():
-            label[m] = name
-        return table.append_column(col, pa.array(label, type=pa.string()))
+        wins) — the shuffle-free partitioned-write fan-out. Row i takes
+        label code k of the k-th (disjoint) mask, or len(masks) when no
+        route claims it; the strings are one `take` of the labels."""
+        masks = self.masks(table)
+        code = np.full(table.num_rows, len(masks), dtype=np.int32)
+        for k, m in enumerate(masks.values()):
+            code[m] = k
+        return table.append_column(col, pa.array([*masks, unmatched], pa.string()).take(code))

@@ -7,8 +7,8 @@ ruleset load modules/correlation/pdb-load.c). Rules are declared with
 the reference's wildcard syntax (@ESTRING:name:term@, @NUMBER:name@,
 @IPv4:name@, @QSTRING:name:q@, @STRING:name@, @FLOAT:name@,
 @ANYSTRING:name@, @SET:name:chars@, @EMAIL:name@, @HOSTNAME:name@,
-@MACADDR:name@), compiled once per actor into anchored regexes with
-named groups.
+@MACADDR:name@), compiled once per PatternDB instance into anchored
+regexes with named groups.
 
 Rule selection is the reference's radix lookup (radix.c:1482-1566), the
 only one: literal edges beat parser edges at every position, and when no
@@ -148,7 +148,10 @@ DEFAULT_RULES = [
 
 
 class PatternDB:
-    """Actor-pool stage: `ds.map_batches(PatternDB, concurrency=N)`.
+    """A batch stage: `PatternDB(rules)(table)` appends `pdb_rule`,
+    `pdb_class` and `pdb_values` and merges `tags`. The flagship calls it
+    inside its fused stateless task; db-parser() and pdbtool call it
+    directly.
 
     One batch is classified in three steps:
 
@@ -163,8 +166,12 @@ class PatternDB:
        parser edges, and a prefix match wins only when there is no
        complete one (the two-pass partial fallback, radix.c:1552);
     3. `pdb_rule`/`pdb_class` are `take`s from per-rule arrays;
-       `pdb_values` and `tags` are built in Python for the winning rows
-       only and put in place with one `take` each."""
+       `pdb_values` is one MapArray over the winning rows, gathered by
+       numpy entry indices from the regex pass's capture columns and
+       small per-(rule, program) lists (`_values`); only a prefix-only
+       row's captures come from the Python walk. A winning rule's tags
+       are a `take` of its sorted tags, merged in Python only for rows
+       that already carry tags. Each is put in place with one `take`."""
 
     def __init__(self, rules: list[PdbRule] | None = None):
         self.rules = rules if rules is not None else DEFAULT_RULES
@@ -251,6 +258,82 @@ class PatternDB:
                 return res
         return None
 
+    def _values(self, winner, codes, gates, hits, walk_caps):
+        """-> (won, values): the winning rows and their `pdb_values`, one
+        MapArray in `won` order. A row's entries are its rule's static
+        values, the program's captures for its program (both from small
+        per-(rule, program) lists), then its non-null captures in group
+        order — the regex pass's columns as they are, or, for a
+        prefix-only row, the trie walk's. Entries are int64 indices into
+        one key pool and one value pool, put in row order by a stable
+        sort."""
+        pre_k, pre_v = [], []  # the per-(rule, program) and walk entries
+        names, cols = [], []  # capture group names, their won values
+        won_rows, ent_rows, ent_pre = [], [], []
+        cap_rows, cap_key, cap_val = [], [], []
+        n_won = n_cap = 0
+
+        def add_rows(wrows, lists, which):
+            """Rows wrows join `won`, row wrows[k] with the leading
+            entries lists[which[k]] -> their positions in `won`."""
+            nonlocal n_won
+            pos = np.arange(n_won, n_won + len(wrows))
+            n_won += len(wrows)
+            won_rows.append(wrows)
+            lens = np.array([len(e) for e in lists], dtype=np.int64)
+            starts = len(pre_k) + np.cumsum(lens) - lens
+            for e in lists:
+                pre_k.extend(k for k, _ in e)
+                pre_v.extend(v for _, v in e)
+            per_row = lens[which]
+            first = np.cumsum(per_row) - per_row
+            ent_rows.append(np.repeat(pos, per_row))
+            ent_pre.append(np.repeat(starts[which] - first, per_row)
+                           + np.arange(per_row.sum(), dtype=np.int64))
+            return pos
+
+        def rule_entries(idx, code):
+            """Rule idx's static values, then its program's captures."""
+            prog = gates[idx][1]
+            return list(self.rules[idx].values.items()) + (prog[code] if prog else [])
+
+        for idx, (rows, groups) in enumerate(hits):
+            sel = winner[rows] == idx
+            if not sel.any():
+                continue
+            wrows, keep = rows[sel], pa.array(sel)
+            used, which = np.unique(codes[wrows], return_inverse=True)
+            pos = add_rows(wrows, [rule_entries(idx, c) for c in used.tolist()], which)
+            if groups:
+                # an (m x G) entry matrix, row-major, less the null captures
+                m = len(wrows)
+                got = [v.filter(keep) for v in groups.values()]
+                ok = np.column_stack([v.is_valid().to_numpy(zero_copy_only=False) for v in got])
+                g = np.arange(len(names), len(names) + len(got))
+                cap_rows.append(np.repeat(pos, len(got))[ok.ravel()])
+                cap_key.append(np.broadcast_to(g, ok.shape)[ok])
+                cap_val.append((n_cap + (g - g[0]) * m + np.arange(m)[:, None])[ok])
+                names += [_dec_name(nm) for nm in groups]
+                cols += got
+                n_cap += m * len(got)
+        if walk_caps:
+            walked = np.fromiter(walk_caps, dtype=np.int64, count=len(walk_caps))
+            lists = [rule_entries(winner[i], codes[i]) + caps for i, caps in walk_caps.items()]
+            add_rows(walked, lists, np.arange(len(walked)))
+        if not won_rows:
+            return np.zeros(0, dtype=np.int64), pa.array([], _VALUES)
+
+        n_pre = len(pre_k)
+        rows = np.concatenate(ent_rows + cap_rows)
+        order = np.argsort(rows, kind="stable")
+        key = np.concatenate(ent_pre + [k + n_pre for k in cap_key])[order]
+        val = np.concatenate(ent_pre + [v + n_pre for v in cap_val])[order]
+        offsets = np.zeros(n_won + 1, dtype=np.int32)
+        np.cumsum(np.bincount(rows, minlength=n_won), out=offsets[1:])
+        keys = pa.array(pre_k + names, pa.string()).take(key)
+        vals = pa.concat_arrays([pa.array(pre_v, pa.string()), *cols]).take(val)
+        return np.concatenate(won_rows), pa.MapArray.from_arrays(offsets, keys, vals, type=_VALUES)
+
     def __call__(self, table: pa.Table) -> pa.Table:
         n = table.num_rows
         col = table.column("message").combine_chunks()
@@ -295,28 +378,8 @@ class PatternDB:
                     winner[i], walk_caps[i] = res
 
         # 3. the values and tags of the winning rows
-        won_rows, won_values = [], []
-        for idx, (rows, cols) in enumerate(hits):
-            sel = winner[rows] == idx
-            if not sel.any():
-                continue
-            wrows = rows[sel]
-            keep = pa.array(sel)
-            caught = [(_dec_name(nm), _py(v.filter(keep))) for nm, v in cols.items()]
-            won_rows.append(wrows)
-            won_values += [
-                [(nm, vals[k]) for nm, vals in caught if vals[k] is not None]
-                for k in range(len(wrows))]
-        if walk_caps:
-            won_rows.append(np.fromiter(walk_caps, dtype=np.int64, count=len(walk_caps)))
-            won_values += walk_caps.values()
-        won = np.concatenate(won_rows) if won_rows else np.zeros(0, dtype=np.int64)
-        for k, i in enumerate(won.tolist()):
-            rule = self.rules[winner[i]]
-            prog_caps = gates[winner[i]][1]
-            won_values[k] = (list(rule.values.items())
-                             + (prog_caps[codes[i]] if prog_caps else []) + won_values[k])
-        values = _scatter(n, [(won, pa.array(won_values, _VALUES))], None, _VALUES)
+        won, values = self._values(winner, codes, gates, hits, walk_caps)
+        values = _scatter(n, [(won, values)], None, _VALUES)
 
         tags = (table.column("tags").combine_chunks().cast(_TAGS)
                 if "tags" in table.column_names else pa.nulls(n, _TAGS))

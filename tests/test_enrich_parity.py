@@ -155,3 +155,39 @@ def test_geoip_matches_ipaddress(ranges, data):
     assert g.attr_names == names
     for n in names:
         assert out.column("geo_" + n).to_pylist() == want[n], n
+
+
+def _pack_by_captures(ips):
+    """Dotted quads -> int64 through an RE2 extract of the four octets
+    (-1 for a null, a non-quad or an octet above 255)."""
+    import numpy as np
+    import pyarrow.compute as pc
+
+    st_ = pc.extract_regex(pa.array(ips, pa.string()),
+                           pattern=r"^(?P<a>\d{1,3})\.(?P<b>\d{1,3})\.(?P<c>\d{1,3})\.(?P<d>\d{1,3})$")
+    val, ok = np.zeros(len(ips), dtype=np.int64), np.ones(len(ips), dtype=bool)
+    for f in "abcd":
+        octet = pc.fill_null(pc.cast(pc.struct_field(st_, f), pa.int64()), 256).to_numpy()
+        ok &= octet <= 255
+        val = (val << 8) | octet
+    return np.where(ok, val, -1)
+
+
+_IP_CHARS = "0123456789.. ٣１a"  # with Arabic-Indic and fullwidth digits
+_QUADS = st.lists(st.integers(0, 999).map(str), min_size=4, max_size=4).map(".".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.none() | _QUADS | st.text(_IP_CHARS, max_size=16), max_size=12),
+       st.lists(st.integers(0, 12), max_size=3))
+@example(ips=[None, "", "010.1.1.1", "256.1.1.1", "1.2.3.4.5", "1.2.3", "1.2.3.",
+              "1000.1.1.1", "1.2.3.1000", " 1.2.3.4", "1.2.3.4 ", "١.2.3.4",
+              "1.2.３.4", "255.255.255.255", "0.0.0.0"] + _ODD_IPS, cuts=[3])
+def test_pack_ipv4_matches_capture_form(ips, cuts):
+    """The bare-match + split packing equals the four-capture extract on
+    nulls, empty and malformed texts, non-ASCII digits and multi-chunk
+    columns."""
+    bounds = sorted({0, len(ips), *(min(c, len(ips)) for c in cuts)})
+    col = pa.chunked_array([pa.array(ips[a:b], pa.string()) for a, b in zip(bounds, bounds[1:])],
+                           pa.string())
+    assert GeoIP.pack_ipv4(col).tolist() == _pack_by_captures(ips).tolist()

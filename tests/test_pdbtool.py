@@ -472,3 +472,95 @@ def test_patterndb_batch_split_invariance():
         assert whole.schema == db(t.slice(0, 0)).schema
 
     check()
+
+
+# SPLIT_RULES plus the value shapes the map build must keep: a static key
+# named like a capture, a program pattern whose programs give capture
+# lists of different lengths, and a non-RE2 pattern with a group that
+# may not take part (a null capture)
+VALUE_RULES = SPLIT_RULES + [
+    PdbRule("dup", "dup @STRING:d@ x", values={"d": "static", "e": "2"}),
+    PdbRule("cron", "ran @NUMBER:job@", program_pattern="cron@PCRE:sfx:(?:-(?P<ver>\\d+))?@",
+            values={"k": "c"}),
+    PdbRule("opt", "opt @PCRE:o:(?=[ab])(?:(?P<oa>a)|b)@ end", values={"oa": "s"}),
+]
+VALUE_MESSAGES = SPLIT_MESSAGES + [
+    "dup y x", "dup y", "ran 42", "ran 42 more", "opt a end", "opt b end",
+]
+VALUE_PROGRAMS = ["sshd", "su", "app", "sshd 5", "crond 5", "cron", "cron-7", "", None]
+
+
+def _expected_values(message: str, program: str | None, rule_id: str | None):
+    """The pdb_values of one row, per row in Python: the rule's static
+    values, the program pattern's non-null captures, then the message's
+    non-null captures in group order — the full-pattern regex's, or for
+    a prefix-only match the trie walk's."""
+    import re
+
+    from axosyslog_ray.stages.patterndb import _dec_name, compile_pattern
+    from axosyslog_ray.stages.radix import RadixTree
+
+    if rule_id is None:
+        return None
+    rule = next(r for r in VALUE_RULES if r.rule_id == rule_id)
+
+    def caps(m: re.Match):
+        return [(_dec_name(k), v) for k, v in m.groupdict().items() if v is not None]
+
+    out = list(rule.values.items())
+    if rule.program_pattern is not None:
+        out += caps(compile_pattern(rule.program_pattern).match(program))
+    full = compile_pattern(rule.pattern).match(message)
+    if full is not None:
+        return out + caps(full)
+    tree = RadixTree()
+    tree.insert(rule.pattern, 0)
+    return out + tree.lookup(message)[1]
+
+
+def test_patterndb_values_match_per_row_oracle():
+    """Every row's pdb_values map, entries in order and duplicate keys
+    kept, equals the per-row oracle, over multi-chunk batches."""
+    import pyarrow as pa
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    db = PatternDB(VALUE_RULES)
+    row = st.tuples(st.none() | st.sampled_from(VALUE_MESSAGES) | st.text("abdnor :;!", max_size=10),
+                    st.sampled_from(VALUE_PROGRAMS))
+
+    def table(rows, cuts=()):
+        t = pa.table({"message": pa.array([r[0] for r in rows], pa.string()),
+                      "program": pa.array([r[1] for r in rows], pa.string())})
+        bounds = sorted({0, len(rows), *(min(c, len(rows)) for c in cuts)})
+        return pa.concat_tables([t.slice(a, b - a) for a, b in zip(bounds, bounds[1:])] or [t])
+
+    def check(t):
+        out = db(t)
+        assert out.schema.field("pdb_values").type == pa.map_(pa.string(), pa.string())
+        got = out.column("pdb_values").to_pylist()
+        for msg, prog, rule, vals in zip(out.column("message").to_pylist(),
+                                         out.column("program").to_pylist(),
+                                         out.column("pdb_rule").to_pylist(), got):
+            assert vals == _expected_values(msg, prog, rule), (msg, prog, rule)
+        return out
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(row, max_size=24), st.lists(st.integers(0, 24), max_size=4))
+    def drawn(rows, cuts):
+        check(table(rows, cuts))
+
+    drawn()
+    every = [(m, p) for m in VALUE_MESSAGES for p in VALUE_PROGRAMS]
+    out = check(table(every, cuts=range(0, len(every), 37)))
+    assert out.column("message").num_chunks > 1
+    rules = {r: out.filter(pa.compute.equal(out.column("pdb_rule"), r)).column("pdb_values")
+             .to_pylist() for r in ("dup", "cron", "opt", "pfx")}
+    # the static key comes first, so map_lookup(occurrence="first") finds it
+    assert rules["dup"][0][:3] == [("d", "static"), ("e", "2"), ("d", "y")]
+    assert {len(v) for v in rules["cron"]} == {3, 4}  # cron, cron-7
+    assert [("oa", "s"), ("o", "b")] in rules["opt"]  # the null `oa` dropped
+    assert [("user", "root")] in rules["pfx"]  # prefix-only: the walk's captures
+    assert check(table([])).num_rows == 0
+    none = check(table([("nothing", "sshd"), (None, "su"), ("ran 4", "crond")]))
+    assert none.column("pdb_values").null_count == 3

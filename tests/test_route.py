@@ -116,6 +116,32 @@ def test_route_first_labels_for_partitioned_write():
     assert t.column("route").to_pylist() == ["sev_high", "auth", "h1_traffic", "sev_high", "other"]
 
 
+def _labels_per_row(router, table, unmatched="_unmatched"):
+    """route_first's label as an object array filled mask by mask."""
+    label = np.full(table.num_rows, unmatched, dtype=object)
+    for name, m in router.masks(table).items():
+        label[m] = name
+    return pa.array(label, pa.string())
+
+
+def test_route_first_label_edge_cases():
+    finals = Router().add("sev_high", Severity(0, 3)).add("auth", Facility("auth"))
+    nothing = Router().add("none", Match("no such text"))
+    clash = Router().add("_unmatched", Facility("auth")).add("user", Facility("user"))
+    cases = [(_router(), T), (finals, T), (nothing, T), (clash, T), (_router(), T.slice(0, 0)),
+             (Router(), T)]
+    for router, table in cases:
+        got = router.route_first(table).column("route")
+        assert got.type == pa.string()
+        assert got.combine_chunks().equals(_labels_per_row(router, table))
+    assert nothing.route_first(T).column("route").to_pylist() == ["_unmatched"] * 5
+    assert finals.route_first(T, unmatched="sev_high").column("route").to_pylist() == [
+        "sev_high", "auth", "sev_high", "sev_high", "sev_high"]
+    assert clash.route_first(T).column("route").to_pylist() == [
+        "_unmatched", "_unmatched", "user", "user", "user"]
+    assert _router().route_first(T.slice(0, 0)).column("route").to_pylist() == []
+
+
 def test_match_string_flags_reference_pins():
     # lib/tests/test_matcher.c string_match / glob_match expectations
     import pyarrow as pa
