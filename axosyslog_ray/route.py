@@ -516,6 +516,10 @@ class Router:
     routes: list[Route] = field(default_factory=list)
 
     def add(self, name, expr, fallback=False):
+        """Append a route; a name already routed raises ValueError (masks
+        and labels are keyed by name)."""
+        if any(r.name == name for r in self.routes):
+            raise ValueError(f"duplicate route name: {name!r}")
         self.routes.append(Route(name, expr, fallback))
         return self
 

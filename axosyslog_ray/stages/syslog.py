@@ -28,12 +28,12 @@ first six tokens of a `split_pattern(" ", max_splits=6)` of its rows
 (no header token holds a space; the seventh is the SD block and
 message); the SD block is the one `extract_regex`, since `message`
 starts after it. Each string output is built once, from per-row
-[start, stop) spans of the buffer, by one `take`.
+[start, stop) spans of the buffer, by one `take`. The SDATA maps are
+read at byte offsets of the validated SD blocks too (`_sd_maps`), so no
+output is built row by row in Python.
 
 A caller names the columns it reads (`columns=`, all 12 by default), and
-only those are built. Only SDATA map construction touches Python, per
-row with an SD block (map columns are row-wise by nature), and only when
-`sdata` is asked for.
+only those are built.
 
 Every pattern is written once and serves both engines: bare RE2 matches
 in the vectorized path, Python `re` (ASCII, `fullmatch`, named groups)
@@ -144,34 +144,37 @@ def _unescape_sd(v: str) -> str:
     return _SD_UNESCAPE.sub(r"\1", v)
 
 
-# single-pass scanner: one finditer per block instead of per-element +
-# per-param engine invocations (flagship hot path, ~12% of the fused
-# stage). Values may be quoted OR unquoted-until-space/']' — the
-# reference accepts both (syslog-format.c:711-769 sd-param-value)
+# one finditer per block: a param, else an SDID. The param comes first,
+# since a PARAM-NAME may start with '[' (`[a [k="v"]` is `a.[k`). Values
+# may be quoted OR unquoted-until-space/']': the reference accepts both
+# (syslog-format.c:711-769 sd-param-value), and sdata-parser() takes
+# unvalidated input. re.S: '\' escapes a newline too, as in RE_SD_BLOCK
 RE_SD_TOKEN = re.compile(
-    r'\[([^ \]"=]+)|([^ \]"=]+)=(?:"((?:[^"\\]|\\.)*)"|([^ \]]*))')
+    r'([^ \]"=]+)=(?:"((?:[^"\\]|\\.)*)"|([^ \]]*))|\[([^ \]"=]+)', _FLAGS)
 
 
 def parse_sdata(sd: str) -> list[tuple[str, str]] | None:
     """Parse an RFC5424 STRUCTURED-DATA block into [('sdid.param', value)].
 
     Key layout matches the reference's `.SDATA.<sdid>.<param>` naming minus
-    the fixed prefix (reference syslog-format.c:562-829)."""
+    the fixed prefix (reference syslog-format.c:562-829). The row form of
+    the scalar oracle and sdata-parser(); parse_syslog_table builds the
+    same maps with `_sd_maps`."""
     if sd == "-" or not sd:
         return None
     out: list[tuple[str, str]] = []
     sdid = ""
     for m in RE_SD_TOKEN.finditer(sd):
-        if m.group(1) is not None:
-            sdid = m.group(1)
+        if m.group(4) is not None:
+            sdid = m.group(4)
         else:
-            v = m.group(3)
+            v = m.group(2)
             if v is not None:
                 if "\\" in v:
                     v = _unescape_sd(v)
             else:
-                v = m.group(4)  # unquoted value, verbatim
-            out.append((f"{sdid}.{m.group(2)}", v))
+                v = m.group(3)  # unquoted value, verbatim
+            out.append((f"{sdid}.{m.group(1)}", v))
     return out
 
 
@@ -327,6 +330,40 @@ def guess_year(mon: np.ndarray, recv: np.ndarray) -> np.ndarray:
     return np.where(np.isnat(recv), 0, year)
 
 
+def _sd_maps(blocks: pa.StringArray) -> pa.MapArray:
+    """The `parse_sdata` maps of SD blocks that RE_SD_BLOCK validated (none
+    is '-'), read at byte offsets. A '"' is structural when the run of '\\'
+    before it is even; in a valid block those alternate open/close, and an
+    open one follows a param's '='. A ']' or ' ' outside every value ends
+    an element or starts a param. The blocks sit back to back in the data
+    buffer, so element k starts one byte after element k-1's ']'."""
+    tx = _Text(blocks)
+    s0, e0 = (tx.start[0], tx.end[-1]) if len(blocks) else (0, 0)
+    d = tx.data[s0:e0]
+    quote = np.flatnonzero(d == ord('"'))
+    bs = d == ord("\\")
+    escaped = bs.any()
+    if escaped:
+        last = np.maximum.accumulate(np.where(bs, -1, np.arange(len(d))))
+        quote = quote[(quote - 1 - last[quote - 1]) % 2 == 0]
+    opens, closes = quote[0::2], quote[1::2]
+    cut = np.flatnonzero((d == ord("]")) | (d == ord(" ")))
+    cut = cut[np.searchsorted(quote, cut) % 2 == 0]  # outside every value
+    ends, spaces = cut[d[cut] == ord("]")], cut[d[cut] == ord(" ")]
+    starts = np.append(0, ends + 1)[:-1]
+    sdid_end = cut[np.searchsorted(cut, starts + 1)]
+    name_start = spaces[np.searchsorted(spaces, opens) - 1] + 1
+    values = tx.strings(s0 + opens + 1, s0 + closes)
+    if escaped:
+        values = pc.replace_substring_regex(values, _SD_UNESCAPE.pattern, r"\1")
+    keys = pc.binary_join_element_wise(
+        tx.strings(s0 + starts + 1, s0 + sdid_end).take(np.searchsorted(ends, opens)),
+        tx.strings(s0 + name_start, s0 + opens - 1), ".")
+    per_row = np.bincount(np.searchsorted(tx.end - s0, opens, side="right"), minlength=len(blocks))
+    offsets = np.concatenate(([0], np.cumsum(per_row))).astype(np.int32)
+    return pa.MapArray.from_arrays(offsets, keys, values, type=_SDATA)
+
+
 def _scatter(n: int, pieces: list, default: pa.Array | None, typ: pa.DataType) -> pa.Array:
     """One n-row column from per-branch values. `pieces` holds (row
     positions, values) pairs; every other row takes `default` — an n-row
@@ -352,9 +389,12 @@ def parse_syslog_table(
     stage of the flagship pipeline).
 
     columns names the outputs to build (any of COLUMNS; an unknown name
-    raises ValueError); they are appended in COLUMNS order. The SD maps
-    are built only for sdata, and the SD block is matched only for
-    message or sdata.
+    raises ValueError); they are appended in COLUMNS order. The SD block
+    is matched only for message or sdata. The sdata maps are one MapArray
+    over the blocks RE_SD_BLOCK validated (`_sd_maps`: numpy over their
+    bytes, one unescape, one key join), entries in block order with
+    duplicate keys kept; a block with no params is an empty map, and '-'
+    or an unparsed row is null.
 
     check_program mirrors LP_CHECK_PROGRAM (syslog-format.c:332-373):
     an RFC3164 program name must be [A-Za-z0-9._-()/]+ with at least one
@@ -508,8 +548,7 @@ def parse_syslog_table(
         "pri": lambda: pa.array(pri, pa.uint16()),
         "ts_stamp": lambda: pa.array(ts.view("datetime64[us]"), mask=~ts_ok),
         **{k: (lambda k=k: tx.strings(*spans[k])) for k in spans},
-        "sdata": lambda: _scatter(n, [(sd_rows, pa.array(
-            [parse_sdata(x) for x in sd_blocks.to_pylist()], _SDATA))], None, _SDATA),
+        "sdata": lambda: _scatter(n, [(sd_rows, _sd_maps(sd_blocks))], None, _SDATA),
         "syslog_parsed": lambda: pa.array(fmt > 0),
         "msgformat": lambda: _FORMATS.take(fmt),
         "tags": lambda: _TAG_LISTS.take(tags),

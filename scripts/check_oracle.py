@@ -61,8 +61,9 @@ def main() -> int:
     only = set(sys.argv[2:])
     import ray
     if not ray.is_initialized():
+        # no worker or raylet log on stdout: it holds only result lines
         ray.init(address="local", num_cpus=8, include_dashboard=False,
-                 ignore_reinit_error=True)
+                 ignore_reinit_error=True, log_to_driver=False)
     import __ray_entry__ as e
     qs, osql = e.queries(), e.oracle_sql()
     con = duckdb.connect()

@@ -15,6 +15,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from axosyslog_ray.functions.templates import Template
@@ -109,6 +110,15 @@ def test_router_fallback_only_unmatched():
     r = Router().add("a", Severity("emerg")).add("rest", TRUE, fallback=True)
     masks = r.masks(T)
     assert masks["rest"].tolist() == [False, True, True, True, True]
+
+
+def test_router_add_rejects_a_duplicate_name():
+    r = Router().add("a", Severity(0, 3))
+    with pytest.raises(ValueError, match="duplicate route name: 'a'"):
+        r.add("a", Facility("auth"))
+    with pytest.raises(ValueError, match="'rest'"):
+        Router().add("rest", TRUE, fallback=True).add("rest", Severity("emerg"))
+    assert [x.name for x in r.routes] == ["a"]
 
 
 def test_route_first_labels_for_partitioned_write():

@@ -13,7 +13,8 @@ import pyarrow as pa
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from axosyslog_ray.stages.syslog import MONTH_NAMES, parse_syslog_line, parse_syslog_table
+from axosyslog_ray.stages.syslog import (MONTH_NAMES, RE_SD_BLOCK, _sd_maps, parse_sdata,
+                                         parse_syslog_line, parse_syslog_table)
 from axosyslog_ray.synth import gen_pages_table
 
 RECV = pd.Timestamp("2026-08-17 12:00:00")
@@ -454,15 +455,32 @@ _bsd = st.builds(
 )
 _tok = st.text("ab1-.:[]=\"\\\t\x0b", min_size=1, max_size=8)
 _field = st.just("-") | _tok
-_sd_value = st.text('ab "\\]=', max_size=6).map(
-    lambda v: '"' + v.replace("\\", "\\\\").replace('"', '\\"').replace("]", "\\]") + '"')
-_sd_elem = st.builds(
-    lambda sdid, params: f"[{sdid}{params}]",
-    st.sampled_from(["ex@0", "origin", "a"]),
-    st.lists(st.builds(lambda k, v: f" {k}={v}", st.sampled_from(["k", "q", "ip"]),
-                       _sd_value | st.text("ab1", max_size=4)), max_size=3).map("".join),
-)
-_sd = st.just("-") | st.lists(_sd_elem, min_size=1, max_size=3).map("".join) \
+# SD-NAME and PARAM-NAME: RE_SD_BLOCK's whole [^ \]"=] class, '[' and '\'
+# included, as well as non-ASCII and control characters
+_sd_name = st.text(st.sampled_from("ab[\\.@\té€")
+                   | st.characters(blacklist_categories=("Cs",), blacklist_characters=' ]"='),
+                   min_size=1, max_size=5)
+# a quoted PARAM-VALUE: plain characters (none is '"' or '\') and '\' +
+# any character; only \\, \" and \] unescape, any other pair stays verbatim
+_sd_value = st.lists(st.sampled_from(
+    ["a", " ", "][", "[", "]", "=", "é", "\n", "\\\\", '\\"', "\\]", "\\n", "\\é", "\\\n", "\\ "]),
+    max_size=6).map(lambda ps: '"' + "".join(ps) + '"')
+
+
+def _sd_elem(values):
+    return st.builds(
+        lambda sdid, params: f"[{sdid}{params}]",
+        st.sampled_from(["ex@0", "origin", "a"]) | _sd_name,
+        st.lists(st.builds(lambda k, v: f" {k}={v}", st.sampled_from(["k", "q", "ip"]) | _sd_name,
+                           values), max_size=6).map("".join),
+    )
+
+
+# an SD block RE_SD_BLOCK accepts
+_sd_block = st.lists(_sd_elem(_sd_value), min_size=1, max_size=3).map("".join)
+# unquoted values make a block RE_SD_BLOCK rejects
+_sd = st.just("-") | st.lists(_sd_elem(_sd_value | st.text("ab1", max_size=4)),
+                              min_size=1, max_size=3).map("".join) \
     | st.sampled_from(["[bad", "[a k=\"v\"", "[]"])
 _tail = st.sampled_from(["prog[pid]: message", "prog: m", "prog[12 34]: m", "prog[123",
                          "prog[12:", "127.0.0.1[pid]: x", "[noname]: m", "65536",
@@ -523,3 +541,39 @@ def test_pruned_columns_match_the_full_parse(rows, check_program, subset):
 def test_unknown_column_raises():
     with pytest.raises(ValueError, match="sd_data"):
         parse_syslog_table(gen_pages_table(10), columns=("pri", "sd_data"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_sd_block, max_size=8), st.data())
+def test_sd_maps_match_parse_sdata(blocks, data):
+    """The byte-offset SD maps of valid blocks equal the row form, entry
+    for entry, also over a slice of the array (offset != 0)."""
+    assert all(RE_SD_BLOCK.fullmatch(b) for b in blocks)
+    lo = data.draw(st.integers(0, len(blocks)))
+    hi = data.draw(st.integers(lo, len(blocks)))
+    got = _sd_maps(pa.array(blocks, pa.string()).slice(lo, hi - lo))
+    assert got.type == pa.map_(pa.string(), pa.string())
+    assert got.to_pylist() == [parse_sdata(b) for b in blocks[lo:hi]]
+
+
+def _sdata(lines):
+    return parse_syslog_table(pa.table({"text": pa.array(lines, pa.string())})).column("sdata")
+
+
+def test_sdata_edge_cases():
+    head = "<13>1 2026-01-01T00:00:00Z h app - - "
+    assert len(_sdata([])) == 0 and _sdata([]).type == pa.map_(pa.string(), pa.string())
+    assert _sdata([head + "- m", head + "-", "plain"]).to_pylist() == [None, None, None]
+    # an element with no params is an empty map, not null
+    assert _sdata([head + "[a] m", head + "[a][b]"]).to_pylist() == [[], []]
+    # block order, duplicate keys kept
+    assert _sdata([head + '[a@1 b="new" b="last"][c x="1"][a@1 b="third"]']).to_pylist() == [
+        [("a@1.b", "new"), ("a@1.b", "last"), ("c.x", "1"), ("a@1.b", "third")]]
+    # a PARAM-NAME may start with '['
+    assert _sdata([head + '[a [k="v" q="w"]']).to_pylist() == [[("a.[k", "v"), ("a.q", "w")]]
+    assert parse_sdata('[a [k="v" q="w"]') == [("a.[k", "v"), ("a.q", "w")]
+    # a sliced batch
+    lines = [head + '[z k="0"]', "plain", head + '[a k="\\\\" q="\\"]"] m', head + "-", head + "[b]"]
+    t = pa.table({"text": pa.array(lines, pa.string())}).slice(1, 3)
+    assert parse_syslog_table(t).column("sdata").to_pylist() == [
+        None, [("a.k", "\\"), ("a.q", '"]')], None]
