@@ -15,6 +15,12 @@ disciplines SURVEY.md §7 commits to:
    into S sub-groups; only valid when the per-group computation is
    decomposable (counts/sums — NOT session windows, which must see the
    whole key; SURVEY.md §7.3).
+3. **Tree reduce for fixed-size array state**: `tree_reduce` folds each
+   block into a copy of a zero array and merges partials pairwise with a
+   ufunc (max for HLL registers, add for counts, OR for Bloom bits) —
+   one running state per aggregator, merged with the next, like the
+   reference's stats aggregators (lib/stats/aggregator/stats-maximum.c).
+   No shuffle; the state is the same size at any corpus size.
 """
 
 from __future__ import annotations
@@ -29,6 +35,41 @@ from .hashutil import hash_str_array
 # Ray's sort-based groupby cannot order None against strings; null string
 # keys are carried through the shuffle as this sentinel and restored after.
 NULL_SENTINEL = "\x00__NULL__\x00"
+
+
+def tree_reduce(fold, merge, zero: np.ndarray, name: str = "acc", finalize=None):
+    """An AggregateFnV2 over array state: `fold(table, acc)` folds one
+    non-empty block (as an Arrow table) into `acc`, a fresh copy of
+    `zero`, in place; `merge(a, b)` combines two partials of `zero`'s
+    dtype. Works under `Dataset.aggregate` and `groupby().aggregate`
+    (`name` is the output column, `finalize` maps the merged state)."""
+    from ray.data.aggregate import AggregateFnV2
+
+    class _TreeReduce(AggregateFnV2):
+        def __init__(self):
+            super().__init__(name=name, on=None, ignore_nulls=False, zero_factory=zero.copy)
+
+        def aggregate_block(self, block):
+            t = block if isinstance(block, pa.Table) else pa.Table.from_pandas(block)
+            acc = zero.copy()
+            if t.num_rows:
+                fold(t, acc)
+            return acc
+
+        def combine(self, a, b):
+            return merge(np.asarray(a, zero.dtype), np.asarray(b, zero.dtype))
+
+        def finalize(self, acc):
+            return acc if finalize is None else finalize(np.asarray(acc, zero.dtype))
+
+    return _TreeReduce()
+
+
+def reduce_array(ds, fold, merge, zero: np.ndarray) -> np.ndarray:
+    """`tree_reduce` over a whole Dataset, returned on the driver with
+    the dtype and shape of `zero` (an empty Dataset gives `zero`)."""
+    out = ds.aggregate(tree_reduce(fold, merge, zero))["acc"]
+    return np.asarray(out, zero.dtype).reshape(zero.shape)
 
 
 def partial_counts(keys: list[str], count_col: str = "partial_count"):

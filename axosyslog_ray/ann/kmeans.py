@@ -9,7 +9,7 @@ algorithm expressed Ray-Data-first:
   block assigns its rows to the nearest centroid (one integer matmul)
   and accumulates a k x (d+1) partial-sum matrix — a combiner, never
   the vectors;
-- **the reduce** is a custom `AggregateFnV2` tree combine over those
+- **the reduce** is an `aggregate.tree_reduce` add-combine over those
   matrices (`Dataset.aggregate`) — k*(d+1) ints per block, merged
   pairwise, NO all-to-all shuffle per iteration; driver-bounded by
   construction (k and d are model constants, not data sizes);
@@ -41,6 +41,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ..aggregate import reduce_array
 from .scan import _to_matrix
 
 QUANT = 1 << 20
@@ -66,36 +67,21 @@ def _assign_ids(Xq: np.ndarray, cents: np.ndarray) -> np.ndarray:
     return np.argmin(d2, axis=1)
 
 
-def _make_sum_agg(cents: np.ndarray, vec_col: str):
-    """AggregateFnV2: assign + accumulate per-cluster (cnt | dim sums)
-    as ONE k x (d+1) int64 matrix. Dataset.aggregate runs this as a
-    per-block accumulate + tree combine — NO all-to-all shuffle per
-    Lloyd iteration (the previous groupby(cluster, dim).sum paid a full
-    sort-shuffle's fixed cost to reduce k*(d+1) rows)."""
-    from ray.data.aggregate import AggregateFnV2
-
+def _cluster_sums(ds, cents: np.ndarray, vec_col: str) -> np.ndarray:
+    """Assign + accumulate per-cluster (cnt | dim sums) as ONE k x (d+1)
+    int64 matrix: a per-block fold + add tree reduce
+    (aggregate.reduce_array) — NO all-to-all shuffle per Lloyd iteration
+    (the previous groupby(cluster, dim).sum paid a full sort-shuffle's
+    fixed cost to reduce k*(d+1) rows)."""
     k, d = cents.shape
 
-    class _KmSums(AggregateFnV2):
-        def __init__(self):
-            super().__init__(name="km", on=None, ignore_nulls=False,
-                             zero_factory=lambda: np.zeros((k, d + 1), dtype=np.int64))
+    def fold(t: pa.Table, acc: np.ndarray) -> None:
+        Xq = _quantized(t.column(vec_col))
+        lab = _assign_ids(Xq, cents)
+        np.add.at(acc[:, 1:], lab, Xq)
+        acc[:, 0] = np.bincount(lab, minlength=k)
 
-        def aggregate_block(self, block):
-            t = pa.Table.from_pandas(block) if not isinstance(block, pa.Table) else block
-            acc = np.zeros((k, d + 1), dtype=np.int64)
-            if t.num_rows == 0:
-                return acc
-            Xq = _quantized(t.column(vec_col))
-            lab = _assign_ids(Xq, cents)
-            np.add.at(acc[:, 1:], lab, Xq)
-            acc[:, 0] = np.bincount(lab, minlength=k).astype(np.int64)
-            return acc
-
-        def combine(self, a, b):
-            return np.asarray(a, dtype=np.int64) + np.asarray(b, dtype=np.int64)
-
-    return _KmSums()
+    return reduce_array(ds, fold, np.add, np.zeros((k, d + 1), dtype=np.int64))
 
 
 def _recompute(cents: np.ndarray, sums: np.ndarray, cnt: np.ndarray) -> np.ndarray:
@@ -123,11 +109,9 @@ def _lloyd_centroids(ds, k: int, iters: int, vec_col: str, id_col: str) -> np.nd
     if len(seed) < k:
         raise ValueError(f"init needs {k} rows with {id_col} < {k}, got {len(seed)}")
     cents = np.floor(_to_matrix(seed[vec_col]) * QUANT + 0.5).astype(np.int64)
-    d = cents.shape[1]
 
     for _ in range(iters):
-        acc = ds.aggregate(_make_sum_agg(cents, vec_col))["km"]
-        acc = np.asarray(acc, dtype=np.int64)
+        acc = _cluster_sums(ds, cents, vec_col)
         cents = _recompute(cents, acc[:, 1:], acc[:, 0])
     return cents
 

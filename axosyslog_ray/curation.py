@@ -891,26 +891,6 @@ def chunk_documents(ds, max_tokens: int = 512, overlap: int = 0,
     return ds.map_batches(explode, batch_format="pyarrow")
 
 
-def quota_head(ds, key_col: str, order_col: str, k: int, num_buckets: int | None = None,
-               tiebreak_cols: list[str] | None = None):
-    """Keep the first k rows per key (ascending order_col) — per-domain
-    document caps. Coarse-bucket shuffle + one vectorized pandas
-    sort+groupby.head per bucket (bounded group sizes at any scale).
-
-    Determinism: reproducible iff (order_col, *tiebreak_cols) is unique
-    per key — pass tiebreak_cols when order_col alone has ties, otherwise
-    which tied row survives depends on block arrival order (the same
-    caveat as SQL row_number() over a non-unique ORDER BY)."""
-    from .shuffle import bucketed_map_groups
-
-    order = [key_col, order_col, *(tiebreak_cols or [])]
-
-    def cap(g: pd.DataFrame) -> pd.DataFrame:
-        return g.sort_values(order, kind="mergesort").groupby(key_col, sort=False).head(k)
-
-    return bucketed_map_groups(ds, key_col, cap, num_buckets=num_buckets)
-
-
 def token_counts(ds, text_col: str = "text", id_col: str = "doc_id",
                  bpe_merges: list | None = None):
     """(id_col, n_tokens) per document. Default: lower + [a-z0-9]+ run

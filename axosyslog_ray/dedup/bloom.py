@@ -11,7 +11,7 @@ false-positive rate; false negatives are impossible.
 
 Ray-native shape:
 
-- **build** is a `Dataset.aggregate` with a custom AggregateFnV2: each
+- **build** is an `aggregate.tree_reduce` over the Dataset: each
   block sets its keys' bits in a local bitmap, partials merge by
   bitwise OR up a tree — NO shuffle, and the reference corpus streams
   (never collected). The result bitmap broadcasts once via `ray.put`.
@@ -30,6 +30,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..aggregate import reduce_array
 from ..curation import _gram_hashes
 from ..hashutil import splitmix64
 
@@ -78,29 +79,13 @@ def build_bloom_u64(ds, key_col: str, num_bits: int, num_hashes: int) -> np.ndar
     """Stream a Dataset's uint64 key column into a Bloom bitmap —
     per-block set + tree OR-combine (Dataset.aggregate, no shuffle).
     Returns the uint8 bitmap (num_bits/8 bytes) on the driver."""
-    from ray.data.aggregate import AggregateFnV2
-
     assert num_bits & (num_bits - 1) == 0, "num_bits must be a power of two"
-    nbytes = num_bits // 8
 
-    class _BloomBuild(AggregateFnV2):
-        def __init__(self):
-            super().__init__(name="bloom", on=None, ignore_nulls=False,
-                             zero_factory=lambda: np.zeros(nbytes, dtype=np.uint8))
+    def fold(t: pa.Table, acc: np.ndarray) -> None:
+        h = t.column(key_col).to_numpy(zero_copy_only=False).astype(np.uint64)
+        _set_bits(acc, h, num_hashes)
 
-        def aggregate_block(self, block):
-            t = block if isinstance(block, pa.Table) else pa.Table.from_pandas(block)
-            acc = np.zeros(nbytes, dtype=np.uint8)
-            if t.num_rows:
-                h = t.column(key_col).to_numpy(zero_copy_only=False).astype(np.uint64)
-                _set_bits(acc, h, num_hashes)
-            return acc
-
-        def combine(self, a, b):
-            return np.bitwise_or(np.asarray(a, dtype=np.uint8),
-                                 np.asarray(b, dtype=np.uint8))
-
-    return np.asarray(ds.aggregate(_BloomBuild())["bloom"], dtype=np.uint8)
+    return reduce_array(ds, fold, np.bitwise_or, np.zeros(num_bits // 8, dtype=np.uint8))
 
 
 class BloomGramScorer:

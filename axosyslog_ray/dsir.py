@@ -15,10 +15,9 @@ samples/thresholds on the weight (curation.hash_sample / topk compose).
 
 Ray-native shape — both distributions are ONE streaming pass each:
 
-- **bucket counts** are a `Dataset.aggregate` with a vector-sum
-  AggregateFnV2 (per-block np.bincount, partials add up a tree — no
-  shuffle, bounded NB-long state, same construction as
-  dedup.bloom.build_bloom_u64);
+- **bucket counts** are an `aggregate.tree_reduce` vector sum
+  (per-block np.bincount, partials add up a tree — no shuffle, bounded
+  NB-long state, same construction as dedup.bloom.build_bloom_u64);
 - the per-bucket **log-ratio table** (NB doubles -> int64 micro-units)
   broadcasts once via ray.put; scoring is a plain-task map_batches
   (zero-copy plasma view per worker, elastic concurrency).
@@ -41,6 +40,7 @@ import hashlib
 import numpy as np
 import pyarrow as pa
 
+from .aggregate import reduce_array
 from .curation import _gram_hashes
 from .hashutil import half_away
 from .textstats.vocab import _flat_tokens
@@ -91,25 +91,12 @@ def bucket_counts(ds, num_buckets: int, text_col: str = "text",
     """Corpus-wide per-bucket gram-occurrence counts: per-block
     np.bincount, partials summed up a tree (Dataset.aggregate) — the
     corpus streams, state is one NB-long int64 vector."""
-    from ray.data.aggregate import AggregateFnV2
+    def fold(t: pa.Table, acc: np.ndarray) -> None:
+        texts = t.column(text_col).to_pandas().fillna("").to_numpy(dtype=object)
+        flat, _ = _bucket_stream(texts, num_buckets, method, grams)
+        acc += np.bincount(flat, minlength=num_buckets)
 
-    class _VecSum(AggregateFnV2):
-        def __init__(self):
-            super().__init__(name="counts", on=None, ignore_nulls=False,
-                             zero_factory=lambda: np.zeros(num_buckets, dtype=np.int64))
-
-        def aggregate_block(self, block):
-            t = block if isinstance(block, pa.Table) else pa.Table.from_pandas(block)
-            if not t.num_rows:
-                return np.zeros(num_buckets, dtype=np.int64)
-            texts = t.column(text_col).to_pandas().fillna("").to_numpy(dtype=object)
-            flat, _ = _bucket_stream(texts, num_buckets, method, grams)
-            return np.bincount(flat, minlength=num_buckets).astype(np.int64)
-
-        def combine(self, a, b):
-            return np.asarray(a, dtype=np.int64) + np.asarray(b, dtype=np.int64)
-
-    return np.asarray(ds.aggregate(_VecSum())["counts"], dtype=np.int64)
+    return reduce_array(ds, fold, np.add, np.zeros(num_buckets, dtype=np.int64))
 
 
 def log_ratio_micro(ct: np.ndarray, cr: np.ndarray, alpha: float = 0.5) -> np.ndarray:

@@ -827,12 +827,12 @@ def docs_web_curation(sf_dir: str):
     CC-style URLs with planted collisions (doc_id % 150 path key),
     normalize (webtext.py), URL-level exact dedup (min doc_id per
     url_norm — dedup/exact.py's coarse-bucket shape), per-domain quota
-    cap (curation.quota_head). The oracle computes dedup+quota with
+    cap (window.topk_per_group). The oracle computes dedup+quota with
     independent window functions; the URL-normalization step itself is
     independently oracled by docs_url_normalize."""
-    from ..curation import quota_head
     from ..dedup.exact import dedup_rows
     from ..webtext import add_url_columns
+    from ..window import topk_per_group
 
     ds = _read(sf_dir, "documents", ["doc_id", "source"])
 
@@ -848,8 +848,8 @@ def docs_web_curation(sf_dir: str):
         add_url_columns, batch_format="pyarrow"
     ).select_columns(["doc_id", "url_norm", "url_domain"])
     deduped = dedup_rows(with_urls, col="url_norm", id_col="doc_id")
-    capped = quota_head(deduped.select_columns(["doc_id", "url_norm", "url_domain"]),
-                        "url_domain", "doc_id", k=5)
+    capped = topk_per_group(deduped.select_columns(["doc_id", "url_norm", "url_domain"]),
+                            "url_domain", "doc_id", k=5, descending=False)
     return _sorted(capped.select_columns(["doc_id", "url_norm", "url_domain"]).to_pandas(), "doc_id")
 
 
@@ -1990,11 +1990,11 @@ SELECT doc_id, source FROM (
 """)
 def docs_source_quota(sf_dir: str):
     """Per-source document cap: first 30 docs per source by doc_id
-    (web-corpus per-domain quota; coarse-bucket shuffle, curation.py)."""
-    from ..curation import quota_head
+    (web-corpus per-domain quota; window.topk_per_group)."""
+    from ..window import topk_per_group
 
     ds = _read(sf_dir, "documents", ["doc_id", "source"])
-    out = quota_head(ds, key_col="source", order_col="doc_id", k=30).to_pandas()
+    out = topk_per_group(ds, "source", "doc_id", k=30, descending=False).to_pandas()
     return _sorted(out[["doc_id", "source"]], "doc_id")
 
 

@@ -59,7 +59,10 @@ def bucketed_map_groups(ds, keys: list[str] | str, fn, num_buckets: int | None =
         num_buckets = default_num_buckets()
 
     def add_bucket(b: pa.Table) -> pa.Table:
-        return b.append_column(BUCKET_COL, pa.array(key_bucket_array(b, keys, num_buckets)))
+        b = b.append_column(BUCKET_COL, pa.array(key_bucket_array(b, keys, num_buckets)))
+        # no schema metadata (pandas' is a dict): a schema holding one is
+        # unhashable, and Ray's reduce then skips its schema de-duplication
+        return b.replace_schema_metadata()
 
     def strip_and_apply(g):
         if isinstance(g, pd.DataFrame):

@@ -7,9 +7,10 @@ set itself is too big to exchange; the standard answer is a HyperLogLog
 sketch (Flajolet et al. 2007, public algorithm): m = 2^p one-byte
 registers, value hashed once, register = max(leading-zero rank), union
 of two sketches = element-wise max — a perfect fit for a Ray
-`Dataset.aggregate` tree reduce (same construction as
+`Dataset.aggregate` tree reduce (aggregate.tree_reduce, as
 dedup.bloom.build_bloom_u64: per-block registers, maximum-combine up
-the tree, NO shuffle, corpus streams).
+the tree, NO shuffle, corpus streams). The Count-Min tables below are
+the same reduce with an add merge.
 
 Estimator: the classic alpha_m * m^2 / sum(2^-M) with linear counting
 below 2.5m when empty registers remain. The textbook 32-bit
@@ -28,6 +29,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from .aggregate import reduce_array, tree_reduce
 from .hashutil import hash_str_array
 
 
@@ -74,35 +76,24 @@ def hll_estimate(registers: np.ndarray) -> float:
     return float(est)
 
 
+def _hll_fold(value_col: str):
+    # pandas notna, not Arrow drop_null: an int column holding nulls must
+    # stay float64 here (1.0, not 1), or its values hash differently
+    def fold(t: pa.Table, acc: np.ndarray) -> None:
+        col = t.column(value_col).to_pandas()
+        col = col[col.notna()]
+        if len(col):
+            hll_add(acc, hash_str_array(col.to_numpy(dtype=object)))
+
+    return fold
+
+
 def hll_build(ds, value_col: str, p: int = 14) -> np.ndarray:
     """Stream a Dataset column into one HLL register array: per-block
     fold + element-wise-max tree combine (Dataset.aggregate, no
     shuffle). Returns the uint8 registers (2^p bytes) on the driver."""
-    from ray.data.aggregate import AggregateFnV2
-
-    m = 1 << p
-
-    class _HllBuild(AggregateFnV2):
-        def __init__(self):
-            super().__init__(name="hll", on=None, ignore_nulls=False,
-                             zero_factory=lambda: np.zeros(m, dtype=np.uint8))
-
-        def aggregate_block(self, block):
-            t = block if isinstance(block, pa.Table) else pa.Table.from_pandas(block)
-            acc = np.zeros(m, dtype=np.uint8)
-            if t.num_rows:
-                col = t.column(value_col).to_pandas()
-                col = col[col.notna()]
-                if len(col):
-                    h = hash_str_array(col.to_numpy(dtype=object))
-                    hll_add(acc, h)
-            return acc
-
-        def combine(self, a, b):
-            return np.maximum(np.asarray(a, dtype=np.uint8),
-                              np.asarray(b, dtype=np.uint8))
-
-    return np.asarray(ds.aggregate(_HllBuild())["hll"], dtype=np.uint8)
+    return reduce_array(ds, _hll_fold(value_col), np.maximum,
+                        np.zeros(1 << p, dtype=np.uint8))
 
 
 def hll_distinct(ds, value_col: str, p: int = 14) -> float:
@@ -123,34 +114,11 @@ def hll_group_distinct(ds, keys: list[str] | str, value_col: str, p: int = 12,
     shuffle moves one register array per (key, block). Returns
     Dataset[(keys..., alias)] with the estimate rounded to the nearest
     int."""
-    from ray.data.aggregate import AggregateFnV2
-
     keys = [keys] if isinstance(keys, str) else list(keys)
-    m = 1 << p
-
-    class _HllGroup(AggregateFnV2):
-        def __init__(self):
-            super().__init__(name=alias, on=None, ignore_nulls=False,
-                             zero_factory=lambda: np.zeros(m, dtype=np.uint8))
-
-        def aggregate_block(self, block):
-            t = block if isinstance(block, pa.Table) else pa.Table.from_pandas(block)
-            acc = np.zeros(m, dtype=np.uint8)
-            if t.num_rows:
-                col = t.column(value_col).to_pandas()
-                col = col[col.notna()]
-                if len(col):
-                    hll_add(acc, hash_str_array(col.to_numpy(dtype=object)))
-            return acc
-
-        def combine(self, a, b):
-            return np.maximum(np.asarray(a, dtype=np.uint8),
-                              np.asarray(b, dtype=np.uint8))
-
-        def finalize(self, acc):
-            return int(round(hll_estimate(np.asarray(acc, dtype=np.uint8))))
-
-    return ds.groupby(keys).aggregate(_HllGroup())
+    agg = tree_reduce(_hll_fold(value_col), np.maximum,
+                      np.zeros(1 << p, dtype=np.uint8), name=alias,
+                      finalize=lambda acc: int(round(hll_estimate(acc))))
+    return ds.groupby(keys).aggregate(agg)
 
 
 # ---------------------------------------------------------------------------
@@ -211,30 +179,16 @@ def cms_build_words(ds, text_col: str = "text", width: int = 1 << 16,
     The mergeable companion to textstats.vocab_topk for vocabularies
     too large to exchange: depth*width*8 bytes of state regardless of
     corpus size."""
-    from ray.data.aggregate import AggregateFnV2
-
     from .textstats.vocab import _flat_tokens
 
-    class _CmsBuild(AggregateFnV2):
-        def __init__(self):
-            super().__init__(name="cms", on=None, ignore_nulls=False,
-                             zero_factory=lambda: np.zeros((depth, width), dtype=np.int64))
+    def fold(t: pa.Table, acc: np.ndarray) -> None:
+        texts = t.column(text_col).to_pandas().fillna("").to_numpy(dtype=object)
+        toks, _ = _flat_tokens(texts)
+        if len(toks):
+            words, counts = np.unique(toks, return_counts=True)
+            cms_add(acc, hash_str_array(words), counts)
 
-        def aggregate_block(self, block):
-            t = block if isinstance(block, pa.Table) else pa.Table.from_pandas(block)
-            acc = np.zeros((depth, width), dtype=np.int64)
-            if t.num_rows:
-                texts = t.column(text_col).to_pandas().fillna("").to_numpy(dtype=object)
-                toks, _ = _flat_tokens(texts)
-                if len(toks):
-                    words, counts = np.unique(toks, return_counts=True)
-                    cms_add(acc, hash_str_array(words), counts)
-            return acc
-
-        def combine(self, a, b):
-            return np.asarray(a, dtype=np.int64) + np.asarray(b, dtype=np.int64)
-
-    return np.asarray(ds.aggregate(_CmsBuild())["cms"], dtype=np.int64).reshape(depth, width)
+    return reduce_array(ds, fold, np.add, np.zeros((depth, width), dtype=np.int64))
 
 
 def cms_word_counts(table: np.ndarray, words) -> np.ndarray:
@@ -249,32 +203,15 @@ def cms_build_column(ds, col: str, width: int = 1 << 16,
     generic companion to cms_build_words): per-block np.unique
     pre-aggregation, element-wise-add tree merge, depth*width*8 bytes
     of state regardless of key cardinality."""
-    from ray.data.aggregate import AggregateFnV2
-
     from .curation import fast_sample_u64
 
-    class _CmsBuild(AggregateFnV2):
-        def __init__(self):
-            super().__init__(name="cms", on=None, ignore_nulls=False,
-                             zero_factory=lambda: np.zeros((depth, width),
-                                                           dtype=np.int64))
+    def fold(t: pa.Table, acc: np.ndarray) -> None:
+        keys = t.column(col).to_pandas().dropna().to_numpy()
+        if len(keys):
+            uniq, counts = np.unique(keys, return_counts=True)
+            cms_add(acc, fast_sample_u64(uniq), counts)
 
-        def aggregate_block(self, block):
-            t = block if isinstance(block, pa.Table) \
-                else pa.Table.from_pandas(block)
-            acc = np.zeros((depth, width), dtype=np.int64)
-            if t.num_rows:
-                keys = t.column(col).to_pandas().dropna().to_numpy()
-                if len(keys):
-                    uniq, counts = np.unique(keys, return_counts=True)
-                    cms_add(acc, fast_sample_u64(uniq), counts)
-            return acc
-
-        def combine(self, a, b):
-            return np.asarray(a, dtype=np.int64) + np.asarray(b, dtype=np.int64)
-
-    return np.asarray(ds.aggregate(_CmsBuild())["cms"],
-                      dtype=np.int64).reshape(depth, width)
+    return reduce_array(ds, fold, np.add, np.zeros((depth, width), dtype=np.int64))
 
 
 def cms_key_counts(table: np.ndarray, keys) -> np.ndarray:

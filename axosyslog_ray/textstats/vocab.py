@@ -62,28 +62,32 @@ def _word_count_partial(batch: pa.Table, text_col: str) -> pa.Table:
                      "cnt": pa.array(counts.astype(np.int64))})
 
 
+def _counted_topk(partials, key: str, k: int):
+    """Top-k keys of (key, cnt) partials by summed cnt (ties: key
+    ascending): ONE coarse-bucket shuffle on hash(key) that sums per key
+    AND takes the bucket-local top-k (each key lives wholly in one
+    bucket, so the global top-k is a subset of the union of bucket
+    top-ks) -> final sort + limit over num_buckets*k rows only."""
+    from ..shuffle import bucketed_map_groups
+
+    def bucket_topk(g: pd.DataFrame) -> pd.DataFrame:
+        tot = g.groupby(key, as_index=False)["cnt"].sum()
+        return tot.sort_values(["cnt", key], ascending=[False, True],
+                               kind="mergesort").head(k)
+
+    cand = bucketed_map_groups(partials, key, bucket_topk)
+    return cand.sort(["cnt", key], descending=[True, False]).limit(k)
+
+
 def vocab_topk(ds, k: int = 50, text_col: str = "text"):
     """Top-k corpus words by total occurrences (ties: word ascending).
 
-    Returns a Dataset of (word, cnt) — combiner -> ONE coarse-bucket
-    shuffle on hash(word) that sums per word AND takes the bucket-local
-    top-k (each word lives wholly in one bucket, so the global top-k is
-    a subset of the union of bucket top-ks) -> final sort + limit over
-    num_buckets*k rows only. The only full exchange is the vocab-sized
-    bucket shuffle; the sort never sees the vocabulary.
+    Returns a Dataset of (word, cnt) — combiner -> `_counted_topk`. The
+    only full exchange is the vocab-sized bucket shuffle; the sort never
+    sees the vocabulary.
     """
-    from ..shuffle import bucketed_map_groups
-
-    partials = ds.map_batches(
-        lambda b: _word_count_partial(b, text_col), batch_format="pyarrow")
-
-    def bucket_topk(g: pd.DataFrame) -> pd.DataFrame:
-        tot = g.groupby("word", as_index=False)["cnt"].sum()
-        return tot.sort_values(["cnt", "word"], ascending=[False, True],
-                               kind="mergesort").head(k)
-
-    cand = bucketed_map_groups(partials, "word", bucket_topk)
-    return cand.sort(["cnt", "word"], descending=[True, False]).limit(k)
+    partials = ds.map_batches(lambda b: _word_count_partial(b, text_col), batch_format="pyarrow")
+    return _counted_topk(partials, "word", k)
 
 
 def _bigram_count_partial(batch: pa.Table, text_col: str) -> pa.Table:
@@ -113,21 +117,10 @@ def bigram_topk(ds, k: int = 50, text_col: str = "text"):
     """Top-k corpus BIGRAMS by total occurrences (ties: gram ascending)
     — the collocation/phrase-mining companion to vocab_topk (filter-list
     mining, boilerplate-phrase discovery). Identical scale shape: local
-    (gram, cnt) combiner -> ONE coarse-bucket shuffle on hash(gram) with
-    bucket-local sum + top-k -> final sort+limit over num_buckets*k rows.
+    (gram, cnt) combiner -> `_counted_topk` on hash(gram).
     """
-    from ..shuffle import bucketed_map_groups
-
-    partials = ds.map_batches(
-        lambda b: _bigram_count_partial(b, text_col), batch_format="pyarrow")
-
-    def bucket_topk(g: pd.DataFrame) -> pd.DataFrame:
-        tot = g.groupby("gram", as_index=False)["cnt"].sum()
-        return tot.sort_values(["cnt", "gram"], ascending=[False, True],
-                               kind="mergesort").head(k)
-
-    cand = bucketed_map_groups(partials, "gram", bucket_topk)
-    return cand.sort(["cnt", "gram"], descending=[True, False]).limit(k)
+    partials = ds.map_batches(lambda b: _bigram_count_partial(b, text_col), batch_format="pyarrow")
+    return _counted_topk(partials, "gram", k)
 
 
 def _doc_term_counts(batch: pa.Table, text_col: str, id_col: str) -> pa.Table:

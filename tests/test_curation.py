@@ -13,8 +13,8 @@ from axosyslog_ray.curation import (
     decontaminate,
     hash_sample,
     md5_bucket_hex4,
-    quota_head,
 )
+from axosyslog_ray.window import topk_per_group
 
 
 def _docs_ds(rows):
@@ -144,14 +144,26 @@ class TestHashSample:
 
 
 class TestQuotaHead:
+    """The per-source quota is window.topk_per_group, ascending."""
+
     def test_cap_keeps_smallest_order_keys(self, ray_session):
         rows = [(i, f"src{i % 3}") for i in range(90)]
         ds = rd.from_pandas(pd.DataFrame(rows, columns=["doc_id", "source"]))
-        out = quota_head(ds, key_col="source", order_col="doc_id", k=5).to_pandas()
+        out = topk_per_group(ds, "source", "doc_id", k=5, descending=False).to_pandas()
         assert len(out) == 15
         for s, g in out.groupby("source"):
             expected = sorted(i for i, src in rows if src == s)[:5]
             assert sorted(g["doc_id"]) == expected
+
+    def test_null_source_is_its_own_partition(self, ray_session):
+        # row_number() OVER (PARTITION BY source ...) keeps a NULL
+        # partition; a pandas groupby().head with dropna=True loses it
+        src = ["a", "a", "a", None, None, "b"]
+        ds = rd.from_pandas(pd.DataFrame({"doc_id": range(6), "source": src}),
+                            override_num_blocks=2)
+        out = topk_per_group(ds, "source", "doc_id", k=2, descending=False).to_pandas()
+        assert sorted(out["doc_id"]) == [0, 1, 3, 4, 5]
+        assert out.loc[out["source"].isna(), "rk"].sort_values().tolist() == [1, 2]
 
 
 class TestDedupLines:

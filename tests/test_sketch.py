@@ -7,7 +7,7 @@ import pytest
 
 from axosyslog_ray.hashutil import hash_str_array
 from axosyslog_ray.sketch import hll_add, hll_build, hll_distinct, hll_estimate
-from axosyslog_ray.aggregate import distinct_count
+from axosyslog_ray.aggregate import distinct_count, reduce_array, tree_reduce
 
 
 def _ds(df: pd.DataFrame, blocks: int = 4):
@@ -160,6 +160,61 @@ def test_hll_group_distinct(ray_session):
     # partitioning invariance
     g2 = hll_group_distinct(_ds(df, blocks=1), "k", "v", p=12).to_pandas()
     pd.testing.assert_frame_equal(got, g2.sort_values("k").reset_index(drop=True))
+
+
+def _mod_counts():
+    # per (v % 3) the row count and the sum of v: a (3, 2) int64 state;
+    # a closure, so Ray workers get it by value, not by module name
+    def fold(t: pa.Table, acc: np.ndarray) -> None:
+        assert isinstance(t, pa.Table) and t.num_rows
+        v = t.column("v").to_numpy()
+        np.add.at(acc, (v % 3, 0), 1)
+        np.add.at(acc, (v % 3, 1), v)
+
+    return fold
+
+
+def test_reduce_array_over_pandas_blocks(ray_session):
+    import ray.data as rd
+
+    v = np.arange(100, dtype=np.int64)
+    ds = rd.from_pandas([pd.DataFrame({"v": v[:40]}), pd.DataFrame({"v": v[40:]})])
+    got = reduce_array(ds, _mod_counts(), np.add, np.zeros((3, 2), dtype=np.int64))
+    assert got.dtype == np.int64 and got.shape == (3, 2)
+    want = [[np.sum(v % 3 == r), v[v % 3 == r].sum()] for r in range(3)]
+    assert got.tolist() == want
+
+
+def test_reduce_array_empty_dataset_is_zero(ray_session):
+    import ray.data as rd
+
+    zero = np.zeros((3, 2), dtype=np.int64)
+    empty = rd.from_pandas(pd.DataFrame({"v": np.arange(50)})).filter(expr="v < 0")
+    for ds in (empty, rd.from_pandas(pd.DataFrame({"v": np.zeros(0, np.int64)}))):
+        got = reduce_array(ds, _mod_counts(), np.add, zero)
+        assert got.dtype == np.int64 and got.shape == (3, 2) and not got.any()
+
+
+def test_reduce_array_uint8_maximum_stays_uint8(ray_session):
+    def fold(t, acc):
+        v = t.column("v").to_numpy()
+        np.maximum.at(acc, v % 8, (v % 251).astype(np.uint8))
+
+    v = np.arange(2000, dtype=np.int64)
+    got = reduce_array(_ds(pd.DataFrame({"v": v}), blocks=7), fold, np.maximum,
+                       np.zeros(8, dtype=np.uint8))
+    assert got.dtype == np.uint8
+    assert got.tolist() == [int((v[v % 8 == r] % 251).max()) for r in range(8)]
+
+
+def test_tree_reduce_groupby_name_and_finalize(ray_session):
+    agg = tree_reduce(_mod_counts(), np.add, np.zeros((3, 2), dtype=np.int64),
+                      name="total", finalize=lambda acc: int(acc[:, 1].sum()))
+    df = pd.DataFrame({"k": ["a", "b", "c"] * 30, "v": np.arange(90)})
+    got = _ds(df, blocks=5).groupby("k").aggregate(agg).to_pandas()
+    got = got.sort_values("k").reset_index(drop=True)
+    assert list(got.columns) == ["k", "total"]
+    assert got["total"].tolist() == df.groupby("k")["v"].sum().tolist()
 
 
 class TestCmsColumn:
