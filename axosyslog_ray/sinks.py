@@ -77,6 +77,49 @@ def _partition_runs(col: pa.ChunkedArray) -> tuple[np.ndarray, list[tuple[object
                    for s, e in zip(bounds[:-1], bounds[1:])]
 
 
+_TEXT_TYPES = (pa.types.is_string, pa.types.is_large_string,
+               pa.types.is_binary, pa.types.is_large_binary)
+
+
+def _leaves(path: str, typ: pa.DataType):
+    """Yield (Parquet leaf path, Arrow type) for each leaf of one column,
+    named as pyarrow's per-column write options match them: a list's
+    element is `<path>.list.element`, a map's key and value
+    `<path>.key_value.key` / `.value`, a struct field `<path>.<field>`."""
+    if pa.types.is_dictionary(typ):
+        typ = typ.value_type
+    if pa.types.is_map(typ):
+        yield from _leaves(f"{path}.key_value.{typ.key_field.name}", typ.key_type)
+        yield from _leaves(f"{path}.key_value.{typ.item_field.name}", typ.item_type)
+    elif pa.types.is_struct(typ):
+        for f in typ:
+            yield from _leaves(f"{path}.{f.name}", f.type)
+    elif pa.types.is_list(typ) or pa.types.is_large_list(typ) or pa.types.is_fixed_size_list(typ):
+        yield from _leaves(f"{path}.list.element", typ.value_type)
+    else:
+        yield path, typ
+
+
+def _page_options(schema: pa.Schema) -> dict:
+    """`pq.write_table` options for one routed file (the rule and its
+    reasons are in `RoutedParquetDatasink`'s docstring): zstd; top-level
+    timestamps DELTA_BINARY_PACKED without dictionary; dictionary on
+    every other leaf; min/max statistics on every leaf but strings and
+    binaries."""
+    stamps, dictionary, stats = [], [], []
+    for field in schema:
+        if pa.types.is_timestamp(field.type):
+            stamps.append(field.name)
+            stats.append(field.name)
+            continue
+        for path, typ in _leaves(field.name, field.type):
+            dictionary.append(path)
+            if not any(is_text(typ) for is_text in _TEXT_TYPES):
+                stats.append(path)
+    return {"compression": "zstd", "use_dictionary": dictionary, "write_statistics": stats,
+            "column_encoding": dict.fromkeys(stamps, "DELTA_BINARY_PACKED")}
+
+
 class RoutedParquetDatasink(Datasink):
     """file() destination: hive-partitioned parquet fan-out with the
     per-sink counters FUSED into the write tasks.
@@ -103,8 +146,27 @@ class RoutedParquetDatasink(Datasink):
     The partition split is `_partition_runs` (dictionary codes, no
     per-row Python either). Each file caps its Parquet dictionary page
     at max(rows, 4096) bytes, so a column with more than ~one distinct
-    byte per row (urls, messages, stamps) falls back to plain encoding at
-    once instead of after hashing up to parquet's 1 MiB default.
+    byte per row (urls, messages) falls back to plain encoding at once
+    instead of after hashing up to parquet's 1 MiB default.
+
+    The other page options follow from the bundle's Arrow schema
+    (`_page_options`), not from pyarrow's defaults (snappy, dictionary
+    and min/max on every leaf):
+    - zstd pages, not snappy: most of the drop from ~53.5 to ~33.9 bytes
+      per routed flagship row (zstd alone gives ~37.2);
+    - each top-level timestamp is DELTA_BINARY_PACKED with no dictionary:
+      a batch's stamps lie within minutes of each other, so their deltas
+      pack into far fewer than 64 bits, while a dictionary of mostly
+      distinct 8-byte stamps saves nothing;
+    - min/max statistics only on leaves that are not string or binary:
+      min/max over unsorted log text (urls, messages, pids, IPs) prunes
+      no row group and costs about as much to compute as zstd adds.
+    pyarrow matches `use_dictionary` and `write_statistics` by Parquet
+    LEAF path (`tags.list.element`, `sdata.key_value.key`, `geo.city`),
+    and a list of names turns the option off for every leaf it does not
+    name. A list of top-level names would therefore silently drop the
+    dictionary from every nested column, so `_leaves` walks list, map
+    and struct types down to the leaves.
 
     `min_rows_per_write` makes Ray bundle at least that many rows per
     write() call, so output files stay sized (~one file per partition
@@ -138,6 +200,7 @@ class RoutedParquetDatasink(Datasink):
         seq = self._write_seq = getattr(self, "_write_seq", -1) + 1
         order, runs = _partition_runs(t.column(self.partition_col))
         body = t.drop_columns([self.partition_col]).take(order)
+        pages = _page_options(body.schema)
         for value, s, e in runs:
             # the hive null-dir name (read_parquet restores it as null)
             name = "__HIVE_DEFAULT_PARTITION__" if value is None else value
@@ -147,6 +210,7 @@ class RoutedParquetDatasink(Datasink):
                 body.slice(s, e - s),
                 os.path.join(d, f"part_{ctx.task_idx:05d}_{seq:04d}.parquet"),
                 dictionary_pagesize_limit=max(e - s, 4096),
+                **pages,
             )
         agg = t.select(self.count_cols).group_by(self.count_cols).aggregate([([], "count_all")])
         return {c: agg.column(c).to_numpy(zero_copy_only=False)

@@ -103,7 +103,7 @@ def normalize_text(batch: pa.Table, text_col: str = "text",
     needs = pc.match_substring_regex(col, "[^\\x00-\\x7f]")
     if pc.any(pc.fill_null(needs, False)).as_py():
         s = col.to_pandas()
-        m = needs.to_pandas().fillna(False).to_numpy(dtype=bool)
+        m = pc.fill_null(needs, False).to_numpy(zero_copy_only=False)
         s[m] = s[m].map(lambda x: unicodedata.normalize(form, x))
         col = pa.array(s, type=pa.string())
     if lowercase:

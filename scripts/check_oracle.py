@@ -59,9 +59,22 @@ def canon(df: pd.DataFrame) -> tuple[int, list[str], str]:
 def main() -> int:
     sf = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     only = set(sys.argv[2:])
+    # stdout holds only result lines. log_to_driver=False keeps worker
+    # logs off the driver, but Ray still prints raylet messages (e.g. "16
+    # PYTHON worker processes have been started") to sys.stdout as it
+    # stands at the time (ray/_private/worker.py listen_error_messages).
+    # So the result lines go to the real stdout and, for the run,
+    # sys.stdout points at stderr.
+    out, sys.stdout = sys.stdout, sys.stderr
+    try:
+        return _run(sf, only, out)
+    finally:
+        sys.stdout = out
+
+
+def _run(sf: str, only: set[str], out) -> int:
     import ray
     if not ray.is_initialized():
-        # no worker or raylet log on stdout: it holds only result lines
         ray.init(address="local", num_cpus=8, include_dashboard=False,
                  ignore_reinit_error=True, log_to_driver=False)
     import __ray_entry__ as e
@@ -78,16 +91,16 @@ def main() -> int:
         try:
             mine = to_pandas(fn(sf))
         except Exception as ex:  # noqa: BLE001
-            print(f"{name}: RUN ERROR {ex}")
+            print(f"{name}: RUN ERROR {ex}", file=out)
             bad.append(name)
             continue
         if name not in osql:
-            print(f"{name}: rows={len(mine)} (no_oracle)")
+            print(f"{name}: rows={len(mine)} (no_oracle)", file=out)
             continue
         try:
             orc = con.execute(osql[name]).df()
         except Exception as ex:  # noqa: BLE001
-            print(f"{name}: ORACLE ERROR {ex}")
+            print(f"{name}: ORACLE ERROR {ex}", file=out)
             bad.append(name)
             continue
         rm, sm, hm = canon(mine), canon(orc), None
@@ -96,12 +109,12 @@ def main() -> int:
         dtypes = ",".join(f"{c}:{mine[c].dtype}" for c in rm[1])
         print(f"{name}: {status} rows {rm[0]}/{sm[0]} "
               f"schema {'=' if rm[1]==sm[1] else 'DIFF'} hash {'=' if rm[2]==sm[2] else 'DIFF'} "
-              f"ray {rm[2]} dtypes {dtypes}")
+              f"ray {rm[2]} dtypes {dtypes}", file=out)
         if not ok:
             if rm[1] != sm[1]:
-                print(f"   mine cols:   {rm[1]}\n   oracle cols: {sm[1]}")
+                print(f"   mine cols:   {rm[1]}\n   oracle cols: {sm[1]}", file=out)
             bad.append(name)
-    print(json.dumps({"bad": bad}))
+    print(json.dumps({"bad": bad}), file=out)
     return 1 if bad else 0
 
 

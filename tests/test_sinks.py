@@ -315,3 +315,103 @@ def test_templated_text_sink_flat_json_lines(ray_session, tmp_path):
     for f in sorted(glob.glob(root + "/*.log")):
         lines.extend(open(f).read().splitlines())
     assert sorted(_json.loads(x)["a"] for x in lines) == [1, 2]
+
+
+def _paged_table(n: int = 300) -> pa.Table:
+    """Every column kind the routed sink's page rule tells apart, with a
+    null partition value."""
+    base = 1_700_000_000_000_000
+    return pa.table({
+        "route": pa.array([None if i % 5 == 0 else ("web", "auth")[i % 2] for i in range(n)]),
+        "ts": pa.array([None if i % 7 == 0 else base + 1_000_000 * i for i in range(n)],
+                       pa.timestamp("us")),
+        "never": pa.array([None] * n, pa.timestamp("us")),
+        "pri": pa.array([i % 191 for i in range(n)], pa.uint16()),
+        "host": pa.array([None if i % 11 == 0 else f"host{i % 13}" for i in range(n)]),
+        "tags": pa.array([None if i % 9 == 0 else [f"t{j}" for j in range(i % 3)]
+                          for i in range(n)], pa.list_(pa.string())),
+        "sdata": pa.array([[(f"k{i % 4}", f"v{i % 6}")] if i % 3 else [] for i in range(n)],
+                          pa.map_(pa.string(), pa.string())),
+        "geo": pa.array([{"city": f"c{i % 5}", "asn": i % 17} for i in range(n)],
+                        pa.struct([("city", pa.string()), ("asn", pa.int32())])),
+    })
+
+
+def _routed_files(t: pa.Table, root) -> dict:
+    """Write `t` through one routed sink task -> {file: its partition's rows}."""
+    import pyarrow.compute as pc
+
+    from axosyslog_ray.sinks import RoutedParquetDatasink
+
+    RoutedParquetDatasink(str(root), count_cols=("route",)).write([t], _Ctx())
+    out = {}
+    for value in t.column("route").unique().to_pylist():
+        name = "__HIVE_DEFAULT_PARTITION__" if value is None else value
+        mask = pc.is_null(t["route"]) if value is None else pc.equal(t["route"], value)
+        out[root / f"route={name}" / "part_00003_0000.parquet"] = (
+            t.filter(mask).drop_columns(["route"]))
+    assert sorted(glob.glob(str(root / "*" / "*.parquet"))) == sorted(map(str, out))
+    return out
+
+
+def _chunks(path) -> dict:
+    import pyarrow.parquet as pq
+
+    md = pq.ParquetFile(path).metadata
+    assert md.num_row_groups == 1
+    return {md.row_group(0).column(i).path_in_schema: md.row_group(0).column(i)
+            for i in range(md.num_columns)}
+
+
+def test_routed_parquet_page_options_follow_column_types(tmp_path):
+    """zstd everywhere; top-level timestamps DELTA_BINARY_PACKED with no
+    dictionary page; dictionary on every other leaf, nested ones too
+    (pyarrow matches these options by leaf path); min/max statistics on
+    timestamp and integer leaves only, none on string leaves."""
+    import duckdb
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    files = _routed_files(_paged_table(), tmp_path)
+    assert len(files) == 3
+    for path, rows in files.items():
+        chunks = _chunks(path)
+        assert sorted(chunks) == ["geo.asn", "geo.city", "host", "never", "pri",
+                                  "sdata.key_value.key", "sdata.key_value.value",
+                                  "tags.list.element", "ts"]
+        assert {c.compression for c in chunks.values()} == {"ZSTD"}
+        for leaf in ("ts", "never"):
+            assert "DELTA_BINARY_PACKED" in chunks[leaf].encodings, leaf
+            assert "RLE_DICTIONARY" not in chunks[leaf].encodings, leaf
+            assert not chunks[leaf].has_dictionary_page, leaf
+        for leaf in ("pri", "host", "tags.list.element", "sdata.key_value.key",
+                     "sdata.key_value.value", "geo.city", "geo.asn"):
+            assert "RLE_DICTIONARY" in chunks[leaf].encodings, leaf
+            assert chunks[leaf].has_dictionary_page, leaf
+        for leaf in ("ts", "pri", "geo.asn"):
+            assert chunks[leaf].is_stats_set and chunks[leaf].statistics.has_min_max, leaf
+        assert chunks["never"].is_stats_set and not chunks["never"].statistics.has_min_max
+        assert chunks["ts"].statistics.min == pc.min(rows["ts"]).as_py()
+        for leaf in ("host", "tags.list.element", "sdata.key_value.key",
+                     "sdata.key_value.value", "geo.city"):
+            assert not chunks[leaf].is_stats_set, leaf
+
+        back = pq.read_table(path)
+        assert back.equals(rows) and back.schema.equals(rows.schema)
+        assert duckdb.sql(f"select count(*), min(ts) from '{path}'").fetchone() == (
+            rows.num_rows, pc.min(rows["ts"]).as_py())
+
+
+def test_routed_parquet_page_options_without_timestamps(tmp_path):
+    """No timestamp column: no column gets a delta encoding, and every
+    leaf keeps its dictionary under zstd."""
+    import pyarrow.parquet as pq
+
+    t = _paged_table().drop_columns(["ts", "never"])
+    for path, rows in _routed_files(t, tmp_path).items():
+        chunks = _chunks(path)
+        assert {c.compression for c in chunks.values()} == {"ZSTD"}
+        assert all("RLE_DICTIONARY" in c.encodings and c.has_dictionary_page
+                   for c in chunks.values())
+        assert [p for p, c in chunks.items() if c.is_stats_set] == ["pri", "geo.asn"]
+        assert pq.read_table(path).equals(rows)
