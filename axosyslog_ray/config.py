@@ -1399,51 +1399,6 @@ class _PdbStage:
         return out.append_column(".classifier.class", out.column("pdb_class"))
 
 
-class _SdataStage:
-    """sdata-parser() over `_TPL_SRC`: the sdata map of each row, in
-    `sdata` (or, for a prefix() other than .SDATA., in `__cfg_sd` with
-    the prefix joined onto every key); a row whose input does not parse
-    drops. An input that is nothing but SD blocks RE_SD_BLOCK validates
-    (not '-', no trailing message) takes the byte-offset maps of the
-    syslog parse (`_sd_maps`), with no Python row. Every other input
-    starting with '[' keeps the lenient row parse (`parse_sdata`, which
-    also takes unquoted values); the rest drop."""
-
-    def __init__(self, prefix: str):
-        self.prefix = prefix
-
-    def __call__(self, table: pa.Table) -> pa.Table:
-        from .stages.syslog import _SDATA, RE_SD_BLOCK, _sd_maps, parse_sdata
-
-        src = table.column(_TPL_SRC).combine_chunks()
-        block = pc.struct_field(pc.extract_regex(src, pattern="(?s)" + RE_SD_BLOCK.pattern), "sd")
-        valid = pc.fill_null(pc.and_(pc.equal(pc.binary_length(block), pc.binary_length(src)),
-                                     pc.not_equal(block, "-")), False)
-        whole = valid.to_numpy(zero_copy_only=False)
-        rest = np.flatnonzero(~whole)
-        parsed = [parse_sdata(v) if isinstance(v, str) and v.startswith("[") else None
-                  for v in src.take(rest).to_pylist()]
-        parsed_ok = np.array([p is not None for p in parsed], dtype=bool)
-        keep = whole.copy()
-        keep[rest[parsed_ok]] = True
-        # the valid rows' maps, then the row-parsed ones, put in row order
-        rows = np.concatenate([np.flatnonzero(whole), rest[parsed_ok]])
-        arr = pa.concat_arrays([
-            _sd_maps(block.filter(valid)),
-            pa.array([p for p in parsed if p is not None], type=_SDATA),
-        ]).take(np.argsort(rows, kind="stable"))
-        col = "sdata"
-        if self.prefix != ".SDATA.":
-            col = "__cfg_sd"
-            arr = pa.MapArray.from_arrays(
-                arr.offsets, pc.binary_join_element_wise(self.prefix, arr.keys, ""),
-                arr.items, type=_SDATA)
-        table = table.filter(pa.array(keep))
-        if col in table.column_names:
-            return table.set_column(table.column_names.index(col), col, arr)
-        return table.append_column(col, arr)
-
-
 def _compile_parser(d: Driver):
     if d.name == "csv-parser":
         from .stages.csv_parser import CsvParser
@@ -1532,10 +1487,29 @@ def _compile_parser(d: Driver):
         # unparsable input drops the message). prefix() other than
         # .SDATA. sets one column per pair under that prefix, expanded
         # like kv-parser's pairs (_ExpandMap).
+        from .stages.syslog import parse_sdata
+
         prefix = str(d.kw1("prefix", ".SDATA."))
+
+        def _sdata_stage(table: pa.Table) -> pa.Table:
+            parsed = [parse_sdata(v) if isinstance(v, str)
+                      and v.startswith("[") else None
+                      for v in table.column(_TPL_SRC).to_pylist()]
+            keep = pa.array([p is not None for p in parsed], pa.bool_())
+            table = table.filter(keep)
+            parsed = [p for p in parsed if p is not None]
+            col = "sdata"
+            if prefix != ".SDATA.":
+                col = "__cfg_sd"
+                parsed = [[(prefix + k, v) for k, v in p] for p in parsed]
+            arr = pa.array(parsed, type=pa.map_(pa.string(), pa.string()))
+            if col in table.column_names:
+                return table.set_column(table.column_names.index(col), col, arr)
+            return table.append_column(col, arr)
+
         if prefix == ".SDATA.":
-            return _sourced(d, _SdataStage(prefix))
-        return _sourced(d, _ExpandMap(_SdataStage(prefix), "__cfg_sd"))
+            return _sourced(d, _sdata_stage)
+        return _sourced(d, _ExpandMap(_sdata_stage, "__cfg_sd"))
     if d.name == "db-parser":
         from .pdbtool import load_ruleset
         from .stages.patterndb import PatternDB

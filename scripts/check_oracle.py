@@ -61,18 +61,11 @@ def main() -> int:
     only = set(sys.argv[2:])
     # stdout holds only result lines. log_to_driver=False keeps worker
     # logs off the driver, but Ray still prints raylet messages (e.g. "16
-    # PYTHON worker processes have been started") to sys.stdout as it
-    # stands at the time (ray/_private/worker.py listen_error_messages).
-    # So the result lines go to the real stdout and, for the run,
-    # sys.stdout points at stderr.
+    # PYTHON worker processes have been started") to whatever sys.stdout
+    # is (ray/_private/worker.py listen_error_messages) until its atexit
+    # shutdown, after main returns. So the result lines go to the real
+    # stdout, and sys.stdout points at stderr for the rest of the process.
     out, sys.stdout = sys.stdout, sys.stderr
-    try:
-        return _run(sf, only, out)
-    finally:
-        sys.stdout = out
-
-
-def _run(sf: str, only: set[str], out) -> int:
     import ray
     if not ray.is_initialized():
         ray.init(address="local", num_cpus=8, include_dashboard=False,

@@ -3335,71 +3335,24 @@ log { source(s); rewrite(r); parser(p); destination(d); };
         assert r.table("d").column_names.count(".x.a@1.b") == 1
 
 
+class TestSdataParserEmptyBatch:
+    """sdata-parser()'s stage on a batch of zero rows (a filter before it
+    can leave one): its keep mask must still be boolean."""
 
-class TestSdataStage:
-    """sdata-parser()'s column stage against the row-at-a-time parse it
-    replaced: `parse_sdata` on every input that starts with '[', a drop
-    for every other one."""
+    @pytest.mark.parametrize("opts,col", [("", "sdata"), ('prefix(".sd.")', None)])
+    def test_zero_rows(self, opts, col):
+        cfg = compile_config(f"""
+source s {{ example-msg-generator(num(1)); }};
+parser p {{ sdata-parser({opts}); }};
+destination d {{ file("/dev/null"); }};
+log {{ source(s); parser(p); destination(d); }};
+""")
+        t = pa.table({"message": pa.array([], pa.string())})
+        for stage in cfg.parsers["p"]:
+            t = stage(t)
+        assert t.num_rows == 0
+        assert t.column_names == ["message"] + ([col] if col else [])
 
-    @staticmethod
-    def _row_stage(table, prefix):
-        from axosyslog_ray.config import _TPL_SRC
-        from axosyslog_ray.stages.syslog import parse_sdata
-
-        parsed = [parse_sdata(v) if isinstance(v, str) and v.startswith("[") else None
-                  for v in table.column(_TPL_SRC).to_pylist()]
-        table = table.filter(pa.array([p is not None for p in parsed], pa.bool_()))
-        parsed = [p for p in parsed if p is not None]
-        col = "sdata"
-        if prefix != ".SDATA.":
-            col = "__cfg_sd"
-            parsed = [[(prefix + k, v) for k, v in p] for p in parsed]
-        arr = pa.array(parsed, type=pa.map_(pa.string(), pa.string()))
-        if col in table.column_names:
-            return table.set_column(table.column_names.index(col), col, arr)
-        return table.append_column(col, arr)
-
-    def test_matches_row_parse(self):
-        from hypothesis import given, settings
-        from hypothesis import strategies as st
-
-        from axosyslog_ray.config import _TPL_SRC, _SdataStage
-
-        name = st.text(st.sampled_from("ab[\\.@é"), min_size=1, max_size=4)
-        # quoted values RE_SD_BLOCK accepts, with the escapes that unescape
-        # (\\ \" \]) and one that stays verbatim (\n)
-        quoted = st.lists(st.sampled_from(["a", " ", "]", "[", "=", "é", "\n",
-                                           "\\\\", '\\"', "\\]", "\\n"]),
-                          max_size=4).map(lambda ps: '"' + "".join(ps) + '"')
-        # an unquoted value makes the block invalid; parse_sdata still reads it
-        value = quoted | st.text("ab1", max_size=3)
-        elem = st.builds(lambda sdid, ps: f"[{sdid}{''.join(ps)}]", name,
-                         st.lists(st.builds(lambda k, v: f" {k}={v}", name, value), max_size=3))
-        blocks = st.lists(elem, min_size=1, max_size=3).map("".join)
-        # a trailing message; parse_sdata reads on into one that holds params
-        tail = st.sampled_from(["", " msg", " ", "\n", "x", " k=1", ' [b c="d"]'])
-        text = st.one_of(
-            st.builds(str.__add__, blocks, tail),
-            st.sampled_from(["-", "", "- m", "plain", "[", "[]", "[a", '[a k="v"', "[a]x"]),
-            st.none())
-
-        @settings(max_examples=300, deadline=None)
-        @given(st.lists(text, min_size=1, max_size=10), st.sampled_from([".SDATA.", ".sd.", ""]),
-               st.booleans(), st.integers(0, 3), st.integers(0, 10))
-        def check(inputs, prefix, existing, cut, split):
-            t = pa.table({"n": list(range(len(inputs))),
-                          _TPL_SRC: pa.array(inputs, pa.string())})
-            if existing:
-                t = t.append_column("sdata", pa.array([[("old", "x")]] * len(inputs),
-                                                       pa.map_(pa.string(), pa.string())))
-            # a sliced batch of two chunks
-            t = pa.concat_tables([t.slice(0, split), t.slice(split)]).slice(min(cut, len(inputs)))
-            got = _SdataStage(prefix)(t)
-            want = self._row_stage(t, prefix)
-            assert got.schema == want.schema
-            assert got.equals(want), (got.to_pylist(), want.to_pylist())
-
-        check()
 
 class TestSclArrSolarisJunos:
     """scl/arr, scl/solaris, scl/junos ports."""
