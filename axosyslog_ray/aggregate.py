@@ -230,9 +230,7 @@ def metrics_probe(ds, key_templates: dict[str, str] | None = None,
     inc_tpl = Template(increment) if increment else None
 
     def label(batch: pa.Table) -> pa.Table:
-        cols = {name: pa.array(t.eval(batch).to_numpy(dtype=object),
-                               type=pa.string())
-                for name, t in compiled.items()}
+        cols = {name: t.eval_arrow(batch) for name, t in compiled.items()}
         if vp_patterns is not None:
             from .functions.valuepairs import value_pairs_foreach
 

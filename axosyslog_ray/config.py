@@ -855,6 +855,15 @@ class _Destination:
 _ROW_ID = "__cfg_row_id"
 
 
+def _merge_by_row_id(tables: list[pa.Table]) -> pa.Table:
+    """Union of branch outputs (schemas promoted permissively) back in
+    input row order: a stable sort on `_ROW_ID`, when the rows carry it."""
+    res = pa.concat_tables(tables, promote_options="permissive")
+    if res.num_rows and _ROW_ID in res.column_names:
+        res = res.take(pa.compute.sort_indices(res.column(_ROW_ID)))
+    return res
+
+
 class Config:
     def __init__(self):
         self.filterx: dict[str, object] = {}
@@ -1057,13 +1066,9 @@ class Config:
             elif kind == "conditional":
                 cond, body, else_body = arg
                 m = pa.array(cond.mask(table))
-                t_out = self._run_sequence(table.filter(m), body)
-                f_out = self._run_sequence(table.filter(pa.compute.invert(m)),
-                                           else_body)
-                table = pa.concat_tables([t_out, f_out],
-                                         promote_options="permissive")
-                if table.num_rows:
-                    table = table.take(pa.compute.sort_indices(table.column(_ROW_ID)))
+                table = _merge_by_row_id([
+                    self._run_sequence(table.filter(m), body),
+                    self._run_sequence(table.filter(pa.compute.invert(m)), else_body)])
             elif kind == "flags":
                 pass
             else:
@@ -1107,11 +1112,7 @@ class Config:
     def _run_junction(self, table: pa.Table, channels: list[Channel]) -> pa.Table:
         """Every channel reads the junction's input; the output is the
         union of what the channels matched, in row-id order."""
-        outs = self._multiplex(channels, [[table]] * len(channels))
-        res = pa.concat_tables(outs, promote_options="permissive")
-        if res.num_rows:
-            res = res.take(pa.compute.sort_indices(res.column(_ROW_ID)))
-        return res
+        return _merge_by_row_id(self._multiplex(channels, [[table]] * len(channels)))
 
 
 class ConfigStage:
@@ -1279,8 +1280,6 @@ class _RegexpAlternatives:
         self.stages = stages
 
     def __call__(self, table: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         outs = []
         remaining = table
         for st in self.stages:
@@ -1289,14 +1288,11 @@ class _RegexpAlternatives:
             out = st(remaining)
             m = out.column("re_matched")
             outs.append(out.filter(m))
-            remaining = remaining.filter(pc.invert(m))
+            remaining = remaining.filter(pa.compute.invert(m))
         if remaining.num_rows:
             outs.append(remaining.append_column(
                 "re_matched", pa.array([False] * remaining.num_rows)))
-        res = pa.concat_tables(outs, promote_options="permissive")
-        if _ROW_ID in res.column_names and res.num_rows:
-            res = res.take(pc.sort_indices(res.column(_ROW_ID)))
-        return res
+        return _merge_by_row_id(outs)
 
 
 class _DropUnparsed:

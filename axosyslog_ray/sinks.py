@@ -77,6 +77,14 @@ def _partition_runs(col: pa.ChunkedArray) -> tuple[np.ndarray, list[tuple[object
                    for s, e in zip(bounds[:-1], bounds[1:])]
 
 
+HIVE_NULL = "__HIVE_DEFAULT_PARTITION__"  # a null value's directory (pyarrow's hive null)
+
+
+def partition_dir(col: str, value) -> str:
+    """`<col>=<value>`; None or NaN (a null pandas group key) is HIVE_NULL."""
+    return f"{col}={HIVE_NULL if value is None or value != value else value}"
+
+
 _TEXT_TYPES = (pa.types.is_string, pa.types.is_large_string,
                pa.types.is_binary, pa.types.is_large_binary)
 
@@ -122,12 +130,14 @@ def _page_options(schema: pa.Schema) -> dict:
 
 class RoutedParquetDatasink(Datasink):
     """file() destination: hive-partitioned parquet fan-out with the
-    per-sink counters FUSED into the write tasks.
+    per-sink counters FUSED into the write tasks. It is the package's one
+    Parquet writer; the job CLIs write through it in `write_partition`.
 
     The reference keeps per-destination processed counters as it writes
     (lib/logwriter.c stats counters) rather than re-reading its sinks;
-    same shape here: each write task writes root/<col>=<val>/*.parquet
-    for its bundle and RETURNS its (count_cols) partial counts — bounded
+    same shape here: each write task writes `partition_dir`/*.parquet
+    (flat root/*.parquet if `partition_col` is None) for its bundle and
+    RETURNS its partial counts by count_cols (one total if none) — bounded
     cardinality, an Arrow C++ hash aggregate per bundle — and
     `on_write_complete` merges the partials on the driver. One streaming
     execution produces both the sinks and the aggregate; the alternative
@@ -172,7 +182,7 @@ class RoutedParquetDatasink(Datasink):
     write() call, so output files stay sized (~one file per partition
     value per bundle) — never one tiny file per block."""
 
-    def __init__(self, root: str, partition_col: str = "route",
+    def __init__(self, root: str, partition_col: str | None = "route",
                  count_cols: tuple[str, ...] = ("route", "host"),
                  min_rows_per_file: int = 100_000):
         self.root = root
@@ -198,13 +208,14 @@ class RoutedParquetDatasink(Datasink):
         # overwrites its failed attempt's partial files instead of
         # duplicating rows beside them (Ray's FilenameProvider contract)
         seq = self._write_seq = getattr(self, "_write_seq", -1) + 1
-        order, runs = _partition_runs(t.column(self.partition_col))
-        body = t.drop_columns([self.partition_col]).take(order)
+        body, runs = t, [(self.root, 0, t.num_rows)]
+        if self.partition_col is not None:
+            order, values = _partition_runs(t.column(self.partition_col))
+            body = t.drop_columns([self.partition_col]).take(order)
+            runs = [(os.path.join(self.root, partition_dir(self.partition_col, v)), s, e)
+                    for v, s, e in values]
         pages = _page_options(body.schema)
-        for value, s, e in runs:
-            # the hive null-dir name (read_parquet restores it as null)
-            name = "__HIVE_DEFAULT_PARTITION__" if value is None else value
-            d = os.path.join(self.root, f"{self.partition_col}={name}")
+        for d, s, e in runs:
             os.makedirs(d, exist_ok=True)
             pq.write_table(
                 body.slice(s, e - s),
@@ -213,7 +224,8 @@ class RoutedParquetDatasink(Datasink):
                 **pages,
             )
         agg = t.select(self.count_cols).group_by(self.count_cols).aggregate([([], "count_all")])
-        return {c: agg.column(c).to_numpy(zero_copy_only=False)
+        # an int key beside a null stays 1, not 1.0, as partition_dir names its dir
+        return {c: agg.column(c).to_pandas(integer_object_nulls=True).to_numpy()
                 for c in (*self.count_cols, "count_all")}
 
     def on_write_complete(self, write_result):
@@ -228,7 +240,8 @@ class RoutedParquetDatasink(Datasink):
         # dropna=False: null group keys are real sinks (e.g. messages with
         # no host) — pandas' default silently drops them, Arrow's doesn't
         self.counts = (df.rename(columns={"count_all": "n"})
-                       .groupby(self.count_cols, as_index=False, dropna=False)["n"].sum())
+                       .groupby(self.count_cols, as_index=False, dropna=False)["n"].sum()
+                       if self.count_cols else pd.DataFrame({"n": [df["count_all"].sum()]}))
 
     def get_name(self):
         return f"RoutedParquet({self.root})"

@@ -7,11 +7,12 @@ lib/ack-tracker/consecutive_ack_tracker.c, batched_ack_tracker.c).
 
 The batch-engine equivalent (SURVEY.md §3.1, §7 step 9): the input is
 split into deterministic partitions; each partition's output is written
-to its own directory ATOMICALLY (write to `<part>.tmp-*`, fsync, rename)
+to its own directory ATOMICALLY (write to `<part>.tmp-*`, then rename)
 and then a `_manifest/<part>.done.json` marker records row counts +
 metrics. On restart, completed partitions are skipped before any read is
 scheduled — no reprocessing, no duplicates. Output layout is
-`out_dir/part=<id>/*.parquet`, never one giant file.
+`out_dir/part=<id>/[<col>=<value>/]*.parquet`, never one giant file,
+and the row counts are what the writer counted as it wrote.
 
 `run_partitions` is the one partition loop every resumable driver
 (jobs/flagship_job.py, pipelines/curate_corpus.py::curate_to_parquet)
@@ -29,7 +30,6 @@ import re
 import shutil
 import time
 import uuid
-from collections import Counter
 
 
 class CheckpointManifest:
@@ -69,10 +69,14 @@ class CheckpointManifest:
         os.replace(tmp, self._marker(part_id))
 
     def write_partition(self, part_id: str, ds, extra_meta: dict | None = None,
-                        write_kwargs: dict | None = None) -> dict:
+                        partition_col: str | None = None) -> dict:
         """Execute `ds` into this partition's directory atomically and mark
         done. Returns the recorded metadata. Idempotent: an existing done
-        partition is returned untouched."""
+        partition is returned untouched. The write is RoutedParquetDatasink,
+        flat when `partition_col` is None; `rows_by_dir` is its counts by
+        directory ("." for a flat write)."""
+        from ..sinks import RoutedParquetDatasink, partition_dir
+
         existing = self.meta(part_id)
         if existing is not None:
             return existing
@@ -82,17 +86,11 @@ class CheckpointManifest:
             shutil.rmtree(stale, ignore_errors=True)
         tmp = final + f".tmp-{uuid.uuid4().hex[:8]}"
         t0 = time.time()
-        ds.write_parquet(tmp, **(write_kwargs or {}))
-        import pyarrow.parquet as pq
-
-        # rows per directory from the footers: "." for the partition's top
-        # level, "route=web" for a `partition_cols=["route"]` write
-        rows_by_dir: Counter[str] = Counter()
-        for root, _dirs, fnames in os.walk(tmp):
-            for fname in fnames:
-                if fname.endswith(".parquet"):
-                    rows_by_dir[os.path.relpath(root, tmp)] += \
-                        pq.read_metadata(os.path.join(root, fname)).num_rows
+        sink = RoutedParquetDatasink(tmp, partition_col, (partition_col,) if partition_col else ())
+        ds.write_datasink(sink)
+        dirs = [partition_dir(partition_col, v) for v in sink.counts[partition_col]] \
+            if partition_col else ["."]
+        rows_by_dir = dict(zip(dirs, sink.counts["n"].tolist()))
         # a killed attempt's files must not survive into the finished
         # partition: the directory is replaced whole, never merged
         if os.path.exists(final):
@@ -101,7 +99,7 @@ class CheckpointManifest:
         meta = {
             "part_id": part_id,
             "rows": sum(rows_by_dir.values()),
-            "rows_by_dir": dict(rows_by_dir),
+            "rows_by_dir": rows_by_dir,
             "wall_sec": round(time.time() - t0, 3),
             "completed_at": time.time(),
             **(extra_meta or {}),
@@ -162,7 +160,7 @@ def assign_files(files: list[tuple[str, int]], num_parts: int) -> list[list[str]
 
 
 def run_partitions(inputs, out_dir: str, num_parts: int, build,
-                   write_kwargs: dict | None = None) -> dict[str, dict[str, dict]]:
+                   partition_col: str | None = None) -> dict[str, dict[str, dict]]:
     """Run a resumable job: `build(files) -> Dataset` for every partition
     of the input files (`list_files(inputs)` planned by `assign_files`)
     that has no done marker yet, written through `write_partition`.
@@ -191,6 +189,6 @@ def run_partitions(inputs, out_dir: str, num_parts: int, build,
             ckpt.mark_done(pid, meta)
         else:
             meta = ckpt.write_partition(pid, build(part_files), {"files": len(part_files)},
-                                        write_kwargs=write_kwargs)
+                                        partition_col)
         out["run"][pid] = meta
     return out

@@ -251,6 +251,24 @@ def iqr_outliers(ds, group_cols: list[str] | str, value_col: str,
     return ds.map_batches(keep, batch_format="pyarrow")
 
 
+def _key_segments(g: pd.DataFrame, group_cols: list[str], vals: np.ndarray,
+                  valid: np.ndarray):
+    """The exact quantile kernels' grouping: `vals[valid]` sorted by (key,
+    value) -> (key columns, one row per key in first-seen order; sorted
+    values; each key's count; its start in them; the last index)."""
+    codes = g.groupby(group_cols, sort=False, dropna=False).ngroup().to_numpy()
+    n_keys = int(codes.max()) + 1
+    vv, vc = vals[valid], codes[valid]
+    order = np.lexsort((vv, vc))
+    sv, sc = vv[order], vc[order]
+    cnt = np.bincount(sc, minlength=n_keys)
+    starts = np.zeros(n_keys, dtype=np.int64)
+    np.cumsum(cnt[:-1], out=starts[1:])
+    _, first_idx = np.unique(codes, return_index=True)
+    keys = g.iloc[np.sort(first_idx)][group_cols].reset_index(drop=True)
+    return keys, sv, cnt, starts, max(len(sv) - 1, 0)
+
+
 def _exact_group_quantiles_frame(g: pd.DataFrame, group_cols: list[str],
                                  value_col: str, qs: dict[str, float],
                                  round_digits: int | None) -> pd.DataFrame:
@@ -261,19 +279,8 @@ def _exact_group_quantiles_frame(g: pd.DataFrame, group_cols: list[str],
     probs = np.array([qs[n] for n in names], dtype=np.float64)
     if not len(g):
         return pd.DataFrame(columns=group_cols + names)
-    codes = g.groupby(group_cols, sort=False, dropna=False).ngroup().to_numpy()
-    n_keys = int(codes.max()) + 1
     vals = g[value_col].to_numpy(dtype=np.float64, na_value=np.nan)
-    valid = ~np.isnan(vals)
-    vv, vc = vals[valid], codes[valid]
-    order = np.lexsort((vv, vc))
-    sv, sc = vv[order], vc[order]
-    cnt = np.bincount(sc, minlength=n_keys)
-    starts = np.zeros(n_keys, dtype=np.int64)
-    np.cumsum(cnt[:-1], out=starts[1:])
-    _, first_idx = np.unique(codes, return_index=True)
-    out = g.iloc[np.sort(first_idx)][group_cols].reset_index(drop=True)
-    last = max(len(sv) - 1, 0)
+    out, sv, cnt, starts, last = _key_segments(g, group_cols, vals, ~np.isnan(vals))
     for name, p in zip(names, probs):
         pos = p * np.maximum(cnt - 1, 0)
         lo = np.floor(pos).astype(np.int64)
@@ -283,7 +290,7 @@ def _exact_group_quantiles_frame(g: pd.DataFrame, group_cols: list[str],
         if len(sv):
             qv = sv[ilo] * (1.0 - frac) + sv[ihi] * frac
         else:
-            qv = np.full(n_keys, np.nan)
+            qv = np.full(len(cnt), np.nan)
         if round_digits is not None:
             f = 10.0 ** round_digits
             qv = half_away(qv, f) / f
@@ -315,25 +322,15 @@ def group_quantile_disc(ds, group_cols: list[str] | str, value_col: str,
     def bucket_q(g: pd.DataFrame) -> pd.DataFrame:
         if not len(g):
             return pd.DataFrame(columns=group_cols + names)
-        codes = g.groupby(group_cols, sort=False, dropna=False).ngroup().to_numpy()
-        n_keys = int(codes.max()) + 1
         vals = g[value_col]
-        valid = vals.notna().to_numpy()
-        vv, vc = vals.to_numpy()[valid], codes[valid]
-        order = np.lexsort((vv, vc))
-        sv, sc = vv[order], vc[order]
-        cnt = np.bincount(sc, minlength=n_keys)
-        starts = np.zeros(n_keys, dtype=np.int64)
-        np.cumsum(cnt[:-1], out=starts[1:])
-        _, first_idx = np.unique(codes, return_index=True)
-        out = g.iloc[np.sort(first_idx)][group_cols].reset_index(drop=True)
-        last = max(len(sv) - 1, 0)
+        out, sv, cnt, starts, last = _key_segments(
+            g, group_cols, vals.to_numpy(), vals.notna().to_numpy())
         for name, p in zip(names, probs):
             # 1-based ceil(p*n), clamped to [1, n] -> 0-based offset
             off = np.maximum(np.ceil(p * cnt).astype(np.int64), 1) - 1
             idx = np.minimum(starts + np.minimum(off, np.maximum(cnt - 1, 0)),
                              last)
-            qv = sv[idx] if len(sv) else np.full(n_keys, np.nan)
+            qv = sv[idx] if len(sv) else np.full(len(cnt), np.nan)
             out[name] = pd.array(np.where(cnt > 0, qv, None))
         return out
 
@@ -407,8 +404,6 @@ def group_quantiles(ds, group_cols: list[str] | str, value_col: str,
     -> quantile in [0, 1]. Nulls in value_col are dropped per key
     (quantile_cont semantics); keys with only nulls emit null quantiles."""
     group_cols = [group_cols] if isinstance(group_cols, str) else list(group_cols)
-    names = list(qs)
-    probs = np.array([qs[n] for n in names], dtype=np.float64)
 
     def project(b: pa.Table) -> pa.Table:
         return b.select(group_cols + [value_col])

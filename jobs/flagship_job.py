@@ -27,9 +27,9 @@ size-balanced shard of the INPUT FILE LIST (each partition reads only
 its own bytes, no read amplification); each one is written to a
 temporary directory and renamed to `<output>/part=<k>/route=<sink>/`,
 then `<output>/_manifest/<k>.done.json` records its rows per route
-directory (read from the Parquet footers). Finished partitions are
-skipped on re-submit, and a rerun partition replaces whatever a killed
-attempt left, so the manifest states what is on disk. Downstream
+directory, as the sink counted them while writing. Finished partitions
+are skipped on re-submit, and a rerun partition replaces whatever a
+killed attempt left, so the manifest states what is on disk. Downstream
 consumers read `<output>/part=*/route=<sink>/` per route.
 """
 from __future__ import annotations
@@ -64,8 +64,7 @@ def main(argv=None) -> int:
             rd.read_parquet(files, columns=["url", "warc_ts", "text", "lang"]))
 
     try:
-        res = run_partitions(args.input, args.output, args.num_parts, build,
-                             write_kwargs={"partition_cols": ["route"]})
+        res = run_partitions(args.input, args.output, args.num_parts, build, "route")
     except FileNotFoundError as e:
         print(e, file=sys.stderr)
         return 2

@@ -82,6 +82,28 @@ class TestFlagshipJob:
                             recursive=True)
         assert sum(pq.read_metadata(f).num_rows for f in on_disk) == 3000
 
+    def test_job_files_take_the_sink_page_policy(self, pages_dir, tmp_path,
+                                                  capsys, ray_session):
+        """The job writes through the routed sink: zstd pages in every
+        file, and both timestamps DELTA_BINARY_PACKED with no dictionary
+        page."""
+        import pyarrow.parquet as pq
+
+        out = str(tmp_path / "routed")
+        assert job_main(["--input", pages_dir, "--output", out, "--num-parts", "2"]) == 0
+        capsys.readouterr()
+        files = glob.glob(os.path.join(out, "part=*", "route=*", "*.parquet"))
+        assert files
+        for f in files:
+            md = pq.read_metadata(f)
+            for g in range(md.num_row_groups):
+                chunks = {md.schema.column(i).path: md.row_group(g).column(i)
+                          for i in range(md.num_columns)}
+                assert {c.compression for c in chunks.values()} == {"ZSTD"}, f
+                for col in ("warc_ts", "ts_stamp"):
+                    assert "DELTA_BINARY_PACKED" in chunks[col].encodings, (f, col)
+                    assert not chunks[col].has_dictionary_page, (f, col)
+
 
 def _docs_dir(tmp_path):
     import numpy as np

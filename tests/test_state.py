@@ -117,6 +117,54 @@ def test_checkpoint_resume_skips_done_partitions(tmp_path):
     assert total == 300
 
 
+@pytest.mark.usefixtures("ray_session")
+def test_checkpoint_rows_by_dir_equal_the_footers(tmp_path):
+    """The manifest's per-directory rows are the sink's count-on-write
+    return, and they equal what the Parquet footers say is on disk, the
+    null partition's directory included. Without a partition column the
+    files stay flat under part=<k>/."""
+    import glob
+    import os
+
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from axosyslog_ray.sinks import HIVE_NULL
+
+    src = tmp_path / "in"
+    src.mkdir()
+    routes = ["web", None, "auth", "web", None, "web"]
+    for i in range(3):
+        pq.write_table(pa.table({"route": routes * (i + 1), "id": list(range(6 * (i + 1))),
+                                 "k": pa.array([1, None, 2] * 2 * (i + 1), pa.int64())}),
+                       str(src / f"s{i}.parquet"))
+
+    def footers(d):
+        return sum(pq.read_metadata(f).num_rows for f in glob.glob(os.path.join(d, "*.parquet")))
+
+    for col in ("route", "k"):  # an int key with nulls too
+        out = str(tmp_path / col)
+        res = run_partitions(str(src), out, 2, rd.read_parquet, col)
+        ck = CheckpointManifest(out)
+        assert set(res["run"]) == {"00000", "00001"}
+        for pid, meta in res["run"].items():
+            on_disk = {os.path.basename(d): footers(d)
+                       for d in glob.glob(os.path.join(ck.part_dir(pid), f"{col}=*"))}
+            assert meta["rows_by_dir"] == on_disk
+            assert meta["rows"] == sum(on_disk.values())
+        assert sum(m["rows_by_dir"].get(f"{col}={HIVE_NULL}", 0)
+                   for m in res["run"].values()) == 12
+        assert sum(m["rows"] for m in res["run"].values()) == 36
+
+    flat = str(tmp_path / "flat")
+    res = run_partitions(str(src), flat, 2, rd.read_parquet)
+    for pid, meta in res["run"].items():
+        part = CheckpointManifest(flat).part_dir(pid)
+        assert [e for e in os.listdir(part) if not e.endswith(".parquet")] == []
+        assert meta["rows_by_dir"] == {".": footers(part)} and meta["rows"] == footers(part)
+    assert sum(m["rows"] for m in res["run"].values()) == 36
+
+
 def test_run_partitions_rejects_uri_paths(tmp_path):
     """The listing, the manifest and the atomic rename are local-only: a
     URI input or output raises naming its scheme instead of listing
@@ -138,8 +186,8 @@ def test_checkpoint_atomic_no_partial_dirs(tmp_path):
     ck = CheckpointManifest(str(tmp_path / "o"))
 
     class Boom:
-        def write_parquet(self, path):
-            os.makedirs(path)
+        def write_datasink(self, sink):
+            os.makedirs(sink.root)
             raise RuntimeError("killed mid-write")
 
     with pytest.raises(RuntimeError):
